@@ -18,10 +18,10 @@ from .materials import (Drude, IdealMetal, PermittivityModel, Plasma,
 from .specfun import ConvergenceError, SeriesControl, bessel_i1, polylog
 from .engine import (DEFAULT_QUADRATURE, ForceResult, QuadratureSpec,
                      RotationFactor, casimir_force, casimir_gradient,
-                     direct_pfa_force_oracle, ideal_metal_force_t0,
-                     ideal_metal_gradient_t0, rotated_direct_oracle,
-                     rotated_force, rotated_gradient, rotation_factor,
-                     two_halves_force, two_halves_gradient,
+                     direct_pfa_force_oracle, force, gradient,
+                     ideal_metal_force_t0, ideal_metal_gradient_t0,
+                     rotated_direct_oracle, rotated_force, rotated_gradient,
+                     rotation_factor, two_halves_force, two_halves_gradient,
                      zero_temperature_force, zero_temperature_gradient)
 from .electrostatics import (BiasState, asymmetric_electric_force,
                              exact_circular_electric_force,
@@ -45,11 +45,11 @@ __all__ = [
     "reflection_coefficients",
     "ConvergenceError", "SeriesControl", "polylog", "bessel_i1",
     "QuadratureSpec", "DEFAULT_QUADRATURE", "ForceResult", "RotationFactor",
-    "casimir_force", "casimir_gradient", "zero_temperature_force",
-    "zero_temperature_gradient", "ideal_metal_force_t0",
-    "ideal_metal_gradient_t0", "two_halves_force", "two_halves_gradient",
-    "rotation_factor", "rotated_force", "rotated_gradient",
-    "direct_pfa_force_oracle", "rotated_direct_oracle",
+    "force", "gradient", "casimir_force", "casimir_gradient",
+    "zero_temperature_force", "zero_temperature_gradient",
+    "ideal_metal_force_t0", "ideal_metal_gradient_t0", "two_halves_force",
+    "two_halves_gradient", "rotation_factor", "rotated_force",
+    "rotated_gradient", "direct_pfa_force_oracle", "rotated_direct_oracle",
     "BiasState", "pfa_electric_force", "exact_circular_electric_force",
     "expanded_electric_force", "asymmetric_electric_force",
     "OscillatorParams", "LinearShift", "frequency_shift_nonlinear",

@@ -18,10 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .config import ConfigError, RunConfig, describe_config, load_config
 from .electrostatics import asymmetric_electric_force
-from .engine import (casimir_force, casimir_gradient, rotated_force,
-                     rotated_gradient, rotation_factor, two_halves_force,
-                     two_halves_gradient)
-from .geometry import Environment, RotatedLens, TwoHalvesLens, validate_geometry
+from .engine import force, gradient, rotation_factor
+from .geometry import Environment, validate_geometry
 from .oscillator import frequency_shift_for_variant, frequency_shift_linear
 from .specfun import ConvergenceError
 
@@ -33,22 +31,6 @@ def thermal_correction(force_t: float, force_t0: float) -> float:
     thermal part grows to dominate at large separation.
     """
     return (force_t - force_t0) / force_t
-
-
-def _force_any(geom, env, model, quad):
-    if isinstance(geom, TwoHalvesLens):
-        return two_halves_force(geom, env, model, quad)
-    if isinstance(geom, RotatedLens):
-        return rotated_force(geom, env, model, quad)
-    return casimir_force(geom, env, model, quad)
-
-
-def _gradient_any(geom, env, model, quad):
-    if isinstance(geom, TwoHalvesLens):
-        return two_halves_gradient(geom, env, model, quad)
-    if isinstance(geom, RotatedLens):
-        return rotated_gradient(geom, env, model, quad)
-    return casimir_gradient(geom, env, model, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +60,7 @@ def _plan_force(cfg: RunConfig):
                   else ["force_N", "force_T0_N"])
     columns = ["a_m", "T_K"] + value_cols + ["thermal_correction",
                                              "est_abs_error", "terms_used"]
-    compute = _gradient_any if grad else _force_any
+    compute = gradient if grad else force
 
     def worker(x):
         if cfg.sweep is None:

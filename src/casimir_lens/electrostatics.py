@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS
-from .geometry import EllipticLens, Environment, LensGeometry, RotatedLens, TwoHalvesLens
-from .engine import rotation_factor
+from .geometry import EllipticLens, Environment, LensGeometry
+from .engine import _lens_shape_factor
 
 
 @dataclass(frozen=True)
@@ -21,16 +21,6 @@ class BiasState:
 
     V: float
     V0: float = 0.0
-
-
-def _shape_factor(geom: LensGeometry) -> float:
-    if isinstance(geom, EllipticLens):
-        return geom.A / math.sqrt(geom.B)
-    if isinstance(geom, TwoHalvesLens):
-        return 0.5 * (geom.A1 / math.sqrt(geom.B1) + geom.A2 / math.sqrt(geom.B2))
-    if isinstance(geom, RotatedLens):
-        return geom.A / math.sqrt(geom.B) * rotation_factor(geom.A, geom.B, geom.phi).G
-    raise TypeError(f"unknown lens geometry {geom!r}")
 
 
 def pfa_electric_force(geom: EllipticLens, env: Environment, bias: BiasState) -> float:
@@ -95,4 +85,4 @@ def asymmetric_electric_force(geom: LensGeometry, env: Environment,
     """
     dv = bias.V - bias.V0
     return (-math.pi * CONSTANTS.eps0 * geom.L / (2.0 * env.a)
-            * _shape_factor(geom) / math.sqrt(2.0 * env.a) * dv * dv)
+            * _lens_shape_factor(geom) / math.sqrt(2.0 * env.a) * dv * dv)

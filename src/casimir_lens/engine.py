@@ -46,13 +46,12 @@ class QuadratureSpec:
     rel_tol: float = 1e-8
     l_max: int = 100_000
     v_span: float = 80.0
-    n_max: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.l_max < 1 or self.n_max < 1:
-            raise ValueError("l_max and n_max must be positive")
+        if self.l_max < 1:
+            raise ValueError("l_max must be positive")
         if not self.v_span > 1.0:
             raise ValueError("v_span must exceed 1")
 
@@ -127,6 +126,7 @@ def _gradient_kernel(v, r_tm2, r_te2):
 
 
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+Term = Callable[[float], float]
 
 
 def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta: float,
@@ -140,34 +140,35 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta: float,
 _STOP_STREAK = 3
 
 
-def _matsubara_sum(kernel: Kernel, env: Environment, model: PermittivityModel,
-                   quad: QuadratureSpec):
-    """Primed Matsubara sum of the v-integrals.
+def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
+    """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
+    The only frequency sum in the package: force, gradient, the nonlinear
+    shift and the oracles differ only in the per-frequency callable.
     Returns (sum, terms_used, tail_estimate).  Terms are accumulated in
     ascending l so results are bit-reproducible; the sum stops after
     _STOP_STREAK consecutive terms each contribute less than rel_tol/10.
+    Raises ConvergenceError carrying the partial sum if l_max comes first.
     """
-    a = env.a
-    zeta1 = 4.0 * math.pi * a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
-    total = 0.5 * _frequency_integral(kernel, model, 0.0, a, quad)
+    zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
+    total = 0.5 * term(0.0)
     terms = 1
     streak = 0
     prev = math.inf
     tail = 0.0
     for l in range(1, quad.l_max + 1):
-        term = _frequency_integral(kernel, model, l * zeta1, a, quad)
-        total += term
+        value = term(l * zeta1)
+        total += value
         terms += 1
-        if abs(term) < quad.rel_tol / 10.0 * abs(total):
+        if abs(value) < quad.rel_tol / 10.0 * abs(total):
             streak += 1
             if streak >= _STOP_STREAK:
-                ratio = min(abs(term) / prev, 0.97) if prev > 0.0 else 0.0
-                tail = abs(term) * ratio / (1.0 - ratio)
+                ratio = min(abs(value) / prev, 0.97) if prev > 0.0 else 0.0
+                tail = abs(value) * ratio / (1.0 - ratio)
                 break
         else:
             streak = 0
-        prev = abs(term) if term != 0.0 else prev
+        prev = abs(value) if value != 0.0 else prev
     else:
         raise ConvergenceError(
             f"Matsubara sum not converged within l_max = {quad.l_max}",
@@ -175,13 +176,15 @@ def _matsubara_sum(kernel: Kernel, env: Environment, model: PermittivityModel,
     return total, terms, tail
 
 
-def _zeta_integral(kernel: Kernel, env: Environment, model: PermittivityModel,
-                   quad: QuadratureSpec):
-    """Zero-temperature replacement of the sum: integral over continuous zeta."""
+def _zeta_integral(term: Term, quad: QuadratureSpec):
+    """Zero-temperature replacement of the sum: integral over continuous zeta.
+
+    Returns (integral, nodes_used).
+    """
     z_nodes, z_weights = _grid_from(0.0, quad.v_span)
     total = 0.0
     for z, wz in zip(z_nodes, z_weights):
-        total += wz * _frequency_integral(kernel, model, float(z), env.a, quad)
+        total += wz * term(float(z))
     return total, len(z_nodes)
 
 
@@ -205,10 +208,6 @@ def _force_prefactor(geom: LensGeometry, env: Environment) -> float:
              * _lens_shape_factor(geom) / math.sqrt(2.0 * a))
 
 
-def _gradient_prefactor(geom: LensGeometry, env: Environment) -> float:
-    return -_force_prefactor(geom, env) / env.a
-
-
 def _force_prefactor_t0(geom: LensGeometry, a: float) -> float:
     hc = CONSTANTS.hbar * CONSTANTS.c
     return -(hc * geom.L / (16.0 * math.pi * SQRT_PI * a ** 3)
@@ -218,12 +217,57 @@ def _force_prefactor_t0(geom: LensGeometry, a: float) -> float:
 # ---------------------------------------------------------------------------
 # public operations
 
-def _finite_t(kernel: Kernel, prefactor: float, geom, env, model, quad) -> ForceResult:
-    total, terms, tail = _matsubara_sum(kernel, env, model, quad)
+def _finite_t(term: Term, prefactor: float, env: Environment,
+              quad: QuadratureSpec) -> ForceResult:
+    total, terms, tail = _matsubara_sum(term, env, quad)
     value = prefactor * total
     err = abs(prefactor) * tail + 1e-14 * abs(value)
     return ForceResult(value=value, est_abs_error=err, terms_used=terms,
                        mode="finiteT")
+
+
+def _lifshitz(geom: LensGeometry, env: Environment, model: PermittivityModel,
+              quad: QuadratureSpec, derivative: bool) -> ForceResult:
+    """Force (or its a-derivative) of any variant; the one T = 0 dispatch."""
+    a = env.a
+    kernel = _gradient_kernel if derivative else _force_kernel
+
+    def term(zeta: float) -> float:
+        return _frequency_integral(kernel, model, zeta, a, quad)
+
+    zero_t = env.T == 0.0
+    pref = _force_prefactor_t0(geom, a) if zero_t else _force_prefactor(geom, env)
+    if derivative:
+        pref = -pref / a
+    if zero_t:
+        total, nodes = _zeta_integral(term, quad)
+        value = pref * total
+        return ForceResult(value=value, est_abs_error=1e-10 * abs(value),
+                           terms_used=nodes, mode="zeroT")
+    return _finite_t(term, pref, env, quad)
+
+
+def force(geom: LensGeometry, env: Environment, model: PermittivityModel,
+          quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
+    """Casimir force on any lens variant, negative for attraction.
+
+    The variants share the frequency sum; only the A/sqrt(B) factor
+    differs (averaged over the halves, or scaled by G for the rotated
+    lens).  T = 0 routes to the zero-temperature integral.
+    """
+    return _lifshitz(geom, env, model, quad, derivative=False)
+
+
+def gradient(geom: LensGeometry, env: Environment, model: PermittivityModel,
+             quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
+    """Separation derivative dF/da for any lens variant, positive for attraction."""
+    return _lifshitz(geom, env, model, quad, derivative=True)
+
+
+def _expect(geom: LensGeometry, cls: type, name: str) -> None:
+    if not isinstance(geom, cls):
+        raise TypeError(f"{name} expects a {cls.__name__}; use force or "
+                        "gradient for any lens variant")
 
 
 def casimir_force(geom: EllipticLens, env: Environment, model: PermittivityModel,
@@ -244,47 +288,30 @@ def casimir_force(geom: EllipticLens, env: Environment, model: PermittivityModel
     ForceResult
         Force in N with error estimate and the number of frequency terms.
     """
-    if not isinstance(geom, EllipticLens):
-        raise TypeError("casimir_force expects a symmetric EllipticLens; "
-                        "use the variant-specific functions otherwise")
-    if env.T == 0.0:
-        return zero_temperature_force(geom, env, model, quad)
-    return _finite_t(_force_kernel, _force_prefactor(geom, env), geom, env,
-                     model, quad)
+    _expect(geom, EllipticLens, "casimir_force")
+    return force(geom, env, model, quad)
 
 
 def casimir_gradient(geom: EllipticLens, env: Environment,
                      model: PermittivityModel,
                      quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Separation derivative dF/da of the lens force, positive for attraction."""
-    if not isinstance(geom, EllipticLens):
-        raise TypeError("casimir_gradient expects a symmetric EllipticLens")
-    if env.T == 0.0:
-        return zero_temperature_gradient(geom, env, model, quad)
-    return _finite_t(_gradient_kernel, _gradient_prefactor(geom, env), geom,
-                     env, model, quad)
+    _expect(geom, EllipticLens, "casimir_gradient")
+    return gradient(geom, env, model, quad)
 
 
 def zero_temperature_force(geom: EllipticLens, env: Environment,
                            model: PermittivityModel,
                            quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Casimir force at T = 0 (continuous frequency integral)."""
-    total, nodes = _zeta_integral(_force_kernel, env, model, quad)
-    pref = _force_prefactor_t0(geom, env.a)
-    value = pref * total
-    return ForceResult(value=value, est_abs_error=1e-10 * abs(value),
-                       terms_used=nodes, mode="zeroT")
+    return force(geom, Environment(a=env.a, T=0.0), model, quad)
 
 
 def zero_temperature_gradient(geom: EllipticLens, env: Environment,
                               model: PermittivityModel,
                               quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Separation derivative of the force at T = 0."""
-    total, nodes = _zeta_integral(_gradient_kernel, env, model, quad)
-    pref = -_force_prefactor_t0(geom, env.a) / env.a
-    value = pref * total
-    return ForceResult(value=value, est_abs_error=1e-10 * abs(value),
-                       terms_used=nodes, mode="zeroT")
+    return gradient(geom, Environment(a=env.a, T=0.0), model, quad)
 
 
 def ideal_metal_force_t0(geom: EllipticLens, env: Environment) -> float:
@@ -318,28 +345,16 @@ def two_halves_force(geom: TwoHalvesLens, env: Environment,
     Equals half the sum of the two symmetric-lens forces; the frequency sum
     is shared, only the geometry factor changes.
     """
-    if not isinstance(geom, TwoHalvesLens):
-        raise TypeError("two_halves_force expects a TwoHalvesLens")
-    if env.T == 0.0:
-        total, nodes = _zeta_integral(_force_kernel, env, model, quad)
-        value = _force_prefactor_t0(geom, env.a) * total
-        return ForceResult(value, 1e-10 * abs(value), nodes, "zeroT")
-    return _finite_t(_force_kernel, _force_prefactor(geom, env), geom, env,
-                     model, quad)
+    _expect(geom, TwoHalvesLens, "two_halves_force")
+    return force(geom, env, model, quad)
 
 
 def two_halves_gradient(geom: TwoHalvesLens, env: Environment,
                         model: PermittivityModel,
                         quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Gradient dF/da for the two-halves lens."""
-    if not isinstance(geom, TwoHalvesLens):
-        raise TypeError("two_halves_gradient expects a TwoHalvesLens")
-    if env.T == 0.0:
-        total, nodes = _zeta_integral(_gradient_kernel, env, model, quad)
-        value = -_force_prefactor_t0(geom, env.a) / env.a * total
-        return ForceResult(value, 1e-10 * abs(value), nodes, "zeroT")
-    return _finite_t(_gradient_kernel, _gradient_prefactor(geom, env), geom,
-                     env, model, quad)
+    _expect(geom, TwoHalvesLens, "two_halves_gradient")
+    return gradient(geom, env, model, quad)
 
 
 def rotation_factor(A: float, B: float, phi: float) -> RotationFactor:
@@ -361,28 +376,16 @@ def rotation_factor(A: float, B: float, phi: float) -> RotationFactor:
 def rotated_force(geom: RotatedLens, env: Environment, model: PermittivityModel,
                   quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Force on a lens cut at angle phi: the symmetric result scaled by G."""
-    if not isinstance(geom, RotatedLens):
-        raise TypeError("rotated_force expects a RotatedLens")
-    if env.T == 0.0:
-        total, nodes = _zeta_integral(_force_kernel, env, model, quad)
-        value = _force_prefactor_t0(geom, env.a) * total
-        return ForceResult(value, 1e-10 * abs(value), nodes, "zeroT")
-    return _finite_t(_force_kernel, _force_prefactor(geom, env), geom, env,
-                     model, quad)
+    _expect(geom, RotatedLens, "rotated_force")
+    return force(geom, env, model, quad)
 
 
 def rotated_gradient(geom: RotatedLens, env: Environment,
                      model: PermittivityModel,
                      quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Gradient dF/da for the rotated lens."""
-    if not isinstance(geom, RotatedLens):
-        raise TypeError("rotated_gradient expects a RotatedLens")
-    if env.T == 0.0:
-        total, nodes = _zeta_integral(_gradient_kernel, env, model, quad)
-        value = -_force_prefactor_t0(geom, env.a) / env.a * total
-        return ForceResult(value, 1e-10 * abs(value), nodes, "zeroT")
-    return _finite_t(_gradient_kernel, _gradient_prefactor(geom, env), geom,
-                     env, model, quad)
+    _expect(geom, RotatedLens, "rotated_gradient")
+    return gradient(geom, env, model, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +455,8 @@ def _oracle_width_integral(v: float, r_tm2: float, r_te2, a: float,
 def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
                 u2_max: float, quad: QuadratureSpec):
     """Matsubara sum of  int dv v^2 * (width integral)  for the oracles."""
+    if env.T == 0.0:
+        raise ValueError("the oracle is defined for T > 0")
     a = env.a
 
     def v_integral(zeta: float) -> float:
@@ -463,22 +468,7 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
                 float(v), float(tm2), float(te2), a, chord, u2_max, quad.rel_tol)
         return total
 
-    zeta1 = 4.0 * math.pi * a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
-    total = 0.5 * v_integral(0.0)
-    terms = 1
-    streak = 0
-    for l in range(1, quad.l_max + 1):
-        term = v_integral(l * zeta1)
-        total += term
-        terms += 1
-        if abs(term) < quad.rel_tol / 10.0 * abs(total):
-            streak += 1
-            if streak >= _STOP_STREAK:
-                break
-        else:
-            streak = 0
-    else:
-        raise ConvergenceError("oracle Matsubara sum not converged", partial=total)
+    total, terms, _ = _matsubara_sum(v_integral, env, quad)
     return total, terms
 
 
@@ -494,8 +484,6 @@ def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,
     """
     if not isinstance(geom, EllipticLens):
         raise TypeError("direct_pfa_force_oracle expects an EllipticLens")
-    if env.T == 0.0:
-        raise ValueError("the oracle is defined for T > 0")
     h_d = thickness_for_width(geom.A, geom.B, geom.d)
     total, terms = _oracle_sum(env, model, geom.B, h_d, quad)
     pref = -(CONSTANTS.kB * env.T * geom.L * geom.A
@@ -516,8 +504,6 @@ def rotated_direct_oracle(geom: RotatedLens, env: Environment,
     """
     if not isinstance(geom, RotatedLens):
         raise TypeError("rotated_direct_oracle expects a RotatedLens")
-    if env.T == 0.0:
-        raise ValueError("the oracle is defined for T > 0")
     H = rotation_factor(geom.A, geom.B, geom.phi).H
     if geom.h > 2.0 * H:
         raise ValueError("lens thickness exceeds the vertical chord 2H of the cut")
@@ -531,9 +517,9 @@ def rotated_direct_oracle(geom: RotatedLens, env: Environment,
 
 __all__ = [
     "QuadratureSpec", "DEFAULT_QUADRATURE", "ForceResult", "RotationFactor",
-    "casimir_force", "casimir_gradient", "zero_temperature_force",
-    "zero_temperature_gradient", "ideal_metal_force_t0",
-    "ideal_metal_gradient_t0", "two_halves_force", "two_halves_gradient",
-    "rotation_factor", "rotated_force", "rotated_gradient",
-    "direct_pfa_force_oracle", "rotated_direct_oracle",
+    "force", "gradient", "casimir_force", "casimir_gradient",
+    "zero_temperature_force", "zero_temperature_gradient",
+    "ideal_metal_force_t0", "ideal_metal_gradient_t0", "two_halves_force",
+    "two_halves_gradient", "rotation_factor", "rotated_force",
+    "rotated_gradient", "direct_pfa_force_oracle", "rotated_direct_oracle",
 ]

@@ -20,10 +20,9 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _frequency_integral,
-                     _grid_from, _lens_shape_factor, _STOP_STREAK,
-                     casimir_gradient, casimir_force, rotated_gradient,
-                     two_halves_gradient, zero_temperature_force)
-from .geometry import EllipticLens, Environment, LensGeometry, TwoHalvesLens
+                     _lens_shape_factor, _matsubara_sum, _zeta_integral,
+                     casimir_force, gradient)
+from .geometry import EllipticLens, Environment, LensGeometry
 from .materials import PermittivityModel
 from .specfun import SQRT_PI, ConvergenceError, bessel_i1_scaled
 
@@ -178,30 +177,16 @@ def _shift_nonlinear_any(geom: LensGeometry, env: Environment,
     def kernel(v, r_tm2, r_te2):
         return _nonlinear_kernel(v, r_tm2, r_te2, beta, quad.rel_tol)
 
+    def term(zeta: float) -> float:
+        return _frequency_integral(kernel, model, zeta, a, quad)
+
     pref_geo = _lens_shape_factor(geom) / math.sqrt(2.0 * a)
     if env.T == 0.0:
-        z_nodes, z_weights = _grid_from(0.0, quad.v_span)
-        total = 0.0
-        for z, wz in zip(z_nodes, z_weights):
-            total += wz * _frequency_integral(kernel, model, float(z), a, quad)
+        total, _ = _zeta_integral(term, quad)
         hc = CONSTANTS.hbar * CONSTANTS.c
         return (-osc.C * hc * geom.L / (8.0 * math.pi * SQRT_PI * a ** 3 * osc.Az)
                 * pref_geo * total)
-
-    zeta1 = 4.0 * math.pi * a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
-    total = 0.5 * _frequency_integral(kernel, model, 0.0, a, quad)
-    streak = 0
-    for l in range(1, quad.l_max + 1):
-        term = _frequency_integral(kernel, model, l * zeta1, a, quad)
-        total += term
-        if abs(term) < quad.rel_tol / 10.0 * abs(total):
-            streak += 1
-            if streak >= _STOP_STREAK:
-                break
-        else:
-            streak = 0
-    else:
-        raise ConvergenceError("frequency-shift sum not converged", partial=total)
+    total, _, _ = _matsubara_sum(term, env, quad)
     return (-osc.C * CONSTANTS.kB * env.T * geom.L
             / (2.0 * SQRT_PI * a * a * osc.Az) * pref_geo * total)
 
@@ -216,12 +201,7 @@ def frequency_shift_linear(geom: LensGeometry, env: Environment,
     Accepts any lens variant.
     """
     _check_amplitude(env, osc)
-    if isinstance(geom, EllipticLens):
-        grad = casimir_gradient(geom, env, model, quad).value
-    elif isinstance(geom, TwoHalvesLens):
-        grad = two_halves_gradient(geom, env, model, quad).value
-    else:
-        grad = rotated_gradient(geom, env, model, quad).value
+    grad = gradient(geom, env, model, quad).value
     delta = -osc.C * grad
     omega_r = osc.omega0 * (1.0 - osc.C * grad / (2.0 * osc.omega0 ** 2))
     return LinearShift(delta_omega2=delta, omega_r=omega_r)
@@ -237,8 +217,9 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
     F(a + A_z cos(theta)); the oscillation phase theta = omega_r t makes the
     measure independent of omega_r, so no self-consistency loop is needed.
     The periodic trapezoid rule is spectrally convergent here; the grid is
-    doubled until the result is stable to theta_tol.  Force values are
-    reused across doublings (the grids nest).
+    doubled until the result is stable to theta_tol, up to 256 points, and
+    ConvergenceError carries the last estimate if it is not.  Force values
+    are reused across doublings (the grids nest).
     """
     if not isinstance(geom, EllipticLens):
         raise TypeError("frequency_shift_direct_oracle expects a symmetric lens")
@@ -248,10 +229,7 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
     def force_at(sep: float) -> float:
         if sep not in cache:
             e = Environment(a=sep, T=env.T)
-            if env.T == 0.0:
-                cache[sep] = zero_temperature_force(geom, e, model, quad).value
-            else:
-                cache[sep] = casimir_force(geom, e, model, quad).value
+            cache[sep] = casimir_force(geom, e, model, quad).value
         return cache[sep]
 
     prev = None
@@ -264,7 +242,9 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
         if prev is not None and abs(shift - prev) <= theta_tol * max(abs(shift), 1e-300):
             return shift
         prev = shift
-    return prev
+    raise ConvergenceError(
+        f"shift oracle not converged to theta_tol = {theta_tol:g} at {m} points",
+        partial=prev)
 
 
 def frequency_shift_for_variant(geom: LensGeometry, env: Environment,

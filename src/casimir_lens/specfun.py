@@ -44,15 +44,6 @@ class ConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def gauss_half_integral() -> float:
-    """Value of the half-line integral of e^-t / sqrt(t), i.e. sqrt(pi).
-
-    This is the normalization that turns the plate pressure into the lens
-    force when the surface integral is carried out to lowest order.
-    """
-    return SQRT_PI
-
-
 # ---------------------------------------------------------------------------
 # polylogarithm
 

@@ -8,14 +8,16 @@ import pytest
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (DEFAULT_QUADRATURE, QuadratureSpec,
                                  casimir_force, casimir_gradient,
+                                 direct_pfa_force_oracle, force, gradient,
                                  ideal_metal_force_t0, ideal_metal_gradient_t0,
-                                 rotated_force, rotation_factor,
-                                 two_halves_force, two_halves_gradient,
-                                 zero_temperature_force,
+                                 rotated_force, rotated_gradient,
+                                 rotation_factor, two_halves_force,
+                                 two_halves_gradient, zero_temperature_force,
                                  zero_temperature_gradient)
 from casimir_lens.geometry import (Environment, RotatedLens, TwoHalvesLens,
                                    symmetric_lens)
 from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
+from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
 from casimir_lens.specfun import ConvergenceError
 
 LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
@@ -120,10 +122,23 @@ def test_matsubara_sum_stable_under_lmax_doubling():
 
 def test_matsubara_cap_raises_with_partial():
     # at 1 K the sum needs thousands of terms; a tiny cap must fail loudly
-    with pytest.raises(ConvergenceError) as info:
-        casimir_force(LENS, env(200e-9, 1.0), IdealMetal(),
-                      QuadratureSpec(rel_tol=1e-8, l_max=5))
-    assert info.value.partial != 0.0
+    # in every caller of the shared Matsubara loop
+    cold = env(200e-9, 1.0)
+    cap = QuadratureSpec(rel_tol=1e-8, l_max=5)
+    osc = OscillatorParams(omega0=4400.0, C=10.0, Az=0.2 * cold.a)
+    calls = {
+        "casimir_force": lambda: casimir_force(LENS, cold, IdealMetal(), cap),
+        "casimir_gradient":
+            lambda: casimir_gradient(LENS, cold, IdealMetal(), cap),
+        "frequency_shift_nonlinear":
+            lambda: frequency_shift_nonlinear(LENS, cold, IdealMetal(), osc, cap),
+        "direct_pfa_force_oracle":
+            lambda: direct_pfa_force_oracle(LENS, cold, IdealMetal(), cap),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ConvergenceError) as info:
+            call()
+        assert info.value.partial != 0.0, name
 
 
 def test_independent_matsubara_term_spot_check():
@@ -206,6 +221,21 @@ def test_elliptic_equals_circular_with_effective_radius():
     f_ell = casimir_force(symmetric_lens(A, B, 1e-3), e, gold_drude()).value
     f_cir = casimir_force(symmetric_lens(R, R, 1e-3), e, gold_drude()).value
     assert f_cir == pytest.approx(f_ell, rel=1e-14)
+
+
+def test_force_and_gradient_equal_typed_names():
+    two = TwoHalvesLens(A1=100e-6, B1=100e-6, A2=200e-6, B2=50e-6,
+                        h=5e-6, d=90e-6, L=1e-3)
+    rot = RotatedLens(A=120e-6, B=100e-6, phi=0.3, h=2e-6, d=100e-6, L=1e-3)
+    typed = [(LENS, casimir_force, casimir_gradient),
+             (two, two_halves_force, two_halves_gradient),
+             (rot, rotated_force, rotated_gradient)]
+    for T in (0.0, T300):
+        e = env(200e-9, T)
+        for geom, typed_force, typed_gradient in typed:
+            model = IdealMetal()
+            assert force(geom, e, model) == typed_force(geom, e, model)
+            assert gradient(geom, e, model) == typed_gradient(geom, e, model)
 
 
 def test_variant_type_checks():

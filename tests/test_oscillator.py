@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from casimir_lens.engine import QuadratureSpec, casimir_gradient
+from casimir_lens.engine import (QuadratureSpec, casimir_gradient,
+                                 two_halves_gradient)
 from casimir_lens.geometry import (Environment, RotatedLens, TwoHalvesLens,
                                    symmetric_lens)
 from casimir_lens.materials import IdealMetal, gold_plasma
@@ -13,6 +14,7 @@ from casimir_lens.oscillator import (OscillatorParams,
                                      frequency_shift_for_variant,
                                      frequency_shift_linear,
                                      frequency_shift_nonlinear)
+from casimir_lens.specfun import ConvergenceError
 
 LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
 E300 = Environment(a=200e-9, T=300.0)
@@ -122,3 +124,24 @@ def test_linear_shift_for_rotated_uses_rotated_gradient():
     lin = frequency_shift_linear(rot, E300, IdealMetal(), p)
     grad = rotated_gradient(rot, E300, IdealMetal()).value
     assert lin.delta_omega2 == pytest.approx(-p.C * grad, rel=1e-12)
+
+
+def test_linear_shift_for_two_halves_uses_two_halves_gradient():
+    two = TwoHalvesLens(A1=100e-6, B1=100e-6, A2=200e-6, B2=50e-6,
+                        h=5e-6, d=90e-6, L=1e-3)
+    p = osc(1e-9)
+    lin = frequency_shift_linear(two, E300, IdealMetal(), p)
+    grad = two_halves_gradient(two, E300, IdealMetal()).value
+    assert lin.delta_omega2 == -p.C * grad
+
+
+def test_direct_oracle_raises_when_unconverged():
+    # a 1e-300 stability target asks successive grids for bit-equal
+    # estimates, which 256 points do not give; the last estimate must come
+    # back as the partial value instead of as a result
+    e = Environment(a=1e-6, T=300.0)
+    with pytest.raises(ConvergenceError) as info:
+        frequency_shift_direct_oracle(LENS, e, IdealMetal(), osc(0.3 * e.a),
+                                      QuadratureSpec(rel_tol=1e-3),
+                                      theta_tol=1e-300)
+    assert info.value.partial < 0.0

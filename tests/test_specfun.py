@@ -7,10 +7,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from casimir_lens.specfun import (ConvergenceError, SeriesControl, SQRT_PI,
-                                  bessel_i1, bessel_i1_scaled,
-                                  gauss_half_integral, polylog,
-                                  polylog_exp_grid)
+from casimir_lens.specfun import (ConvergenceError, SeriesControl, bessel_i1,
+                                  bessel_i1_scaled, polylog, polylog_exp_grid)
 
 # Reference values computed with mpmath at 30 decimal digits.
 LI_HALF_AT_HALF = 0.8061267230428523
@@ -65,13 +63,6 @@ def test_polylog_against_scipy_integral():
     ref, _ = scipy.integrate.quad(integrand, 0.0, 80.0)
     ref *= z / math.gamma(s)
     assert polylog(s, z) == pytest.approx(ref, rel=1e-9)
-
-
-def test_gauss_half_integral_is_sqrt_pi():
-    ref, _ = scipy.integrate.quad(lambda t: math.exp(-t) / math.sqrt(t),
-                                  0.0, np.inf)
-    assert gauss_half_integral() == pytest.approx(ref, rel=1e-10)
-    assert gauss_half_integral() == SQRT_PI
 
 
 def test_bessel_i1_frozen_value():
