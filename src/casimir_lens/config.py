@@ -32,12 +32,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .electrostatics import BiasState
-from .engine import DEFAULT_QUADRATURE, QuadratureSpec
+from .engine import DEFAULT_QUADRATURE, QuadratureSpec, _grid_from
 from .geometry import (Environment, LensGeometry, RotatedLens, TwoHalvesLens,
                        symmetric_lens, thickness_for_width)
 from .materials import (Drude, GOLD_GAMMA_EV, GOLD_PLASMA_EV, IdealMetal,
                         PermittivityModel, Plasma, Tabulated)
-from .constants import ev_to_rad_per_s
+from .constants import CONSTANTS, ev_to_rad_per_s
 from .oscillator import OscillatorParams
 
 
@@ -343,6 +343,32 @@ def _check_consistency(cfg: RunConfig) -> None:
         if cfg.oscillator.Az >= cfg.environment.a:
             raise ConfigError("[oscillator] Az must be smaller than the "
                               "separation a")
+    if cmd != "efield" and isinstance(cfg.material, Tabulated):
+        _check_tabulated_zero_t(cfg)
+
+
+def _check_tabulated_zero_t(cfg: RunConfig) -> None:
+    """A tabulated run at T = 0 must reach down to the first zeta-node.
+
+    The T = 0 integral starts just above zeta = 0, where xi = c zeta / 2a is
+    far below any measured permittivity table, so such a run could only
+    fail.  The lowest frequency comes with the largest separation.
+    """
+    temps, seps = [cfg.environment.T], [cfg.environment.a]
+    if cfg.sweep is not None and cfg.sweep.variable == "T":
+        temps = list(cfg.sweep.points())
+    if cfg.sweep is not None and cfg.sweep.variable == "a":
+        seps = list(cfg.sweep.points())
+    if min(temps) > 0.0:
+        return
+    zeta0 = float(_grid_from(0.0, cfg.quadrature.v_span)[0][0])
+    xi0 = CONSTANTS.c * zeta0 / (2.0 * max(seps))
+    if xi0 < cfg.material.xi_grid[0]:
+        raise ConfigError(
+            f"[material] model = tabulated cannot run at T = 0: the first "
+            f"zeta-node of the zero-temperature integral is xi = {xi0:.3g} "
+            f"rad/s, below the lowest tabulated frequency "
+            f"{cfg.material.xi_grid[0]:.3g} rad/s; use T > 0")
 
 
 # ---------------------------------------------------------------------------

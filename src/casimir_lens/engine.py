@@ -20,6 +20,7 @@ the leading-order expressions.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,10 +38,17 @@ class QuadratureSpec:
     """Convergence knobs for the frequency sum and the v-integrals.
 
     rel_tol drives the Matsubara stop rule (three consecutive terms below
-    rel_tol/10 of the running sum); the fixed Gauss panels are converged to
-    ~1e-13 by construction, comfortably beyond the 1e-8 default.  v_span is
-    the practical upper limit of the v-integral measured from zeta_l; the
-    integrand carries e^-v so 80 corresponds to a ~1e-35 cutoff error.
+    rel_tol/10 of the running sum) and the end of the Euler-Maclaurin
+    remainder that completes a sum still running after the explicit
+    block; the fixed Gauss panels are converged to ~1e-13 by construction,
+    comfortably beyond the 1e-8 default.  l_max caps the term evaluations,
+    the remainder's included.  v_span is the upper limit of the v-integral
+    measured from zeta_l, and the width of the remainder's first window.
+    The force and gradient integrands carry e^-v, so 80 leaves a ~1e-35
+    cutoff error there.  The nonlinear shift's integrand decays only like
+    e^{-(1 - Az/a) v}, so the cutoff truncates it as Az -> a: at 300 K,
+    200 nm and Az/a = 0.99 the shift is -743.4 at v_span = 80 and -2627.9
+    at 320.
     """
 
     rel_tol: float = 1e-8
@@ -82,6 +90,7 @@ class RotationFactor:
 
 _PANEL_EDGES = (0.0, 2.0, 8.0, 20.0, 45.0, 80.0)
 _PANEL_NODES = (48, 32, 32, 24, 16)
+_COARSE_NODES = (24, 16, 16, 12, 8)  # the same panels at half the order
 
 
 def _leggauss(n: int, _cache={}):
@@ -90,15 +99,16 @@ def _leggauss(n: int, _cache={}):
     return _cache[n]
 
 
-def _grid_from(zeta: float, span: float):
+def _grid_from(zeta: float, span: float, nodes=_PANEL_NODES):
     """Gauss nodes and weights covering [zeta, zeta + span].
 
     The first panel is mapped through v = w^2 so that the half-integer
     powers the polylog kernels develop at small v are integrated exactly.
+    nodes gives the Gauss order of each panel.
     """
     edges = [zeta + e * (span / _PANEL_EDGES[-1]) for e in _PANEL_EDGES]
     vs, ws = [], []
-    for i, n in enumerate(_PANEL_NODES):
+    for i, n in enumerate(nodes):
         x, w = _leggauss(n)
         lo, hi = edges[i], edges[i + 1]
         if i == 0:
@@ -138,6 +148,7 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta: float,
 
 
 _STOP_STREAK = 3
+_EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
@@ -148,7 +159,10 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
     Returns (sum, terms_used, tail_estimate).  Terms are accumulated in
     ascending l so results are bit-reproducible; the sum stops after
     _STOP_STREAK consecutive terms each contribute less than rel_tol/10.
-    Raises ConvergenceError carrying the partial sum if l_max comes first.
+    A sum still running after the block l <= _EM_BLOCK (low temperature,
+    or a slowly decaying term) is completed by _em_remainder.  l_max caps
+    the term evaluations; ConvergenceError carries the partial sum if the
+    cap comes first.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     total = 0.5 * term(0.0)
@@ -156,10 +170,12 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
     streak = 0
     prev = math.inf
     tail = 0.0
-    for l in range(1, quad.l_max + 1):
+    recent = deque(maxlen=7)
+    for l in range(1, min(quad.l_max, _EM_BLOCK) + 1):
         value = term(l * zeta1)
         total += value
         terms += 1
+        recent.append(value)
         if abs(value) < quad.rel_tol / 10.0 * abs(total):
             streak += 1
             if streak >= _STOP_STREAK:
@@ -170,10 +186,61 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
             streak = 0
         prev = abs(value) if value != 0.0 else prev
     else:
-        raise ConvergenceError(
-            f"Matsubara sum not converged within l_max = {quad.l_max}",
-            partial=total)
+        if quad.l_max < _EM_BLOCK:
+            raise _not_converged(quad, total)
+        return _em_remainder(term, zeta1, l * zeta1, list(recent), total,
+                             terms, quad)
     return total, terms, tail
+
+
+def _not_converged(quad: QuadratureSpec, partial: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"Matsubara sum not converged within l_max = {quad.l_max}",
+        partial=partial)
+
+
+def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
+                  total: float, terms: int, quad: QuadratureSpec):
+    """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
+
+    The primed sum is the trapezoid rule for the zeta-integral, so by
+    Euler-Maclaurin the remainder is
+
+        (1/h) int_{zeta_b}^inf f - f(zeta_b)/2 - h f'(zeta_b)/12
+            + h^3 f'''(zeta_b)/720.
+
+    h f' and h^3 f''' come from the backward differences of the last seven
+    samples f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
+    evaluations.  The integral runs over contiguous windows from zeta_b,
+    v_span wide and doubling, until the term at the end of a window times
+    the window's width falls below rel_tol/10 of the sum.  The returned
+    tail estimate is measured: the last correction applied, the change
+    when every window is redone at half the Gauss order, and that end-of-
+    window cut.  Returns (sum, terms_used, tail_estimate).
+    """
+    nabla = [float(np.diff(samples, k)[-1]) for k in range(1, 7)]
+    d1 = sum(d / k for k, d in enumerate(nabla, start=1))
+    d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
+    last_correction = d3 / 720.0
+    total += -0.5 * samples[-1] - d1 / 12.0 + last_correction
+    quad_err = 0.0
+    start, width = zeta_b, quad.v_span
+    while True:
+        z, w = _grid_from(start, width)
+        zc, wc = _grid_from(start, width, _COARSE_NODES)
+        if terms + z.size + zc.size > quad.l_max + 1:
+            raise _not_converged(quad, total)
+        f = [term(float(x)) for x in z]
+        fine = float(sum(wx * fx for wx, fx in zip(w, f))) / h
+        coarse = float(sum(wx * term(float(x)) for x, wx in zip(zc, wc))) / h
+        terms += z.size + zc.size
+        total += fine
+        quad_err += abs(fine - coarse)
+        cut = abs(f[-1]) * width / h
+        if cut <= quad.rel_tol / 10.0 * abs(total):
+            return total, terms, abs(last_correction) + quad_err + cut
+        start += width
+        width *= 2.0
 
 
 def _zeta_integral(term: Term, quad: QuadratureSpec):
@@ -217,13 +284,18 @@ def _force_prefactor_t0(geom: LensGeometry, a: float) -> float:
 # ---------------------------------------------------------------------------
 # public operations
 
-def _finite_t(term: Term, prefactor: float, env: Environment,
-              quad: QuadratureSpec) -> ForceResult:
-    total, terms, tail = _matsubara_sum(term, env, quad)
+def _scaled(prefactor: float, total: float, terms: int,
+            tail: float) -> ForceResult:
+    """Finite-T result from a Matsubara sum and its tail estimate."""
     value = prefactor * total
     err = abs(prefactor) * tail + 1e-14 * abs(value)
     return ForceResult(value=value, est_abs_error=err, terms_used=terms,
                        mode="finiteT")
+
+
+def _finite_t(term: Term, prefactor: float, env: Environment,
+              quad: QuadratureSpec) -> ForceResult:
+    return _scaled(prefactor, *_matsubara_sum(term, env, quad))
 
 
 def _lifshitz(geom: LensGeometry, env: Environment, model: PermittivityModel,
@@ -405,13 +477,15 @@ _N_BLOCK = 64
 _N_CAP = 8192
 
 
-def _order_series(rho: np.ndarray, rel_tol: float) -> np.ndarray:
+def _order_series(rho: np.ndarray, rel_tol: float):
     """sum_{n>=1} rho^n, summed term by term with truncation at rel_tol/10.
 
     rho is an array in [0, 1).  Blocks of explicit powers keep the series
     faithful to the reflection-order expansion; if a node is still not
     converged at the n-cap the exact geometric remainder of the same series
     is added (mathematically the continuation of the identical sum).
+    Returns (sum, dropped): dropped is the geometric remainder the
+    truncation left out at each node.
     """
     acc = np.zeros_like(rho)
     power = np.ones_like(rho)
@@ -425,19 +499,21 @@ def _order_series(rho: np.ndarray, rel_tol: float) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             rel = np.where(acc > 0.0, power / np.maximum(acc, 1e-300), 0.0)
         if np.all(rel * rho / np.maximum(1.0 - rho, 1e-300) < tol):
-            return acc
-    return acc + power * rho / (1.0 - rho)
+            return acc, power * rho / (1.0 - rho)
+    return acc + power * rho / (1.0 - rho), np.zeros_like(rho)
 
 
 def _oracle_width_integral(v: float, r_tm2: float, r_te2, a: float,
-                           chord: float, u2_max: float, rel_tol: float) -> float:
+                           chord: float, u2_max: float, rel_tol: float):
     """Integral over the lens surface at fixed v:
 
     2 int_0^sqrt(u2_max) du (chord - u^2)/sqrt(2 chord - u^2)
         sum_n [ (r_TM^2 e^{-v(a+u^2)/a})^n + (TE term) ].
 
     Evaluated in the rescaled variable sigma = u sqrt(v/a) so the e^{-sigma^2}
-    weight sits on a fixed grid regardless of v.
+    weight sits on a fixed grid regardless of v.  Returns the integral and
+    the same integral over the order-series remainder the truncation left
+    out.
     """
     x, w = _leggauss(_SIGMA_NODES)
     smax = min(math.sqrt(u2_max * v / a), _SIGMA_CUT)
@@ -446,30 +522,44 @@ def _oracle_width_integral(v: float, r_tm2: float, r_te2, a: float,
     u2 = a * sig * sig / v
     geo = 2.0 * (chord - u2) / np.sqrt(2.0 * chord - u2)
     decay = np.exp(-v - sig * sig)
-    series = _order_series(r_tm2 * decay, rel_tol)
+    series, dropped = _order_series(r_tm2 * decay, rel_tol)
     if r_te2 != 0.0:
-        series = series + _order_series(r_te2 * decay, rel_tol)
-    return math.sqrt(a / v) * float(np.sum(wsig * geo * series))
+        series_te, dropped_te = _order_series(r_te2 * decay, rel_tol)
+        series = series + series_te
+        dropped = dropped + dropped_te
+    weight = wsig * geo
+    scale = math.sqrt(a / v)
+    return (scale * float(np.sum(weight * series)),
+            scale * float(np.sum(weight * dropped)))
 
 
 def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
                 u2_max: float, quad: QuadratureSpec):
-    """Matsubara sum of  int dv v^2 * (width integral)  for the oracles."""
+    """Matsubara sum of  int dv v^2 * (width integral)  for the oracles.
+
+    Returns (sum, terms_used, tail_estimate): the tail estimate is the
+    Matsubara loop's plus the order-series remainders left out in every
+    term evaluated.
+    """
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
     a = env.a
+    order_tail = 0.0
 
     def v_integral(zeta: float) -> float:
+        nonlocal order_tail
         v_nodes, v_weights = _grid_from(zeta, quad.v_span)
         r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
         total = 0.0
         for v, wv, tm2, te2 in zip(v_nodes, v_weights, r_tm2, r_te2):
-            total += wv * v * v * _oracle_width_integral(
+            value, dropped = _oracle_width_integral(
                 float(v), float(tm2), float(te2), a, chord, u2_max, quad.rel_tol)
+            total += wv * v * v * value
+            order_tail += abs(wv * v * v * dropped)
         return total
 
-    total, terms, _ = _matsubara_sum(v_integral, env, quad)
-    return total, terms
+    total, terms, tail = _matsubara_sum(v_integral, env, quad)
+    return total, terms, tail + order_tail
 
 
 def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,
@@ -485,12 +575,9 @@ def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,
     if not isinstance(geom, EllipticLens):
         raise TypeError("direct_pfa_force_oracle expects an EllipticLens")
     h_d = thickness_for_width(geom.A, geom.B, geom.d)
-    total, terms = _oracle_sum(env, model, geom.B, h_d, quad)
     pref = -(CONSTANTS.kB * env.T * geom.L * geom.A
              / (4.0 * math.pi * env.a ** 3 * geom.B))
-    value = pref * total
-    return ForceResult(value=value, est_abs_error=quad.rel_tol * abs(value),
-                       terms_used=terms, mode="finiteT")
+    return _scaled(pref, *_oracle_sum(env, model, geom.B, h_d, quad))
 
 
 def rotated_direct_oracle(geom: RotatedLens, env: Environment,
@@ -507,12 +594,9 @@ def rotated_direct_oracle(geom: RotatedLens, env: Environment,
     H = rotation_factor(geom.A, geom.B, geom.phi).H
     if geom.h > 2.0 * H:
         raise ValueError("lens thickness exceeds the vertical chord 2H of the cut")
-    total, terms = _oracle_sum(env, model, H, geom.h, quad)
     pref = -(CONSTANTS.kB * env.T * geom.L * geom.A * geom.B
              / (4.0 * math.pi * env.a ** 3 * H * H))
-    value = pref * total
-    return ForceResult(value=value, est_abs_error=quad.rel_tol * abs(value),
-                       terms_used=terms, mode="finiteT")
+    return _scaled(pref, *_oracle_sum(env, model, H, geom.h, quad))
 
 
 __all__ = [

@@ -2,16 +2,18 @@
 
 The Lifshitz-type kernels reduce to polylogarithms of half-integer order,
 Li_{1/2} and Li_{-1/2}, and the anharmonic oscillator response brings in the
-modified Bessel function I_1.  Both are evaluated from their defining series;
-near z -> 1 the polylog series is completed with an Euler-Maclaurin tail so
-the evaluation stays cheap and accurate at the same time.
+modified Bessel function I_1.  The polylog is evaluated from its defining
+series; near z -> 1 the series is completed with an Euler-Maclaurin tail so
+the evaluation stays cheap and accurate at the same time.  bessel_i1 sums the
+ascending series of I_1 up to 30 and uses scipy's scaled i1e above; the
+vectorized scaled form the frequency shift uses is i1e throughout.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, i1e
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -130,48 +132,15 @@ def polylog(s: float, z: float, control: SeriesControl = DEFAULT_CONTROL) -> flo
 _I1_SWITCH = 30.0
 
 
-def _i1_scaled_series(x: np.ndarray) -> np.ndarray:
-    """e^-x I_1(x) from the ascending series, for moderate x >= 0."""
-    q = 0.25 * x * x
-    term = 0.5 * x
-    total = term.copy()
-    for k in range(1, 64):
-        term = term * q / (k * (k + 1.0))
-        total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return np.exp(-x) * total
-
-
-def _i1_scaled_asymptotic(x: np.ndarray) -> np.ndarray:
-    """e^-x I_1(x) from the large-argument expansion, x > ~30."""
-    # I_1(x) ~ e^x/sqrt(2 pi x) sum_k prod_j ((2j-1)^2 - 4) / (8^k k! x^k);
-    # the first correction is -3/(8x).
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 16):
-        term = term * ((2.0 * k - 1.0) ** 2 - 4.0) / (8.0 * k * x)
-        total += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
-    return total / np.sqrt(2.0 * math.pi * x)
-
-
 def bessel_i1_scaled(x):
     """Scaled modified Bessel function e^-|x| I_1(x), overflow-safe.
 
-    Accepts a scalar or ndarray; odd in x.
+    Accepts a scalar or ndarray; odd in x.  A thin wrapper over
+    scipy.special.i1e that keeps one named entry for the package's Bessel
+    evaluations.
     """
-    arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
-    ax = np.abs(arr)
-    small = ax <= _I1_SWITCH
-    if np.any(small):
-        out[small] = _i1_scaled_series(ax[small])
-    if np.any(~small):
-        out[~small] = _i1_scaled_asymptotic(ax[~small])
-    out = out * np.sign(arr)
-    if np.isscalar(x) or arr.ndim == 0:
+    out = i1e(x)
+    if np.ndim(out) == 0:
         return float(out)
     return out
 
@@ -180,7 +149,7 @@ def bessel_i1(z: float, control: SeriesControl = DEFAULT_CONTROL) -> float:
     """Modified Bessel function I_1(z) of the first kind.
 
     The ascending series is used up to z = 30; beyond that the scaled
-    asymptotic form is unscaled by e^z, which keeps every intermediate
+    function e^-z I_1(z) is unscaled by e^z, which keeps every intermediate
     finite until the result itself overflows (z around 710).
     """
     az = abs(z)
@@ -196,7 +165,7 @@ def bessel_i1(z: float, control: SeriesControl = DEFAULT_CONTROL) -> float:
         else:
             raise ConvergenceError("bessel_i1 series stalled", partial=total)
         return math.copysign(total, z)
-    value = float(_i1_scaled_asymptotic(np.asarray([az]))[0]) * math.exp(az)
+    value = float(i1e(az)) * math.exp(az)
     return math.copysign(value, z)
 
 

@@ -253,3 +253,19 @@ def test_parse_config_consistency_checks(tmp_path):
     cfg = load_config(write(tmp_path, BASE))
     assert cfg.command == "force"
     assert cfg.geometry.A == 100e-6
+
+
+def test_tabulated_at_zero_temperature_rejected(tmp_path):
+    table = tmp_path / "gold.dat"
+    table.write_text("1.0e13 5000.0\n1.0e18 1.5\n")
+    cfg = BASE.replace("model = ideal", f"model = tabulated\npath = {table}")
+    with pytest.raises(ConfigError, match="first zeta-node"):
+        parse_config(cfg.replace("T = 300", "T = 0"), origin="inline")
+    with pytest.raises(ConfigError, match="first zeta-node"):
+        parse_config(cfg + "\n[sweep]\nvariable = T\nstart = 0\nstop = 300\n"
+                     "count = 3\n", origin="inline")
+    assert parse_config(cfg, origin="inline").environment.T == 300.0
+    # a table reaching below the first node is accepted at T = 0
+    table.write_text("1.0e2 5000.0\n1.0e18 1.5\n")
+    assert parse_config(cfg.replace("T = 300", "T = 0"),
+                        origin="inline").environment.T == 0.0

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (DEFAULT_QUADRATURE, QuadratureSpec,
-                                 casimir_force, casimir_gradient,
+from casimir_lens.engine import (_EM_BLOCK, DEFAULT_QUADRATURE,
+                                 QuadratureSpec, casimir_force, casimir_gradient,
                                  direct_pfa_force_oracle, force, gradient,
                                  ideal_metal_force_t0, ideal_metal_gradient_t0,
                                  rotated_force, rotated_gradient,
@@ -121,8 +121,8 @@ def test_matsubara_sum_stable_under_lmax_doubling():
 
 
 def test_matsubara_cap_raises_with_partial():
-    # at 1 K the sum needs thousands of terms; a tiny cap must fail loudly
-    # in every caller of the shared Matsubara loop
+    # at 1 K the sum runs past the explicit block; a tiny cap must fail
+    # loudly in every caller of the shared Matsubara loop
     cold = env(200e-9, 1.0)
     cap = QuadratureSpec(rel_tol=1e-8, l_max=5)
     osc = OscillatorParams(omega0=4400.0, C=10.0, Az=0.2 * cold.a)
@@ -139,6 +139,44 @@ def test_matsubara_cap_raises_with_partial():
         with pytest.raises(ConvergenceError) as info:
             call()
         assert info.value.partial != 0.0, name
+
+
+def test_remainder_matches_explicit_sum(monkeypatch):
+    # 24 K, 200 nm: the block plus Euler-Maclaurin remainder against the
+    # same primed sum added term by term to rel_tol = 5e-16
+    e = env(200e-9, 24.0)
+    res = casimir_force(LENS, e, gold_drude())
+    assert res.terms_used > _EM_BLOCK + 1  # the remainder was used
+    monkeypatch.setattr("casimir_lens.engine._EM_BLOCK", 100_000)
+    explicit = casimir_force(LENS, e, gold_drude(), QuadratureSpec(rel_tol=5e-16))
+    assert explicit.terms_used > 1000
+    assert abs(res.value - explicit.value) <= res.est_abs_error
+    assert res.est_abs_error < 1e-10 * abs(res.value)
+
+
+def test_millikelvin_converges_to_zero_t():
+    cold = casimir_force(LENS, env(200e-9, 0.01), gold_drude())
+    zero = zero_temperature_force(LENS, env(200e-9, 0.0), gold_drude())
+    assert cold.value == pytest.approx(zero.value, rel=1e-9)
+    assert cold.terms_used < 1000
+
+
+def test_gradient_and_shift_finish_at_3k():
+    cold = env(200e-9, 3.0)
+    grad = casimir_gradient(LENS, cold, gold_drude())
+    zero = zero_temperature_gradient(LENS, env(200e-9, 0.0), gold_drude())
+    assert grad.value == pytest.approx(zero.value, rel=1e-3)
+    osc = OscillatorParams(omega0=4400.0, C=10.0, Az=0.2 * cold.a)
+    shift = frequency_shift_nonlinear(LENS, cold, gold_drude(), osc)
+    assert shift < 0.0 and math.isfinite(shift)
+
+
+def test_cap_above_block_limits_remainder_evaluations():
+    # l_max counts every term evaluation, the remainder's included
+    cap = QuadratureSpec(rel_tol=1e-8, l_max=300)
+    with pytest.raises(ConvergenceError) as info:
+        casimir_force(LENS, env(200e-9, 1.0), IdealMetal(), cap)
+    assert info.value.partial != 0.0
 
 
 def test_independent_matsubara_term_spot_check():

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from casimir_lens.engine import (casimir_force, direct_pfa_force_oracle,
+from casimir_lens.engine import (DEFAULT_QUADRATURE, QuadratureSpec,
+                                 casimir_force, direct_pfa_force_oracle,
                                  rotated_direct_oracle, rotated_force)
 from casimir_lens.geometry import Environment, RotatedLens, symmetric_lens
 from casimir_lens.materials import IdealMetal, gold_drude
@@ -76,3 +77,16 @@ def test_oracle_scales_linearly_with_length():
     o1 = direct_pfa_force_oracle(lens1, e, IdealMetal()).value
     o2 = direct_pfa_force_oracle(lens2, e, IdealMetal()).value
     assert o2 == pytest.approx(2.0 * o1, rel=1e-14)
+
+
+def test_oracle_error_estimate_is_measured():
+    # the estimate carries the measured Matsubara tail and order-series
+    # remainders, and brackets the same oracle at a much tighter tolerance
+    lens = symmetric_lens(100e-6, 100e-6, 1e-3)
+    e = Environment(a=1e-6, T=300.0)
+    res = direct_pfa_force_oracle(lens, e, IdealMetal())
+    tight = direct_pfa_force_oracle(lens, e, IdealMetal(),
+                                    QuadratureSpec(rel_tol=1e-11))
+    assert res.est_abs_error != DEFAULT_QUADRATURE.rel_tol * abs(res.value)
+    assert abs(res.value - tight.value) <= res.est_abs_error
+    assert res.est_abs_error < 1e-3 * DEFAULT_QUADRATURE.rel_tol * abs(res.value)
