@@ -8,10 +8,10 @@ unreduced integrals.
 """
 
 from .constants import CONSTANTS, PhysicalConstants, ev_to_rad_per_s
-from .geometry import (EllipticLens, Environment, LensGeometry, MatsubaraPoint,
-                       RotatedLens, TwoHalvesLens, ValidityReport,
-                       matsubara_point, symmetric_lens, thickness_for_width,
-                       validate_geometry, width_for_thickness)
+from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
+                       TwoHalvesLens, ValidityReport, symmetric_lens,
+                       thickness_for_width, validate_geometry,
+                       width_for_thickness)
 from .materials import (Drude, IdealMetal, PermittivityModel, Plasma,
                         Tabulated, epsilon_at_imaginary, gold_drude,
                         gold_plasma, reflection_coefficients)
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CONSTANTS", "PhysicalConstants", "ev_to_rad_per_s",
     "EllipticLens", "TwoHalvesLens", "RotatedLens", "LensGeometry",
-    "Environment", "MatsubaraPoint", "matsubara_point", "symmetric_lens",
+    "Environment", "symmetric_lens",
     "thickness_for_width", "width_for_thickness", "validate_geometry",
     "ValidityReport",
     "IdealMetal", "Plasma", "Drude", "Tabulated", "PermittivityModel",

@@ -37,9 +37,14 @@ def thermal_correction(force_t: float, force_t0: float) -> float:
 # per-command row builders.  Each returns (column names, point list, worker);
 # the worker maps one sweep point to one row of plain numbers.
 
-def _substitute(cfg: RunConfig, x: float):
-    """Geometry/environment/oscillator/bias with the sweep variable set to x."""
+def _substitute(cfg: RunConfig, x: float | None):
+    """Geometry/environment/oscillator/bias with the sweep variable set to x.
+
+    Without a sweep (x is None) they are the configured ones.
+    """
     geom, env, osc, bias = cfg.geometry, cfg.environment, cfg.oscillator, cfg.bias
+    if cfg.sweep is None:
+        return geom, env, osc, bias
     var = cfg.sweep.variable
     if var == "a":
         env = Environment(a=float(x), T=env.T)
@@ -63,10 +68,7 @@ def _plan_force(cfg: RunConfig):
     compute = gradient if grad else force
 
     def worker(x):
-        if cfg.sweep is None:
-            geom, env = cfg.geometry, cfg.environment
-        else:
-            geom, env, _, _ = _substitute(cfg, x)
+        geom, env, _, _ = _substitute(cfg, x)
         res = compute(geom, env, cfg.material, cfg.quadrature)
         if env.T == 0.0:
             res_t0 = res
@@ -84,10 +86,7 @@ def _plan_efield(cfg: RunConfig):
     columns = ["a_m", "V_volt", "V0_volt", "force_N"]
 
     def worker(x):
-        if cfg.sweep is None:
-            geom, env, bias = cfg.geometry, cfg.environment, cfg.bias
-        else:
-            geom, env, _, bias = _substitute(cfg, x)
+        geom, env, _, bias = _substitute(cfg, x)
         return [env.a, bias.V, bias.V0,
                 asymmetric_electric_force(geom, env, bias)]
 
@@ -99,10 +98,7 @@ def _plan_freq_shift(cfg: RunConfig):
                "delta_omega2_linear_rad2_per_s2", "omega_r_linear_rad_per_s"]
 
     def worker(x):
-        if cfg.sweep is None:
-            geom, env, osc = cfg.geometry, cfg.environment, cfg.oscillator
-        else:
-            geom, env, osc, _ = _substitute(cfg, x)
+        geom, env, osc, _ = _substitute(cfg, x)
         nonlin = frequency_shift_for_variant(geom, env, cfg.material, osc,
                                              cfg.quadrature)
         lin = frequency_shift_linear(geom, env, cfg.material, osc,

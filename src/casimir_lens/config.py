@@ -348,11 +348,13 @@ def _check_consistency(cfg: RunConfig) -> None:
 
 
 def _check_tabulated_zero_t(cfg: RunConfig) -> None:
-    """A tabulated run at T = 0 must reach down to the first zeta-node.
+    """A tabulated run evaluating T = 0 must reach the first zeta-node.
 
     The T = 0 integral starts just above zeta = 0, where xi = c zeta / 2a is
     far below any measured permittivity table, so such a run could only
-    fail.  The lowest frequency comes with the largest separation.
+    fail.  force and gradient rows evaluate T = 0 at every temperature (the
+    T = 0 companion of each row); the other commands only where T = 0.
+    The lowest frequency comes with the largest separation.
     """
     temps, seps = [cfg.environment.T], [cfg.environment.a]
     if cfg.sweep is not None and cfg.sweep.variable == "T":
@@ -360,15 +362,19 @@ def _check_tabulated_zero_t(cfg: RunConfig) -> None:
     if cfg.sweep is not None and cfg.sweep.variable == "a":
         seps = list(cfg.sweep.points())
     if min(temps) > 0.0:
-        return
-    zeta0 = float(_grid_from(0.0, cfg.quadrature.v_span)[0][0])
+        if cfg.command not in ("force", "gradient"):
+            return
+        what = f"the T = 0 companion that every {cfg.command} row carries"
+    else:
+        what = "T = 0"
+    zeta0 = float(_grid_from(0.0)[0][0])
     xi0 = CONSTANTS.c * zeta0 / (2.0 * max(seps))
     if xi0 < cfg.material.xi_grid[0]:
         raise ConfigError(
-            f"[material] model = tabulated cannot run at T = 0: the first "
+            f"[material] model = tabulated cannot run {what}: the first "
             f"zeta-node of the zero-temperature integral is xi = {xi0:.3g} "
             f"rad/s, below the lowest tabulated frequency "
-            f"{cfg.material.xi_grid[0]:.3g} rad/s; use T > 0")
+            f"{cfg.material.xi_grid[0]:.3g} rad/s")
 
 
 # ---------------------------------------------------------------------------

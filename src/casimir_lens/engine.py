@@ -35,33 +35,30 @@ from .specfun import SQRT_PI, ConvergenceError, polylog_exp_grid
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Convergence knobs for the frequency sum and the v-integrals.
+    """Convergence knobs for the frequency sum.
 
     rel_tol drives the Matsubara stop rule (three consecutive terms below
     rel_tol/10 of the running sum) and the end of the Euler-Maclaurin
     remainder that completes a sum still running after the explicit
     block; the fixed Gauss panels are converged to ~1e-13 by construction,
     comfortably beyond the 1e-8 default.  l_max caps the term evaluations,
-    the remainder's included.  v_span is the upper limit of the v-integral
-    measured from zeta_l, and the width of the remainder's first window.
-    The force and gradient integrands carry e^-v, so 80 leaves a ~1e-35
-    cutoff error there.  The nonlinear shift's integrand decays only like
-    e^{-(1 - Az/a) v}, so the cutoff truncates it as Az -> a: at 300 K,
-    200 nm and Az/a = 0.99 the shift is -743.4 at v_span = 80 and -2627.9
-    at 320.
+    the remainder's included.  The v-integral is not a knob: it runs over
+    the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES), which is also
+    the width of the remainder's first window.  The force and gradient
+    integrands carry e^-v, so 80 leaves a ~1e-35 cutoff error there.  The
+    nonlinear shift's integrand decays only like e^{-(1 - Az/a) v}, so the
+    window truncates it as Az -> a: at 300 K, 200 nm and Az/a = 0.99 the
+    shift is -743.4 with the window of 80 and -2627.9 with one of 320.
     """
 
     rel_tol: float = 1e-8
     l_max: int = 100_000
-    v_span: float = 80.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
         if self.l_max < 1:
             raise ValueError("l_max must be positive")
-        if not self.v_span > 1.0:
-            raise ValueError("v_span must exceed 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -99,7 +96,8 @@ def _leggauss(n: int, _cache={}):
     return _cache[n]
 
 
-def _grid_from(zeta: float, span: float, nodes=_PANEL_NODES):
+def _grid_from(zeta: float, span: float = _PANEL_EDGES[-1],
+               nodes=_PANEL_NODES):
     """Gauss nodes and weights covering [zeta, zeta + span].
 
     The first panel is mapped through v = w^2 so that the half-integer
@@ -140,9 +138,9 @@ Term = Callable[[float], float]
 
 
 def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta: float,
-                        a: float, quad: QuadratureSpec) -> float:
+                        a: float) -> float:
     """One term of the Matsubara sum: the v-integral at fixed zeta."""
-    v, w = _grid_from(zeta, quad.v_span)
+    v, w = _grid_from(zeta)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, a)
     return float(np.sum(w * kernel(v, r_tm2, r_te2)))
 
@@ -212,8 +210,8 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
     h f' and h^3 f''' come from the backward differences of the last seven
     samples f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over contiguous windows from zeta_b,
-    v_span wide and doubling, until the term at the end of a window times
-    the window's width falls below rel_tol/10 of the sum.  The returned
+    80 wide (the v-window) and doubling, until the term at the end of a
+    window times the window's width falls below rel_tol/10 of the sum.  The returned
     tail estimate is measured: the last correction applied, the change
     when every window is redone at half the Gauss order, and that end-of-
     window cut.  Returns (sum, terms_used, tail_estimate).
@@ -224,7 +222,7 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
     last_correction = d3 / 720.0
     total += -0.5 * samples[-1] - d1 / 12.0 + last_correction
     quad_err = 0.0
-    start, width = zeta_b, quad.v_span
+    start, width = zeta_b, _PANEL_EDGES[-1]
     while True:
         z, w = _grid_from(start, width)
         zc, wc = _grid_from(start, width, _COARSE_NODES)
@@ -243,12 +241,12 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
         width *= 2.0
 
 
-def _zeta_integral(term: Term, quad: QuadratureSpec):
+def _zeta_integral(term: Term):
     """Zero-temperature replacement of the sum: integral over continuous zeta.
 
     Returns (integral, nodes_used).
     """
-    z_nodes, z_weights = _grid_from(0.0, quad.v_span)
+    z_nodes, z_weights = _grid_from(0.0)
     total = 0.0
     for z, wz in zip(z_nodes, z_weights):
         total += wz * term(float(z))
@@ -256,7 +254,7 @@ def _zeta_integral(term: Term, quad: QuadratureSpec):
 
 
 # ---------------------------------------------------------------------------
-# geometry prefactors
+# geometry factor
 
 def _lens_shape_factor(geom: LensGeometry) -> float:
     """The A / sqrt(B) combination each variant contributes."""
@@ -267,18 +265,6 @@ def _lens_shape_factor(geom: LensGeometry) -> float:
     if isinstance(geom, RotatedLens):
         return geom.A / math.sqrt(geom.B) * rotation_factor(geom.A, geom.B, geom.phi).G
     raise TypeError(f"unknown lens geometry {geom!r}")
-
-
-def _force_prefactor(geom: LensGeometry, env: Environment) -> float:
-    a = env.a
-    return -(CONSTANTS.kB * env.T * geom.L / (4.0 * SQRT_PI * a * a)
-             * _lens_shape_factor(geom) / math.sqrt(2.0 * a))
-
-
-def _force_prefactor_t0(geom: LensGeometry, a: float) -> float:
-    hc = CONSTANTS.hbar * CONSTANTS.c
-    return -(hc * geom.L / (16.0 * math.pi * SQRT_PI * a ** 3)
-             * _lens_shape_factor(geom) / math.sqrt(2.0 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +284,35 @@ def _finite_t(term: Term, prefactor: float, env: Environment,
     return _scaled(prefactor, *_matsubara_sum(term, env, quad))
 
 
-def _lifshitz(geom: LensGeometry, env: Environment, model: PermittivityModel,
-              quad: QuadratureSpec, derivative: bool) -> ForceResult:
-    """Force (or its a-derivative) of any variant; the one T = 0 dispatch."""
+def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
+              model: PermittivityModel, quad: QuadratureSpec,
+              derivative: bool = False) -> ForceResult:
+    """A/sqrt(2aB) prefactor times the primed sum of the v-integral of kernel.
+
+    The one evaluator of every Lifshitz-type quantity: force, gradient and
+    nonlinear shift differ only in the per-v kernel (and derivative=True
+    adds the gradient's extra -1/a).  Holds the only prefactor and the only
+    T = 0 dispatch: at T = 0 the sum's kB T becomes hbar c / 4 pi a times
+    the continuous zeta-integral.
+    """
     a = env.a
-    kernel = _gradient_kernel if derivative else _force_kernel
 
     def term(zeta: float) -> float:
-        return _frequency_integral(kernel, model, zeta, a, quad)
+        return _frequency_integral(kernel, model, zeta, a)
 
+    shape = _lens_shape_factor(geom)
     zero_t = env.T == 0.0
-    pref = _force_prefactor_t0(geom, a) if zero_t else _force_prefactor(geom, env)
+    if zero_t:
+        hc = CONSTANTS.hbar * CONSTANTS.c
+        pref = -(hc * geom.L / (16.0 * math.pi * SQRT_PI * a ** 3)
+                 * shape / math.sqrt(2.0 * a))
+    else:
+        pref = -(CONSTANTS.kB * env.T * geom.L / (4.0 * SQRT_PI * a * a)
+                 * shape / math.sqrt(2.0 * a))
     if derivative:
         pref = -pref / a
     if zero_t:
-        total, nodes = _zeta_integral(term, quad)
+        total, nodes = _zeta_integral(term)
         value = pref * total
         return ForceResult(value=value, est_abs_error=1e-10 * abs(value),
                            terms_used=nodes, mode="zeroT")
@@ -327,13 +327,14 @@ def force(geom: LensGeometry, env: Environment, model: PermittivityModel,
     differs (averaged over the halves, or scaled by G for the rotated
     lens).  T = 0 routes to the zero-temperature integral.
     """
-    return _lifshitz(geom, env, model, quad, derivative=False)
+    return _lifshitz(_force_kernel, geom, env, model, quad)
 
 
 def gradient(geom: LensGeometry, env: Environment, model: PermittivityModel,
              quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Separation derivative dF/da for any lens variant, positive for attraction."""
-    return _lifshitz(geom, env, model, quad, derivative=True)
+    return _lifshitz(_gradient_kernel, geom, env, model, quad,
+                     derivative=True)
 
 
 def _expect(geom: LensGeometry, cls: type, name: str) -> None:
@@ -548,7 +549,7 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
 
     def v_integral(zeta: float) -> float:
         nonlocal order_tail
-        v_nodes, v_weights = _grid_from(zeta, quad.v_span)
+        v_nodes, v_weights = _grid_from(zeta)
         r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
         total = 0.0
         for v, wv, tm2, te2 in zip(v_nodes, v_weights, r_tm2, r_te2):

@@ -1,4 +1,4 @@
-"""Lens geometries, environment state and Matsubara frequencies.
+"""Lens geometries, environment state and the PFA validity check.
 
 The lens is a section of an elliptic cylinder (semiaxes A >= B, length L)
 facing a plane plate: thickness h, width 2d, cylinder axis parallel to the
@@ -11,8 +11,6 @@ the plate.
 import math
 from dataclasses import dataclass, field
 from typing import Union
-
-from .constants import CONSTANTS, PhysicalConstants
 
 
 def _require_positive(**lengths: float) -> None:
@@ -143,24 +141,6 @@ class Environment:
             raise ValueError("separation a must be positive")
         if self.T < 0.0:
             raise ValueError("temperature T cannot be negative")
-
-
-@dataclass(frozen=True)
-class MatsubaraPoint:
-    """Thermal frequency xi_l = 2 pi kB T l / hbar and its dimensionless form."""
-
-    index: int
-    xi: float  # rad / s
-    zeta: float  # 2 a xi / c
-
-
-def matsubara_point(index: int, env: Environment,
-                    consts: PhysicalConstants = CONSTANTS) -> MatsubaraPoint:
-    """Matsubara frequency number `index` for the given environment."""
-    if index < 0:
-        raise ValueError("Matsubara index must be >= 0")
-    xi = 2.0 * math.pi * consts.kB * env.T * index / consts.hbar
-    return MatsubaraPoint(index=index, xi=xi, zeta=2.0 * env.a * xi / consts.c)
 
 
 # Ratio of curvature (or thickness) to separation above which the proximity

@@ -187,57 +187,37 @@ def reflection_coefficients(model: PermittivityModel, zeta: float, v: float,
     if not a > 0.0:
         raise ValueError("separation a must be positive")
 
-    if isinstance(model, IdealMetal):
-        return ReflectionPair(1.0, -1.0)
-
-    if zeta == 0.0:
-        if isinstance(model, Drude):
-            return ReflectionPair(1.0, 0.0)
-        if isinstance(model, Plasma):
-            wp = 2.0 * a * model.omega_p / CONSTANTS.c
-            root = math.hypot(v, wp)
-            return ReflectionPair(1.0, (v - root) / (v + root))
-        # Tabulated: finite dielectric limit
-        eps0 = float(model.eps_grid[0])
-        return ReflectionPair((eps0 - 1.0) / (eps0 + 1.0), 0.0)
-
-    eps = epsilon_at_imaginary(model, CONSTANTS.c * zeta / (2.0 * a))
-    root = math.sqrt(v * v + (eps - 1.0) * zeta * zeta)
-    return ReflectionPair((eps * v - root) / (eps * v + root),
-                          (v - root) / (v + root))
+    r_tm, r_te = _reflection_grid(model, zeta, np.array([float(v)]), a)
+    return ReflectionPair(float(r_tm[0]), float(r_te[0]))
 
 
 # ---------------------------------------------------------------------------
-# vectorized squared coefficients for the engine
+# the one formula, vectorized over v
+
+
+def _reflection_grid(model: PermittivityModel, zeta: float, v: np.ndarray,
+                     a: float):
+    """(r_TM, r_TE) over an array of v values at fixed zeta >= 0."""
+    if isinstance(model, IdealMetal):
+        one = np.ones_like(v)
+        return one, -one
+    if zeta == 0.0:
+        if isinstance(model, Drude):
+            return np.ones_like(v), np.zeros_like(v)
+        if isinstance(model, Plasma):
+            wp = 2.0 * a * model.omega_p / CONSTANTS.c
+            root = np.hypot(v, wp)
+            return np.ones_like(v), (v - root) / (v + root)
+        # Tabulated: finite dielectric limit
+        eps0 = float(model.eps_grid[0])
+        return np.full_like(v, (eps0 - 1.0) / (eps0 + 1.0)), np.zeros_like(v)
+    eps = epsilon_at_imaginary(model, CONSTANTS.c * zeta / (2.0 * a))
+    root = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
+    return (eps * v - root) / (eps * v + root), (v - root) / (v + root)
 
 
 def reflection_sq_grid(model: PermittivityModel, zeta: float, v: np.ndarray,
                        a: float):
     """(r_TM^2, r_TE^2) over an array of v values at fixed zeta >= 0."""
-    if zeta == 0.0:
-        return reflection_sq_zero(model, v, a)
-    if isinstance(model, IdealMetal):
-        one = np.ones_like(v)
-        return one, one
-    eps = epsilon_at_imaginary(model, CONSTANTS.c * zeta / (2.0 * a))
-    root = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
-    r_tm = (eps * v - root) / (eps * v + root)
-    r_te = (v - root) / (v + root)
+    r_tm, r_te = _reflection_grid(model, zeta, v, a)
     return r_tm * r_tm, r_te * r_te
-
-
-def reflection_sq_zero(model: PermittivityModel, v: np.ndarray, a: float):
-    """(r_TM^2, r_TE^2) on the zero-frequency branch."""
-    one = np.ones_like(v)
-    if isinstance(model, IdealMetal):
-        return one, one
-    if isinstance(model, Drude):
-        return one, np.zeros_like(v)
-    if isinstance(model, Plasma):
-        wp = 2.0 * a * model.omega_p / CONSTANTS.c
-        root = np.hypot(v, wp)
-        r_te = (v - root) / (v + root)
-        return one, r_te * r_te
-    eps0 = float(model.eps_grid[0])
-    r = (eps0 - 1.0) / (eps0 + 1.0)
-    return np.full_like(v, r * r), np.zeros_like(v)

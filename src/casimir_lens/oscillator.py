@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS
-from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _frequency_integral,
-                     _lens_shape_factor, _matsubara_sum, _zeta_integral,
+from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _lifshitz,
                      casimir_force, gradient)
 from .geometry import EllipticLens, Environment, LensGeometry
 from .materials import PermittivityModel
-from .specfun import SQRT_PI, ConvergenceError, bessel_i1_scaled
+from .specfun import ConvergenceError, bessel_i1_scaled
 
 
 @dataclass(frozen=True)
@@ -170,25 +168,15 @@ def frequency_shift_nonlinear(geom: EllipticLens, env: Environment,
 def _shift_nonlinear_any(geom: LensGeometry, env: Environment,
                          model: PermittivityModel, osc: OscillatorParams,
                          quad: QuadratureSpec) -> float:
+    """2 C / A_z times the force's Lifshitz sum over the Bessel kernel."""
     _check_amplitude(env, osc)
-    a = env.a
-    beta = osc.Az / a
+    beta = osc.Az / env.a
 
     def kernel(v, r_tm2, r_te2):
         return _nonlinear_kernel(v, r_tm2, r_te2, beta, quad.rel_tol)
 
-    def term(zeta: float) -> float:
-        return _frequency_integral(kernel, model, zeta, a, quad)
-
-    pref_geo = _lens_shape_factor(geom) / math.sqrt(2.0 * a)
-    if env.T == 0.0:
-        total, _ = _zeta_integral(term, quad)
-        hc = CONSTANTS.hbar * CONSTANTS.c
-        return (-osc.C * hc * geom.L / (8.0 * math.pi * SQRT_PI * a ** 3 * osc.Az)
-                * pref_geo * total)
-    total, _, _ = _matsubara_sum(term, env, quad)
-    return (-osc.C * CONSTANTS.kB * env.T * geom.L
-            / (2.0 * SQRT_PI * a * a * osc.Az) * pref_geo * total)
+    return 2.0 * osc.C / osc.Az * _lifshitz(kernel, geom, env, model,
+                                            quad).value
 
 
 def frequency_shift_linear(geom: LensGeometry, env: Environment,

@@ -4,9 +4,9 @@ The Lifshitz-type kernels reduce to polylogarithms of half-integer order,
 Li_{1/2} and Li_{-1/2}, and the anharmonic oscillator response brings in the
 modified Bessel function I_1.  The polylog is evaluated from its defining
 series; near z -> 1 the series is completed with an Euler-Maclaurin tail so
-the evaluation stays cheap and accurate at the same time.  bessel_i1 sums the
-ascending series of I_1 up to 30 and uses scipy's scaled i1e above; the
-vectorized scaled form the frequency shift uses is i1e throughout.
+the evaluation stays cheap and accurate at the same time.  Both Bessel
+entries, bessel_i1 and the vectorized scaled form the frequency shift uses,
+are built on scipy's i1e.
 """
 
 import math
@@ -129,9 +129,6 @@ def polylog(s: float, z: float, control: SeriesControl = DEFAULT_CONTROL) -> flo
 # ---------------------------------------------------------------------------
 # modified Bessel function I_1
 
-_I1_SWITCH = 30.0
-
-
 def bessel_i1_scaled(x):
     """Scaled modified Bessel function e^-|x| I_1(x), overflow-safe.
 
@@ -145,28 +142,15 @@ def bessel_i1_scaled(x):
     return out
 
 
-def bessel_i1(z: float, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_i1(z: float) -> float:
     """Modified Bessel function I_1(z) of the first kind.
 
-    The ascending series is used up to z = 30; beyond that the scaled
-    function e^-z I_1(z) is unscaled by e^z, which keeps every intermediate
-    finite until the result itself overflows (z around 710).
+    The scaled function e^-|z| I_1(|z|) is unscaled by e^|z|, which keeps
+    every intermediate finite until the result itself overflows (|z|
+    around 710); the sign follows z since I_1 is odd.
     """
     az = abs(z)
-    if az <= _I1_SWITCH:
-        q = 0.25 * az * az
-        term = 0.5 * az
-        total = term
-        for k in range(1, control.max_terms):
-            term *= q / (k * (k + 1.0))
-            total += term
-            if term <= control.rel_tol * total:
-                break
-        else:
-            raise ConvergenceError("bessel_i1 series stalled", partial=total)
-        return math.copysign(total, z)
-    value = float(i1e(az)) * math.exp(az)
-    return math.copysign(value, z)
+    return math.copysign(float(i1e(az)) * math.exp(az), z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,31 @@
+"""Every function the benchmark tracer patches still exists in the package.
+
+perfbench/layers.py names each traced boundary as module + attribute.  A
+renamed or deleted engine private would otherwise only surface when the
+benchmark runs with --trace 1; here it fails with the rest of the suite.
+"""
+
+import importlib
+import os
+import sys
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench")
+
+
+def _boundaries():
+    sys.path.insert(0, BENCH)
+    try:
+        from layers import BOUNDARIES
+    finally:
+        sys.path.remove(BENCH)
+    return BOUNDARIES
+
+
+def test_traced_boundaries_resolve_to_callables():
+    boundaries = _boundaries()
+    assert boundaries
+    missing = [f"{b.module}.{b.attr}" for b in boundaries
+               if not callable(getattr(importlib.import_module(b.module),
+                                       b.attr, None))]
+    assert missing == []

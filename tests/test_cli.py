@@ -212,11 +212,12 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
 
 def test_exit_3_on_runtime_domain_error(tmp_path, capsys):
     table = tmp_path / "narrow.dat"
-    table.write_text("1.0e13 5000.0\n2.0e13 2500.0\n")
+    table.write_text("1.0e8 5000.0\n2.0e13 2500.0\n")
     cfg = BASE.replace("model = ideal",
                        f"model = tabulated\npath = {table}")
-    # the first Matsubara frequency at 300 K is 2.47e14 rad/s, beyond the
-    # tabulated range, so the run itself fails
+    # the table reaches the T = 0 companion's first node (5.66e8 rad/s), so
+    # the config parses; the first Matsubara frequency at 300 K is 2.47e14
+    # rad/s, beyond the tabulated range, so the run itself fails
     assert main(["--config", write(tmp_path, cfg)]) == 3
     assert "domain error" in capsys.readouterr().err
 
@@ -264,8 +265,30 @@ def test_tabulated_at_zero_temperature_rejected(tmp_path):
     with pytest.raises(ConfigError, match="first zeta-node"):
         parse_config(cfg + "\n[sweep]\nvariable = T\nstart = 0\nstop = 300\n"
                      "count = 3\n", origin="inline")
-    assert parse_config(cfg, origin="inline").environment.T == 300.0
     # a table reaching below the first node is accepted at T = 0
     table.write_text("1.0e2 5000.0\n1.0e18 1.5\n")
     assert parse_config(cfg.replace("T = 300", "T = 0"),
                         origin="inline").environment.T == 0.0
+
+
+def test_tabulated_companion_rejected_for_force_and_gradient(tmp_path, capsys):
+    # every force/gradient row carries a T = 0 companion whose first
+    # zeta-node (5.66e8 rad/s at 200 nm) lies below this table; freq-shift
+    # evaluates only the configured 300 K and still runs on it
+    table = tmp_path / "gold.dat"
+    table.write_text("1.0e13 5000.0\n1.0e18 1.5\n")
+    cfg = BASE.replace("model = ideal", f"model = tabulated\npath = {table}")
+    for command in ("force", "gradient"):
+        text = cfg.replace("command = force", f"command = {command}")
+        assert main(["--config", write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"T = 0 companion that every {command} row carries" in err
+    shift = cfg.replace("command = force", "command = freq-shift") + """
+[oscillator]
+omega0 = 4398.0
+C = 10.0
+Az = 20e-9
+"""
+    assert parse_config(shift, origin="inline").environment.T == 300.0
+    assert main(["--config", write(tmp_path, shift)]) == 0

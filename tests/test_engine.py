@@ -185,8 +185,7 @@ def test_independent_matsubara_term_spot_check():
     from casimir_lens.engine import _force_kernel, _frequency_integral
     a = 200e-9
     zeta1 = 4.0 * math.pi * a * CONSTANTS.kB * T300 / (CONSTANTS.hbar * CONSTANTS.c)
-    ours = _frequency_integral(_force_kernel, IdealMetal(), zeta1, a,
-                               DEFAULT_QUADRATURE)
+    ours = _frequency_integral(_force_kernel, IdealMetal(), zeta1, a)
     import scipy.integrate
     from casimir_lens.specfun import polylog
 

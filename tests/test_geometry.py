@@ -5,9 +5,9 @@ import math
 import pytest
 
 from casimir_lens.geometry import (EllipticLens, Environment, RotatedLens,
-                                   TwoHalvesLens, matsubara_point,
-                                   symmetric_lens, thickness_for_width,
-                                   validate_geometry, width_for_thickness)
+                                   TwoHalvesLens, symmetric_lens,
+                                   thickness_for_width, validate_geometry,
+                                   width_for_thickness)
 
 
 def test_symmetric_lens_defaults():
@@ -58,17 +58,6 @@ def test_environment_validation():
     with pytest.raises(ValueError):
         Environment(a=1e-7, T=-1.0)
     Environment(a=1e-7, T=0.0)  # zero temperature is allowed
-
-
-def test_matsubara_point_scaling():
-    env = Environment(a=200e-9, T=300.0)
-    p0 = matsubara_point(0, env)
-    p1 = matsubara_point(1, env)
-    p2 = matsubara_point(2, env)
-    assert p0.xi == 0.0 and p0.zeta == 0.0
-    assert p2.xi == pytest.approx(2.0 * p1.xi, rel=1e-15)
-    # xi_1 = 2 pi kB T / hbar at 300 K is about 2.47e14 rad/s
-    assert p1.xi == pytest.approx(2.47e14, rel=1e-2)
 
 
 def test_validity_report_flags_large_separation():

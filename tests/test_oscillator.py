@@ -8,7 +8,7 @@ from casimir_lens.engine import (QuadratureSpec, casimir_gradient,
                                  two_halves_gradient)
 from casimir_lens.geometry import (Environment, RotatedLens, TwoHalvesLens,
                                    symmetric_lens)
-from casimir_lens.materials import IdealMetal, gold_plasma
+from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
 from casimir_lens.oscillator import (OscillatorParams,
                                      frequency_shift_direct_oracle,
                                      frequency_shift_for_variant,
@@ -101,13 +101,16 @@ def test_shift_sign_and_growth_with_amplitude():
 
 def test_variant_dispatch_equivalences():
     p = osc(0.2 * E300.a)
-    base = frequency_shift_nonlinear(LENS, E300, IdealMetal(), p)
     two = TwoHalvesLens(A1=LENS.A, B1=LENS.B, A2=LENS.A, B2=LENS.B,
                         h=LENS.h, d=LENS.d, L=LENS.L)
     rot = RotatedLens(A=LENS.A, B=LENS.B, phi=0.0, h=LENS.h, d=LENS.d,
                       L=LENS.L)
-    assert frequency_shift_for_variant(two, E300, IdealMetal(), p) == base
-    assert frequency_shift_for_variant(rot, E300, IdealMetal(), p) == base
+    # the T = 0 input runs the shift through the zero-temperature integral
+    for env, model in ((E300, IdealMetal()),
+                       (Environment(a=E300.a, T=0.0), gold_drude())):
+        base = frequency_shift_nonlinear(LENS, env, model, p)
+        assert frequency_shift_for_variant(two, env, model, p) == base
+        assert frequency_shift_for_variant(rot, env, model, p) == base
 
 
 def test_nonlinear_requires_symmetric_lens():
