@@ -22,6 +22,7 @@ the leading-order expressions.
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -90,10 +91,28 @@ _PANEL_NODES = (48, 32, 32, 24, 16)
 _COARSE_NODES = (24, 16, 16, 12, 8)  # the same panels at half the order
 
 
-def _leggauss(n: int, _cache={}):
-    if n not in _cache:
-        _cache[n] = np.polynomial.legendre.leggauss(n)
-    return _cache[n]
+@lru_cache(maxsize=None)
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=None)
+def _outer_panels(span: float, nodes: tuple):
+    """Panels 2-5 of _grid_from at zeta = 0: nodes and weights.
+
+    Their nodes move rigidly with zeta and their weights do not change, so
+    one copy per (span, nodes) serves every zeta.
+    """
+    scale = span / _PANEL_EDGES[-1]
+    vs, ws = [], []
+    for lo, hi, n in zip(_PANEL_EDGES[1:-1], _PANEL_EDGES[2:], nodes[1:]):
+        x, w = _leggauss(n)
+        half = 0.5 * (hi - lo) * scale
+        vs.append(half * x + 0.5 * (hi + lo) * scale)
+        ws.append(w * half)
+    v, w = np.concatenate(vs), np.concatenate(ws)
+    v.flags.writeable = w.flags.writeable = False
+    return v, w
 
 
 def _grid_from(zeta: float, span: float = _PANEL_EDGES[-1],
@@ -101,23 +120,18 @@ def _grid_from(zeta: float, span: float = _PANEL_EDGES[-1],
     """Gauss nodes and weights covering [zeta, zeta + span].
 
     The first panel is mapped through v = w^2 so that the half-integer
-    powers the polylog kernels develop at small v are integrated exactly.
-    nodes gives the Gauss order of each panel.
+    powers the polylog kernels develop at small v are integrated exactly;
+    it is the only panel built per call, the others are _outer_panels
+    shifted by zeta.  nodes gives the Gauss order of each panel.  The
+    arrays returned are new on every call.
     """
-    edges = [zeta + e * (span / _PANEL_EDGES[-1]) for e in _PANEL_EDGES]
-    vs, ws = [], []
-    for i, n in enumerate(nodes):
-        x, w = _leggauss(n)
-        lo, hi = edges[i], edges[i + 1]
-        if i == 0:
-            t0, t1 = math.sqrt(lo), math.sqrt(hi)
-            t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
-            vs.append(t * t)
-            ws.append(w * (t1 - t0) * t)
-        else:
-            vs.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-            ws.append(w * 0.5 * (hi - lo))
-    return np.concatenate(vs), np.concatenate(ws)
+    v_out, w_out = _outer_panels(span, nodes)
+    x, w = _leggauss(nodes[0])
+    t0 = math.sqrt(zeta)
+    t1 = math.sqrt(zeta + _PANEL_EDGES[1] * (span / _PANEL_EDGES[-1]))
+    t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
+    return (np.concatenate((t * t, zeta + v_out)),
+            np.concatenate((w * (t1 - t0) * t, w_out)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +170,19 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
     shift and the oracles differ only in the per-frequency callable.
     Returns (sum, terms_used, tail_estimate).  Terms are accumulated in
     ascending l so results are bit-reproducible; the sum stops after
-    _STOP_STREAK consecutive terms each contribute less than rel_tol/10.
+    _STOP_STREAK consecutive terms each contribute less than rel_tol/10,
+    and its tail is estimated as a geometric series.  That series' ratio
+    is the last observed one, raised to at least e^-zeta_1 and capped at
+    0.97: the terms fall like e^{-zeta_l} times a power of l, so after a
+    dip their ratio rises back toward e^-zeta_1, and the last ratio alone
+    undershoots.
     A sum still running after the block l <= _EM_BLOCK (low temperature,
     or a slowly decaying term) is completed by _em_remainder.  l_max caps
     the term evaluations; ConvergenceError carries the partial sum if the
     cap comes first.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
+    decay = math.exp(-zeta1)  # the kernels' e^-v: the terms' asymptotic ratio
     total = 0.5 * term(0.0)
     terms = 1
     streak = 0
@@ -177,7 +197,8 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
         if abs(value) < quad.rel_tol / 10.0 * abs(total):
             streak += 1
             if streak >= _STOP_STREAK:
-                ratio = min(abs(value) / prev, 0.97) if prev > 0.0 else 0.0
+                ratio = (min(max(abs(value) / prev, decay), 0.97)
+                         if prev > 0.0 else 0.0)
                 tail = abs(value) * ratio / (1.0 - ratio)
                 break
         else:

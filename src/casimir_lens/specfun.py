@@ -2,18 +2,23 @@
 
 The Lifshitz-type kernels reduce to polylogarithms of half-integer order,
 Li_{1/2} and Li_{-1/2}, and the anharmonic oscillator response brings in the
-modified Bessel function I_1.  The polylog is evaluated from its defining
-series; near z -> 1 the series is completed with an Euler-Maclaurin tail so
-the evaluation stays cheap and accurate at the same time.  Both Bessel
-entries, bessel_i1 and the vectorized scaled form the frequency shift uses,
-are built on scipy's i1e.
+modified Bessel function I_1.  The engine's vectorized polylog,
+polylog_exp_grid, evaluates Li_s(e^-mu) from Wood's series in powers of mu
+near the singularity (mu < 1) and from at most 40 explicit powers of
+e^-mu away from it; both agree with 40-digit references to ~1e-15
+relative.  The scalar polylog sums the defining series and completes it
+near z -> 1 with an Euler-Maclaurin tail: it shares no code with the grid
+and is kept as its independent reference.  Both Bessel entries,
+bessel_i1 and the vectorized scaled form the frequency shift uses, are
+built on scipy's i1e.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc, i1e
+from scipy.special import gammaincc, i1e, zeta
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -156,32 +161,71 @@ def bessel_i1(z: float) -> float:
 # ---------------------------------------------------------------------------
 # vectorized kernel used by the force engine
 
-_N_DIRECT = 64
-_N_RANGE = np.arange(1, _N_DIRECT + 1, dtype=float)
+_WOOD_TERMS = 24     # powers of mu kept in Wood's series (mu < 1)
+_DIRECT_DECAY = 39.2  # e^{-39.2} ~ 1e-17: where the explicit powers stop
+_DIRECT_MAX = math.ceil(_DIRECT_DECAY)  # the term count at mu = 1
+
+
+@lru_cache(maxsize=None)
+def _polylog_coefficients(s: float):
+    """Per-order constants of polylog_exp_grid.
+
+    Returns Gamma(1 - s), the coefficients zeta(s - k) (-1)^k / k! of
+    Wood's series for k < _WOOD_TERMS, and n^{-s} for n <= _DIRECT_MAX.
+    """
+    if float(s).is_integer() and s >= 1.0:
+        raise ValueError(f"polylog_exp_grid needs s not a positive integer, "
+                         f"got s = {s!r} (the series has a log term there)")
+    k = np.arange(_WOOD_TERMS, dtype=float)
+    wood = zeta(s - k) * (-1.0) ** k / np.cumprod(np.maximum(k, 1.0))
+    direct = np.arange(1, _DIRECT_MAX + 1, dtype=float) ** (-s)
+    wood.flags.writeable = direct.flags.writeable = False
+    return math.gamma(1.0 - s), wood, direct
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows x, x^2, ..., x^n as cumulative products."""
+    return np.cumprod(np.broadcast_to(x, (n, x.size)), axis=0)
 
 
 def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
     """Li_s(r2 * e^-v) for arrays of v > 0 and reflection weights r2 in [0, 1].
 
-    Vectorized fast path for the engine: 64 explicit terms plus the
-    Euler-Maclaurin tail, accurate to ~1e-13 relative over the full range the
-    Matsubara integrals visit.  r2 may be scalar or an array matching v.
-    """
-    v = np.asarray(v, dtype=float)
-    r2b = np.broadcast_to(np.asarray(r2, dtype=float), v.shape)
-    out = np.zeros_like(v)
-    pos = r2b > 0.0
-    if not np.any(pos):
-        return out
-    mu = v[pos] - np.log(r2b[pos])
-    ex = np.exp(-np.outer(_N_RANGE, mu))
-    direct = (_N_RANGE ** (-s)) @ ex
+    Vectorized fast path for the engine; r2 may be scalar or an array
+    matching v.  With mu = v - ln r2 each node takes one of two series:
 
-    x0 = float(_N_DIRECT + 1)
-    lam = mu * x0
-    integral = mu ** (s - 1.0) * math.gamma(1.0 - s) * gammaincc(1.0 - s, lam)
-    f0 = np.exp(-lam) * x0 ** (-s)
-    g1 = -mu - s / x0
-    f3 = f0 * (g1 ** 3 + 3.0 * g1 * (s / x0 ** 2) - 2.0 * s / x0 ** 3)
-    out[pos] = direct + integral + 0.5 * f0 - f0 * g1 / 12.0 + f3 / 720.0
+    - mu < 1: Wood's series (D. C. Wood, The computation of polylogarithms,
+      Kent TR 15-92, 1992), Li_s(e^-mu) = Gamma(1-s) mu^{s-1}
+      + sum_k zeta(s-k) (-mu)^k / k!, cut after 24 terms; it converges
+      like (mu / 2 pi)^k, so the cut is below 1e-19 at mu = 1.
+    - mu >= 1: sum_{n<=N} x^n n^{-s} with x = r2 e^-v, N =
+      ceil(39.2 / min mu) <= 40, so the first term left out is below
+      e^{-39.2} of the first one kept.
+
+    Both agree with 40-digit mpmath values to ~1e-15 relative for
+    s = +-1/2.
+
+    Raises
+    ------
+    ValueError
+        If s is a positive integer, where Wood's series has a log term.
+    """
+    gamma, wood, direct = _polylog_coefficients(s)
+    v = np.asarray(v, dtype=float)
+    r2 = np.broadcast_to(np.asarray(r2, dtype=float), v.shape)
+    out = np.zeros_like(v)
+    pos = r2 > 0.0
+    v, r2 = v[pos], r2[pos]
+    mu = v - np.log(r2)
+    near = mu < 1.0
+    far = ~near
+    value = np.empty_like(mu)
+    if near.any():
+        m = mu[near]
+        value[near] = (gamma * m ** (s - 1.0) + wood[0]
+                       + wood[1:] @ _powers(m, _WOOD_TERMS - 1))
+    if far.any():
+        n = math.ceil(_DIRECT_DECAY / mu[far].min())
+        value[far] = direct[:n] @ _powers(r2[far] * np.exp(-v[far]), n)
+    out[pos] = value
     return out

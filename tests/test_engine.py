@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_EM_BLOCK, DEFAULT_QUADRATURE,
-                                 QuadratureSpec, casimir_force, casimir_gradient,
-                                 direct_pfa_force_oracle, force, gradient,
-                                 ideal_metal_force_t0, ideal_metal_gradient_t0,
-                                 rotated_force, rotated_gradient,
-                                 rotation_factor, two_halves_force,
-                                 two_halves_gradient, zero_temperature_force,
+from casimir_lens.engine import (_COARSE_NODES, _EM_BLOCK, _PANEL_EDGES,
+                                 _PANEL_NODES, DEFAULT_QUADRATURE,
+                                 QuadratureSpec, _grid_from, casimir_force,
+                                 casimir_gradient, direct_pfa_force_oracle,
+                                 force, gradient, ideal_metal_force_t0,
+                                 ideal_metal_gradient_t0, rotated_force,
+                                 rotated_gradient, rotation_factor,
+                                 two_halves_force, two_halves_gradient,
+                                 zero_temperature_force,
                                  zero_temperature_gradient)
 from casimir_lens.geometry import (Environment, RotatedLens, TwoHalvesLens,
                                    symmetric_lens)
@@ -203,6 +205,52 @@ def test_result_error_estimate_brackets_truth():
                             QuadratureSpec(rel_tol=1e-12))
     assert abs(res.value - precise.value) <= max(res.est_abs_error,
                                                  1e-12 * abs(res.value))
+
+
+_TABLE_A = np.geomspace(150e-9, 5e-6, 16)
+
+
+@pytest.mark.parametrize("quantity, model, a", [
+    (force, gold_drude(), _TABLE_A[0]), (force, gold_drude(), _TABLE_A[1]),
+    (force, gold_drude(), _TABLE_A[2]), (gradient, gold_plasma(), _TABLE_A[0])])
+def test_in_block_tail_estimate_brackets_truncation(quantity, model, a):
+    # Rows of the 150 nm - 5 um table at 300 K where the term ratio dips
+    # below e^-zeta_1 before the stop: the stop rule's tail estimate must
+    # still cover the distance to a rel_tol = 1e-13 sum.
+    res = quantity(LENS, env(a), model)
+    ref = quantity(LENS, env(a), model, QuadratureSpec(rel_tol=1e-13))
+    assert abs(res.value - ref.value) <= res.est_abs_error
+
+
+@pytest.mark.parametrize("span", [80.0, 160.0])
+@pytest.mark.parametrize("nodes", [_PANEL_NODES, _COARSE_NODES])
+def test_cached_panels_match_fresh_grid(span, nodes):
+    # _grid_from reuses panels 2-5 shifted by zeta; rebuild every panel
+    # from its edges and compare.
+    edges = [e * span / _PANEL_EDGES[-1] for e in _PANEL_EDGES]
+    for zeta in (0.0, 0.3, 17.0, 1e3):
+        vs, ws = [], []
+        for i, n in enumerate(nodes):
+            x, w = np.polynomial.legendre.leggauss(n)
+            lo, hi = zeta + edges[i], zeta + edges[i + 1]
+            if i == 0:
+                t0, t1 = math.sqrt(lo), math.sqrt(hi)
+                t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
+                vs.append(t * t)
+                ws.append(w * (t1 - t0) * t)
+            else:
+                vs.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+                ws.append(0.5 * (hi - lo) * w)
+        ref_v, ref_w = np.concatenate(vs), np.concatenate(ws)
+        v, w = _grid_from(zeta, span, nodes)
+        assert w.sum() == pytest.approx(span, rel=1e-14)
+        # the arrays are the caller's: writing to them leaves the cache intact
+        for _ in range(2):
+            np.testing.assert_allclose(v, ref_v, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(w, ref_w, rtol=1e-15, atol=0)
+            v[:] = -1.0
+            w[:] = -1.0
+            v, w = _grid_from(zeta, span, nodes)
 
 
 def test_two_halves_equal_halves_is_symmetric():

@@ -96,6 +96,28 @@ def test_polylog_exp_grid_matches_scalar():
             assert np.allclose(grid, ref, rtol=2e-12)
 
 
+@pytest.mark.parametrize("s", [0.5, -0.5])
+@pytest.mark.parametrize("r2", [1.0, 0.63, 1e-6])
+def test_polylog_exp_grid_against_mpmath(s, r2):
+    # Both branches and the mu = v - ln r2 = 1 seam between them, against
+    # 40-digit values; the seam points are kept where v > 0.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    seam = 1.0 + math.log(r2) + np.linspace(-0.02, 0.02, 41)
+    v = np.concatenate([np.geomspace(1e-10, 600.0, 200), seam[seam > 0.0]])
+    ref = np.array([float(mpmath.polylog(s, mpmath.mpf(r2)
+                                         * mpmath.exp(-mpmath.mpf(vi))))
+                    for vi in v])
+    np.testing.assert_allclose(polylog_exp_grid(s, v, r2), ref, rtol=5e-15,
+                               atol=0)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_polylog_exp_grid_rejects_positive_integer_order(s):
+    with pytest.raises(ValueError, match="positive integer"):
+        polylog_exp_grid(s, np.array([0.5, 2.0]), 1.0)
+
+
 def test_polylog_exp_grid_zero_weight():
     v = np.array([0.1, 1.0, 10.0])
     assert np.all(polylog_exp_grid(0.5, v, 0.0) == 0.0)
