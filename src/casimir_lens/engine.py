@@ -491,7 +491,11 @@ def rotated_gradient(geom: RotatedLens, env: Environment,
 # production formulas rely on.  Exact variable changes only: the width
 # integral is taken in z with z - a = u^2 (removing the inverse-sqrt edge
 # factor), and u is rescaled by sqrt(a/v) so a fixed Gauss grid resolves the
-# exponential weight at every v.
+# exponential weight at every v.  Each Matsubara term builds one v x sigma
+# grid (a row per v node, a column per sigma node) and sums the order
+# series of each polarization over the whole grid at once; a row stops
+# when its own sigma nodes have converged, so every node sums the same
+# explicit powers whatever the other rows need.
 
 _SIGMA_NODES = 48
 _SIGMA_CUT = 8.5  # e^{-sigma^2} ~ 3e-32
@@ -500,85 +504,106 @@ _N_CAP = 8192
 
 
 def _order_series(rho: np.ndarray, rel_tol: float):
-    """sum_{n>=1} rho^n, summed term by term with truncation at rel_tol/10.
+    """sum_{n>=1} rho^n per element of a 2-D array, truncated row by row.
 
-    rho is an array in [0, 1).  Blocks of explicit powers keep the series
-    faithful to the reflection-order expansion; if a node is still not
-    converged at the n-cap the exact geometric remainder of the same series
-    is added (mathematically the continuation of the identical sum).
-    Returns (sum, dropped): dropped is the geometric remainder the
-    truncation left out at each node.
+    rho is an array in [0, 1).  Blocks of _N_BLOCK explicit powers keep the
+    series faithful to the reflection-order expansion.  After each block a
+    row whose every node has its geometric remainder below rel_tol/10 of
+    its partial sum is frozen: it sums no further powers, and its dropped
+    remainder is recorded.  The other rows go on.  A row still open at
+    _N_CAP gets the exact geometric remainder of the same series added
+    (mathematically the continuation of the identical sum) and drops
+    nothing.  Returns (sum, dropped), both shaped like rho.
     """
     acc = np.zeros_like(rho)
+    dropped = np.zeros_like(rho)
+    rows = np.arange(rho.shape[0])  # open rows; rho, part, power keep only these
+    part = np.zeros_like(rho)
     power = np.ones_like(rho)
     tol = rel_tol / 10.0
     n = 0
     while n < _N_CAP:
         for _ in range(_N_BLOCK):
-            power = power * rho
-            acc += power
+            power *= rho
+            part += power
         n += _N_BLOCK
         with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.where(acc > 0.0, power / np.maximum(acc, 1e-300), 0.0)
-        if np.all(rel * rho / np.maximum(1.0 - rho, 1e-300) < tol):
-            return acc, power * rho / (1.0 - rho)
-    return acc + power * rho / (1.0 - rho), np.zeros_like(rho)
+            rel = np.where(part > 0.0, power / np.maximum(part, 1e-300), 0.0)
+        done = np.all(rel * rho / np.maximum(1.0 - rho, 1e-300) < tol, axis=1)
+        if done.any():
+            acc[rows[done]] = part[done]
+            dropped[rows[done]] = power[done] * rho[done] / (1.0 - rho[done])
+            keep = ~done
+            rows, rho = rows[keep], rho[keep]
+            part, power = part[keep], power[keep]
+            if rows.size == 0:
+                return acc, dropped
+    acc[rows] = part + power * rho / (1.0 - rho)
+    return acc, dropped
 
 
-def _oracle_width_integral(v: float, r_tm2: float, r_te2, a: float,
-                           chord: float, u2_max: float, rel_tol: float):
-    """Integral over the lens surface at fixed v:
+def _oracle_term(model: PermittivityModel, zeta: float, a: float,
+                 chord: float, u2_max: float, rel_tol: float,
+                 order_tail: float = 0.0):
+    """One oracle Matsubara term: int dv v^2 * (width integral) at fixed zeta.
 
-    2 int_0^sqrt(u2_max) du (chord - u^2)/sqrt(2 chord - u^2)
-        sum_n [ (r_TM^2 e^{-v(a+u^2)/a})^n + (TE term) ].
+    The width integral at fixed v is
 
-    Evaluated in the rescaled variable sigma = u sqrt(v/a) so the e^{-sigma^2}
-    weight sits on a fixed grid regardless of v.  Returns the integral and
-    the same integral over the order-series remainder the truncation left
-    out.
+        2 int_0^sqrt(u2_max) du (chord - u^2)/sqrt(2 chord - u^2)
+            sum_n [ (r_TM^2 e^{-v(a+u^2)/a})^n + (TE term) ],
+
+    evaluated in sigma = u sqrt(v/a) on a fixed Gauss grid, so the
+    e^{-sigma^2} weight is resolved at every v.  The v nodes (rows) and the
+    sigma nodes (columns) form one grid, and _order_series runs once per
+    polarization on all of it; a polarization that does not reflect (TE
+    for Drude at zeta = 0) gives zero rows, which stop after one block and
+    add exactly 0.0.  Every element goes through the same operations, in
+    the same order, as when each v node is taken alone.  The v-integral and
+    the order-series remainder it leaves out are summed over the rows in
+    ascending v, the remainder onto the running order_tail, so both sums
+    round as a node-by-node loop does.  Returns (term, order_tail).
     """
     x, w = _leggauss(_SIGMA_NODES)
-    smax = min(math.sqrt(u2_max * v / a), _SIGMA_CUT)
+    v_nodes, v_weights = _grid_from(zeta)
+    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
+    v = v_nodes[:, None]
+    smax = np.minimum(np.sqrt(u2_max * v / a), _SIGMA_CUT)
     sig = 0.5 * smax * (x + 1.0)
     wsig = w * 0.5 * smax
     u2 = a * sig * sig / v
     geo = 2.0 * (chord - u2) / np.sqrt(2.0 * chord - u2)
     decay = np.exp(-v - sig * sig)
-    series, dropped = _order_series(r_tm2 * decay, rel_tol)
-    if r_te2 != 0.0:
-        series_te, dropped_te = _order_series(r_te2 * decay, rel_tol)
-        series = series + series_te
-        dropped = dropped + dropped_te
+    series, dropped = _order_series(r_tm2[:, None] * decay, rel_tol)
+    series_te, dropped_te = _order_series(r_te2[:, None] * decay, rel_tol)
     weight = wsig * geo
-    scale = math.sqrt(a / v)
-    return (scale * float(np.sum(weight * series)),
-            scale * float(np.sum(weight * dropped)))
+    scale = np.sqrt(a / v_nodes)
+    values = scale * np.sum(weight * (series + series_te), axis=1)
+    drops = scale * np.sum(weight * (dropped + dropped_te), axis=1)
+    total = 0.0
+    for vv, wv, value, drop in zip(v_nodes, v_weights, values, drops):
+        total += wv * vv * vv * value
+        order_tail += abs(wv * vv * vv * drop)
+    return total, order_tail
 
 
 def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
                 u2_max: float, quad: QuadratureSpec):
-    """Matsubara sum of  int dv v^2 * (width integral)  for the oracles.
+    """Matsubara sum of _oracle_term: the oracles' one frequency loop.
 
-    Returns (sum, terms_used, tail_estimate): the tail estimate is the
-    Matsubara loop's plus the order-series remainders left out in every
-    term evaluated.
+    Each Matsubara term is one v x sigma grid (_oracle_term); the terms go
+    through _matsubara_sum like the production formulas'.  Returns (sum,
+    terms_used, tail_estimate): the tail estimate is the Matsubara loop's
+    plus the order-series remainders left out in every term evaluated.
     """
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
-    a = env.a
     order_tail = 0.0
 
     def v_integral(zeta: float) -> float:
         nonlocal order_tail
-        v_nodes, v_weights = _grid_from(zeta)
-        r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
-        total = 0.0
-        for v, wv, tm2, te2 in zip(v_nodes, v_weights, r_tm2, r_te2):
-            value, dropped = _oracle_width_integral(
-                float(v), float(tm2), float(te2), a, chord, u2_max, quad.rel_tol)
-            total += wv * v * v * value
-            order_tail += abs(wv * v * v * dropped)
-        return total
+        term, order_tail = _oracle_term(model, zeta, env.a, chord, u2_max,
+                                        quad.rel_tol, order_tail)
+        return term
 
     total, terms, tail = _matsubara_sum(v_integral, env, quad)
     return total, terms, tail + order_tail

@@ -15,6 +15,7 @@ Bessel kernel linearizes and the shift reduces to -C dF/da.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,10 +86,9 @@ _NL_CAP = 8192
 _LAGUERRE_NODES = 48
 
 
-def _laguerre(_cache={}):
-    if "xw" not in _cache:
-        _cache["xw"] = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
-    return _cache["xw"]
+@lru_cache(maxsize=None)
+def _laguerre():
+    return np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
 
 
 def _bessel_series_tail(mu: float, q: float, n_from: float) -> float:

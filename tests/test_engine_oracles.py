@@ -2,13 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from casimir_lens.engine import (DEFAULT_QUADRATURE, QuadratureSpec,
-                                 casimir_force, direct_pfa_force_oracle,
+from casimir_lens.constants import CONSTANTS
+from casimir_lens.engine import (_N_BLOCK, _N_CAP, _SIGMA_CUT, _SIGMA_NODES,
+                                 DEFAULT_QUADRATURE, QuadratureSpec,
+                                 _grid_from, _leggauss, _oracle_term,
+                                 _order_series, casimir_force,
+                                 direct_pfa_force_oracle,
                                  rotated_direct_oracle, rotated_force)
 from casimir_lens.geometry import Environment, RotatedLens, symmetric_lens
-from casimir_lens.materials import IdealMetal, gold_drude
+from casimir_lens.materials import (IdealMetal, gold_drude, gold_plasma,
+                                    reflection_sq_grid)
 
 
 def test_oracle_agrees_within_pfa_budget():
@@ -90,3 +96,100 @@ def test_oracle_error_estimate_is_measured():
     assert res.est_abs_error != DEFAULT_QUADRATURE.rel_tol * abs(res.value)
     assert abs(res.value - tight.value) <= res.est_abs_error
     assert res.est_abs_error < 1e-3 * DEFAULT_QUADRATURE.rel_tol * abs(res.value)
+
+
+# Per-v reference for the vectorized oracle term: the order series on one
+# v node's sigma nodes, summed until all of them have converged, and the
+# width integral evaluated one v node at a time.  The series also reports
+# the blocks it summed (None at the n-cap), the width integral whether the
+# cap was reached.
+
+def _order_series_ref(rho, rel_tol):
+    acc = np.zeros_like(rho)
+    power = np.ones_like(rho)
+    tol = rel_tol / 10.0
+    n = 0
+    while n < _N_CAP:
+        for _ in range(_N_BLOCK):
+            power = power * rho
+            acc += power
+        n += _N_BLOCK
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel = np.where(acc > 0.0, power / np.maximum(acc, 1e-300), 0.0)
+        if np.all(rel * rho / np.maximum(1.0 - rho, 1e-300) < tol):
+            return acc, power * rho / (1.0 - rho), n // _N_BLOCK
+    return acc + power * rho / (1.0 - rho), np.zeros_like(rho), None
+
+
+def _width_integral_ref(v, r_tm2, r_te2, a, chord, u2_max, rel_tol):
+    x, w = _leggauss(_SIGMA_NODES)
+    smax = min(math.sqrt(u2_max * v / a), _SIGMA_CUT)
+    sig = 0.5 * smax * (x + 1.0)
+    wsig = w * 0.5 * smax
+    u2 = a * sig * sig / v
+    geo = 2.0 * (chord - u2) / np.sqrt(2.0 * chord - u2)
+    decay = np.exp(-v - sig * sig)
+    series, dropped, blocks = _order_series_ref(r_tm2 * decay, rel_tol)
+    capped = blocks is None
+    if r_te2 != 0.0:
+        series_te, dropped_te, blocks = _order_series_ref(r_te2 * decay,
+                                                          rel_tol)
+        series = series + series_te
+        dropped = dropped + dropped_te
+        capped = capped or blocks is None
+    weight = wsig * geo
+    scale = math.sqrt(a / v)
+    return (scale * float(np.sum(weight * series)),
+            scale * float(np.sum(weight * dropped)), capped)
+
+
+def _oracle_term_ref(model, zeta, a, chord, u2_max, rel_tol):
+    v_nodes, v_weights = _grid_from(zeta)
+    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
+    total, order_tail, capped = 0.0, 0.0, 0
+    for v, wv, tm2, te2 in zip(v_nodes, v_weights, r_tm2, r_te2):
+        value, dropped, cap = _width_integral_ref(
+            float(v), float(tm2), float(te2), a, chord, u2_max, rel_tol)
+        total += wv * v * v * value
+        order_tail += abs(wv * v * v * dropped)
+        capped += cap
+    return total, order_tail, capped
+
+
+_A_TERM = 200e-9
+_ZETA1 = (4.0 * math.pi * _A_TERM * CONSTANTS.kB * 300.0
+          / (CONSTANTS.hbar * CONSTANTS.c))
+
+
+@pytest.mark.parametrize("zeta", [0.0, _ZETA1, 10.0 * _ZETA1],
+                         ids=["zeta0", "zeta1", "10zeta1"])
+@pytest.mark.parametrize("model", [gold_drude(), gold_plasma(), IdealMetal()],
+                         ids=["drude", "plasma", "ideal"])
+def test_vectorized_oracle_term_is_bit_identical_to_per_v_loop(model, zeta):
+    lens = symmetric_lens(100e-6, 100e-6, 1e-3)
+    args = (model, zeta, _A_TERM, lens.B, lens.h, DEFAULT_QUADRATURE.rel_tol)
+    ref_value, ref_tail, capped = _oracle_term_ref(*args)
+    value, tail = _oracle_term(*args)
+    assert value == ref_value
+    assert tail == ref_tail
+    if zeta == 0.0 and isinstance(model, IdealMetal):
+        assert capped > 0  # |r| = 1 near v = 0 reaches the n-cap
+    if zeta == 0.0 and model == gold_drude():
+        v, _ = _grid_from(0.0)
+        assert not np.any(reflection_sq_grid(model, 0.0, v, _A_TERM)[1])
+
+
+def test_order_series_freezes_each_row_on_its_own():
+    # rows converging after one block, after several, and never (at the cap)
+    rows = [[0.0, 0.0, 0.0], [0.1, 0.2, 0.05], [0.1, 0.9, 0.5],
+            [0.97, 0.3, 0.0], [0.9999, 0.1, 0.5], [0.2, 0.95, 0.99]]
+    rho = np.array(rows)
+    acc, dropped = _order_series(rho, DEFAULT_QUADRATURE.rel_tol)
+    blocks = []
+    for i, row in enumerate(rho):
+        ref_acc, ref_dropped, n_blocks = _order_series_ref(
+            row, DEFAULT_QUADRATURE.rel_tol)
+        assert np.array_equal(acc[i], ref_acc), i
+        assert np.array_equal(dropped[i], ref_dropped), i
+        blocks.append(n_blocks)
+    assert blocks == [1, 1, 4, 11, None, 33]
