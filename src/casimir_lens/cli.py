@@ -14,9 +14,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .config import ConfigError, RunConfig, describe_config, load_config
+from .config import (ConfigError, RunConfig, describe_config, load_config,
+                     visited_range)
 from .electrostatics import asymmetric_electric_force
 from .engine import force, gradient, rotation_factor
 from .geometry import Environment, validate_geometry
@@ -130,32 +130,23 @@ _PLANS = {
 
 
 def run_command(cfg: RunConfig, threads: int = 1):
-    """Execute the configured command.
+    """Execute the configured command, one sweep point after the other.
 
     Returns (columns, rows, failure).  failure is None on full success or
     the ConvergenceError that cut the sweep short; rows then hold the points
-    completed before it (in sweep order).
+    completed before it (in sweep order).  threads is ignored; it is kept
+    only because perfbench/workloads.py still passes it.
     """
     columns, worker = _PLANS[cfg.command](cfg)
     points = cfg.sweep.points() if cfg.sweep is not None else [None]
     rows = []
     failure = None
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(worker, x) for x in points]
-            for fut in futures:
-                try:
-                    rows.append(fut.result())
-                except ConvergenceError as exc:
-                    failure = exc
-                    break
-    else:
-        for x in points:
-            try:
-                rows.append(worker(x))
-            except ConvergenceError as exc:
-                failure = exc
-                break
+    for x in points:
+        try:
+            rows.append(worker(x))
+        except ConvergenceError as exc:
+            failure = exc
+            break
     return columns, rows, failure
 
 
@@ -199,12 +190,8 @@ def _warn_validity(cfg: RunConfig, quiet: bool) -> None:
     if quiet or cfg.geometry is None or cfg.environment is None:
         return
     seen = set()
-    envs = [cfg.environment]
-    if cfg.sweep is not None and cfg.sweep.variable == "a":
-        pts = cfg.sweep.points()
-        envs = [Environment(a=float(pts[0]), T=cfg.environment.T),
-                Environment(a=float(pts[-1]), T=cfg.environment.T)]
-    for env in envs:
+    for a in visited_range(cfg, "a", cfg.environment.a):
+        env = Environment(a=a, T=cfg.environment.T)
         for msg in validate_geometry(cfg.geometry, env).warnings:
             if msg not in seen:
                 seen.add(msg)
@@ -227,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the output format")
     p.add_argument("--tolerance", type=float,
                    help="relative tolerance override for the frequency sums")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for sweep points (default 1)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress validity warnings on stderr")
     return p
@@ -251,7 +236,7 @@ def main(argv=None) -> int:
 
     _warn_validity(cfg, args.quiet)
     try:
-        columns, rows, failure = run_command(cfg, threads=max(1, args.threads))
+        columns, rows, failure = run_command(cfg)
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

@@ -33,8 +33,8 @@ import numpy as np
 
 from .electrostatics import BiasState
 from .engine import DEFAULT_QUADRATURE, QuadratureSpec, _grid_from
-from .geometry import (Environment, LensGeometry, RotatedLens, TwoHalvesLens,
-                       symmetric_lens, thickness_for_width)
+from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
+                       TwoHalvesLens, symmetric_lens, thickness_for_width)
 from .materials import (Drude, GOLD_GAMMA_EV, GOLD_PLASMA_EV, IdealMetal,
                         PermittivityModel, Plasma, Tabulated)
 from .constants import CONSTANTS, ev_to_rad_per_s
@@ -47,6 +47,11 @@ class ConfigError(Exception):
 
 COMMANDS = ("force", "gradient", "efield", "freq-shift", "ratio-sweep")
 SWEEP_VARIABLES = ("a", "T", "phi", "Az", "V")
+# config name of each lens variant and material model, in both directions
+LENS_VARIANTS = {"symmetric": EllipticLens, "two-halves": TwoHalvesLens,
+                 "rotated": RotatedLens}
+MATERIAL_MODELS = {"ideal": IdealMetal, "drude": Drude, "plasma": Plasma,
+                   "tabulated": Tabulated}
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,18 @@ class RunConfig:
     output_format: str = "csv"
 
 
+def visited_range(cfg: RunConfig, variable: str,
+                  value: float) -> tuple[float, float]:
+    """(lo, hi) of a variable over the points the run visits.
+
+    The sweep's start and stop when the variable is swept (linspace and
+    geomspace put the end points exactly there), else the configured value.
+    """
+    if cfg.sweep is not None and cfg.sweep.variable == variable:
+        return cfg.sweep.start, cfg.sweep.stop
+    return value, value
+
+
 # ---------------------------------------------------------------------------
 # low-level readers: every failure names the section and key
 
@@ -106,38 +123,30 @@ def _section(cp: configparser.ConfigParser, name: str, required: bool = False):
     return None
 
 
-def _get_float(sect, name: str, key: str, default=None, required=False):
+_NOT_A = {float: "a number", int: "an integer"}
+
+
+def _get(sect, key: str, kind=float, default=None, required=False):
+    """sect[key] read as kind: float, int or a tuple of allowed words.
+
+    A missing key gives default, or fails if required.
+    """
     if key not in sect:
         if required:
-            raise ConfigError(f"[{name}] is missing required key '{key}'")
+            raise ConfigError(f"[{sect.name}] is missing required key '{key}'")
         return default
+    raw = sect[key]
+    if isinstance(kind, tuple):
+        value = raw.strip().lower()
+        if value not in kind:
+            raise ConfigError(f"[{sect.name}] {key} must be one of {kind}, "
+                              f"got {raw!r}")
+        return value
     try:
-        return float(sect[key])
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"[{name}] {key} = {sect[key]!r} is not a number") from None
-
-
-def _get_int(sect, name: str, key: str, default=None, required=False):
-    if key not in sect:
-        if required:
-            raise ConfigError(f"[{name}] is missing required key '{key}'")
-        return default
-    try:
-        return int(sect[key])
-    except ValueError:
-        raise ConfigError(f"[{name}] {key} = {sect[key]!r} is not an integer") from None
-
-
-def _get_choice(sect, name: str, key: str, choices, default=None, required=False):
-    if key not in sect:
-        if required:
-            raise ConfigError(f"[{name}] is missing required key '{key}'")
-        return default
-    value = sect[key].strip().lower()
-    if value not in choices:
-        raise ConfigError(f"[{name}] {key} must be one of {tuple(choices)}, "
-                          f"got {sect[key]!r}")
-    return value
+        raise ConfigError(f"[{sect.name}] {key} = {raw!r} is not "
+                          f"{_NOT_A[kind]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,30 +156,28 @@ def _parse_geometry(cp) -> LensGeometry | None:
     sect = _section(cp, "geometry")
     if sect is None:
         return None
-    variant = _get_choice(sect, "geometry", "variant",
-                          ("symmetric", "two-halves", "rotated"),
-                          default="symmetric")
-    L = _get_float(sect, "geometry", "L", required=True)
-    h = _get_float(sect, "geometry", "h")
-    d = _get_float(sect, "geometry", "d")
+    variant = _get(sect, "variant", tuple(LENS_VARIANTS), default="symmetric")
+    L = _get(sect, "L", required=True)
+    h = _get(sect, "h")
+    d = _get(sect, "d")
     try:
         if variant == "symmetric":
-            A = _get_float(sect, "geometry", "A", required=True)
-            B = _get_float(sect, "geometry", "B", required=True)
+            A = _get(sect, "A", required=True)
+            B = _get(sect, "B", required=True)
             return symmetric_lens(A, B, L, d=d, h=h)
         if variant == "rotated":
-            A = _get_float(sect, "geometry", "A", required=True)
-            B = _get_float(sect, "geometry", "B", required=True)
-            phi = _get_float(sect, "geometry", "phi", required=True)
+            A = _get(sect, "A", required=True)
+            B = _get(sect, "B", required=True)
+            phi = _get(sect, "phi", required=True)
             if d is None:
                 d = 0.9 * A
             if h is None:
                 h = thickness_for_width(A, B, d)
             return RotatedLens(A=A, B=B, phi=phi, h=h, d=d, L=L)
-        A1 = _get_float(sect, "geometry", "A1", required=True)
-        B1 = _get_float(sect, "geometry", "B1", required=True)
-        A2 = _get_float(sect, "geometry", "A2", required=True)
-        B2 = _get_float(sect, "geometry", "B2", required=True)
+        A1 = _get(sect, "A1", required=True)
+        B1 = _get(sect, "B1", required=True)
+        A2 = _get(sect, "A2", required=True)
+        B2 = _get(sect, "B2", required=True)
         if d is None:
             d = 0.9 * min(A1, A2)
         if h is None:
@@ -185,18 +192,16 @@ def _parse_material(cp) -> PermittivityModel:
     sect = _section(cp, "material")
     if sect is None:
         return IdealMetal()
-    model = _get_choice(sect, "material", "model",
-                        ("ideal", "drude", "plasma", "tabulated"),
-                        default="ideal")
+    model = _get(sect, "model", tuple(MATERIAL_MODELS), default="ideal")
     try:
         if model == "ideal":
             return IdealMetal()
         if model == "drude":
-            wp = _get_float(sect, "material", "omega_p_ev", default=GOLD_PLASMA_EV)
-            gamma = _get_float(sect, "material", "gamma_ev", default=GOLD_GAMMA_EV)
+            wp = _get(sect, "omega_p_ev", default=GOLD_PLASMA_EV)
+            gamma = _get(sect, "gamma_ev", default=GOLD_GAMMA_EV)
             return Drude(omega_p=ev_to_rad_per_s(wp), gamma=ev_to_rad_per_s(gamma))
         if model == "plasma":
-            wp = _get_float(sect, "material", "omega_p_ev", default=GOLD_PLASMA_EV)
+            wp = _get(sect, "omega_p_ev", default=GOLD_PLASMA_EV)
             return Plasma(omega_p=ev_to_rad_per_s(wp))
         if "path" not in sect:
             raise ConfigError("[material] model = tabulated requires key 'path'")
@@ -212,8 +217,8 @@ def _parse_environment(cp) -> Environment | None:
     sect = _section(cp, "environment")
     if sect is None:
         return None
-    a = _get_float(sect, "environment", "a", required=True)
-    T = _get_float(sect, "environment", "T", default=300.0)
+    a = _get(sect, "a", required=True)
+    T = _get(sect, "T", default=300.0)
     try:
         return Environment(a=a, T=T)
     except ValueError as exc:
@@ -224,11 +229,11 @@ def _parse_oscillator(cp) -> OscillatorParams | None:
     sect = _section(cp, "oscillator")
     if sect is None:
         return None
-    omega0 = _get_float(sect, "oscillator", "omega0", required=True)
-    Az = _get_float(sect, "oscillator", "Az", required=True)
-    C = _get_float(sect, "oscillator", "C")
-    b = _get_float(sect, "oscillator", "b")
-    inertia = _get_float(sect, "oscillator", "I")
+    omega0 = _get(sect, "omega0", required=True)
+    Az = _get(sect, "Az", required=True)
+    C = _get(sect, "C")
+    b = _get(sect, "b")
+    inertia = _get(sect, "I")
     try:
         if C is not None:
             if b is not None or inertia is not None:
@@ -246,8 +251,8 @@ def _parse_bias(cp) -> BiasState | None:
     sect = _section(cp, "efield")
     if sect is None:
         return None
-    V = _get_float(sect, "efield", "V", required=True)
-    V0 = _get_float(sect, "efield", "V0", default=0.0)
+    V = _get(sect, "V", required=True)
+    V0 = _get(sect, "V0", default=0.0)
     return BiasState(V=V, V0=V0)
 
 
@@ -258,11 +263,10 @@ def _parse_sweep(cp) -> tuple[SweepSpec | None, tuple[float, ...]]:
     variable = sect.get("variable", "").strip()
     spec = SweepSpec(
         variable=variable,
-        start=_get_float(sect, "sweep", "start", required=True),
-        stop=_get_float(sect, "sweep", "stop", required=True),
-        count=_get_int(sect, "sweep", "count", required=True),
-        spacing=_get_choice(sect, "sweep", "spacing", ("linear", "log"),
-                            default="linear"),
+        start=_get(sect, "start", required=True),
+        stop=_get(sect, "stop", required=True),
+        count=_get(sect, "count", int, required=True),
+        spacing=_get(sect, "spacing", ("linear", "log"), default="linear"),
     )
     ratios: tuple[float, ...] = ()
     if "ratios" in sect:
@@ -284,8 +288,8 @@ def _parse_quadrature(cp) -> QuadratureSpec:
     if sect is None:
         return DEFAULT_QUADRATURE
     quad = DEFAULT_QUADRATURE
-    rel_tol = _get_float(sect, "quadrature", "rel_tol")
-    l_max = _get_int(sect, "quadrature", "l_max")
+    rel_tol = _get(sect, "rel_tol")
+    l_max = _get(sect, "l_max", int)
     try:
         if rel_tol is not None:
             quad = replace(quad, rel_tol=rel_tol)
@@ -300,7 +304,7 @@ def _parse_output(cp) -> tuple[str | None, str]:
     sect = _section(cp, "output")
     if sect is None:
         return None, "csv"
-    fmt = _get_choice(sect, "output", "format", ("csv", "json"), default="csv")
+    fmt = _get(sect, "format", ("csv", "json"), default="csv")
     return sect.get("path"), fmt
 
 
@@ -339,10 +343,15 @@ def _check_consistency(cfg: RunConfig) -> None:
             raise ConfigError("Az sweep extends to or beyond the separation a")
         if var == "a" and cfg.sweep.start <= 0.0:
             raise ConfigError("separations must stay positive")
-    elif cmd == "freq-shift":
-        if cfg.oscillator.Az >= cfg.environment.a:
-            raise ConfigError("[oscillator] Az must be smaller than the "
-                              "separation a")
+    if cmd == "freq-shift":
+        # an Az sweep past a was rejected above with its own message
+        az_hi = visited_range(cfg, "Az", cfg.oscillator.Az)[1]
+        a_lo = visited_range(cfg, "a", cfg.environment.a)[0]
+        if az_hi >= a_lo:
+            where = ("smallest separation of the a sweep"
+                     if cfg.sweep is not None and cfg.sweep.variable == "a"
+                     else "separation a")
+            raise ConfigError(f"[oscillator] Az must be smaller than the {where}")
     if cmd != "efield" and isinstance(cfg.material, Tabulated):
         _check_tabulated_zero_t(cfg)
 
@@ -356,19 +365,15 @@ def _check_tabulated_zero_t(cfg: RunConfig) -> None:
     T = 0 companion of each row); the other commands only where T = 0.
     The lowest frequency comes with the largest separation.
     """
-    temps, seps = [cfg.environment.T], [cfg.environment.a]
-    if cfg.sweep is not None and cfg.sweep.variable == "T":
-        temps = list(cfg.sweep.points())
-    if cfg.sweep is not None and cfg.sweep.variable == "a":
-        seps = list(cfg.sweep.points())
-    if min(temps) > 0.0:
+    if visited_range(cfg, "T", cfg.environment.T)[0] > 0.0:
         if cfg.command not in ("force", "gradient"):
             return
         what = f"the T = 0 companion that every {cfg.command} row carries"
     else:
         what = "T = 0"
     zeta0 = float(_grid_from(0.0)[0][0])
-    xi0 = CONSTANTS.c * zeta0 / (2.0 * max(seps))
+    xi0 = CONSTANTS.c * zeta0 / (2.0 * visited_range(cfg, "a",
+                                                     cfg.environment.a)[1])
     if xi0 < cfg.material.xi_grid[0]:
         raise ConfigError(
             f"[material] model = tabulated cannot run {what}: the first "
@@ -393,7 +398,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         raise ConfigError(f"{origin}: {exc}") from None
 
     run = _section(cp, "run", required=True)
-    command = _get_choice(run, "run", "command", COMMANDS, required=True)
+    command = _get(run, "command", COMMANDS, required=True)
 
     sweep, ratios = _parse_sweep(cp)
     out_path, out_format = _parse_output(cp)
@@ -433,12 +438,12 @@ def describe_config(cfg: RunConfig) -> list[str]:
     lines = [f"run.command = {cfg.command}"]
     g = cfg.geometry
     if g is not None:
-        lines.append(f"geometry.variant = {_variant_name(g)}")
+        lines.append(f"geometry.variant = {_name_of(LENS_VARIANTS, g)}")
         for key in ("A", "B", "A1", "B1", "A2", "B2", "phi", "h", "d", "L"):
             if hasattr(g, key):
                 lines.append(f"geometry.{key} = {getattr(g, key):.17g}")
-    lines.append(f"material.model = {_material_name(cfg.material)}")
     m = cfg.material
+    lines.append(f"material.model = {_name_of(MATERIAL_MODELS, m)}")
     if hasattr(m, "omega_p"):
         lines.append(f"material.omega_p = {m.omega_p:.17g}")
     if hasattr(m, "gamma"):
@@ -468,19 +473,5 @@ def describe_config(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _variant_name(geom: LensGeometry) -> str:
-    if isinstance(geom, TwoHalvesLens):
-        return "two-halves"
-    if isinstance(geom, RotatedLens):
-        return "rotated"
-    return "symmetric"
-
-
-def _material_name(model: PermittivityModel) -> str:
-    if isinstance(model, Drude):
-        return "drude"
-    if isinstance(model, Plasma):
-        return "plasma"
-    if isinstance(model, Tabulated):
-        return "tabulated"
-    return "ideal"
+def _name_of(table: dict, obj) -> str:
+    return next(name for name, cls in table.items() if isinstance(obj, cls))

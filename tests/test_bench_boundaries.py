@@ -3,11 +3,15 @@
 perfbench/layers.py names each traced boundary as module + attribute.  A
 renamed or deleted engine private would otherwise only surface when the
 benchmark runs with --trace 1; here it fails with the rest of the suite.
+The same holds for the keywords the workloads pass to the front end.
 """
 
 import importlib
+import inspect
 import os
 import sys
+
+from casimir_lens import cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench")
@@ -29,3 +33,8 @@ def test_traced_boundaries_resolve_to_callables():
                if not callable(getattr(importlib.import_module(b.module),
                                        b.attr, None))]
     assert missing == []
+
+
+def test_run_command_accepts_the_threads_keyword_the_benchmark_passes():
+    # perfbench/workloads.py calls cli.run_command(cfg, threads=...)
+    inspect.signature(cli.run_command).bind(None, threads=2)

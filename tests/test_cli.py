@@ -6,7 +6,8 @@ import math
 import pytest
 
 from casimir_lens.cli import main, thermal_correction
-from casimir_lens.config import ConfigError, load_config, parse_config
+from casimir_lens.config import (ConfigError, load_config, parse_config,
+                                 visited_range)
 from casimir_lens.engine import casimir_force, rotation_factor
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import IdealMetal
@@ -80,7 +81,7 @@ def test_gradient_command_columns(tmp_path, capsys):
     assert float(rows[0][header.index("gradient_N_per_m")]) > 0.0
 
 
-def test_sweep_rows_and_threads_determinism(tmp_path, capsys):
+def test_sweep_rows_in_order_and_threads_flag_rejected(tmp_path, capsys):
     cfg = BASE + """
 [sweep]
 variable = a
@@ -90,17 +91,29 @@ count = 4
 spacing = log
 """
     path = write(tmp_path, cfg)
-    assert main(["--config", path, "--threads", "1"]) == 0
-    single = capsys.readouterr().out
-    assert main(["--config", path, "--threads", "4"]) == 0
-    multi = capsys.readouterr().out
-    assert multi == single  # thread count must not change a single byte
-    header, rows = rows_of(single)
+    assert main(["--config", path]) == 0
+    header, rows = rows_of(capsys.readouterr().out)
     assert len(rows) == 4
     gaps = [float(r[0]) for r in rows]
     assert gaps == sorted(gaps)
-    assert gaps[0] == pytest.approx(150e-9, rel=1e-12)
-    assert gaps[-1] == pytest.approx(600e-9, rel=1e-12)
+    assert gaps[0] == 150e-9  # 17 digits round-trip the exact end points
+    assert gaps[-1] == 600e-9
+    # sweep points run one after the other; there is no thread pool to size
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--threads", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_visited_range_is_the_sweep_end_points(spacing):
+    cfg = parse_config(BASE + "\n[sweep]\nvariable = a\nstart = 150e-9\n"
+                       f"stop = 5e-6\ncount = 16\nspacing = {spacing}\n",
+                       origin="inline")
+    points = cfg.sweep.points()
+    assert visited_range(cfg, "a", cfg.environment.a) == (points[0],
+                                                          points[-1])
+    assert visited_range(cfg, "T", cfg.environment.T) == (300.0, 300.0)
 
 
 def test_output_file_and_format_from_config(tmp_path):
@@ -251,6 +264,22 @@ def test_parse_config_consistency_checks(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(BASE + "\n[sweep]\nvariable = phi\nstart = 0\n"
                      "stop = 1\ncount = 3\n", origin="inline")
+    # the drive amplitude must stay below every separation the run visits,
+    # whichever variable is swept
+    shift = BASE.replace("command = force", "command = freq-shift") + """
+[oscillator]
+omega0 = 4398.2
+C = 10.0
+Az = 250e-9
+"""
+    with pytest.raises(ConfigError, match="Az must be smaller than the "
+                                          "separation a"):
+        parse_config(shift + "\n[sweep]\nvariable = T\nstart = 10\n"
+                     "stop = 300\ncount = 3\n", origin="inline")
+    with pytest.raises(ConfigError, match="smallest separation of the a sweep"):
+        parse_config(shift.replace("a = 200e-9", "a = 1e-6")
+                     + "\n[sweep]\nvariable = a\nstart = 200e-9\n"
+                     "stop = 1e-6\ncount = 3\n", origin="inline")
     cfg = load_config(write(tmp_path, BASE))
     assert cfg.command == "force"
     assert cfg.geometry.A == 100e-6

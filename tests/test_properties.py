@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from casimir_lens.engine import force, rotation_factor
+from casimir_lens.engine import force, gradient, rotation_factor
 from casimir_lens.geometry import Environment, TwoHalvesLens, symmetric_lens
 from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
 
@@ -74,3 +74,14 @@ def test_force_magnitude_decreases_with_separation(lens, a, b, T, model):
     f_near = force(lens, Environment(a=near, T=T), model).value
     f_far = force(lens, Environment(a=far, T=T), model).value
     assert abs(f_far) < abs(f_near)
+
+
+@FEW
+@given(lens=lenses(), a=SEPARATIONS, T=TEMPERATURES, model=MODELS)
+def test_gradient_is_the_slope_of_the_force(lens, a, T, model):
+    # central difference with criterion 2's step and tolerance
+    d = 1e-4 * a
+    fp = force(lens, Environment(a=a + d, T=T), model).value
+    fm = force(lens, Environment(a=a - d, T=T), model).value
+    g = gradient(lens, Environment(a=a, T=T), model).value
+    assert g == pytest.approx((fp - fm) / (2.0 * d), rel=1e-4)
