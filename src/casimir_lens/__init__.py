@@ -9,19 +9,19 @@ unreduced integrals.
 
 from .constants import CONSTANTS, PhysicalConstants, ev_to_rad_per_s
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
-                       TwoHalvesLens, ValidityReport, symmetric_lens,
-                       thickness_for_width, validate_geometry,
-                       width_for_thickness)
+                       RotationFactor, TwoHalvesLens, ValidityReport,
+                       rotation_factor, symmetric_lens, thickness_for_width,
+                       validate_geometry, width_for_thickness)
 from .materials import (Drude, IdealMetal, PermittivityModel, Plasma,
                         Tabulated, epsilon_at_imaginary, gold_drude,
                         gold_plasma, reflection_coefficients)
 from .specfun import ConvergenceError, SeriesControl, bessel_i1, polylog
 from .engine import (DEFAULT_QUADRATURE, ForceResult, QuadratureSpec,
-                     RotationFactor, casimir_force, casimir_gradient,
+                     casimir_force, casimir_gradient,
                      direct_pfa_force_oracle, force, gradient,
                      ideal_metal_force_t0, ideal_metal_gradient_t0,
                      rotated_direct_oracle, rotated_force, rotated_gradient,
-                     rotation_factor, two_halves_force, two_halves_gradient,
+                     two_halves_force, two_halves_gradient,
                      zero_temperature_force, zero_temperature_gradient)
 from .electrostatics import (BiasState, asymmetric_electric_force,
                              exact_circular_electric_force,

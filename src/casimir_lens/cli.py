@@ -16,10 +16,10 @@ import json
 import sys
 
 from .config import (ConfigError, RunConfig, describe_config, load_config,
-                     visited_range)
+                     substitute, visited_range)
 from .electrostatics import asymmetric_electric_force
-from .engine import force, gradient, rotation_factor
-from .geometry import Environment, validate_geometry
+from .engine import force, gradient
+from .geometry import Environment, rotation_factor, validate_geometry
 from .oscillator import frequency_shift_for_variant, frequency_shift_linear
 from .specfun import ConvergenceError
 
@@ -37,28 +37,6 @@ def thermal_correction(force_t: float, force_t0: float) -> float:
 # per-command row builders.  Each returns (column names, point list, worker);
 # the worker maps one sweep point to one row of plain numbers.
 
-def _substitute(cfg: RunConfig, x: float | None):
-    """Geometry/environment/oscillator/bias with the sweep variable set to x.
-
-    Without a sweep (x is None) they are the configured ones.
-    """
-    geom, env, osc, bias = cfg.geometry, cfg.environment, cfg.oscillator, cfg.bias
-    if cfg.sweep is None:
-        return geom, env, osc, bias
-    var = cfg.sweep.variable
-    if var == "a":
-        env = Environment(a=float(x), T=env.T)
-    elif var == "T":
-        env = Environment(a=env.a, T=float(x))
-    elif var == "phi":
-        geom = dataclasses.replace(geom, phi=float(x))
-    elif var == "Az":
-        osc = dataclasses.replace(osc, Az=float(x))
-    elif var == "V":
-        bias = dataclasses.replace(bias, V=float(x))
-    return geom, env, osc, bias
-
-
 def _plan_force(cfg: RunConfig):
     grad = cfg.command == "gradient"
     value_cols = (["gradient_N_per_m", "gradient_T0_N_per_m"] if grad
@@ -68,7 +46,7 @@ def _plan_force(cfg: RunConfig):
     compute = gradient if grad else force
 
     def worker(x):
-        geom, env, _, _ = _substitute(cfg, x)
+        geom, env, _, _ = substitute(cfg, x)
         res = compute(geom, env, cfg.material, cfg.quadrature)
         if env.T == 0.0:
             res_t0 = res
@@ -86,7 +64,7 @@ def _plan_efield(cfg: RunConfig):
     columns = ["a_m", "V_volt", "V0_volt", "force_N"]
 
     def worker(x):
-        geom, env, _, bias = _substitute(cfg, x)
+        geom, env, _, bias = substitute(cfg, x)
         return [env.a, bias.V, bias.V0,
                 asymmetric_electric_force(geom, env, bias)]
 
@@ -98,7 +76,7 @@ def _plan_freq_shift(cfg: RunConfig):
                "delta_omega2_linear_rad2_per_s2", "omega_r_linear_rad_per_s"]
 
     def worker(x):
-        geom, env, osc, _ = _substitute(cfg, x)
+        geom, env, osc, _ = substitute(cfg, x)
         nonlin = frequency_shift_for_variant(geom, env, cfg.material, osc,
                                              cfg.quadrature)
         lin = frequency_shift_linear(geom, env, cfg.material, osc,

@@ -27,7 +27,7 @@ ratios), [oscillator] (omega0, Az, C or b + I), [efield] (V, V0),
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -112,6 +112,29 @@ def visited_range(cfg: RunConfig, variable: str,
     return value, value
 
 
+def substitute(cfg: RunConfig, x: float | None):
+    """Geometry, environment, oscillator and bias with the sweep variable at x.
+
+    Without a sweep (x is None) they are the configured ones.  A value
+    outside the variable's range raises the constructor's ValueError.
+    """
+    geom, env, osc, bias = cfg.geometry, cfg.environment, cfg.oscillator, cfg.bias
+    if cfg.sweep is None:
+        return geom, env, osc, bias
+    var = cfg.sweep.variable
+    if var == "a":
+        env = Environment(a=float(x), T=env.T)
+    elif var == "T":
+        env = Environment(a=env.a, T=float(x))
+    elif var == "phi":
+        geom = replace(geom, phi=float(x))
+    elif var == "Az":
+        osc = replace(osc, Az=float(x))
+    elif var == "V":
+        bias = replace(bias, V=float(x))
+    return geom, env, osc, bias
+
+
 # ---------------------------------------------------------------------------
 # low-level readers: every failure names the section and key
 
@@ -160,30 +183,19 @@ def _parse_geometry(cp) -> LensGeometry | None:
     L = _get(sect, "L", required=True)
     h = _get(sect, "h")
     d = _get(sect, "d")
+    cls = LENS_VARIANTS[variant]
+    # the variant's own keys: its semiaxes, and phi for the rotated lens
+    own = {f.name: _get(sect, f.name, required=True) for f in fields(cls)
+           if f.name not in ("h", "d", "L")}
     try:
-        if variant == "symmetric":
-            A = _get(sect, "A", required=True)
-            B = _get(sect, "B", required=True)
-            return symmetric_lens(A, B, L, d=d, h=h)
-        if variant == "rotated":
-            A = _get(sect, "A", required=True)
-            B = _get(sect, "B", required=True)
-            phi = _get(sect, "phi", required=True)
-            if d is None:
-                d = 0.9 * A
-            if h is None:
-                h = thickness_for_width(A, B, d)
-            return RotatedLens(A=A, B=B, phi=phi, h=h, d=d, L=L)
-        A1 = _get(sect, "A1", required=True)
-        B1 = _get(sect, "B1", required=True)
-        A2 = _get(sect, "A2", required=True)
-        B2 = _get(sect, "B2", required=True)
+        if cls is EllipticLens:  # derives d from h when only h is given
+            return symmetric_lens(L=L, d=d, h=h, **own)
+        halves = [(own[k], own["B" + k[1:]]) for k in own if k.startswith("A")]
         if d is None:
-            d = 0.9 * min(A1, A2)
+            d = 0.9 * min(A for A, _ in halves)
         if h is None:
-            h = max(thickness_for_width(A1, B1, d),
-                    thickness_for_width(A2, B2, d))
-        return TwoHalvesLens(A1=A1, B1=B1, A2=A2, B2=B2, h=h, d=d, L=L)
+            h = max(thickness_for_width(A, B, d) for A, B in halves)
+        return cls(h=h, d=d, L=L, **own)
     except ValueError as exc:
         raise ConfigError(f"[geometry] {exc}") from None
 
@@ -354,6 +366,13 @@ def _check_consistency(cfg: RunConfig) -> None:
             raise ConfigError(f"[oscillator] Az must be smaller than the {where}")
     if cmd != "efield" and isinstance(cfg.material, Tabulated):
         _check_tabulated_zero_t(cfg)
+    if cfg.sweep is not None:
+        # every point lies between the end points, so none can fail mid-run
+        for x in (cfg.sweep.start, cfg.sweep.stop):
+            try:
+                substitute(cfg, x)
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] {exc}") from None
 
 
 def _check_tabulated_zero_t(cfg: RunConfig) -> None:
@@ -439,9 +458,8 @@ def describe_config(cfg: RunConfig) -> list[str]:
     g = cfg.geometry
     if g is not None:
         lines.append(f"geometry.variant = {_name_of(LENS_VARIANTS, g)}")
-        for key in ("A", "B", "A1", "B1", "A2", "B2", "phi", "h", "d", "L"):
-            if hasattr(g, key):
-                lines.append(f"geometry.{key} = {getattr(g, key):.17g}")
+        for f in fields(g):
+            lines.append(f"geometry.{f.name} = {getattr(g, f.name):.17g}")
     m = cfg.material
     lines.append(f"material.model = {_name_of(MATERIAL_MODELS, m)}")
     if hasattr(m, "omega_p"):

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS
-from .geometry import EllipticLens, Environment, LensGeometry
-from .engine import _lens_shape_factor
+from .geometry import (EllipticLens, Environment, LensGeometry,
+                       expect_variant, shape_factor)
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,9 @@ def pfa_electric_force(geom: EllipticLens, env: Environment, bias: BiasState) ->
     F = -pi eps0 L / (2 a) * A / sqrt(2 a B) * (V - V0)^2, negative
     (attractive) for any bias away from V0.
     """
-    if not isinstance(geom, EllipticLens):
-        raise TypeError("pfa_electric_force expects a symmetric EllipticLens; "
-                        "use asymmetric_electric_force for the other variants")
-    dv = bias.V - bias.V0
-    return (-math.pi * CONSTANTS.eps0 * geom.L / (2.0 * env.a)
-            * geom.A / math.sqrt(2.0 * env.a * geom.B) * dv * dv)
+    expect_variant(geom, EllipticLens, "pfa_electric_force",
+                   "asymmetric_electric_force")
+    return asymmetric_electric_force(geom, env, bias)
 
 
 def exact_circular_electric_force(R: float, L: float, env: Environment,
@@ -85,4 +82,4 @@ def asymmetric_electric_force(geom: LensGeometry, env: Environment,
     """
     dv = bias.V - bias.V0
     return (-math.pi * CONSTANTS.eps0 * geom.L / (2.0 * env.a)
-            * _lens_shape_factor(geom) / math.sqrt(2.0 * env.a) * dv * dv)
+            * shape_factor(geom) / math.sqrt(2.0 * env.a) * dv * dv)

@@ -29,7 +29,8 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
-                       TwoHalvesLens, thickness_for_width)
+                       RotationFactor, TwoHalvesLens, expect_variant,
+                       rotation_factor, shape_factor, thickness_for_width)
 from .materials import PermittivityModel, reflection_sq_grid
 from .specfun import SQRT_PI, ConvergenceError, polylog_exp_grid
 
@@ -73,14 +74,6 @@ class ForceResult:
     est_abs_error: float
     terms_used: int
     mode: str  # "finiteT" or "zeroT"
-
-
-@dataclass(frozen=True)
-class RotationFactor:
-    """Force reduction factor G and effective vertical extent H of a rotated lens."""
-
-    G: float
-    H: float
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +268,6 @@ def _zeta_integral(term: Term):
 
 
 # ---------------------------------------------------------------------------
-# geometry factor
-
-def _lens_shape_factor(geom: LensGeometry) -> float:
-    """The A / sqrt(B) combination each variant contributes."""
-    if isinstance(geom, EllipticLens):
-        return geom.A / math.sqrt(geom.B)
-    if isinstance(geom, TwoHalvesLens):
-        return 0.5 * (geom.A1 / math.sqrt(geom.B1) + geom.A2 / math.sqrt(geom.B2))
-    if isinstance(geom, RotatedLens):
-        return geom.A / math.sqrt(geom.B) * rotation_factor(geom.A, geom.B, geom.phi).G
-    raise TypeError(f"unknown lens geometry {geom!r}")
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 def _scaled(prefactor: float, total: float, terms: int,
@@ -321,7 +300,7 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     def term(zeta: float) -> float:
         return _frequency_integral(kernel, model, zeta, a)
 
-    shape = _lens_shape_factor(geom)
+    shape = shape_factor(geom)
     zero_t = env.T == 0.0
     if zero_t:
         hc = CONSTANTS.hbar * CONSTANTS.c
@@ -358,12 +337,6 @@ def gradient(geom: LensGeometry, env: Environment, model: PermittivityModel,
                      derivative=True)
 
 
-def _expect(geom: LensGeometry, cls: type, name: str) -> None:
-    if not isinstance(geom, cls):
-        raise TypeError(f"{name} expects a {cls.__name__}; use force or "
-                        "gradient for any lens variant")
-
-
 def casimir_force(geom: EllipticLens, env: Environment, model: PermittivityModel,
                   quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Casimir force on a symmetric lens, negative for attraction.
@@ -382,7 +355,7 @@ def casimir_force(geom: EllipticLens, env: Environment, model: PermittivityModel
     ForceResult
         Force in N with error estimate and the number of frequency terms.
     """
-    _expect(geom, EllipticLens, "casimir_force")
+    expect_variant(geom, EllipticLens, "casimir_force", "force")
     return force(geom, env, model, quad)
 
 
@@ -390,18 +363,18 @@ def casimir_gradient(geom: EllipticLens, env: Environment,
                      model: PermittivityModel,
                      quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Separation derivative dF/da of the lens force, positive for attraction."""
-    _expect(geom, EllipticLens, "casimir_gradient")
+    expect_variant(geom, EllipticLens, "casimir_gradient", "gradient")
     return gradient(geom, env, model, quad)
 
 
-def zero_temperature_force(geom: EllipticLens, env: Environment,
+def zero_temperature_force(geom: LensGeometry, env: Environment,
                            model: PermittivityModel,
                            quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Casimir force at T = 0 (continuous frequency integral)."""
+    """Casimir force on any lens variant at T = 0 (continuous frequency integral)."""
     return force(geom, Environment(a=env.a, T=0.0), model, quad)
 
 
-def zero_temperature_gradient(geom: EllipticLens, env: Environment,
+def zero_temperature_gradient(geom: LensGeometry, env: Environment,
                               model: PermittivityModel,
                               quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Separation derivative of the force at T = 0."""
@@ -415,6 +388,8 @@ def ideal_metal_force_t0(geom: EllipticLens, env: Environment) -> float:
     pi^3/384 equals (15/64 pi) * pi^4/90, i.e. the reflection-order sum
     collapses to zeta(4).
     """
+    expect_variant(geom, EllipticLens, "ideal_metal_force_t0",
+                   "force with IdealMetal() at T = 0")
     a = env.a
     return (-math.pi ** 3 * geom.L * CONSTANTS.hbar * CONSTANTS.c / (384.0 * a ** 3)
             * geom.A / math.sqrt(2.0 * a * geom.B))
@@ -426,6 +401,8 @@ def ideal_metal_gradient_t0(geom: EllipticLens, env: Environment) -> float:
     Differentiating the a^{-7/2} closed form gives
     7 pi^3 L hbar c / (768 a^4) * A / sqrt(2 a B), i.e. (7/2) |F| / a.
     """
+    expect_variant(geom, EllipticLens, "ideal_metal_gradient_t0",
+                   "gradient with IdealMetal() at T = 0")
     a = env.a
     return (7.0 * math.pi ** 3 * geom.L * CONSTANTS.hbar * CONSTANTS.c
             / (768.0 * a ** 4) * geom.A / math.sqrt(2.0 * a * geom.B))
@@ -439,7 +416,7 @@ def two_halves_force(geom: TwoHalvesLens, env: Environment,
     Equals half the sum of the two symmetric-lens forces; the frequency sum
     is shared, only the geometry factor changes.
     """
-    _expect(geom, TwoHalvesLens, "two_halves_force")
+    expect_variant(geom, TwoHalvesLens, "two_halves_force", "force")
     return force(geom, env, model, quad)
 
 
@@ -447,30 +424,14 @@ def two_halves_gradient(geom: TwoHalvesLens, env: Environment,
                         model: PermittivityModel,
                         quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Gradient dF/da for the two-halves lens."""
-    _expect(geom, TwoHalvesLens, "two_halves_gradient")
+    expect_variant(geom, TwoHalvesLens, "two_halves_gradient", "gradient")
     return gradient(geom, env, model, quad)
-
-
-def rotation_factor(A: float, B: float, phi: float) -> RotationFactor:
-    """Force reduction factor of a lens cut at angle phi.
-
-    G = (B / H)^{3/2} with H = sqrt(A^2 sin^2 phi + B^2 cos^2 phi).  H is
-    the vertical semi-extent of the tilted ellipse, and at leading PFA order
-    the whole effect of the rotation collapses into this single factor.
-    Any positive (A, B) pair is accepted so the phi -> phi + pi/2 axis-swap
-    identity can be exercised directly.
-    """
-    if not A > 0.0 or not B > 0.0:
-        raise ValueError("semiaxes must be positive")
-    s, c = math.sin(phi), math.cos(phi)
-    H = math.sqrt(A * A * s * s + B * B * c * c)
-    return RotationFactor(G=(B / H) ** 1.5, H=H)
 
 
 def rotated_force(geom: RotatedLens, env: Environment, model: PermittivityModel,
                   quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Force on a lens cut at angle phi: the symmetric result scaled by G."""
-    _expect(geom, RotatedLens, "rotated_force")
+    expect_variant(geom, RotatedLens, "rotated_force", "force")
     return force(geom, env, model, quad)
 
 
@@ -478,7 +439,7 @@ def rotated_gradient(geom: RotatedLens, env: Environment,
                      model: PermittivityModel,
                      quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Gradient dF/da for the rotated lens."""
-    _expect(geom, RotatedLens, "rotated_gradient")
+    expect_variant(geom, RotatedLens, "rotated_gradient", "gradient")
     return gradient(geom, env, model, quad)
 
 
@@ -619,8 +580,7 @@ def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,
     quantify the error of casimir_force, which should agree within a few
     times 0.3 a/B.
     """
-    if not isinstance(geom, EllipticLens):
-        raise TypeError("direct_pfa_force_oracle expects an EllipticLens")
+    expect_variant(geom, EllipticLens, "direct_pfa_force_oracle")
     h_d = thickness_for_width(geom.A, geom.B, geom.d)
     pref = -(CONSTANTS.kB * env.T * geom.L * geom.A
              / (4.0 * math.pi * env.a ** 3 * geom.B))
@@ -636,8 +596,7 @@ def rotated_direct_oracle(geom: RotatedLens, env: Environment,
     chord is 2H; requires h <= 2H so the surface parameterization stays
     single-valued.  At phi = 0 this reduces exactly to the symmetric oracle.
     """
-    if not isinstance(geom, RotatedLens):
-        raise TypeError("rotated_direct_oracle expects a RotatedLens")
+    expect_variant(geom, RotatedLens, "rotated_direct_oracle")
     H = rotation_factor(geom.A, geom.B, geom.phi).H
     if geom.h > 2.0 * H:
         raise ValueError("lens thickness exceeds the vertical chord 2H of the cut")

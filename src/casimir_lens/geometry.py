@@ -5,11 +5,13 @@ facing a plane plate: thickness h, width 2d, cylinder axis parallel to the
 plate.  Three variants are supported: the symmetric lens (vertical semiaxis
 B), a lens glued from two halves with different semiaxes, and a lens cut
 from the cylinder at an angle phi and re-seated so its base is parallel to
-the plate.
+the plate.  A variant enters every leading-order formula only through
+shape_factor, and expect_variant is the check of the entry points written
+for one variant.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 
@@ -97,6 +99,50 @@ class RotatedLens:
 LensGeometry = Union[EllipticLens, TwoHalvesLens, RotatedLens]
 
 
+@dataclass(frozen=True)
+class RotationFactor:
+    """Force reduction factor G and effective vertical extent H of a rotated lens."""
+
+    G: float
+    H: float
+
+
+def rotation_factor(A: float, B: float, phi: float) -> RotationFactor:
+    """Force reduction factor of a lens cut at angle phi.
+
+    G = (B / H)^{3/2} with H = sqrt(A^2 sin^2 phi + B^2 cos^2 phi).  H is
+    the vertical semi-extent of the tilted ellipse, and at leading PFA order
+    the whole effect of the rotation collapses into this single factor.
+    Any positive (A, B) pair is accepted so the phi -> phi + pi/2 axis-swap
+    identity can be exercised directly.
+    """
+    if not A > 0.0 or not B > 0.0:
+        raise ValueError("semiaxes must be positive")
+    s, c = math.sin(phi), math.cos(phi)
+    H = math.sqrt(A * A * s * s + B * B * c * c)
+    return RotationFactor(G=(B / H) ** 1.5, H=H)
+
+
+def shape_factor(geom: LensGeometry) -> float:
+    """The A / sqrt(B) factor, the only way a variant enters the formulas."""
+    if isinstance(geom, EllipticLens):
+        return geom.A / math.sqrt(geom.B)
+    if isinstance(geom, TwoHalvesLens):
+        return 0.5 * (geom.A1 / math.sqrt(geom.B1) + geom.A2 / math.sqrt(geom.B2))
+    if isinstance(geom, RotatedLens):
+        return geom.A / math.sqrt(geom.B) * rotation_factor(geom.A, geom.B, geom.phi).G
+    raise TypeError(f"unknown lens geometry {geom!r}")
+
+
+def expect_variant(geom: LensGeometry, cls: type, name: str,
+                   general: str | None = None) -> None:
+    """TypeError unless geom is a cls; general takes any variant, if given."""
+    if not isinstance(geom, cls):
+        hint = f"; use {general} for any lens variant" if general else ""
+        raise TypeError(f"{name} expects a {cls.__name__}, got "
+                        f"{type(geom).__name__}{hint}")
+
+
 def thickness_for_width(A: float, B: float, d: float) -> float:
     """Thickness of the cap cut from the cylinder at half-width d."""
     _require_positive(A=A, B=B, d=d)
@@ -160,12 +206,6 @@ class ValidityReport:
     pfa_error_estimate: float = 0.0
 
 
-def _min_vertical_semiaxis(geom: LensGeometry) -> float:
-    if isinstance(geom, TwoHalvesLens):
-        return min(geom.B1, geom.B2)
-    return geom.B
-
-
 def validate_geometry(geom: LensGeometry, env: Environment) -> ValidityReport:
     """Check PFA applicability of a lens/environment combination.
 
@@ -175,12 +215,9 @@ def validate_geometry(geom: LensGeometry, env: Environment) -> ValidityReport:
     when a/B or a/h exceeds 0.1.
     """
     report = ValidityReport(ok=True)
-    fields_to_check = {"a": env.a, "L": geom.L, "h": geom.h, "d": geom.d}
-    if isinstance(geom, TwoHalvesLens):
-        fields_to_check.update(A1=geom.A1, B1=geom.B1, A2=geom.A2, B2=geom.B2)
-    else:
-        fields_to_check.update(A=geom.A, B=geom.B)
-    for name, value in fields_to_check.items():
+    lengths = {f.name: getattr(geom, f.name) for f in fields(geom)
+               if f.name != "phi"}
+    for name, value in {"a": env.a, **lengths}.items():
         if not value > 0.0:
             report.hard_errors.append(f"{name} must be positive")
     if env.T < 0.0:
@@ -189,7 +226,7 @@ def validate_geometry(geom: LensGeometry, env: Environment) -> ValidityReport:
         report.ok = False
         return report
 
-    B = _min_vertical_semiaxis(geom)
+    B = min(value for name, value in lengths.items() if name.startswith("B"))
     report.a_over_B = env.a / B
     report.a_over_h = env.a / geom.h
     report.pfa_error_estimate = 0.3 * report.a_over_B

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _lifshitz,
                      casimir_force, gradient)
-from .geometry import EllipticLens, Environment, LensGeometry
+from .geometry import EllipticLens, Environment, LensGeometry, expect_variant
 from .materials import PermittivityModel
 from .specfun import ConvergenceError, bessel_i1_scaled
 
@@ -159,9 +159,8 @@ def frequency_shift_nonlinear(geom: EllipticLens, env: Environment,
     Negative for the attractive force (the resonance softens).  Requires
     0 < Az < a; T = 0 uses the continuous-frequency integral.
     """
-    if not isinstance(geom, EllipticLens):
-        raise TypeError("frequency_shift_nonlinear expects a symmetric lens; "
-                        "use frequency_shift_for_variant otherwise")
+    expect_variant(geom, EllipticLens, "frequency_shift_nonlinear",
+                   "frequency_shift_for_variant")
     return frequency_shift_for_variant(geom, env, model, osc, quad)
 
 
@@ -219,8 +218,7 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
     ConvergenceError carries the last estimate if it is not.  Force values
     are reused across doublings (the grids nest).
     """
-    if not isinstance(geom, EllipticLens):
-        raise TypeError("frequency_shift_direct_oracle expects a symmetric lens")
+    expect_variant(geom, EllipticLens, "frequency_shift_direct_oracle")
     _check_amplitude(env, osc)
     cache: dict[float, float] = {}
 

@@ -280,6 +280,19 @@ Az = 250e-9
         parse_config(shift.replace("a = 200e-9", "a = 1e-6")
                      + "\n[sweep]\nvariable = a\nstart = 200e-9\n"
                      "stop = 1e-6\ncount = 3\n", origin="inline")
+    # a sweep end point outside its variable's range fails here, not mid-run
+    rotated = BASE.replace("A = 100e-6", "variant = rotated\nA = 100e-6\n"
+                           "phi = 0.5")
+    for text, message in (
+            (rotated + "\n[sweep]\nvariable = phi\nstart = 0.5\nstop = 2.0\n"
+             "count = 4\n", r"\[sweep\] phi must lie in \[0, pi/2\]"),
+            (BASE + "\n[sweep]\nvariable = T\nstart = -10\nstop = 300\n"
+             "count = 3\n", r"\[sweep\] temperature T cannot be negative"),
+            (shift.replace("Az = 250e-9", "Az = 20e-9")
+             + "\n[sweep]\nvariable = Az\nstart = -10e-9\nstop = 100e-9\n"
+             "count = 3\n", r"\[sweep\] drive amplitude Az must be positive")):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text, origin="inline")
     cfg = load_config(write(tmp_path, BASE))
     assert cfg.command == "force"
     assert cfg.geometry.A == 100e-6

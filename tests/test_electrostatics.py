@@ -59,8 +59,14 @@ def test_elliptic_reduces_to_effective_circular():
 
 
 def test_asymmetric_dispatch_symmetric():
-    assert asymmetric_electric_force(LENS, ENVELOPE, BIAS) == \
-        pytest.approx(pfa_electric_force(LENS, ENVELOPE, BIAS), rel=1e-14)
+    # criterion 9's equivalences hold bit for bit: the symmetric formula,
+    # equal halves and phi = 0 all reduce to the same A / sqrt(B) factor
+    base = pfa_electric_force(LENS, ENVELOPE, BIAS)
+    assert asymmetric_electric_force(LENS, ENVELOPE, BIAS) == base
+    two = TwoHalvesLens(A1=R, B1=R, A2=R, B2=R, h=LENS.h, d=LENS.d, L=L)
+    assert asymmetric_electric_force(two, ENVELOPE, BIAS) == base
+    rot = RotatedLens(A=R, B=R, phi=0.0, h=LENS.h, d=LENS.d, L=L)
+    assert asymmetric_electric_force(rot, ENVELOPE, BIAS) == base
 
 
 def test_asymmetric_dispatch_two_halves_averages():

@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 
 from casimir_lens.constants import CONSTANTS
+from casimir_lens.electrostatics import BiasState, pfa_electric_force
 from casimir_lens.engine import (_COARSE_NODES, _EM_BLOCK, _PANEL_EDGES,
                                  _PANEL_NODES, DEFAULT_QUADRATURE,
                                  QuadratureSpec, _grid_from, casimir_force,
                                  casimir_gradient, direct_pfa_force_oracle,
                                  force, gradient, ideal_metal_force_t0,
-                                 ideal_metal_gradient_t0, rotated_force,
-                                 rotated_gradient, rotation_factor,
-                                 two_halves_force, two_halves_gradient,
-                                 zero_temperature_force,
+                                 ideal_metal_gradient_t0, rotated_direct_oracle,
+                                 rotated_force, rotated_gradient,
+                                 rotation_factor, two_halves_force,
+                                 two_halves_gradient, zero_temperature_force,
                                  zero_temperature_gradient)
 from casimir_lens.geometry import (Environment, RotatedLens, TwoHalvesLens,
                                    symmetric_lens)
 from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
-from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
+from casimir_lens.oscillator import (OscillatorParams,
+                                     frequency_shift_direct_oracle,
+                                     frequency_shift_nonlinear)
 from casimir_lens.specfun import ConvergenceError
 
 LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
@@ -324,10 +327,22 @@ def test_force_and_gradient_equal_typed_names():
 
 
 def test_variant_type_checks():
-    with pytest.raises(TypeError):
-        casimir_force(RotatedLens(A=1e-4, B=1e-4, phi=0.1, h=1e-6, d=1e-5,
-                                  L=1e-3), env(200e-9), IdealMetal())
-    with pytest.raises(TypeError):
-        two_halves_force(LENS, env(200e-9), IdealMetal())
-    with pytest.raises(TypeError):
-        rotated_force(LENS, env(200e-9), IdealMetal())
+    # each entry point written for one variant refuses the others before
+    # it evaluates anything
+    rot = RotatedLens(A=1e-4, B=1e-4, phi=0.1, h=1e-6, d=1e-5, L=1e-3)
+    osc = OscillatorParams(omega0=1e4, C=1.0, Az=20e-9)
+    calls = [
+        lambda: casimir_force(rot, env(200e-9), IdealMetal()),
+        lambda: two_halves_force(LENS, env(200e-9), IdealMetal()),
+        lambda: rotated_force(LENS, env(200e-9), IdealMetal()),
+        lambda: ideal_metal_force_t0(rot, env(200e-9, 0.0)),
+        lambda: ideal_metal_gradient_t0(rot, env(200e-9, 0.0)),
+        lambda: frequency_shift_direct_oracle(rot, env(200e-9), IdealMetal(),
+                                              osc),
+        lambda: pfa_electric_force(rot, env(200e-9), BiasState(V=0.5)),
+        lambda: direct_pfa_force_oracle(rot, env(1e-6), IdealMetal()),
+        lambda: rotated_direct_oracle(LENS, env(1e-6), IdealMetal()),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expects a"):
+            call()
