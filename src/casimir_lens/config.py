@@ -364,8 +364,6 @@ def _check_consistency(cfg: RunConfig) -> None:
                      if cfg.sweep is not None and cfg.sweep.variable == "a"
                      else "separation a")
             raise ConfigError(f"[oscillator] Az must be smaller than the {where}")
-    if cmd != "efield" and isinstance(cfg.material, Tabulated):
-        _check_tabulated_zero_t(cfg)
     if cfg.sweep is not None:
         # every point lies between the end points, so none can fail mid-run
         for x in (cfg.sweep.start, cfg.sweep.stop):
@@ -373,6 +371,8 @@ def _check_consistency(cfg: RunConfig) -> None:
                 substitute(cfg, x)
             except ValueError as exc:
                 raise ConfigError(f"[sweep] {exc}") from None
+    if cmd != "efield" and isinstance(cfg.material, Tabulated):
+        _check_tabulated_zero_t(cfg)
 
 
 def _check_tabulated_zero_t(cfg: RunConfig) -> None:

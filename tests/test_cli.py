@@ -293,6 +293,16 @@ Az = 250e-9
              "count = 3\n", r"\[sweep\] drive amplitude Az must be positive")):
         with pytest.raises(ConfigError, match=message):
             parse_config(text, origin="inline")
+    # the end points are checked before the tabulated material's T = 0 check
+    table = tmp_path / "gold.dat"
+    table.write_text("1.0e13 5000.0\n1.0e18 1.5\n")
+    with pytest.raises(ConfigError, match=r"\[sweep\] temperature T cannot "
+                                          "be negative"):
+        parse_config(shift.replace("Az = 250e-9", "Az = 20e-9")
+                     .replace("model = ideal",
+                              f"model = tabulated\npath = {table}")
+                     + "\n[sweep]\nvariable = T\nstart = -10\nstop = 300\n"
+                     "count = 3\n", origin="inline")
     cfg = load_config(write(tmp_path, BASE))
     assert cfg.command == "force"
     assert cfg.geometry.A == 100e-6

@@ -2,13 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from casimir_lens.engine import (QuadratureSpec, casimir_gradient,
+from casimir_lens import oscillator
+from casimir_lens.constants import CONSTANTS
+from casimir_lens.engine import (QuadratureSpec, _grid_from, casimir_gradient,
                                  two_halves_gradient)
 from casimir_lens.geometry import (Environment, RotatedLens, TwoHalvesLens,
                                    symmetric_lens)
-from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
+from casimir_lens.materials import (IdealMetal, gold_drude, gold_plasma,
+                                    reflection_sq_grid)
 from casimir_lens.oscillator import (OscillatorParams,
                                      frequency_shift_direct_oracle,
                                      frequency_shift_for_variant,
@@ -148,3 +152,95 @@ def test_direct_oracle_raises_when_unconverged():
                                       QuadratureSpec(rel_tol=1e-3),
                                       theta_tol=1e-300)
     assert info.value.partial < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Bessel series' short first block
+
+_ZETA1 = (4.0 * math.pi * E300.a * CONSTANTS.kB * E300.T
+          / (CONSTANTS.hbar * CONSTANTS.c))
+
+
+def _kernel_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol):
+    """The series loop with every block _NL_BLOCK powers long."""
+    out = np.zeros_like(v)
+    for r2 in (r_tm2, r_te2):
+        mask = r2 > 0.0
+        if not np.any(mask):
+            continue
+        vv = v[mask]
+        mu = vv - np.log(r2[mask])
+        q = beta * vv
+        lam = mu - q
+        acc = np.zeros_like(vv)
+        active = np.ones(vv.shape, dtype=bool)
+        n0 = 0
+        while n0 < oscillator._NL_CAP and np.any(active):
+            n = np.arange(n0 + 1, n0 + oscillator._NL_BLOCK + 1, dtype=float)
+            idx = np.where(active)[0]
+            nv = np.outer(n, q[idx])
+            block = (n[:, None] ** -0.5 * oscillator.bessel_i1_scaled(nv)
+                     * np.exp(-np.outer(n, lam[idx])))
+            acc[idx] += block.sum(axis=0)
+            n0 += oscillator._NL_BLOCK
+            last = block[-1]
+            rho = np.exp(-lam[idx]) * (1.0 + 0.5 / n0)
+            rho = np.minimum(rho, 0.999999)
+            bound = last * rho / (1.0 - rho)
+            active[idx] = bound >= rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
+        for i in np.where(active)[0]:
+            acc[i] += oscillator._bessel_series_tail(
+                float(mu[i]), float(q[i]), float(oscillator._NL_CAP + 1))
+        out[mask] += acc
+    return v ** 1.5 * out
+
+
+def test_nonlinear_kernel_matches_fixed_64_blocks(monkeypatch):
+    # the powers the short first block leaves out are below half an ulp of
+    # every partial sum, so the kernel is bit-identical to fixed blocks
+    tails = []
+    tail = oscillator._bessel_series_tail
+
+    def counted_tail(*args):
+        tails.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(oscillator, "_bessel_series_tail", counted_tail)
+    a = E300.a
+    for model in (gold_drude(), gold_plasma(), IdealMetal()):
+        for zeta in (0.0, _ZETA1, 20.0, 200.0):
+            v, _ = _grid_from(zeta)
+            r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, a)
+            for beta in (0.1, 0.5, 0.99):
+                for rel_tol in (QuadratureSpec().rel_tol, 1e-13):
+                    got = oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta,
+                                                       rel_tol)
+                    ref = _kernel_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol)
+                    assert np.array_equal(got, ref), (model, zeta, beta)
+    # at zeta = 0 (r_TM = 1) the smallest v nodes run to _NL_CAP, so the
+    # Euler-Maclaurin tail is compared too
+    assert tails
+
+
+def test_nonlinear_kernel_first_block_sized_to_slowest_node(monkeypatch):
+    # count elements, not time: past the first block every node here has
+    # stopped, so the work is at most ceil(_NL_DECAY / lam_min) per node
+    elements = []
+    i1e = oscillator.bessel_i1_scaled
+
+    def counted_i1e(x):
+        elements.append(np.size(x))
+        return i1e(x)
+
+    monkeypatch.setattr(oscillator, "bessel_i1_scaled", counted_i1e)
+    zeta, beta, model = 20.0, 0.5, gold_drude()
+    v, _ = _grid_from(zeta)
+    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, E300.a)
+    oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta, QuadratureSpec().rel_tol)
+    limit = full_blocks = 0
+    for r2 in (r_tm2, r_te2):
+        mask = r2 > 0.0
+        lam = v[mask] * (1.0 - beta) - np.log(r2[mask])
+        limit += int(mask.sum()) * math.ceil(oscillator._NL_DECAY / lam.min())
+        full_blocks += int(mask.sum()) * oscillator._NL_BLOCK
+    assert 0 < sum(elements) <= limit < full_blocks
