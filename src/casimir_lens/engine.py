@@ -43,8 +43,10 @@ class QuadratureSpec:
     rel_tol/10 of the running sum) and the end of the Euler-Maclaurin
     remainder that completes a sum still running after the explicit
     block; the fixed Gauss panels are converged to ~1e-13 by construction,
-    comfortably beyond the 1e-8 default.  l_max caps the term evaluations,
-    the remainder's included.  The v-integral is not a knob: it runs over
+    comfortably beyond the 1e-8 default.  l_max caps the term evaluations:
+    the remainder's, and those past the stop (terms are evaluated in
+    stacks of up to _CHUNK frequencies, so the stack holding the stop can
+    run past it), are included.  The v-integral is not a knob: it runs over
     the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES), which is also
     the width of the remainder's first window.  The force and gradient
     integrands carry e^-v, so 80 leaves a ~1e-35 cutoff error there.  The
@@ -108,23 +110,26 @@ def _outer_panels(span: float, nodes: tuple):
     return v, w
 
 
-def _grid_from(zeta: float, span: float = _PANEL_EDGES[-1],
-               nodes=_PANEL_NODES):
+def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES):
     """Gauss nodes and weights covering [zeta, zeta + span].
 
     The first panel is mapped through v = w^2 so that the half-integer
     powers the polylog kernels develop at small v are integrated exactly;
     it is the only panel built per call, the others are _outer_panels
-    shifted by zeta.  nodes gives the Gauss order of each panel.  The
-    arrays returned are new on every call.
+    shifted by zeta.  nodes gives the Gauss order of each panel.  zeta is
+    a float, giving 1-D arrays, or a 1-D array, giving one row per zeta;
+    a row holds the same floats a lone zeta would.  The arrays returned
+    are new on every call.
     """
     v_out, w_out = _outer_panels(span, nodes)
     x, w = _leggauss(nodes[0])
-    t0 = math.sqrt(zeta)
-    t1 = math.sqrt(zeta + _PANEL_EDGES[1] * (span / _PANEL_EDGES[-1]))
+    z = np.asarray(zeta, dtype=float)[..., None]
+    t0 = np.sqrt(z)
+    t1 = np.sqrt(z + _PANEL_EDGES[1] * (span / _PANEL_EDGES[-1]))
     t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
-    return (np.concatenate((t * t, zeta + v_out)),
-            np.concatenate((w * (t1 - t0) * t, w_out)))
+    w_out = np.broadcast_to(w_out, z.shape[:-1] + w_out.shape)
+    return (np.concatenate((t * t, z + v_out), axis=-1),
+            np.concatenate((w * (t1 - t0) * t, w_out), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,49 +146,83 @@ def _gradient_kernel(v, r_tm2, r_te2):
 
 
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-Term = Callable[[float], float]
+Term = Callable[[np.ndarray], np.ndarray]
+
+# Frequencies per term call: 19 rows of 152 v nodes keep the polylog's
+# 40-power table under 2^17 elements (1 MB).
+_CHUNK = 19
 
 
-def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta: float,
-                        a: float) -> float:
-    """One term of the Matsubara sum: the v-integral at fixed zeta."""
+def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
+                        a: float):
+    """The v-integral at fixed zeta: one Matsubara term per frequency.
+
+    zeta is a float or a 1-D array.  For an array, one call of
+    reflection_sq_grid and of the kernel covers the whole (zeta, v) grid,
+    a row per frequency, and each row is then summed on its own, as a
+    lone frequency is.
+    """
+    zeta = np.asarray(zeta, dtype=float)
     v, w = _grid_from(zeta)
-    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, a)
-    return float(np.sum(w * kernel(v, r_tm2, r_te2)))
+    r_tm2, r_te2 = reflection_sq_grid(model, zeta[..., None], v, a)
+    return np.sum(w * kernel(v, r_tm2, r_te2), axis=-1)
+
+
+def _evaluate(term: Term, zeta: np.ndarray) -> np.ndarray:
+    """term at every frequency of zeta, _CHUNK frequencies per call."""
+    return np.concatenate([term(zeta[i:i + _CHUNK])
+                           for i in range(0, zeta.size, _CHUNK)])
+
+
+def _ascending(term: Term, zeta1: float, last: int, chunk: int):
+    """(l, term(l zeta_1)) for l = 1 ... last, in ascending l.
+
+    The terms are evaluated chunk frequencies per call, a chunk when the
+    caller reads its first term, so a caller that stops early evaluates
+    at most chunk - 1 terms it does not use, and never one past last.
+    """
+    for first in range(1, last + 1, chunk):
+        l = np.arange(first, min(first + chunk, last + 1))
+        yield from zip(l.tolist(), term(l * zeta1).tolist())
 
 
 _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
 
 
-def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec):
+def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
+                   chunk: int = _CHUNK):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
-    shift and the oracles differ only in the per-frequency callable.
-    Returns (sum, terms_used, tail_estimate).  Terms are accumulated in
-    ascending l so results are bit-reproducible; the sum stops after
-    _STOP_STREAK consecutive terms each contribute less than rel_tol/10,
-    and its tail is estimated as a geometric series.  That series' ratio
-    is the last observed one, raised to at least e^-zeta_1 and capped at
-    0.97: the terms fall like e^{-zeta_l} times a power of l, so after a
-    dip their ratio rises back toward e^-zeta_1, and the last ratio alone
-    undershoots.
+    shift and the oracles differ only in the per-frequency callable, which
+    takes an array of frequencies and returns one term per frequency.
+    Returns (sum, terms_used, tail_estimate).  The l = 0 term is evaluated
+    alone, the terms l >= 1 chunk frequencies per call in ascending l;
+    the sum reads them one by one, in ascending l, so results are
+    bit-reproducible and a term evaluated past the stop never enters it.
+    The sum stops after _STOP_STREAK consecutive terms each contribute less
+    than rel_tol/10, and its tail is estimated as a geometric series.
+    That series' ratio is the last observed one, raised to at least
+    e^-zeta_1 and capped at 0.97: the terms fall like e^{-zeta_l} times a
+    power of l, so after a dip their ratio rises back toward e^-zeta_1,
+    and the last ratio alone undershoots.
     A sum still running after the block l <= _EM_BLOCK (low temperature,
     or a slowly decaying term) is completed by _em_remainder.  l_max caps
-    the term evaluations; ConvergenceError carries the partial sum if the
-    cap comes first.
+    the term evaluations, those past the stop included; ConvergenceError
+    carries the partial sum if the cap comes first.  terms_used counts the
+    terms summed.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-zeta1)  # the kernels' e^-v: the terms' asymptotic ratio
-    total = 0.5 * term(0.0)
+    total = 0.5 * float(term(np.zeros(1))[0])
     terms = 1
     streak = 0
     prev = math.inf
     tail = 0.0
     recent = deque(maxlen=7)
-    for l in range(1, min(quad.l_max, _EM_BLOCK) + 1):
-        value = term(l * zeta1)
+    last = min(quad.l_max, _EM_BLOCK)
+    for l, value in _ascending(term, zeta1, last, chunk):
         total += value
         terms += 1
         recent.append(value)
@@ -242,9 +281,10 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
         zc, wc = _grid_from(start, width, _COARSE_NODES)
         if terms + z.size + zc.size > quad.l_max + 1:
             raise _not_converged(quad, total)
-        f = [term(float(x)) for x in z]
+        both = _evaluate(term, np.concatenate((z, zc)))
+        f, fc = both[:z.size].tolist(), both[z.size:].tolist()
         fine = float(sum(wx * fx for wx, fx in zip(w, f))) / h
-        coarse = float(sum(wx * term(float(x)) for x, wx in zip(zc, wc))) / h
+        coarse = float(sum(wx * fx for wx, fx in zip(wc, fc))) / h
         terms += z.size + zc.size
         total += fine
         quad_err += abs(fine - coarse)
@@ -262,8 +302,8 @@ def _zeta_integral(term: Term):
     """
     z_nodes, z_weights = _grid_from(0.0)
     total = 0.0
-    for z, wz in zip(z_nodes, z_weights):
-        total += wz * term(float(z))
+    for wz, value in zip(z_weights, _evaluate(term, z_nodes)):
+        total += wz * value
     return total, len(z_nodes)
 
 
@@ -297,7 +337,7 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     """
     a = env.a
 
-    def term(zeta: float) -> float:
+    def term(zeta: np.ndarray) -> np.ndarray:
         return _frequency_integral(kernel, model, zeta, a)
 
     shape = shape_factor(geom)
@@ -552,7 +592,8 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
     """Matsubara sum of _oracle_term: the oracles' one frequency loop.
 
     Each Matsubara term is one v x sigma grid (_oracle_term); the terms go
-    through _matsubara_sum like the production formulas'.  Returns (sum,
+    through _matsubara_sum like the production formulas', one frequency
+    per call, so no term is evaluated past the stop.  Returns (sum,
     terms_used, tail_estimate): the tail estimate is the Matsubara loop's
     plus the order-series remainders left out in every term evaluated.
     """
@@ -560,13 +601,16 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
         raise ValueError("the oracle is defined for T > 0")
     order_tail = 0.0
 
-    def v_integral(zeta: float) -> float:
+    def v_integral(zeta: np.ndarray) -> np.ndarray:
         nonlocal order_tail
-        term, order_tail = _oracle_term(model, zeta, env.a, chord, u2_max,
-                                        quad.rel_tol, order_tail)
-        return term
+        terms = []
+        for z in zeta.tolist():
+            term, order_tail = _oracle_term(model, z, env.a, chord, u2_max,
+                                            quad.rel_tol, order_tail)
+            terms.append(term)
+        return np.array(terms)
 
-    total, terms, tail = _matsubara_sum(v_integral, env, quad)
+    total, terms, tail = _matsubara_sum(v_integral, env, quad, chunk=1)
     return total, terms, tail + order_tail
 
 

@@ -126,26 +126,32 @@ def gold_plasma() -> Plasma:
     return Plasma(omega_p=ev_to_rad_per_s(GOLD_PLASMA_EV))
 
 
-def epsilon_at_imaginary(model: PermittivityModel, xi: float) -> float:
+def epsilon_at_imaginary(model: PermittivityModel, xi):
     """Permittivity eps(i xi) for xi > 0; IdealMetal returns +inf.
 
-    Tabulated models raise on queries outside their grid rather than
-    extrapolating silently.
+    xi is a float or an array; an array gives an array of the same shape,
+    each element equal to the float call's result.  Tabulated models raise
+    on queries outside their grid rather than extrapolating silently,
+    naming the smallest such xi.
     """
-    if not xi > 0.0:
+    if not np.all(np.asarray(xi) > 0.0):
         raise ValueError("xi must be positive; zero frequency has dedicated branches")
     if isinstance(model, IdealMetal):
-        return math.inf
+        return math.inf if np.ndim(xi) == 0 else np.full(np.shape(xi), math.inf)
     if isinstance(model, Plasma):
-        return 1.0 + (model.omega_p / xi) ** 2
+        ratio = model.omega_p / xi
+        return 1.0 + ratio * ratio
     if isinstance(model, Drude):
         return 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
     if isinstance(model, Tabulated):
-        if xi < model.xi_grid[0] or xi > model.xi_grid[-1]:
+        lo, hi = model.xi_grid[0], model.xi_grid[-1]
+        outside = (xi < lo) | (xi > hi)
+        if np.any(outside):
             raise ValueError(
-                f"xi = {xi:.6g} outside the tabulated range "
-                f"[{model.xi_grid[0]:.6g}, {model.xi_grid[-1]:.6g}]")
-        return float(np.exp(np.interp(math.log(xi), model._log_xi, model._log_eps)))
+                f"xi = {np.min(np.asarray(xi)[outside]):.6g} outside the "
+                f"tabulated range [{lo:.6g}, {hi:.6g}]")
+        eps = np.exp(np.interp(np.log(xi), model._log_xi, model._log_eps))
+        return float(eps) if np.ndim(xi) == 0 else eps
     raise TypeError(f"unknown permittivity model {model!r}")
 
 
@@ -195,13 +201,19 @@ def reflection_coefficients(model: PermittivityModel, zeta: float, v: float,
 # the one formula, vectorized over v
 
 
-def _reflection_grid(model: PermittivityModel, zeta: float, v: np.ndarray,
+def _reflection_grid(model: PermittivityModel, zeta, v: np.ndarray,
                      a: float):
-    """(r_TM, r_TE) over an array of v values at fixed zeta >= 0."""
+    """(r_TM, r_TE) over an array of v values at zeta >= 0.
+
+    zeta is a float, or an array broadcasting against v that gives each
+    row of v its own frequency (a column, shape (m, 1), for m rows).  A
+    zeta of zero takes the model's zero-frequency branch, so one call
+    holds zero frequency alone or positive frequencies only.
+    """
     if isinstance(model, IdealMetal):
         one = np.ones_like(v)
         return one, -one
-    if zeta == 0.0:
+    if not np.any(zeta):
         if isinstance(model, Drude):
             return np.ones_like(v), np.zeros_like(v)
         if isinstance(model, Plasma):
@@ -216,8 +228,11 @@ def _reflection_grid(model: PermittivityModel, zeta: float, v: np.ndarray,
     return (eps * v - root) / (eps * v + root), (v - root) / (v + root)
 
 
-def reflection_sq_grid(model: PermittivityModel, zeta: float, v: np.ndarray,
+def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
                        a: float):
-    """(r_TM^2, r_TE^2) over an array of v values at fixed zeta >= 0."""
+    """(r_TM^2, r_TE^2) over an array of v values at zeta >= 0.
+
+    zeta is a float or one frequency per row of v, as in _reflection_grid.
+    """
     r_tm, r_te = _reflection_grid(model, zeta, v, a)
     return r_tm * r_tm, r_te * r_te

@@ -84,6 +84,7 @@ def _check_amplitude(env: Environment, osc: OscillatorParams) -> None:
 _NL_BLOCK = 64
 _NL_CAP = 8192
 _NL_DECAY = 41.5  # e^{-41.5} ~ 1e-18: where the first block's powers stop
+_NL_ELEMENTS = 2 ** 14  # n x nodes elements per block call (128 kB arrays)
 _LAGUERRE_NODES = 48
 
 
@@ -112,18 +113,62 @@ def _bessel_series_tail(mu: float, q: float, n_from: float) -> float:
     return float(np.sum(wy * vals)) * math.exp(-lam * x0) / lam
 
 
+def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
+                   size: int, rel_tol: float) -> np.ndarray:
+    """sum_n n^{-1/2} e^{-mu n} I_1(q n) per node, the first block size long.
+
+    The powers are summed in blocks over the nodes still open, each block
+    split over as few calls as keep its n x nodes arrays within
+    _NL_ELEMENTS; blocks after the first hold _NL_BLOCK powers.  A node
+    still open at _NL_CAP gets the Euler-Maclaurin tail.
+    """
+    acc = np.zeros_like(mu)
+    active = np.ones(mu.shape, dtype=bool)
+    n0 = 0
+    while n0 < _NL_CAP and np.any(active):
+        n = np.arange(n0 + 1, n0 + size + 1, dtype=float)
+        idx = np.flatnonzero(active)
+        last = np.empty(idx.size)
+        calls = -(-idx.size * size // _NL_ELEMENTS)
+        for part in np.array_split(np.arange(idx.size), calls):
+            cols = idx[part]
+            block = bessel_i1_scaled(np.outer(n, q[cols]))
+            block *= n[:, None] ** -0.5
+            decay = np.outer(n, -lam[cols])
+            block *= np.exp(decay, out=decay)
+            acc[cols] += block.sum(axis=0)
+            last[part] = block[-1]
+        n0 += size
+        size = _NL_BLOCK
+        # geometric bound on the remainder: term ratio is at most
+        # e^{-lam} (1 + 1/(2 n)), the algebraic factor covering the rise
+        # of e^{-x} I_1(x) against n^{-1/2} while beta n v is small
+        rho = np.exp(-lam[idx]) * (1.0 + 0.5 / n0)
+        rho = np.minimum(rho, 0.999999)
+        bound = last * rho / (1.0 - rho)
+        still = bound >= rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
+        active[idx] = still
+    for i in np.flatnonzero(active):
+        acc[i] += _bessel_series_tail(float(mu[i]), float(q[i]),
+                                      float(_NL_CAP + 1))
+    return acc
+
+
 def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
                       beta: float, rel_tol: float) -> np.ndarray:
     """v^{3/2} sum_n n^{-1/2} (r_TM^{2n} + r_TE^{2n}) e^{-nv} I_1(beta n v).
 
-    The powers are summed in blocks over the nodes still open.  The first
-    block of each polarization holds ceil(_NL_DECAY / lam) powers for the
-    node with the smallest lam, at most _NL_BLOCK; later blocks hold
-    _NL_BLOCK.  Every power the short block leaves out is below
-    e^{-41.5} sqrt(64) ~ 8e-18 of the node's first term, under half an ulp
-    of its partial sum, so a full first block would have added exactly 0.0
-    to it, and the stop bound after the short block (~1e-18 relative)
-    stops every node a full one did.
+    v may hold one v-grid or a stack of them, a row per frequency.  A
+    node's series needs ceil(_NL_DECAY / lam) powers, at most _NL_BLOCK,
+    in its first block.  The nodes whose counts share a power-of-2 ceiling
+    are summed together (_bessel_series), with the largest of their counts
+    as the first block, so a stack merges the block calls of its
+    frequencies without making fast nodes pay the slowest node's count.
+    Every power a short block leaves out is below e^{-41.5} sqrt(64) ~
+    8e-18 of the node's first term, under half an ulp of its partial sum,
+    so a full first block would have added exactly 0.0 to it, and the stop
+    bound after the short block (~1e-18 relative) stops every node a full
+    one did.
     """
     out = np.zeros_like(v)
     for r2 in (r_tm2, r_te2):
@@ -134,32 +179,13 @@ def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
         mu = vv - np.log(r2[mask])  # e^{-mu n} absorbs r^{2n} e^{-nv}
         q = beta * vv
         lam = mu - q
-        acc = np.zeros_like(vv)
-        active = np.ones(vv.shape, dtype=bool)
-        n0 = 0
-        size = min(_NL_BLOCK, math.ceil(_NL_DECAY / lam.min()))
-        while n0 < _NL_CAP and np.any(active):
-            n = np.arange(n0 + 1, n0 + size + 1, dtype=float)
-            idx = np.where(active)[0]
-            nv = np.outer(n, q[idx])
-            block = (n[:, None] ** -0.5 * bessel_i1_scaled(nv)
-                     * np.exp(-np.outer(n, lam[idx])))
-            acc[idx] += block.sum(axis=0)
-            n0 += size
-            size = _NL_BLOCK
-            # geometric bound on the remainder: term ratio is at most
-            # e^{-lam} (1 + 1/(2 n)), the algebraic factor covering the rise
-            # of e^{-x} I_1(x) against n^{-1/2} while beta n v is small
-            last = block[-1]
-            rho = np.exp(-lam[idx]) * (1.0 + 0.5 / n0)
-            rho = np.minimum(rho, 0.999999)
-            bound = last * rho / (1.0 - rho)
-            still = bound >= rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
-            active[idx] = still
-        if np.any(active):
-            for i in np.where(active)[0]:
-                acc[i] += _bessel_series_tail(float(mu[i]), float(q[i]),
-                                              float(_NL_CAP + 1))
+        count = np.minimum(np.ceil(_NL_DECAY / lam), _NL_BLOCK)
+        group = np.ceil(np.log2(count))
+        acc = np.empty_like(vv)
+        for g in np.unique(group):
+            sel = group == g
+            acc[sel] = _bessel_series(mu[sel], q[sel], lam[sel],
+                                      int(count[sel].max()), rel_tol)
         out[mask] += acc
     return v ** 1.5 * out
 

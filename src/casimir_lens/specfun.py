@@ -164,6 +164,8 @@ def bessel_i1(z: float) -> float:
 _WOOD_TERMS = 24     # powers of mu kept in Wood's series (mu < 1)
 _DIRECT_DECAY = 39.2  # e^{-39.2} ~ 1e-17: where the explicit powers stop
 _DIRECT_MAX = math.ceil(_DIRECT_DECAY)  # the term count at mu = 1
+# the term counts a node of the explicit series can take
+_DIRECT_COUNTS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _DIRECT_MAX])
 
 
 @lru_cache(maxsize=None)
@@ -183,9 +185,19 @@ def _polylog_coefficients(s: float):
     return math.gamma(1.0 - s), wood, direct
 
 
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """Rows x, x^2, ..., x^n as cumulative products."""
-    return np.cumprod(np.broadcast_to(x, (n, x.size)), axis=0)
+def _series(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^(k+1) for each element of x, as one matrix product.
+
+    x is padded with zeros to a multiple of 4 nodes: BLAS computes the
+    nodes past the last whole group of 4 on a path that rounds
+    differently, so unpadded, a node's value would depend on how many
+    nodes share the call.
+    """
+    k = x.size
+    powers = np.zeros((coef.size, -(-k // 4) * 4))
+    powers[:, :k] = x
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    return (coef @ powers)[:k]
 
 
 def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
@@ -198,9 +210,11 @@ def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
       Kent TR 15-92, 1992), Li_s(e^-mu) = Gamma(1-s) mu^{s-1}
       + sum_k zeta(s-k) (-mu)^k / k!, cut after 24 terms; it converges
       like (mu / 2 pi)^k, so the cut is below 1e-19 at mu = 1.
-    - mu >= 1: sum_{n<=N} x^n n^{-s} with x = r2 e^-v, N =
-      ceil(39.2 / min mu) <= 40, so the first term left out is below
-      e^{-39.2} of the first one kept.
+    - mu >= 1: sum_{n<=N} x^n n^{-s} with x = r2 e^-v, where each node
+      takes its own N: ceil(39.2 / mu) rounded up to one of
+      _DIRECT_COUNTS (1, 2, 4, ..., 32, 40).  The first term left out is
+      below e^{-39.2} of the first one kept, and a node's value does not
+      depend on the other nodes in the call.
 
     Both agree with 40-digit mpmath values to ~1e-15 relative for
     s = +-1/2.
@@ -223,9 +237,16 @@ def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
     if near.any():
         m = mu[near]
         value[near] = (gamma * m ** (s - 1.0) + wood[0]
-                       + wood[1:] @ _powers(m, _WOOD_TERMS - 1))
+                       + _series(wood[1:], m))
     if far.any():
-        n = math.ceil(_DIRECT_DECAY / mu[far].min())
-        value[far] = direct[:n] @ _powers(r2[far] * np.exp(-v[far]), n)
+        x = r2[far] * np.exp(-v[far])
+        # each node takes the first count that covers its own ceil(39.2 / mu)
+        count = _DIRECT_COUNTS[np.searchsorted(
+            _DIRECT_COUNTS, np.ceil(_DIRECT_DECAY / mu[far]))]
+        out_far = np.empty_like(x)
+        for n in np.unique(count):
+            sel = count == n
+            out_far[sel] = _series(direct[:int(n)], x[sel])
+        value[far] = out_far
     out[pos] = value
     return out

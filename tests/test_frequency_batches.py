@@ -1,0 +1,208 @@
+"""Frequency terms evaluated in stacked (zeta, v) batches.
+
+The engine evaluates the v-integral of many frequencies in one call.  These
+tests hold it to the term-at-a-time evaluation bit for bit: every term, every
+Matsubara sum with its term count and tail, and every partial sum a capped
+loop reports.  They also count the calls a force makes, so a change that
+falls back to one frequency per call shows up without timing anything.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from casimir_lens import engine, oscillator
+from casimir_lens.constants import CONSTANTS
+from casimir_lens.engine import (_CHUNK, QuadratureSpec, _evaluate,
+                                 _force_kernel, _frequency_integral,
+                                 _gradient_kernel, _grid_from, _matsubara_sum,
+                                 direct_pfa_force_oracle, force)
+from casimir_lens.geometry import Environment, symmetric_lens
+from casimir_lens.materials import (IdealMetal, Tabulated, gold_drude,
+                                    gold_plasma, reflection_sq_grid)
+from casimir_lens.specfun import ConvergenceError
+
+LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
+A = 200e-9
+_XI = np.geomspace(1.0e7, 1.0e18, 12)
+MODELS = {
+    "ideal": IdealMetal(),
+    "drude": gold_drude(),
+    "plasma": gold_plasma(),
+    "tabulated": Tabulated(_XI, 1.0 + 1.0e32 / (_XI * (_XI + 5.0e13))),
+}
+
+
+def _shift_kernel(v, r_tm2, r_te2):
+    return oscillator._nonlinear_kernel(v, r_tm2, r_te2, 0.5,
+                                        QuadratureSpec().rel_tol)
+
+
+KERNELS = {"force": _force_kernel, "gradient": _gradient_kernel,
+           "shift": _shift_kernel}
+
+
+def _zeta1(T, a=A):
+    return 4.0 * math.pi * a * CONSTANTS.kB * T / (CONSTANTS.hbar * CONSTANTS.c)
+
+
+def _lone_term(kernel, model, zeta, a=A):
+    """One frequency on its own 1-D grid, summed as the engine sums a row."""
+    v, w = _grid_from(zeta)
+    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, a)
+    return float(np.sum(w * kernel(v, r_tm2, r_te2)))
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+def test_batched_terms_equal_lone_terms(model, kernel):
+    def term(zeta):
+        return _frequency_integral(kernel, model, zeta, A)
+
+    zero = term(np.zeros(1))
+    assert zero.tolist() == [_lone_term(kernel, model, 0.0)]
+    matsubara = _zeta1(300.0) * np.arange(1, _CHUNK + 1)
+    t0_nodes = _grid_from(0.0)[0]
+    for zeta in (matsubara, t0_nodes):
+        batched = _evaluate(term, zeta)
+        lone = [_lone_term(kernel, model, float(z)) for z in zeta]
+        assert batched.tolist() == lone
+
+
+def _sum_term_at_a_time(term1, zeta1, quad):
+    """The explicit block of the Matsubara loop, one evaluation per term."""
+    total = 0.5 * term1(0.0)
+    terms, streak, prev = 1, 0, math.inf
+    for l in range(1, min(quad.l_max, engine._EM_BLOCK) + 1):
+        value = term1(l * zeta1)
+        total += value
+        terms += 1
+        if abs(value) < quad.rel_tol / 10.0 * abs(total):
+            streak += 1
+            if streak >= engine._STOP_STREAK:
+                ratio = (min(max(abs(value) / prev, math.exp(-zeta1)), 0.97)
+                         if prev > 0.0 else 0.0)
+                return total, terms, abs(value) * ratio / (1.0 - ratio)
+        else:
+            streak = 0
+        prev = abs(value) if value != 0.0 else prev
+    raise ConvergenceError("capped", partial=total)
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+@pytest.mark.parametrize("model", ["drude", "plasma"])
+@pytest.mark.parametrize("a", [150e-9, 1e-6])
+def test_matsubara_sum_equals_term_at_a_time(model, kernel, a):
+    model = MODELS[model]
+    env = Environment(a=a, T=300.0)
+    quad = QuadratureSpec()
+    evaluated = []
+
+    def term(zeta):
+        evaluated.extend(zeta.tolist())
+        return _frequency_integral(kernel, model, zeta, a)
+
+    got = _matsubara_sum(term, env, quad)
+    ref = _sum_term_at_a_time(
+        lambda z: _lone_term(kernel, model, z, a), _zeta1(300.0, a), quad)
+    assert got == ref
+    # the chunk past the stop is evaluated but never summed
+    assert got[1] <= len(evaluated) < got[1] + _CHUNK
+
+
+def test_low_temperature_sum_equals_lone_terms_in_the_remainder():
+    # at 3 K the loop runs past the explicit block into the Euler-Maclaurin
+    # windows; batching there must give the same sum, count and tail
+    model, env, quad = MODELS["drude"], Environment(a=A, T=3.0), QuadratureSpec()
+    calls = []
+
+    def lone(zeta):
+        calls.append(zeta.size)
+        return np.array([_lone_term(_force_kernel, model, float(z))
+                         for z in zeta])
+
+    def batched(zeta):
+        return _frequency_integral(_force_kernel, model, zeta, A)
+
+    got = _matsubara_sum(batched, env, quad)
+    ref = _matsubara_sum(lone, env, quad, chunk=1)
+    assert got == ref
+    assert got[1] > engine._EM_BLOCK + 1
+    assert sum(calls) == ref[1]
+
+
+@pytest.mark.parametrize("l_max", [5, 40, 300])
+def test_capped_sum_raises_with_the_term_at_a_time_partial(l_max):
+    model, env = MODELS["drude"], Environment(a=A, T=3.0)
+    quad = QuadratureSpec(l_max=l_max)
+    evaluated = []
+
+    def term(zeta):
+        evaluated.extend(zeta.tolist())
+        return _frequency_integral(_force_kernel, model, zeta, A)
+
+    def lone(zeta):
+        return np.array([_lone_term(_force_kernel, model, float(z))
+                         for z in zeta])
+
+    with pytest.raises(ConvergenceError) as got:
+        _matsubara_sum(term, env, quad)
+    with pytest.raises(ConvergenceError) as ref:
+        _matsubara_sum(lone, env, quad, chunk=1)
+    assert got.value.partial == ref.value.partial
+    assert str(got.value) == str(ref.value)
+    # l_max caps the evaluations, the speculative ones included
+    assert len(evaluated) <= l_max + 1
+    if l_max < engine._EM_BLOCK:
+        with pytest.raises(ConvergenceError) as own:
+            _sum_term_at_a_time(
+                lambda z: _lone_term(_force_kernel, model, z), _zeta1(3.0),
+                quad)
+        assert got.value.partial == own.value.partial
+
+
+def test_oracle_evaluates_only_the_terms_it_sums(monkeypatch):
+    calls = []
+    oracle_term = engine._oracle_term
+
+    def counted(*args):
+        calls.append(args[1])
+        return oracle_term(*args)
+
+    monkeypatch.setattr(engine, "_oracle_term", counted)
+    res = direct_pfa_force_oracle(LENS, Environment(a=1e-6, T=300.0),
+                                  gold_drude())
+    assert len(calls) == res.terms_used
+    assert calls == sorted(calls)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(engine, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("T", [0.0, 300.0])
+def test_force_call_counts(monkeypatch, T):
+    # counts, not times: a term evaluated one frequency per call would make
+    # 2 polylog calls per term (304 at T = 0) instead of 2 per chunk
+    polylog = _count_calls(monkeypatch, "polylog_exp_grid")
+    reflection = _count_calls(monkeypatch, "reflection_sq_grid")
+    res = force(LENS, Environment(a=A, T=T), gold_drude())
+    if T == 0.0:
+        assert res.terms_used == 152
+        calls = math.ceil(152 / _CHUNK)
+    else:
+        assert res.terms_used == 63
+        calls = 1 + math.ceil((res.terms_used - 1) / _CHUNK)  # l = 0 alone
+    assert len(reflection) == calls
+    assert len(polylog) == 2 * calls
+    if T == 0.0:
+        assert len(polylog) <= 2 * math.ceil(152 / _CHUNK) < 304

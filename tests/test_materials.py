@@ -154,6 +154,36 @@ def test_tabulated_range_enforced(tmp_path):
         epsilon_at_imaginary(model, 1.0e17)
 
 
+def test_epsilon_array_path_matches_scalar_path():
+    # the engine asks for eps(i xi) of a whole stack of frequencies at once;
+    # every element must be the float call's value, bit for bit
+    xi_grid = np.geomspace(1.0e11, 1.0e18, 9)
+    table = Tabulated(xi_grid, 1.0 + 1.0e32 / (xi_grid * (xi_grid + 5.0e13)))
+    xi = np.geomspace(1.0e11, 1.0e18, 2001)
+    for model in (IdealMetal(), gold_drude(), gold_plasma(), table):
+        array = epsilon_at_imaginary(model, xi)
+        scalar = np.array([epsilon_at_imaginary(model, float(x)) for x in xi])
+        assert array.shape == xi.shape
+        assert np.array_equal(array, scalar), model
+        column = epsilon_at_imaginary(model, xi[:, None])
+        assert np.array_equal(column[:, 0], scalar), model
+
+
+def test_tabulated_array_out_of_range_names_smallest_xi(tmp_path):
+    path = tmp_path / "eps.dat"
+    path.write_text(GOOD_TABLE)
+    model = Tabulated.from_file(str(path))
+    inside = np.array([2.0e13, 3.0e14])
+    assert np.all(epsilon_at_imaginary(model, inside) > 1.0)
+    with pytest.raises(ValueError, match=r"xi = 2e\+12 outside the tabulated "
+                       r"range \[1e\+13, 1e\+16\]"):
+        epsilon_at_imaginary(model, np.array([2.0e14, 5.0e12, 2.0e12, 3.0e16]))
+    with pytest.raises(ValueError, match=r"xi = 3e\+16 outside"):
+        epsilon_at_imaginary(model, np.array([2.0e14, 3.0e16, 4.0e16]))
+    with pytest.raises(ValueError, match="xi must be positive"):
+        epsilon_at_imaginary(model, np.array([2.0e14, 0.0]))
+
+
 def test_tabulated_malformed_line_reports_number(tmp_path):
     path = tmp_path / "eps.dat"
     path.write_text("1.0e13 5000.0\nnot-a-number 3.0\n")
