@@ -15,7 +15,7 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
 from .materials import (Drude, IdealMetal, PermittivityModel, Plasma,
                         Tabulated, epsilon_at_imaginary, gold_drude,
                         gold_plasma, reflection_coefficients)
-from .specfun import ConvergenceError, SeriesControl, bessel_i1, polylog
+from .specfun import ConvergenceError
 from .engine import (DEFAULT_QUADRATURE, ForceResult, QuadratureSpec,
                      casimir_force, casimir_gradient,
                      direct_pfa_force_oracle, force, gradient,
@@ -43,7 +43,7 @@ __all__ = [
     "IdealMetal", "Plasma", "Drude", "Tabulated", "PermittivityModel",
     "gold_drude", "gold_plasma", "epsilon_at_imaginary",
     "reflection_coefficients",
-    "ConvergenceError", "SeriesControl", "polylog", "bessel_i1",
+    "ConvergenceError",
     "QuadratureSpec", "DEFAULT_QUADRATURE", "ForceResult", "RotationFactor",
     "force", "gradient", "casimir_force", "casimir_gradient",
     "zero_temperature_force", "zero_temperature_gradient",

@@ -353,8 +353,6 @@ def _check_consistency(cfg: RunConfig) -> None:
         if var == "Az" and cfg.environment is not None \
                 and cfg.sweep.stop >= cfg.environment.a:
             raise ConfigError("Az sweep extends to or beyond the separation a")
-        if var == "a" and cfg.sweep.start <= 0.0:
-            raise ConfigError("separations must stay positive")
     if cmd == "freq-shift":
         # an Az sweep past a was rejected above with its own message
         az_hi = visited_range(cfg, "Az", cfg.oscillator.Az)[1]

@@ -288,6 +288,8 @@ Az = 250e-9
              "count = 4\n", r"\[sweep\] phi must lie in \[0, pi/2\]"),
             (BASE + "\n[sweep]\nvariable = T\nstart = -10\nstop = 300\n"
              "count = 3\n", r"\[sweep\] temperature T cannot be negative"),
+            (BASE + "\n[sweep]\nvariable = a\nstart = -100e-9\nstop = 1e-6\n"
+             "count = 3\n", r"\[sweep\] separation a must be positive"),
             (shift.replace("Az = 250e-9", "Az = 20e-9")
              + "\n[sweep]\nvariable = Az\nstart = -10e-9\nstop = 100e-9\n"
              "count = 3\n", r"\[sweep\] drive amplitude Az must be positive")):
