@@ -47,12 +47,14 @@ class QuadratureSpec:
     the remainder's, and those past the stop (terms are evaluated in
     stacks of up to _CHUNK frequencies, so the stack holding the stop can
     run past it), are included.  The v-integral is not a knob: it runs over
-    the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES), which is also
-    the width of the remainder's first window.  The force and gradient
-    integrands carry e^-v, so 80 leaves a ~1e-35 cutoff error there.  The
-    nonlinear shift's integrand decays only like e^{-(1 - Az/a) v}, so the
-    window truncates it as Az -> a: at 300 K, 200 nm and Az/a = 0.99 the
-    shift is -743.4 with the window of 80 and -2627.9 with one of 320.
+    the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES).  The force and
+    gradient integrands carry e^-v, so 80 leaves a ~1e-35 cutoff error
+    there.  The nonlinear shift's integrand decays only like
+    e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at 300 K,
+    200 nm and Az/a = 0.99 the shift is -743.4 with the window of 80 and
+    -2627.9 with one of 320.  The remainder's first window does follow
+    the kernel: it is 80 / rate wide, with rate 1 for the force and the
+    gradient and 1 - Az/a for the shift.
     """
 
     rel_tol: float = 1e-8
@@ -191,7 +193,7 @@ _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
-                   chunk: int = _CHUNK):
+                   chunk: int = _CHUNK, rate: float = 1.0):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
@@ -203,10 +205,12 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     bit-reproducible and a term evaluated past the stop never enters it.
     The sum stops after _STOP_STREAK consecutive terms each contribute less
     than rel_tol/10, and its tail is estimated as a geometric series.
-    That series' ratio is the last observed one, raised to at least
-    e^-zeta_1 and capped at 0.97: the terms fall like e^{-zeta_l} times a
-    power of l, so after a dip their ratio rises back toward e^-zeta_1,
-    and the last ratio alone undershoots.
+    rate is the kernel's decay rate in v: the terms fall like
+    e^{-rate zeta_l} times a power of l (rate 1 for the force and the
+    gradient, 1 - Az/a for the shift).  The series' ratio is the last
+    observed one, raised to at least e^{-rate zeta_1} and capped at 0.97:
+    after a dip the term ratio rises back toward e^{-rate zeta_1}, and the
+    last ratio alone undershoots.
     A sum still running after the block l <= _EM_BLOCK (low temperature,
     or a slowly decaying term) is completed by _em_remainder.  l_max caps
     the term evaluations, those past the stop included; ConvergenceError
@@ -214,7 +218,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     terms summed.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
-    decay = math.exp(-zeta1)  # the kernels' e^-v: the terms' asymptotic ratio
+    decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
     total = 0.5 * float(term(np.zeros(1))[0])
     terms = 1
     streak = 0
@@ -240,7 +244,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
         if quad.l_max < _EM_BLOCK:
             raise _not_converged(quad, total)
         return _em_remainder(term, zeta1, l * zeta1, list(recent), total,
-                             terms, quad)
+                             terms, quad, rate)
     return total, terms, tail
 
 
@@ -250,8 +254,21 @@ def _not_converged(quad: QuadratureSpec, partial: float) -> ConvergenceError:
         partial=partial)
 
 
+def _gregory(samples):
+    """h f' and h^3 f''' at the last of seven samples f(x - 6h) ... f(x).
+
+    Gregory's form: backward differences taken along axis 0, so samples
+    may be a list of seven floats or a (7, nodes) array.
+    """
+    nabla = [np.diff(samples, k, axis=0)[-1] for k in range(1, 7)]
+    d1 = sum(d / k for k, d in enumerate(nabla, start=1))
+    d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
+    return d1, d3
+
+
 def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
-                  total: float, terms: int, quad: QuadratureSpec):
+                  total: float, terms: int, quad: QuadratureSpec,
+                  rate: float = 1.0):
     """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
 
     The primed sum is the trapezoid rule for the zeta-integral, so by
@@ -261,21 +278,21 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
             + h^3 f'''(zeta_b)/720.
 
     h f' and h^3 f''' come from the backward differences of the last seven
-    samples f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
+    samples f(zeta_b - 6h) ... f(zeta_b) (_gregory), so they cost no
     evaluations.  The integral runs over contiguous windows from zeta_b,
-    80 wide (the v-window) and doubling, until the term at the end of a
-    window times the window's width falls below rel_tol/10 of the sum.  The returned
+    the first 80 / rate wide and each next one twice as wide, until the
+    term at the end of a window times the window's width falls below
+    rel_tol/10 of the sum; the terms fall like e^{-rate zeta}, so the
+    first window spans the same 80 e-foldings at every rate.  The returned
     tail estimate is measured: the last correction applied, the change
     when every window is redone at half the Gauss order, and that end-of-
     window cut.  Returns (sum, terms_used, tail_estimate).
     """
-    nabla = [float(np.diff(samples, k)[-1]) for k in range(1, 7)]
-    d1 = sum(d / k for k, d in enumerate(nabla, start=1))
-    d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
+    d1, d3 = (float(d) for d in _gregory(samples))
     last_correction = d3 / 720.0
     total += -0.5 * samples[-1] - d1 / 12.0 + last_correction
     quad_err = 0.0
-    start, width = zeta_b, _PANEL_EDGES[-1]
+    start, width = zeta_b, _PANEL_EDGES[-1] / rate
     while True:
         z, w = _grid_from(start, width)
         zc, wc = _grid_from(start, width, _COARSE_NODES)
@@ -320,20 +337,22 @@ def _scaled(prefactor: float, total: float, terms: int,
 
 
 def _finite_t(term: Term, prefactor: float, env: Environment,
-              quad: QuadratureSpec) -> ForceResult:
-    return _scaled(prefactor, *_matsubara_sum(term, env, quad))
+              quad: QuadratureSpec, rate: float = 1.0) -> ForceResult:
+    return _scaled(prefactor, *_matsubara_sum(term, env, quad, rate=rate))
 
 
 def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
               model: PermittivityModel, quad: QuadratureSpec,
-              derivative: bool = False) -> ForceResult:
+              derivative: bool = False, rate: float = 1.0) -> ForceResult:
     """A/sqrt(2aB) prefactor times the primed sum of the v-integral of kernel.
 
     The one evaluator of every Lifshitz-type quantity: force, gradient and
     nonlinear shift differ only in the per-v kernel (and derivative=True
     adds the gradient's extra -1/a).  Holds the only prefactor and the only
     T = 0 dispatch: at T = 0 the sum's kB T becomes hbar c / 4 pi a times
-    the continuous zeta-integral.
+    the continuous zeta-integral.  rate is the kernel's decay rate, the
+    kernel falling like e^{-rate v}; the Matsubara sum sizes its tail
+    ratio and its remainder's first window by it.
     """
     a = env.a
 
@@ -356,7 +375,7 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
         value = pref * total
         return ForceResult(value=value, est_abs_error=1e-10 * abs(value),
                            terms_used=nodes, mode="zeroT")
-    return _finite_t(term, pref, env, quad)
+    return _finite_t(term, pref, env, quad, rate)
 
 
 def force(geom: LensGeometry, env: Environment, model: PermittivityModel,

@@ -15,12 +15,11 @@ Bessel kernel linearizes and the shift reduces to -C dF/da.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _lifshitz,
-                     casimir_force, gradient)
+from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _gregory,
+                     _leggauss, _lifshitz, casimir_force, gradient)
 from .geometry import EllipticLens, Environment, LensGeometry, expect_variant
 from .materials import PermittivityModel
 from .specfun import ConvergenceError, bessel_i1_scaled
@@ -85,32 +84,36 @@ _NL_BLOCK = 64
 _NL_CAP = 8192
 _NL_DECAY = 41.5  # e^{-41.5} ~ 1e-18: where the first block's powers stop
 _NL_ELEMENTS = 2 ** 14  # n x nodes elements per block call (128 kB arrays)
-_LAGUERRE_NODES = 48
+_NL_AHEAD = 2  # further blocks a node may still sum before it is closed
+_TAIL_NODES = 64  # Gauss-Legendre order of the closing integral
+_TAIL_SPAN = 80.0  # the integral stops where e^{-lam (x - L)} = e^{-80}
 
 
-@lru_cache(maxsize=None)
-def _laguerre():
-    return np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+def _bessel_tail(lam: np.ndarray, q: np.ndarray, L: int,
+                 last: np.ndarray) -> np.ndarray:
+    """sum_{n > L} f(n), f(x) = x^{-1/2} e^{-lam x} i1e(q x), per node.
 
+    last holds f(L - 6) ... f(L), a row per power and a column per node.
+    By Euler-Maclaurin the sum is
 
-def _bessel_series_tail(mu: float, q: float, n_from: float) -> float:
-    """Euler-Maclaurin tail of sum_n n^{-1/2} e^{-mu n} I_1(q n) from n_from.
+        int_L^inf f - f(L)/2 - f'(L)/12 + f'''(L)/720,
 
-    Only exercised when the series is still unconverged at the n-cap, which
-    happens for the few smallest v nodes where mu - q is tiny.  The sum is
-    replaced by the midpoint integral int_{n_from - 1/2}^inf f(x) dx evaluated
-    with Gauss-Laguerre in the decaying variable; the midpoint rule's error
-    is O(f''/24), far below the contribution of these nodes to the total.
+    with f' and f''' from the backward differences of last (Gregory's
+    form, as the Matsubara remainder takes them), so the endpoint terms
+    cost no evaluations.  The integral is a 64-node Gauss-Legendre rule in
+    u = ln(x / L) over [0, ln(1 + 80 / (lam L))], which follows f from its
+    algebraic rise at q x << 1 to its e^{-lam x} fall, and all nodes go
+    through one bessel_i1_scaled call.  Each node's sum runs along its
+    own contiguous row, so its value does not depend on the other nodes.
     """
-    # e^{-mu x} I_1(q x) = e^{-lam x} [e^{-q x} I_1(q x)] with lam = mu - q > 0
-    # (Az < a keeps q = beta v < mu).  Substituting x = x0 + y/lam turns the
-    # integral into a Gauss-Laguerre sum over the slowly varying remainder.
-    lam = mu - q
-    x0 = n_from - 0.5
-    y, wy = _laguerre()
-    x = x0 + y / lam
-    vals = x ** (-0.5) * bessel_i1_scaled(q * x)
-    return float(np.sum(wy * vals)) * math.exp(-lam * x0) / lam
+    x, w = _leggauss(_TAIL_NODES)
+    span = np.log1p(_TAIL_SPAN / (lam * L))[:, None]
+    xs = L * np.exp(0.5 * span * (x + 1.0))
+    f = (bessel_i1_scaled(q[:, None] * xs) * np.sqrt(xs)
+         * np.exp(-lam[:, None] * xs))
+    integral = 0.5 * span[:, 0] * (f * w).sum(axis=-1)
+    d1, d3 = _gregory(last)
+    return integral - 0.5 * last[-1] - d1 / 12.0 + d3 / 720.0
 
 
 def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
@@ -119,16 +122,22 @@ def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
 
     The powers are summed in blocks over the nodes still open, each block
     split over as few calls as keep its n x nodes arrays within
-    _NL_ELEMENTS; blocks after the first hold _NL_BLOCK powers.  A node
-    still open at _NL_CAP gets the Euler-Maclaurin tail.
+    _NL_ELEMENTS; blocks after the first hold _NL_BLOCK powers.  After
+    each block a node stops once the geometric bound on its remainder is
+    below rel_tol/10 of its sum.  A node that has just summed a full
+    block, and whose bound says it would still be open after _NL_AHEAD
+    more, is closed instead: _bessel_tail adds its whole remainder from
+    the block's end.  So is a node still open at _NL_CAP.  The nodes
+    closed at one block end share one tail evaluation.
     """
     acc = np.zeros_like(mu)
     active = np.ones(mu.shape, dtype=bool)
     n0 = 0
-    while n0 < _NL_CAP and np.any(active):
+    while np.any(active):
         n = np.arange(n0 + 1, n0 + size + 1, dtype=float)
         idx = np.flatnonzero(active)
-        last = np.empty(idx.size)
+        # the block's last seven powers: the close's Gregory differences
+        last = np.empty((min(size, 7), idx.size))
         calls = -(-idx.size * size // _NL_ELEMENTS)
         for part in np.array_split(np.arange(idx.size), calls):
             cols = idx[part]
@@ -137,20 +146,27 @@ def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
             decay = np.outer(n, -lam[cols])
             block *= np.exp(decay, out=decay)
             acc[cols] += block.sum(axis=0)
-            last[part] = block[-1]
+            last[:, part] = block[-7:]
         n0 += size
+        full = size == _NL_BLOCK
         size = _NL_BLOCK
         # geometric bound on the remainder: term ratio is at most
         # e^{-lam} (1 + 1/(2 n)), the algebraic factor covering the rise
         # of e^{-x} I_1(x) against n^{-1/2} while beta n v is small
         rho = np.exp(-lam[idx]) * (1.0 + 0.5 / n0)
         rho = np.minimum(rho, 0.999999)
-        bound = last * rho / (1.0 - rho)
-        still = bound >= rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
+        bound = last[-1] * rho / (1.0 - rho)
+        tol = rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
+        still = bound >= tol
         active[idx] = still
-    for i in np.flatnonzero(active):
-        acc[i] += _bessel_series_tail(float(mu[i]), float(q[i]),
-                                      float(_NL_CAP + 1))
+        if not full:
+            continue
+        ahead = bound * rho ** (_NL_AHEAD * _NL_BLOCK)
+        close = still & ((ahead >= tol) | (n0 >= _NL_CAP))
+        if close.any():
+            shut = idx[close]
+            acc[shut] += _bessel_tail(lam[shut], q[shut], n0, last[:, close])
+            active[shut] = False
     return acc
 
 
@@ -219,8 +235,8 @@ def frequency_shift_for_variant(geom: LensGeometry, env: Environment,
     def kernel(v, r_tm2, r_te2):
         return _nonlinear_kernel(v, r_tm2, r_te2, beta, quad.rel_tol)
 
-    return 2.0 * osc.C / osc.Az * _lifshitz(kernel, geom, env, model,
-                                            quad).value
+    return 2.0 * osc.C / osc.Az * _lifshitz(kernel, geom, env, model, quad,
+                                            rate=1.0 - beta).value
 
 
 # perfbench/layers.py traces the shift under this name

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_lens import oscillator
+from casimir_lens import engine, oscillator
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (QuadratureSpec, _grid_from, casimir_gradient,
                                  two_halves_gradient)
@@ -155,14 +155,19 @@ def test_direct_oracle_raises_when_unconverged():
 
 
 # ---------------------------------------------------------------------------
-# the Bessel series' short first block
+# the Bessel series: short first block, Euler-Maclaurin close, work counts
 
 _ZETA1 = (4.0 * math.pi * E300.a * CONSTANTS.kB * E300.T
           / (CONSTANTS.hbar * CONSTANTS.c))
 
 
-def _kernel_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol):
-    """The series loop with every block _NL_BLOCK powers long."""
+def _explicit_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol):
+    """The series' explicit powers with every block _NL_BLOCK long.
+
+    Nodes stop and close by the kernel's rules, but a closed node gets no
+    tail: this is the part of the kernel's sum before any close.
+    """
+    block_len = oscillator._NL_BLOCK
     out = np.zeros_like(v)
     for r2 in (r_tm2, r_te2):
         mask = r2 > 0.0
@@ -175,37 +180,35 @@ def _kernel_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol):
         acc = np.zeros_like(vv)
         active = np.ones(vv.shape, dtype=bool)
         n0 = 0
-        while n0 < oscillator._NL_CAP and np.any(active):
-            n = np.arange(n0 + 1, n0 + oscillator._NL_BLOCK + 1, dtype=float)
+        while np.any(active):
+            n = np.arange(n0 + 1, n0 + block_len + 1, dtype=float)
             idx = np.where(active)[0]
             nv = np.outer(n, q[idx])
             block = (n[:, None] ** -0.5 * oscillator.bessel_i1_scaled(nv)
                      * np.exp(-np.outer(n, lam[idx])))
             acc[idx] += block.sum(axis=0)
-            n0 += oscillator._NL_BLOCK
-            last = block[-1]
+            n0 += block_len
             rho = np.exp(-lam[idx]) * (1.0 + 0.5 / n0)
             rho = np.minimum(rho, 0.999999)
-            bound = last * rho / (1.0 - rho)
-            active[idx] = bound >= rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
-        for i in np.where(active)[0]:
-            acc[i] += oscillator._bessel_series_tail(
-                float(mu[i]), float(q[i]), float(oscillator._NL_CAP + 1))
+            bound = block[-1] * rho / (1.0 - rho)
+            tol = rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
+            slow = bound * rho ** (oscillator._NL_AHEAD * block_len) >= tol
+            active[idx] = (bound >= tol) & ~(slow | (n0 >= oscillator._NL_CAP))
         out[mask] += acc
     return v ** 1.5 * out
 
 
-def test_nonlinear_kernel_matches_fixed_64_blocks(monkeypatch):
+def test_explicit_powers_match_fixed_64_blocks(monkeypatch):
     # the powers the short first block leaves out are below half an ulp of
-    # every partial sum, so the kernel is bit-identical to fixed blocks
-    tails = []
-    tail = oscillator._bessel_series_tail
+    # every partial sum, so up to the close the kernel sums what fixed
+    # 64-power blocks sum, bit for bit, and closes the same nodes
+    closed = []
 
-    def counted_tail(*args):
-        tails.append(args)
-        return tail(*args)
+    def no_tail(lam, q, L, last):
+        closed.append(lam.size)
+        return np.zeros_like(lam)
 
-    monkeypatch.setattr(oscillator, "_bessel_series_tail", counted_tail)
+    monkeypatch.setattr(oscillator, "_bessel_tail", no_tail)
     a = E300.a
     for model in (gold_drude(), gold_plasma(), IdealMetal()):
         for zeta in (0.0, _ZETA1, 20.0, 200.0):
@@ -215,11 +218,151 @@ def test_nonlinear_kernel_matches_fixed_64_blocks(monkeypatch):
                 for rel_tol in (QuadratureSpec().rel_tol, 1e-13):
                     got = oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta,
                                                        rel_tol)
-                    ref = _kernel_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol)
+                    ref = _explicit_fixed_blocks(v, r_tm2, r_te2, beta,
+                                                 rel_tol)
                     assert np.array_equal(got, ref), (model, zeta, beta)
-    # at zeta = 0 (r_TM = 1) the smallest v nodes run to _NL_CAP, so the
-    # Euler-Maclaurin tail is compared too
-    assert tails
+    # the slow nodes near zeta = 0 and Az -> a are closed, so the
+    # comparison covers the close decision too
+    assert sum(closed) > 0
+
+
+def _li_half(x, wood):
+    """Li_{1/2}(e^-x) in mpmath: Wood's series below x = 2, powers above."""
+    import mpmath as mp
+    eps = mp.mpf(10) ** -32
+    if x < 2:
+        total = mp.sqrt(mp.pi / x) + wood[0]
+        power = mp.mpf(1)
+        for c in wood[1:]:
+            power *= x
+            total += c * power
+            if abs(power) < eps:
+                break
+        return total
+    z = mp.exp(-x)
+    return mp.fsum(z ** n / mp.sqrt(n) for n in range(1, int(75 / x) + 2))
+
+
+def _bessel_series_mpmath(mu, q, wood, rule=None):
+    """sum_n n^{-1/2} e^{-mu n} I_1(q n) from A&S 9.6.19.
+
+    I_1(x) = (1/pi) int_0^pi e^{x cos t} cos t dt turns the sum into
+    (1/pi) int_0^pi cos t Li_{1/2}(e^{-(mu - q cos t)}) dt.  Near t = 0
+    the integrand peaks like (lam + q t^2 / 2)^{-1/2}, lam = mu - q, over
+    t ~ s = sqrt(2 lam / q); t = s sinh(y) flattens that peak.  The
+    y-integral takes the Gauss-Legendre rule (nodes, weights on [-1, 1]),
+    or mpmath.quad without one.
+    """
+    import mpmath as mp
+    mu, q = mp.mpf(mu), mp.mpf(q)
+    s = mp.sqrt(2 * (mu - q) / q)
+    end = mp.asinh(mp.pi / s)
+
+    def integrand(y):
+        c = mp.cos(s * mp.sinh(y))
+        return s * mp.cosh(y) * c * _li_half(mu - q * c, wood)
+
+    if rule is None:
+        return mp.quad(integrand, [0, end]) / mp.pi
+    nodes, weights = rule
+    total = mp.fsum(w * integrand(end * (x + 1) / 2)
+                    for x, w in zip(nodes, weights))
+    return end / 2 * total / mp.pi
+
+
+def test_bessel_series_matches_mpmath_per_node():
+    # at rel_tol = 1e-13 the stop rule leaves <= 1e-14, so the check sees
+    # the Euler-Maclaurin close; the hardest nodes are those at v ~ 1e-6
+    # and zeta = 0, whose series runs to n ~ 1 / lam ~ 1e8
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        # Wood's series converges like (x / 2 pi)^k: 60 terms reach 1e-30
+        wood = [mp.zeta(mp.mpf(0.5) - k) * (-1) ** k / mp.factorial(k)
+                for k in range(60)]
+        for x in ("1e-6", "1.5", "3"):
+            x = mp.mpf(x)
+            assert _li_half(x, wood) == pytest.approx(
+                mp.polylog(0.5, mp.exp(-x)), rel=1e-25)
+        rule = mp.gauss_quadrature(32, "legendre")
+        for zeta in (0.0, _ZETA1):
+            v, _ = _grid_from(zeta)
+            r_tm2, _ = reflection_sq_grid(gold_drude(), zeta, v, E300.a)
+            for beta in (0.5, 0.9, 0.99):
+                got = oscillator._nonlinear_kernel(v, r_tm2, np.zeros_like(v),
+                                                   beta, 1e-13)
+                for i in (0, 1, 2, 5, 10, 20, 47):
+                    mu = v[i] - math.log(r_tm2[i])
+                    ref = _bessel_series_mpmath(mu, beta * v[i], wood, rule)
+                    err = abs(got[i] / (float(ref) * v[i] ** 1.5) - 1.0)
+                    assert err < 1e-10, (zeta, beta, i, err)
+        # on the hardest node (r_TM = 1) the 32-point rule agrees with
+        # mpmath's adaptive quadrature
+        v0 = float(_grid_from(0.0)[0][0])
+        fixed = _bessel_series_mpmath(v0, 0.99 * v0, wood, rule)
+        adaptive = _bessel_series_mpmath(v0, 0.99 * v0, wood)
+        assert abs(fixed / adaptive - 1) < 1e-15
+def _count_work(monkeypatch):
+    """Frequency rows evaluated and Bessel elements, counted as they run."""
+    rows, elements = [], []
+    frequency_integral = engine._frequency_integral
+    i1e = oscillator.bessel_i1_scaled
+
+    def counted_rows(kernel, model, zeta, a):
+        rows.append(np.size(zeta))
+        return frequency_integral(kernel, model, zeta, a)
+
+    def counted_i1e(x):
+        elements.append(np.size(x))
+        return i1e(x)
+
+    monkeypatch.setattr(engine, "_frequency_integral", counted_rows)
+    monkeypatch.setattr(oscillator, "bessel_i1_scaled", counted_i1e)
+    return rows, elements
+
+
+def test_shift_work_counts(monkeypatch):
+    # counts, not time.  At Az/a = 0.99 the Matsubara remainder takes one
+    # 80 / (1 - Az/a) window (1169 rows with windows 80 wide and doubling);
+    # at T = 0 the slow nodes close instead of walking to _NL_CAP (1.18 M
+    # elements)
+    rows, elements = _count_work(monkeypatch)
+    frequency_shift_nonlinear(LENS, E300, gold_drude(), osc(0.99 * E300.a))
+    assert 0 < sum(rows) <= 500
+    e0 = Environment(a=E300.a, T=0.0)
+    elements.clear()
+    frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))
+    assert 0 < sum(elements) <= 600_000
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99])
+def test_remainder_window_follows_decay_rate(beta):
+    # windows sized by the kernel's rate and windows 80 wide and doubling
+    # are two measurements of the same remainder
+    model, quad = gold_drude(), QuadratureSpec()
+
+    def term(zeta):
+        return engine._frequency_integral(shift_kernel, model, zeta, E300.a)
+
+    def shift_kernel(v, r_tm2, r_te2):
+        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta,
+                                            quad.rel_tol)
+
+    fast = engine._matsubara_sum(term, E300, quad, rate=1.0 - beta)
+    wide = engine._matsubara_sum(term, E300, quad)
+    assert fast[1] <= wide[1]
+    assert abs(fast[0] - wide[0]) <= fast[2] + wide[2]
+
+
+def test_force_remainder_unchanged_at_unit_rate():
+    env, model, quad = Environment(a=E300.a, T=3.0), gold_drude(), QuadratureSpec()
+
+    def term(zeta):
+        return engine._frequency_integral(engine._force_kernel, model, zeta,
+                                          env.a)
+
+    got = engine._matsubara_sum(term, env, quad, rate=1.0)
+    assert got[1] > engine._EM_BLOCK + 1  # the remainder ran
+    assert got == engine._matsubara_sum(term, env, quad)
 
 
 def test_nonlinear_kernel_first_block_sized_to_slowest_node(monkeypatch):
