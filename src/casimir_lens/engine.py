@@ -32,7 +32,8 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        RotationFactor, TwoHalvesLens, expect_variant,
                        rotation_factor, shape_factor, thickness_for_width)
 from .materials import PermittivityModel, reflection_sq_grid
-from .specfun import SQRT_PI, ConvergenceError, polylog_exp_grid
+from .specfun import (_DIRECT_DECAY, SQRT_PI, ConvergenceError,
+                      polylog_exp_grid)
 
 
 @dataclass(frozen=True)
@@ -319,7 +320,8 @@ def _zeta_integral(term: Term):
     """
     z_nodes, z_weights = _grid_from(0.0)
     total = 0.0
-    for wz, value in zip(z_weights, _evaluate(term, z_nodes)):
+    for wz, value in zip(z_weights.tolist(),
+                         _evaluate(term, z_nodes).tolist()):
         total += wz * value
     return total, len(z_nodes)
 
@@ -513,9 +515,10 @@ def rotated_gradient(geom: RotatedLens, env: Environment,
 # factor), and u is rescaled by sqrt(a/v) so a fixed Gauss grid resolves the
 # exponential weight at every v.  Each Matsubara term builds one v x sigma
 # grid (a row per v node, a column per sigma node) and sums the order
-# series of each polarization over the whole grid at once; a row stops
-# when its own sigma nodes have converged, so every node sums the same
-# explicit powers whatever the other rows need.
+# series of each polarization over the whole grid at once.  A row's first
+# block of powers is sized by its largest ratio, and a row stops when its
+# own sigma nodes have converged, so every node sums the same explicit
+# powers whatever the other rows need.
 
 _SIGMA_NODES = 48
 _SIGMA_CUT = 8.5  # e^{-sigma^2} ~ 3e-32
@@ -526,27 +529,40 @@ _N_CAP = 8192
 def _order_series(rho: np.ndarray, rel_tol: float):
     """sum_{n>=1} rho^n per element of a 2-D array, truncated row by row.
 
-    rho is an array in [0, 1).  Blocks of _N_BLOCK explicit powers keep the
-    series faithful to the reflection-order expansion.  After each block a
-    row whose every node has its geometric remainder below rel_tol/10 of
-    its partial sum is frozen: it sums no further powers, and its dropped
-    remainder is recorded.  The other rows go on.  A row still open at
-    _N_CAP gets the exact geometric remainder of the same series added
-    (mathematically the continuation of the identical sum) and drops
-    nothing.  Returns (sum, dropped), both shaped like rho.
+    rho is an array in [0, 1).  The powers are summed explicitly, which
+    keeps the series faithful to the reflection-order expansion.  A row's
+    first block holds ceil(39.2 / -ln max(rho_row)) powers, at most
+    _N_BLOCK: the next power is then below e^{-39.2} ~ 1e-17 of the first,
+    under half an ulp of every node's partial sum, so the powers left out
+    would not change the sum.  The rows are ordered by that count, so the
+    rows still summing at each power of the first block are a prefix of
+    the array.  Later blocks hold _N_BLOCK powers.  After each block a row
+    whose every node has its geometric remainder below rel_tol/10 of its
+    partial sum is frozen: it sums no further powers, and its dropped
+    remainder, the geometric remainder after the powers it summed, is
+    recorded.  The other rows go on.  A row still open at _N_CAP gets the
+    exact geometric remainder of the same series added (mathematically the
+    continuation of the identical sum) and drops nothing.  Returns (sum,
+    dropped), both shaped like rho.
     """
     acc = np.zeros_like(rho)
     dropped = np.zeros_like(rho)
-    rows = np.arange(rho.shape[0])  # open rows; rho, part, power keep only these
+    with np.errstate(divide="ignore"):
+        first = np.minimum(np.ceil(_DIRECT_DECAY / -np.log(rho.max(axis=1))),
+                           _N_BLOCK)
+    # open rows, longest first block first; rho, part, power keep only these
+    rows = np.argsort(-first, kind="stable")
+    rho = rho[rows]
+    # the number of rows that sum power n + 1 of the first block, n < _N_BLOCK
+    summing = np.count_nonzero(first[:, None] > np.arange(_N_BLOCK), axis=0)
     part = np.zeros_like(rho)
     power = np.ones_like(rho)
+    for m in summing[summing > 0].tolist():
+        power[:m] *= rho[:m]
+        part[:m] += power[:m]
     tol = rel_tol / 10.0
-    n = 0
-    while n < _N_CAP:
-        for _ in range(_N_BLOCK):
-            power *= rho
-            part += power
-        n += _N_BLOCK
+    n = _N_BLOCK
+    while True:
         with np.errstate(invalid="ignore", divide="ignore"):
             rel = np.where(part > 0.0, power / np.maximum(part, 1e-300), 0.0)
         done = np.all(rel * rho / np.maximum(1.0 - rho, 1e-300) < tol, axis=1)
@@ -558,6 +574,12 @@ def _order_series(rho: np.ndarray, rel_tol: float):
             part, power = part[keep], power[keep]
             if rows.size == 0:
                 return acc, dropped
+        if n >= _N_CAP:
+            break
+        for _ in range(_N_BLOCK):
+            power *= rho
+            part += power
+        n += _N_BLOCK
     acc[rows] = part + power * rho / (1.0 - rho)
     return acc, dropped
 
@@ -575,12 +597,13 @@ def _oracle_term(model: PermittivityModel, zeta: float, a: float,
     evaluated in sigma = u sqrt(v/a) on a fixed Gauss grid, so the
     e^{-sigma^2} weight is resolved at every v.  The v nodes (rows) and the
     sigma nodes (columns) form one grid, and _order_series runs once per
-    polarization on all of it; a polarization that does not reflect (TE
-    for Drude at zeta = 0) gives zero rows, which stop after one block and
-    add exactly 0.0.  Every element goes through the same operations, in
-    the same order, as when each v node is taken alone.  The v-integral and
-    the order-series remainder it leaves out are summed over the rows in
-    ascending v, the remainder onto the running order_tail, so both sums
+    polarization on all of it, each row with a first block sized by its
+    own largest ratio; a polarization that does not reflect (TE for Drude
+    at zeta = 0) gives zero rows, which sum no powers and add exactly 0.0.
+    Every element goes through the same operations, in the same order, as
+    when each v node is taken alone.  The v-integral and the order-series
+    remainder it leaves out are summed over the rows in ascending v, as
+    Python floats, the remainder onto the running order_tail, so both sums
     round as a node-by-node loop does.  Returns (term, order_tail).
     """
     x, w = _leggauss(_SIGMA_NODES)
@@ -600,7 +623,8 @@ def _oracle_term(model: PermittivityModel, zeta: float, a: float,
     values = scale * np.sum(weight * (series + series_te), axis=1)
     drops = scale * np.sum(weight * (dropped + dropped_te), axis=1)
     total = 0.0
-    for vv, wv, value, drop in zip(v_nodes, v_weights, values, drops):
+    for vv, wv, value, drop in zip(v_nodes.tolist(), v_weights.tolist(),
+                                   values.tolist(), drops.tolist()):
         total += wv * vv * vv * value
         order_tail += abs(wv * vv * vv * drop)
     return total, order_tail

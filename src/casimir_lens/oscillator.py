@@ -268,10 +268,14 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
     Delta(omega^2) = -(C / pi A_z) int_0^{2pi} dtheta cos(theta)
     F(a + A_z cos(theta)); the oscillation phase theta = omega_r t makes the
     measure independent of omega_r, so no self-consistency loop is needed.
-    The periodic trapezoid rule is spectrally convergent here; the grid is
-    doubled until the result is stable to theta_tol, up to 256 points, and
-    ConvergenceError carries the last estimate if it is not.  Force values
-    are reused across doublings (the grids nest).
+    The periodic trapezoid rule is spectrally convergent here.  The
+    integrand is even in theta, so the m-point rule is taken on its
+    m/2 + 1 nodes in [0, pi] with weights 1, 2, ..., 2, 1: the same rule in
+    exact arithmetic, at m/2 + 1 force calls, where the full circle would
+    call the force again at the mirrored nodes, whose cosines round to
+    other floats.  m is doubled until the result is stable to theta_tol,
+    up to 256 points, and ConvergenceError carries the last estimate if it
+    is not.  Force values are reused across doublings (the grids nest).
     """
     expect_variant(geom, EllipticLens, "frequency_shift_direct_oracle")
     _check_amplitude(env, osc)
@@ -285,10 +289,12 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
 
     prev = None
     for m in (16, 32, 64, 128, 256):
-        theta = 2.0 * math.pi * np.arange(m) / m
-        cos = np.cos(theta)
+        half = m // 2
+        cos = np.cos(math.pi * np.arange(half + 1) / half)
         vals = np.array([force_at(env.a + osc.Az * c) for c in cos])
-        integral = 2.0 * math.pi / m * float(np.sum(cos * vals))
+        weight = np.full(half + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        integral = 2.0 * math.pi / m * float(np.sum(weight * cos * vals))
         shift = -osc.C / (math.pi * osc.Az) * integral
         if prev is not None and abs(shift - prev) <= theta_tol * max(abs(shift), 1e-300):
             return shift

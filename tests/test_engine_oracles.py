@@ -15,6 +15,7 @@ from casimir_lens.engine import (_N_BLOCK, _N_CAP, _SIGMA_CUT, _SIGMA_NODES,
 from casimir_lens.geometry import Environment, RotatedLens, symmetric_lens
 from casimir_lens.materials import (IdealMetal, gold_drude, gold_plasma,
                                     reflection_sq_grid)
+from casimir_lens.specfun import _DIRECT_DECAY
 
 
 def test_oracle_agrees_within_pfa_budget():
@@ -104,21 +105,39 @@ def test_oracle_error_estimate_is_measured():
 # the blocks it summed (None at the n-cap), the width integral whether the
 # cap was reached.
 
-def _order_series_ref(rho, rel_tol):
+def _first_block(rho_max):
+    """Powers in a row's first block: ceil(39.2 / -ln rho_max), at most 64."""
+    if rho_max == 0.0:
+        return 0
+    return min(math.ceil(_DIRECT_DECAY / -math.log(rho_max)), _N_BLOCK)
+
+
+def _order_series_ref(rho, rel_tol, first=None):
+    """The series on one row: a first block of `first` powers (by default
+    _first_block of the row), then blocks of _N_BLOCK."""
+    if first is None:
+        first = _first_block(float(rho.max()))
     acc = np.zeros_like(rho)
     power = np.ones_like(rho)
     tol = rel_tol / 10.0
     n = 0
+    block = first
     while n < _N_CAP:
-        for _ in range(_N_BLOCK):
+        for _ in range(block):
             power = power * rho
             acc += power
         n += _N_BLOCK
+        block = _N_BLOCK
         with np.errstate(invalid="ignore", divide="ignore"):
             rel = np.where(acc > 0.0, power / np.maximum(acc, 1e-300), 0.0)
         if np.all(rel * rho / np.maximum(1.0 - rho, 1e-300) < tol):
             return acc, power * rho / (1.0 - rho), n // _N_BLOCK
     return acc + power * rho / (1.0 - rho), np.zeros_like(rho), None
+
+
+def _order_series_ref_64(rho, rel_tol):
+    """The series on one row in fixed blocks of _N_BLOCK powers."""
+    return _order_series_ref(rho, rel_tol, first=_N_BLOCK)
 
 
 def _width_integral_ref(v, r_tm2, r_te2, a, chord, u2_max, rel_tol):
@@ -193,3 +212,37 @@ def test_order_series_freezes_each_row_on_its_own():
         assert np.array_equal(dropped[i], ref_dropped), i
         blocks.append(n_blocks)
     assert blocks == [1, 1, 4, 11, None, 33]
+    _assert_sums_of_fixed_64_blocks(rho, acc, dropped)
+
+
+def _assert_sums_of_fixed_64_blocks(rho, acc, dropped):
+    # a short first block leaves out only powers below half an ulp of the
+    # partial sum, so the sum is bit-identical to fixed 64-power blocks; its
+    # dropped remainder starts at an earlier power, so it is no smaller
+    for i, row in enumerate(rho):
+        ref_acc, ref_dropped, _ = _order_series_ref_64(
+            row, DEFAULT_QUADRATURE.rel_tol)
+        assert np.array_equal(acc[i], ref_acc), i
+        assert np.all(dropped[i] >= ref_dropped), i
+
+
+@pytest.mark.parametrize("zeta", [0.0, _ZETA1, 10.0 * _ZETA1],
+                         ids=["zeta0", "zeta1", "10zeta1"])
+@pytest.mark.parametrize("model", [gold_drude(), gold_plasma(), IdealMetal()],
+                         ids=["drude", "plasma", "ideal"])
+def test_short_first_block_sums_what_fixed_64_blocks_sum(model, zeta):
+    # the rho grids _oracle_term hands the series, one per polarization
+    lens = symmetric_lens(100e-6, 100e-6, 1e-3)
+    x, _ = _leggauss(_SIGMA_NODES)
+    v, _ = _grid_from(zeta)
+    smax = np.minimum(np.sqrt(lens.h * v / _A_TERM), _SIGMA_CUT)[:, None]
+    sig = 0.5 * smax * (x + 1.0)
+    decay = np.exp(-v[:, None] - sig * sig)
+    short = 0
+    for r2 in reflection_sq_grid(model, zeta, v, _A_TERM):
+        rho = r2[:, None] * decay
+        acc, dropped = _order_series(rho, DEFAULT_QUADRATURE.rel_tol)
+        _assert_sums_of_fixed_64_blocks(rho, acc, dropped)
+        short += sum(0 < _first_block(m) < _N_BLOCK
+                     for m in rho.max(axis=1).tolist())
+    assert short > 0  # some rows do take a first block under 64 powers

@@ -154,6 +154,33 @@ def test_direct_oracle_raises_when_unconverged():
     assert info.value.partial < 0.0
 
 
+def test_direct_oracle_averages_over_half_a_cycle(monkeypatch):
+    # the integrand is even in theta: the m-point rule calls the force at
+    # the m/2 + 1 nodes in [0, pi], nested across doublings, and matches
+    # the full-circle trapezoid rule at the same m
+    p = osc(0.5 * E300.a)
+    seps = []
+
+    def recorded(geom, env, model, quad):
+        seps.append(env.a)
+        return engine.casimir_force(geom, env, model, quad)
+
+    monkeypatch.setattr(oscillator, "casimir_force", recorded)
+    shift = frequency_shift_direct_oracle(LENS, E300, gold_drude(), p)
+    assert len(seps) == len(set(seps)) == 33  # converged at m = 64
+    for m in (16, 32, 64):
+        half = m // 2
+        cos = np.cos(math.pi * np.arange(half + 1) / half)
+        assert set(seps[:half + 1]) == set((E300.a + p.Az * cos).tolist())
+    cos = np.cos(2.0 * math.pi * np.arange(64) / 64)
+    forces = [engine.casimir_force(LENS, Environment(a=E300.a + p.Az * c,
+                                                     T=E300.T),
+                                   gold_drude()).value for c in cos.tolist()]
+    full = -p.C / (math.pi * p.Az) * 2.0 * math.pi / 64 * float(
+        np.sum(cos * np.array(forces)))
+    assert shift == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # the Bessel series: short first block, Euler-Maclaurin close, work counts
 
