@@ -14,7 +14,7 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        validate_geometry, width_for_thickness)
 from .materials import (Drude, IdealMetal, PermittivityModel, Plasma,
                         Tabulated, epsilon_at_imaginary, gold_drude,
-                        gold_plasma, reflection_coefficients)
+                        gold_plasma)
 from .specfun import ConvergenceError
 from .engine import (DEFAULT_QUADRATURE, ForceResult, QuadratureSpec,
                      casimir_force, casimir_gradient,
@@ -42,7 +42,6 @@ __all__ = [
     "ValidityReport",
     "IdealMetal", "Plasma", "Drude", "Tabulated", "PermittivityModel",
     "gold_drude", "gold_plasma", "epsilon_at_imaginary",
-    "reflection_coefficients",
     "ConvergenceError",
     "QuadratureSpec", "DEFAULT_QUADRATURE", "ForceResult", "RotationFactor",
     "force", "gradient", "casimir_force", "casimir_gradient",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .electrostatics import BiasState
-from .engine import DEFAULT_QUADRATURE, QuadratureSpec, _grid_from
+from .engine import _ZETA_MIN, DEFAULT_QUADRATURE, QuadratureSpec
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        TwoHalvesLens, symmetric_lens, thickness_for_width)
 from .materials import (Drude, GOLD_GAMMA_EV, GOLD_PLASMA_EV, IdealMetal,
@@ -376,11 +376,12 @@ def _check_consistency(cfg: RunConfig) -> None:
 def _check_tabulated_zero_t(cfg: RunConfig) -> None:
     """A tabulated run evaluating T = 0 must reach the first zeta-node.
 
-    The T = 0 integral starts just above zeta = 0, where xi = c zeta / 2a is
-    far below any measured permittivity table, so such a run could only
-    fail.  force and gradient rows evaluate T = 0 at every temperature (the
-    T = 0 companion of each row); the other commands only where T = 0.
-    The lowest frequency comes with the largest separation.
+    The T = 0 integral runs from zeta = 0, where xi = c zeta / 2a is far
+    below any measured permittivity table; it evaluates a tabulated model
+    only from zeta = _ZETA_MIN (~7.55e-7) up, so the table must reach that
+    frequency.  force and gradient rows evaluate T = 0 at every
+    temperature (the T = 0 companion of each row); the other commands only
+    where T = 0.  The lowest frequency comes with the largest separation.
     """
     if visited_range(cfg, "T", cfg.environment.T)[0] > 0.0:
         if cfg.command not in ("force", "gradient"):
@@ -388,9 +389,8 @@ def _check_tabulated_zero_t(cfg: RunConfig) -> None:
         what = f"the T = 0 companion that every {cfg.command} row carries"
     else:
         what = "T = 0"
-    zeta0 = float(_grid_from(0.0)[0][0])
-    xi0 = CONSTANTS.c * zeta0 / (2.0 * visited_range(cfg, "a",
-                                                     cfg.environment.a)[1])
+    xi0 = CONSTANTS.c * _ZETA_MIN / (2.0 * visited_range(cfg, "a",
+                                                         cfg.environment.a)[1])
     if xi0 < cfg.material.xi_grid[0]:
         raise ConfigError(
             f"[material] model = tabulated cannot run {what}: the first "

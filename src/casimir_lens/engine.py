@@ -10,7 +10,8 @@ The force per lens is
 with zeta_l = 2 a xi_l / c the dimensionless Matsubara frequencies and the
 primed sum halving the l = 0 term.  The gradient replaces v^{3/2} by v^{5/2},
 Li_{1/2} by Li_{-1/2}, and one power of a in the prefactor.  At T = 0 the sum
-goes over to (hbar c / 4 pi a) times an integral over continuous zeta.
+goes over to (hbar c / 4 pi a) times an integral over continuous zeta, taken
+over the triangle zeta <= v with v outside (_zeta_integral).
 
 Besides these production formulas the module carries two deliberately
 unsimplified oracles that evaluate the underlying pressure integral over the
@@ -31,7 +32,7 @@ from .constants import CONSTANTS
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        RotationFactor, TwoHalvesLens, expect_variant,
                        rotation_factor, shape_factor, thickness_for_width)
-from .materials import PermittivityModel, reflection_sq_grid
+from .materials import PermittivityModel, Tabulated, reflection_sq_grid
 from .specfun import (_DIRECT_DECAY, SQRT_PI, ConvergenceError,
                       polylog_exp_grid)
 
@@ -47,15 +48,17 @@ class QuadratureSpec:
     comfortably beyond the 1e-8 default.  l_max caps the term evaluations:
     the remainder's, and those past the stop (terms are evaluated in
     stacks of up to _CHUNK frequencies, so the stack holding the stop can
-    run past it), are included.  The v-integral is not a knob: it runs over
-    the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES).  The force and
-    gradient integrands carry e^-v, so 80 leaves a ~1e-35 cutoff error
-    there.  The nonlinear shift's integrand decays only like
+    run past it), are included.  The v-integral is not a knob: at T > 0 it
+    runs over the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES).  The
+    force and gradient integrands carry e^-v, so 80 leaves a ~1e-35 cutoff
+    error there.  The nonlinear shift's integrand decays only like
     e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at 300 K,
     200 nm and Az/a = 0.99 the shift is -743.4 with the window of 80 and
-    -2627.9 with one of 320.  The remainder's first window does follow
-    the kernel: it is 80 / rate wide, with rate 1 for the force and the
-    gradient and 1 - Az/a for the shift.
+    -2627.9 with one of 320.  The remainder's first window and the T = 0
+    integral's v-window do follow the kernel: they are 80 / rate wide,
+    with rate 1 for the force and the gradient and 1 - Az/a for the shift.
+    The T = 0 integral is not a knob either: fixed (v, s) panels, converged
+    to ~3e-15, whose error estimate is measured (_zeta_integral).
     """
 
     rel_tol: float = 1e-8
@@ -133,6 +136,37 @@ def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES):
     w_out = np.broadcast_to(w_out, z.shape[:-1] + w_out.shape)
     return (np.concatenate((t * t, z + v_out), axis=-1),
             np.concatenate((w * (t1 - t0) * t, w_out), axis=-1))
+
+
+# The T = 0 integral's inner variable s = zeta / v runs over these panels,
+# with s = t^2 on the first.
+_S_EDGES = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
+_S_NODES = (16, 16, 20, 20, 24)
+# The lowest frequency a tabulated model is evaluated at in the T = 0
+# integral: the first node of _grid_from(0.0), 2 ((1 + x_0) / 2)^2 with x_0
+# the first of 48 Gauss-Legendre nodes, written out so that importing the
+# package computes no quadrature rule.
+_ZETA_MIN = 7.552115867947006e-07
+
+
+@lru_cache(maxsize=None)
+def _s_panels(nodes: tuple):
+    """Gauss nodes and weights on [0, 1] over the panels _S_EDGES."""
+    ss, ws = [], []
+    for i, (lo, hi, n) in enumerate(zip(_S_EDGES, _S_EDGES[1:], nodes)):
+        x, w = _leggauss(n)
+        if i == 0:
+            t1 = math.sqrt(hi)
+            t = 0.5 * t1 * (x + 1.0)
+            ss.append(t * t)
+            ws.append(w * t1 * t)
+        else:
+            half = 0.5 * (hi - lo)
+            ss.append(half * x + 0.5 * (hi + lo))
+            ws.append(w * half)
+    s, w = np.concatenate(ss), np.concatenate(ws)
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 # ---------------------------------------------------------------------------
@@ -313,29 +347,90 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
         width *= 2.0
 
 
-def _zeta_integral(term: Term):
+# (v, s) nodes per call of the T = 0 integral: as many as _CHUNK
+# frequencies of the v-grid hold
+_T0_NODES = _CHUNK * sum(_PANEL_NODES)
+
+
+def _s_integrals(kernel: Kernel, model: PermittivityModel, a: float,
+                 v: np.ndarray, zeta_lo: float, s: np.ndarray,
+                 ws: np.ndarray) -> np.ndarray:
+    """int_0^1 ds kernel(v, r^2(v s, v)) per row of a column v, one call.
+
+    No node lies below zeta_lo: each row's rule on [0, 1] is mapped onto
+    [s0, 1], s0 = zeta_lo / v, and the sliver [0, s0] is added to the
+    weight of the row's first node.  At zeta_lo = 0 the rule is unchanged.
+    """
+    s0 = zeta_lo / v
+    vv = np.broadcast_to(v, (v.size, s.size))
+    r_tm2, r_te2 = reflection_sq_grid(model, v * (s0 + (1.0 - s0) * s), vv, a)
+    f = kernel(vv, r_tm2, r_te2)
+    w = (1.0 - s0) * ws
+    w[:, 0] += s0[:, 0]
+    return np.sum(w * f, axis=-1)
+
+
+def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
+               span: float, v_nodes: tuple, s_nodes: tuple):
+    """v nodes, weights and row integrals int_0^v dzeta of the kernel.
+
+    zeta = v s maps each row's triangle zeta <= v onto s in [0, 1], so the
+    row integral is v int_0^1 ds kernel.  A tabulated model is not
+    evaluated below _ZETA_MIN.  The rows go through reflection_sq_grid and
+    the kernel in as few calls as keep each within _T0_NODES nodes.  A
+    call takes every calls-th row, so its nodes spread over the whole
+    v-window and over the polylog's term counts, which keeps the
+    polylog's power tables small.  Each row is summed on its own, so its
+    value does not depend on the call that holds it.
+    """
+    v, wv = _grid_from(0.0, span, v_nodes)
+    s, ws = _s_panels(s_nodes)
+    zeta_lo = _ZETA_MIN if isinstance(model, Tabulated) else 0.0
+    calls = min(v.size, -(-v.size * s.size // _T0_NODES))
+    rows = np.empty_like(v)
+    for j in range(calls):
+        rows[j::calls] = _s_integrals(kernel, model, a, v[j::calls, None],
+                                      zeta_lo, s, ws)
+    return v, wv, v * rows
+
+
+def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
+                   rate: float = 1.0):
     """Zero-temperature replacement of the sum: integral over continuous zeta.
 
-    Returns (integral, nodes_used).
+    The integral over 0 <= zeta <= v runs in v-outer order,
+
+        int_0^V dv v int_0^1 ds kernel(v, r^2(v s, v)),
+
+    with V = 80 / rate: the kernel falls like e^{-rate v}, so the window
+    spans 80 e-foldings at every rate.  v takes the panels of _grid_from
+    at _COARSE_NODES, s the panels _S_EDGES (_s_panels).  The error is
+    measured: the change when both rules are taken at half the order, plus
+    the cut at the window's end (the last row times the window's width).
+    Returns (integral, rows, error), rows counting the v-rows of both
+    rules, one s-integral each.
     """
-    z_nodes, z_weights = _grid_from(0.0)
-    total = 0.0
-    for wz, value in zip(z_weights.tolist(),
-                         _evaluate(term, z_nodes).tolist()):
-        total += wz * value
-    return total, len(z_nodes)
+    span = _PANEL_EDGES[-1] / rate
+    v, wv, g = _zeta_rows(kernel, model, a, span, _COARSE_NODES, _S_NODES)
+    vc, wc, gc = _zeta_rows(kernel, model, a, span,
+                            tuple(n // 2 for n in _COARSE_NODES),
+                            tuple(n // 2 for n in _S_NODES))
+    total = float(np.sum(wv * g))
+    coarse = float(np.sum(wc * gc))
+    cut = abs(float(g[-1])) * span
+    return total, v.size + vc.size, abs(total - coarse) + cut
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
-def _scaled(prefactor: float, total: float, terms: int,
-            tail: float) -> ForceResult:
-    """Finite-T result from a Matsubara sum and its tail estimate."""
+def _scaled(prefactor: float, total: float, terms: int, tail: float,
+            mode: str = "finiteT") -> ForceResult:
+    """Result from a frequency sum or integral and its error estimate."""
     value = prefactor * total
     err = abs(prefactor) * tail + 1e-14 * abs(value)
     return ForceResult(value=value, est_abs_error=err, terms_used=terms,
-                       mode="finiteT")
+                       mode=mode)
 
 
 def _finite_t(term: Term, prefactor: float, env: Environment,
@@ -352,9 +447,10 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     nonlinear shift differ only in the per-v kernel (and derivative=True
     adds the gradient's extra -1/a).  Holds the only prefactor and the only
     T = 0 dispatch: at T = 0 the sum's kB T becomes hbar c / 4 pi a times
-    the continuous zeta-integral.  rate is the kernel's decay rate, the
-    kernel falling like e^{-rate v}; the Matsubara sum sizes its tail
-    ratio and its remainder's first window by it.
+    the continuous zeta-integral (_zeta_integral), whose terms_used counts
+    v-rows.  rate is the kernel's decay rate, the kernel falling like
+    e^{-rate v}; the Matsubara sum sizes its tail ratio and its
+    remainder's first window by it, and the T = 0 integral its v-window.
     """
     a = env.a
 
@@ -373,10 +469,8 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     if derivative:
         pref = -pref / a
     if zero_t:
-        total, nodes = _zeta_integral(term)
-        value = pref * total
-        return ForceResult(value=value, est_abs_error=1e-10 * abs(value),
-                           terms_used=nodes, mode="zeroT")
+        return _scaled(pref, *_zeta_integral(kernel, model, a, rate),
+                       mode="zeroT")
     return _finite_t(term, pref, env, quad, rate)
 
 

@@ -155,84 +155,47 @@ def epsilon_at_imaginary(model: PermittivityModel, xi):
     raise TypeError(f"unknown permittivity model {model!r}")
 
 
-@dataclass(frozen=True)
-class ReflectionPair:
-    """TM and TE amplitude reflection coefficients at one (zeta, v) point."""
+# ---------------------------------------------------------------------------
+# the one formula, vectorized over v
 
-    r_tm: float
-    r_te: float
+def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
+                       a: float):
+    """(r_TM^2, r_TE^2) over an array of v values at zeta >= 0.
 
-
-def reflection_coefficients(model: PermittivityModel, zeta: float, v: float,
-                            a: float) -> ReflectionPair:
-    """Reflection coefficients in the (zeta, v) variables.
-
-    For zeta > 0 both coefficients follow from eps(i xi) with
-    xi = c zeta / (2 a); the v >= zeta sector is the physical one.  At
-    zeta = 0 the limit depends on the model:
+    zeta = 2 a xi / c is the dimensionless frequency and v >= zeta the
+    integration variable.  zeta is a float, or an array broadcasting
+    against v that gives each row of v its own frequency (a column, shape
+    (m, 1), for m rows), or each node its own.  For zeta > 0 both
+    coefficients follow from eps(i xi).  A zeta of zero takes the model's
+    zero-frequency branch, so one call holds zero frequency alone or
+    positive frequencies only:
 
     * IdealMetal: (1, -1) at any v.
     * Drude: (1, 0) -- dissipation removes the zero-frequency TE mode.
     * Plasma: r_TM = 1 and a finite r_TE set by 2 a omega_p / c.
     * Tabulated: dielectric-like, eps clamped to its lowest-frequency value.
 
-    Parameters
-    ----------
-    model : PermittivityModel
-    zeta : float
-        Dimensionless Matsubara frequency 2 a xi / c, >= 0.
-    v : float
-        Dimensionless integration variable, v >= zeta and v > 0.
-    a : float
-        Separation in m (enters through the dimensionless plasma frequency).
+    Raises ValueError unless v > 0, 0 <= zeta <= v and a > 0.
     """
-    if not v > 0.0:
+    if not np.all(v > 0.0):
         raise ValueError("v must be positive")
-    if zeta < 0.0 or v < zeta:
+    if np.any(zeta < 0.0) or np.any(v < zeta):
         raise ValueError("require 0 <= zeta <= v")
     if not a > 0.0:
         raise ValueError("separation a must be positive")
-
-    r_tm, r_te = _reflection_grid(model, zeta, np.array([float(v)]), a)
-    return ReflectionPair(float(r_tm[0]), float(r_te[0]))
-
-
-# ---------------------------------------------------------------------------
-# the one formula, vectorized over v
-
-
-def _reflection_grid(model: PermittivityModel, zeta, v: np.ndarray,
-                     a: float):
-    """(r_TM, r_TE) over an array of v values at zeta >= 0.
-
-    zeta is a float, or an array broadcasting against v that gives each
-    row of v its own frequency (a column, shape (m, 1), for m rows).  A
-    zeta of zero takes the model's zero-frequency branch, so one call
-    holds zero frequency alone or positive frequencies only.
-    """
     if isinstance(model, IdealMetal):
-        one = np.ones_like(v)
-        return one, -one
-    if not np.any(zeta):
-        if isinstance(model, Drude):
-            return np.ones_like(v), np.zeros_like(v)
+        r_tm, r_te = np.ones_like(v), -np.ones_like(v)
+    elif not np.any(zeta):
+        r_tm, r_te = np.ones_like(v), np.zeros_like(v)
         if isinstance(model, Plasma):
-            wp = 2.0 * a * model.omega_p / CONSTANTS.c
-            root = np.hypot(v, wp)
-            return np.ones_like(v), (v - root) / (v + root)
-        # Tabulated: finite dielectric limit
-        eps0 = float(model.eps_grid[0])
-        return np.full_like(v, (eps0 - 1.0) / (eps0 + 1.0)), np.zeros_like(v)
-    eps = epsilon_at_imaginary(model, CONSTANTS.c * zeta / (2.0 * a))
-    root = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
-    return (eps * v - root) / (eps * v + root), (v - root) / (v + root)
-
-
-def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
-                       a: float):
-    """(r_TM^2, r_TE^2) over an array of v values at zeta >= 0.
-
-    zeta is a float or one frequency per row of v, as in _reflection_grid.
-    """
-    r_tm, r_te = _reflection_grid(model, zeta, v, a)
+            root = np.hypot(v, 2.0 * a * model.omega_p / CONSTANTS.c)
+            r_te = (v - root) / (v + root)
+        elif isinstance(model, Tabulated):  # finite dielectric limit
+            eps0 = float(model.eps_grid[0])
+            r_tm = np.full_like(v, (eps0 - 1.0) / (eps0 + 1.0))
+    else:
+        eps = epsilon_at_imaginary(model, CONSTANTS.c * zeta / (2.0 * a))
+        root = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
+        r_tm = (eps * v - root) / (eps * v + root)
+        r_te = (v - root) / (v + root)
     return r_tm * r_tm, r_te * r_te

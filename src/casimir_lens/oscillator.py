@@ -89,6 +89,25 @@ _TAIL_NODES = 64  # Gauss-Legendre order of the closing integral
 _TAIL_SPAN = 80.0  # the integral stops where e^{-lam (x - L)} = e^{-80}
 
 
+def _tail_integral(lam: np.ndarray, q: np.ndarray, L: int) -> np.ndarray:
+    """int_L^inf x^{-1/2} e^{-lam x} i1e(q x) dx per node, one Bessel call.
+
+    A 64-node Gauss-Legendre rule in u = ln(x / L) over
+    [0, ln(1 + 80 / (lam L))], which follows the integrand from its
+    algebraic rise at q x << 1 to its e^{-lam x} fall.  The products are
+    taken in place, so a call holds at most three nodes x 64 arrays.
+    """
+    x, w = _leggauss(_TAIL_NODES)
+    span = np.log1p(_TAIL_SPAN / (lam * L))[:, None]
+    xs = L * np.exp(0.5 * span * (x + 1.0))
+    f = bessel_i1_scaled(q[:, None] * xs)
+    f *= np.sqrt(xs)
+    decay = np.multiply(-lam[:, None], xs)
+    f *= np.exp(decay, out=decay)
+    f *= w
+    return 0.5 * span[:, 0] * f.sum(axis=-1)
+
+
 def _bessel_tail(lam: np.ndarray, q: np.ndarray, L: int,
                  last: np.ndarray) -> np.ndarray:
     """sum_{n > L} f(n), f(x) = x^{-1/2} e^{-lam x} i1e(q x), per node.
@@ -100,18 +119,15 @@ def _bessel_tail(lam: np.ndarray, q: np.ndarray, L: int,
 
     with f' and f''' from the backward differences of last (Gregory's
     form, as the Matsubara remainder takes them), so the endpoint terms
-    cost no evaluations.  The integral is a 64-node Gauss-Legendre rule in
-    u = ln(x / L) over [0, ln(1 + 80 / (lam L))], which follows f from its
-    algebraic rise at q x << 1 to its e^{-lam x} fall, and all nodes go
-    through one bessel_i1_scaled call.  Each node's sum runs along its
-    own contiguous row, so its value does not depend on the other nodes.
+    cost no evaluations.  The integral (_tail_integral) takes the nodes in
+    calls of at most _NL_ELEMENTS elements, as the blocks do.  Each node's
+    sum runs along its own contiguous row, so its value does not depend on
+    the other nodes.
     """
-    x, w = _leggauss(_TAIL_NODES)
-    span = np.log1p(_TAIL_SPAN / (lam * L))[:, None]
-    xs = L * np.exp(0.5 * span * (x + 1.0))
-    f = (bessel_i1_scaled(q[:, None] * xs) * np.sqrt(xs)
-         * np.exp(-lam[:, None] * xs))
-    integral = 0.5 * span[:, 0] * (f * w).sum(axis=-1)
+    step = _NL_ELEMENTS // _TAIL_NODES
+    integral = np.concatenate([
+        _tail_integral(lam[i:i + step], q[i:i + step], L)
+        for i in range(0, lam.size, step)])
     d1, d3 = _gregory(last)
     return integral - 0.5 * last[-1] - d1 / 12.0 + d3 / 720.0
 
@@ -147,6 +163,7 @@ def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
             block *= np.exp(decay, out=decay)
             acc[cols] += block.sum(axis=0)
             last[:, part] = block[-7:]
+        del block, decay  # free the block's arrays before a tail is taken
         n0 += size
         full = size == _NL_BLOCK
         size = _NL_BLOCK

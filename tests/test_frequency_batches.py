@@ -17,7 +17,8 @@ from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (_CHUNK, QuadratureSpec, _evaluate,
                                  _force_kernel, _frequency_integral,
                                  _gradient_kernel, _grid_from, _matsubara_sum,
-                                 direct_pfa_force_oracle, force)
+                                 _zeta_integral, direct_pfa_force_oracle,
+                                 force)
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import (IdealMetal, Tabulated, gold_drude,
                                     gold_plasma, reflection_sq_grid)
@@ -63,11 +64,21 @@ def test_batched_terms_equal_lone_terms(model, kernel):
     zero = term(np.zeros(1))
     assert zero.tolist() == [_lone_term(kernel, model, 0.0)]
     matsubara = _zeta1(300.0) * np.arange(1, _CHUNK + 1)
-    t0_nodes = _grid_from(0.0)[0]
-    for zeta in (matsubara, t0_nodes):
-        batched = _evaluate(term, zeta)
-        lone = [_lone_term(kernel, model, float(z)) for z in zeta]
-        assert batched.tolist() == lone
+    batched = _evaluate(term, matsubara)
+    lone = [_lone_term(kernel, model, float(z)) for z in matsubara]
+    assert batched.tolist() == lone
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+def test_chunked_zero_temperature_rows_equal_one_call(monkeypatch, model,
+                                                      kernel):
+    # the T = 0 integral evaluates its (v, s) grid a few v-rows per call;
+    # one call per rule, or one row per call, gives the same floats
+    got = _zeta_integral(kernel, model, A)
+    for nodes in (10 ** 9, 1):
+        monkeypatch.setattr(engine, "_T0_NODES", nodes)
+        assert _zeta_integral(kernel, model, A) == got
 
 
 def _sum_term_at_a_time(term1, zeta1, quad):
@@ -192,17 +203,20 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("T", [0.0, 300.0])
 def test_force_call_counts(monkeypatch, T):
     # counts, not times: a term evaluated one frequency per call would make
-    # 2 polylog calls per term (304 at T = 0) instead of 2 per chunk
+    # 2 polylog calls per term instead of 2 per chunk; at T = 0 a v-row
+    # (one s-integral) evaluated alone would make 2 per row, 228 in all
     polylog = _count_calls(monkeypatch, "polylog_exp_grid")
     reflection = _count_calls(monkeypatch, "reflection_sq_grid")
     res = force(LENS, Environment(a=A, T=T), gold_drude())
     if T == 0.0:
-        assert res.terms_used == 152
-        calls = math.ceil(152 / _CHUNK)
+        # 76 rows of 96 s-nodes in 3 calls of at most 19 x 152 nodes, and
+        # the half-order check's 38 rows of 48 in one call
+        assert res.terms_used == 76 + 38
+        calls = 3 + 1
     else:
         assert res.terms_used == 63
         calls = 1 + math.ceil((res.terms_used - 1) / _CHUNK)  # l = 0 alone
     assert len(reflection) == calls
     assert len(polylog) == 2 * calls
     if T == 0.0:
-        assert len(polylog) <= 2 * math.ceil(152 / _CHUNK) < 304
+        assert len(polylog) == 8 < 304

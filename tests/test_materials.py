@@ -8,8 +8,7 @@ import pytest
 from casimir_lens.constants import CONSTANTS, ev_to_rad_per_s
 from casimir_lens.materials import (Drude, IdealMetal, Plasma, Tabulated,
                                     epsilon_at_imaginary, gold_drude,
-                                    gold_plasma, reflection_coefficients,
-                                    reflection_sq_grid)
+                                    gold_plasma, reflection_sq_grid)
 
 
 def test_gold_drude_frozen_epsilon():
@@ -49,38 +48,45 @@ def test_model_parameter_validation():
         Drude(omega_p=1e16, gamma=-1.0)
 
 
+def _pair(model, zeta, v, a):
+    """(r_TM, r_TE) at one (zeta, v) point, from the squared grid values."""
+    tm2, te2 = reflection_sq_grid(model, zeta, np.array([float(v)]), a)
+    return math.sqrt(tm2[0]), -math.sqrt(te2[0])
+
+
 def test_ideal_metal_reflection_everywhere():
     for zeta in (0.0, 0.5, 3.0):
-        pair = reflection_coefficients(IdealMetal(), zeta, zeta + 1.7, 200e-9)
-        assert pair.r_tm == 1.0 and pair.r_te == -1.0
+        v = np.array([zeta + 1.7, zeta + 40.0])
+        tm2, te2 = reflection_sq_grid(IdealMetal(), zeta, v, 200e-9)
+        assert tm2.tolist() == [1.0, 1.0] and te2.tolist() == [1.0, 1.0]
 
 
 def test_zero_frequency_branches():
-    a, v = 200e-9, 1.3
-    drude = reflection_coefficients(gold_drude(), 0.0, v, a)
-    assert drude.r_tm == 1.0 and drude.r_te == 0.0
-    plasma = reflection_coefficients(gold_plasma(), 0.0, v, a)
+    a, v = 200e-9, np.array([1.3])
+    tm2, te2 = reflection_sq_grid(gold_drude(), 0.0, v, a)
+    assert tm2[0] == 1.0 and te2[0] == 0.0
+    tm2, te2 = reflection_sq_grid(gold_plasma(), 0.0, v, a)
     wp = 2.0 * a * gold_plasma().omega_p / CONSTANTS.c
-    root = math.hypot(v, wp)
-    assert plasma.r_tm == 1.0
-    assert plasma.r_te == pytest.approx((v - root) / (v + root), rel=1e-15)
+    root = math.hypot(1.3, wp)
+    assert tm2[0] == 1.0
+    assert te2[0] == pytest.approx(((1.3 - root) / (1.3 + root)) ** 2,
+                                   rel=1e-15)
 
 
 def test_plasma_zero_frequency_continuity():
     # The plasma TE branch is the zeta -> 0 limit of the general formula.
     a, v = 200e-9, 2.0
-    at_zero = reflection_coefficients(gold_plasma(), 0.0, v, a)
-    near_zero = reflection_coefficients(gold_plasma(), 1e-8, v, a)
-    assert near_zero.r_te == pytest.approx(at_zero.r_te, rel=1e-6)
-    assert near_zero.r_tm == pytest.approx(at_zero.r_tm, rel=1e-6)
+    at_zero = _pair(gold_plasma(), 0.0, v, a)
+    near_zero = _pair(gold_plasma(), 1e-8, v, a)
+    assert near_zero[1] == pytest.approx(at_zero[1], rel=1e-6)
+    assert near_zero[0] == pytest.approx(at_zero[0], rel=1e-6)
 
 
 def test_ideal_metal_zero_frequency_continuity():
     a, v = 200e-9, 2.0
-    at_zero = reflection_coefficients(IdealMetal(), 0.0, v, a)
-    near_zero = reflection_coefficients(IdealMetal(), 1e-8, v, a)
-    assert near_zero.r_te == pytest.approx(at_zero.r_te, rel=1e-12)
-    assert near_zero.r_tm == pytest.approx(at_zero.r_tm, rel=1e-12)
+    at_zero = _pair(IdealMetal(), 0.0, v, a)
+    near_zero = _pair(IdealMetal(), 1e-8, v, a)
+    assert near_zero == pytest.approx(at_zero, rel=1e-12)
 
 
 def test_tm_dominates_te():
@@ -88,28 +94,37 @@ def test_tm_dominates_te():
     rng = np.random.default_rng(42)
     a = 200e-9
     for model in (gold_drude(), gold_plasma()):
-        for _ in range(50):
-            zeta = float(rng.uniform(0.01, 20.0))
-            v = float(rng.uniform(zeta, zeta + 40.0) + 1e-6)
-            pair = reflection_coefficients(model, zeta, v, a)
-            assert abs(pair.r_tm) >= abs(pair.r_te)
-            assert 0.0 <= pair.r_tm <= 1.0
-            assert -1.0 <= pair.r_te <= 0.0
+        zeta = rng.uniform(0.01, 20.0, 50)
+        v = rng.uniform(zeta, zeta + 40.0) + 1e-6
+        tm2, te2 = reflection_sq_grid(model, zeta, v, a)
+        assert np.all(tm2 >= te2)
+        assert np.all((0.0 <= tm2) & (tm2 <= 1.0))
+        assert np.all((0.0 <= te2) & (te2 <= 1.0))
 
 
 def test_reflection_grid_matches_scalar():
+    # every grid element against the closed form evaluated in floats
     a, zeta = 150e-9, 0.8
     v = np.linspace(zeta + 1e-3, zeta + 30.0, 17)
     tm2, te2 = reflection_sq_grid(gold_drude(), zeta, v, a)
-    for i, vi in enumerate(v):
-        pair = reflection_coefficients(gold_drude(), zeta, float(vi), a)
-        assert tm2[i] == pytest.approx(pair.r_tm ** 2, rel=1e-14)
-        assert te2[i] == pytest.approx(pair.r_te ** 2, rel=1e-14)
+    xi = CONSTANTS.c * zeta / (2.0 * a)
+    eps = float(epsilon_at_imaginary(gold_drude(), xi))
+    for i, vi in enumerate(v.tolist()):
+        root = math.sqrt(vi * vi + (eps - 1.0) * zeta * zeta)
+        r_tm = (eps * vi - root) / (eps * vi + root)
+        r_te = (vi - root) / (vi + root)
+        assert tm2[i] == pytest.approx(r_tm ** 2, rel=1e-14)
+        assert te2[i] == pytest.approx(r_te ** 2, rel=1e-14)
 
 
 def test_reflection_requires_v_at_least_zeta():
-    with pytest.raises(ValueError):
-        reflection_coefficients(gold_drude(), 2.0, 1.0, 200e-9)
+    # the checks cover every element of a grid, and a and v themselves
+    for zeta, v, a in ((2.0, [3.0, 1.0], 200e-9),
+                       (np.array([[0.5], [2.0]]), [1.0, 1.5], 200e-9),
+                       (-1e-3, [1.0], 200e-9), (0.0, [0.0, 1.0], 200e-9),
+                       (0.5, [1.0], 0.0)):
+        with pytest.raises(ValueError):
+            reflection_sq_grid(gold_drude(), zeta, np.array(v), a)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +154,9 @@ def test_tabulated_zero_frequency_uses_first_entry(tmp_path):
     path = tmp_path / "eps.dat"
     path.write_text(GOOD_TABLE)
     model = Tabulated.from_file(str(path))
-    pair = reflection_coefficients(model, 0.0, 1.0, 200e-9)
-    assert pair.r_tm == pytest.approx(4999.0 / 5001.0)
-    assert pair.r_te == 0.0
+    tm2, te2 = reflection_sq_grid(model, 0.0, np.array([1.0]), 200e-9)
+    assert tm2[0] == pytest.approx((4999.0 / 5001.0) ** 2)
+    assert te2[0] == 0.0
 
 
 def test_tabulated_range_enforced(tmp_path):

@@ -361,6 +361,19 @@ def test_shift_work_counts(monkeypatch):
     assert 0 < sum(elements) <= 600_000
 
 
+def test_bessel_calls_stay_within_the_element_budget(monkeypatch):
+    # the T = 0 rule closes hundreds of slow nodes at one block end; their
+    # tail integrals take the Bessel function in calls of at most
+    # _NL_ELEMENTS elements, as the blocks do, and give the same floats
+    rows, elements = _count_work(monkeypatch)
+    e0 = Environment(a=E300.a, T=0.0)
+    got = frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))
+    assert max(elements) <= oscillator._NL_ELEMENTS
+    monkeypatch.setattr(oscillator, "_NL_ELEMENTS", 2 ** 20)
+    assert frequency_shift_nonlinear(LENS, e0, gold_drude(),
+                                     osc(0.5 * e0.a)) == got
+
+
 @pytest.mark.parametrize("beta", [0.9, 0.99])
 def test_remainder_window_follows_decay_rate(beta):
     # windows sized by the kernel's rate and windows 80 wide and doubling

@@ -1,0 +1,133 @@
+"""The T = 0 integral in v-outer order against independent zeta-outer rules.
+
+The engine integrates over the triangle zeta <= v with v outside and
+s = zeta / v inside.  These tests hold it to integrals taken the other way
+round, over zeta outside, with each frequency's v-integral from the
+Matsubara term code: a fine rule for the analytic models, and the
+48-node rule the zeta-outer integral used to run for a table.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from casimir_lens import engine, oscillator
+from casimir_lens.constants import CONSTANTS
+from casimir_lens.engine import (_CHUNK, _COARSE_NODES, _PANEL_EDGES,
+                                 _S_NODES, _ZETA_MIN,
+                                 QuadratureSpec, _force_kernel,
+                                 _frequency_integral, _gradient_kernel,
+                                 _grid_from, _zeta_integral, force, gradient)
+from casimir_lens.geometry import Environment, symmetric_lens
+from casimir_lens.materials import (IdealMetal, Tabulated,
+                                    epsilon_at_imaginary, gold_drude,
+                                    gold_plasma)
+from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
+
+LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
+KINDS = {"force": (force, _force_kernel),
+         "gradient": (gradient, _gradient_kernel)}
+# 15 zeta-panels of 32 nodes, s = t^2 on the first
+_FINE_EDGES = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 14.0,
+               22.0, 32.0, 45.0, 60.0, 80.0)
+
+
+def _fine_zeta_rule():
+    zs, ws = [], []
+    for i, (lo, hi) in enumerate(zip(_FINE_EDGES, _FINE_EDGES[1:])):
+        x, w = np.polynomial.legendre.leggauss(32)
+        if i == 0:
+            t1 = math.sqrt(hi)
+            t = 0.5 * t1 * (x + 1.0)
+            zs.append(t * t)
+            ws.append(w * t1 * t)
+        else:
+            zs.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+            ws.append(0.5 * (hi - lo) * w)
+    return np.concatenate(zs), np.concatenate(ws)
+
+
+def _zeta_outer(kernel, model, a, rule):
+    """sum_j w_j int_{zeta_j}^{zeta_j + 80} dv kernel, zeta-outer order."""
+    zeta, w = rule
+    terms = np.concatenate([
+        _frequency_integral(kernel, model, zeta[i:i + _CHUNK], a)
+        for i in range(0, zeta.size, _CHUNK)])
+    return float(np.sum(w * terms))
+
+
+def _reference(quantity, kernel, model, a, rule):
+    """The result's value with its integral replaced by the zeta-outer one."""
+    res = quantity(LENS, Environment(a=a, T=0.0), model)
+    total = _zeta_integral(kernel, model, a)[0]
+    return res, res.value / total * _zeta_outer(kernel, model, a, rule)
+
+
+@pytest.mark.parametrize("a", [5e-6, 20e-6])
+@pytest.mark.parametrize("kind", KINDS)
+def test_drude_matches_fine_zeta_outer_integral(kind, a):
+    # the Drude TE reflection rises over zeta ~ 2 a gamma / c, which the
+    # old 48-node first zeta-panel [0, 2] left 9e-11 - 4e-10 off here
+    quantity, kernel = KINDS[kind]
+    res, ref = _reference(quantity, kernel, gold_drude(), a,
+                          _fine_zeta_rule())
+    assert res.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(math.log(150e-9), math.log(20e-6)).map(math.exp),
+       model=st.sampled_from([gold_drude(), gold_plasma(), IdealMetal()]),
+       kind=st.sampled_from(sorted(KINDS)))
+def test_error_estimate_brackets_fine_reference(a, model, kind):
+    quantity, kernel = KINDS[kind]
+    res, ref = _reference(quantity, kernel, model, a, _fine_zeta_rule())
+    assert res.mode == "zeroT"
+    assert abs(res.value - ref) <= res.est_abs_error
+    # measured, not a fixed share of the value
+    assert res.est_abs_error < 1e-7 * abs(res.value)
+
+
+def test_zeta_min_is_the_first_node_from_zero():
+    # the lowest zeta a table must reach, as the config check has always
+    # computed it
+    assert _ZETA_MIN == pytest.approx(float(_grid_from(0.0)[0][0]),
+                                      rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tabulated_table_from_the_checked_frequency(kind):
+    # the table starts exactly where the config check lets it start at
+    # 200 nm, so any node below _ZETA_MIN would raise
+    a = 200e-9
+    xi = np.geomspace(CONSTANTS.c * _ZETA_MIN / (2.0 * a), 1e18, 20_000)
+    table = Tabulated(xi, epsilon_at_imaginary(gold_drude(), xi))
+    quantity, kernel = KINDS[kind]
+    res, ref = _reference(quantity, kernel, table, a, _grid_from(0.0))
+    assert res.value == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+def test_zero_temperature_shift_window_follows_decay_rate():
+    # at Az/a = 0.99 the shift's kernel falls like e^{-0.01 v}: the window
+    # is 80 / 0.01 wide; one 4x wider at twice the order agrees
+    beta, quad = 0.99, QuadratureSpec(rel_tol=1e-13)
+    env = Environment(a=200e-9, T=0.0)
+    osc = OscillatorParams(omega0=1e4, C=1.0, Az=beta * env.a)
+    model = gold_drude()
+
+    def kernel(v, r_tm2, r_te2):
+        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta,
+                                            quad.rel_tol)
+
+    shift = frequency_shift_nonlinear(LENS, env, model, osc, quad)
+    total = _zeta_integral(kernel, model, env.a, 1.0 - beta)[0]
+    v, wv, rows = engine._zeta_rows(
+        kernel, model, env.a, 4.0 * _PANEL_EDGES[-1] / (1.0 - beta),
+        tuple(2 * n for n in _COARSE_NODES), tuple(2 * n for n in _S_NODES))
+    wide = shift / total * float(np.sum(wv * rows))
+    assert shift == pytest.approx(wide, rel=1e-9, abs=0.0)
+    # the window of 80 truncated it to a quarter
+    assert shift < 4.0 * -74.27
+
