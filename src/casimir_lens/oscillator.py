@@ -22,7 +22,7 @@ from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _gregory,
                      _leggauss, _lifshitz, casimir_force, gradient)
 from .geometry import EllipticLens, Environment, LensGeometry, expect_variant
 from .materials import PermittivityModel
-from .specfun import ConvergenceError, bessel_i1_scaled
+from .specfun import ConvergenceError, bessel_i1_scaled, polylog_exp_orders
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,10 @@ _NL_ELEMENTS = 2 ** 14  # n x nodes elements per block call (128 kB arrays)
 _NL_AHEAD = 2  # further blocks a node may still sum before it is closed
 _TAIL_NODES = 64  # Gauss-Legendre order of the closing integral
 _TAIL_SPAN = 80.0  # the integral stops where e^{-lam (x - L)} = e^{-80}
+# Hankel's expansion (DLMF 10.40.1), within 5.3e-16 from x = 32 on:
+# sqrt(2 pi x) e^{-x} I_1(x) ~ sum_{k<13} c_k x^{-k}
+_HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4) / (8 * k)
+                              for k in range(1, 13)])
 
 
 def _tail_integral(lam: np.ndarray, q: np.ndarray, L: int) -> np.ndarray:
@@ -136,8 +140,8 @@ def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
                    size: int, rel_tol: float) -> np.ndarray:
     """sum_n n^{-1/2} e^{-mu n} I_1(q n) per node, the first block size long.
 
-    The powers are summed in blocks over the nodes still open, each block
-    split over as few calls as keep its n x nodes arrays within
+    The explicit path: powers summed in blocks over the nodes still open,
+    each block split over as few calls as keep its n x nodes arrays within
     _NL_ELEMENTS; blocks after the first hold _NL_BLOCK powers.  After
     each block a node stops once the geometric bound on its remainder is
     below rel_tol/10 of its sum.  A node that has just summed a full
@@ -187,21 +191,69 @@ def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
     return acc
 
 
+def _hankel(u: np.ndarray) -> np.ndarray:
+    """sum_k c_k u^k ~ sqrt(2 pi x) e^{-x} I_1(x), u = 1/x."""
+    out = np.full_like(u, _HANKEL[-1])
+    for c in _HANKEL[-2::-1]:
+        out *= u
+        out += c
+    return out
+
+
+def _closed_series(q: np.ndarray, lam: np.ndarray, head: np.ndarray,
+                   size: int) -> np.ndarray:
+    """sum_n n^{-1/2} e^{-(q + lam) n} I_1(q n) per node, in closed form.
+
+    Powers n < head = ceil(32 / q) take i1e; Hankel's expansion makes the
+    rest (2 pi q)^{-1/2} sum_k c_k q^{-k} T_k, T_k = sum_{n >= head}
+    e^{-lam n} n^{-k-1}, summed directly for lam >= 1 (up to size >=
+    ceil(41.5 / lam)).  For lam < 1, T_k = Li_{k+1}(e^{-lam}) minus the
+    head's terms (polylog_exp_orders).  All nodes lie on one side of
+    lam = 1; arrays stay within _NL_ELEMENTS; each node sums along its
+    own column.
+    """
+    n = np.arange(1.0, size + 1.0)[:, None]
+    near = lam[0] < 1.0
+    k = np.arange(_HANKEL.size)[:, None]
+    out = np.empty_like(q)
+    step = _NL_ELEMENTS // max(size, _HANKEL.size if near else 1)
+    for i in range(0, q.size, step):
+        part = slice(i, i + step)
+        # the first lo rows hold heads alone; a lam < 1 node keeps its head
+        lo = size if near else min(int(head[part].min()) - 1, size)
+        term = np.zeros((size, q[part].size))
+        term[lo:] = _hankel(1.0 / n[lo:] * (1.0 / q[part]))
+        rows = int(head[part].max()) - 1
+        if rows > 0:
+            inside = n[:rows] < head[part]
+            x = (n[:rows] * q[part])[inside]
+            fix = bessel_i1_scaled(x) * np.sqrt(2.0 * math.pi * x)
+            term[:rows][inside] = fix - _hankel(1.0 / x) if near else fix
+        term *= np.exp(n * -lam[part]) / n
+        out[part] = term.sum(axis=0)
+        if near:
+            li = polylog_exp_orders(_HANKEL.size, lam[part])
+            out[part] += (li * _HANKEL[:, None] * q[part] ** -k).sum(axis=0)
+    return out / np.sqrt(2.0 * math.pi * q)
+
+
 def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
                       beta: float, rel_tol: float) -> np.ndarray:
     """v^{3/2} sum_n n^{-1/2} (r_TM^{2n} + r_TE^{2n}) e^{-nv} I_1(beta n v).
 
-    v may hold one v-grid or a stack of them, a row per frequency.  A
-    node's series needs ceil(_NL_DECAY / lam) powers, at most _NL_BLOCK,
-    in its first block.  The nodes whose counts share a power-of-2 ceiling
-    are summed together (_bessel_series), with the largest of their counts
-    as the first block, so a stack merges the block calls of its
-    frequencies without making fast nodes pay the slowest node's count.
-    Every power a short block leaves out is below e^{-41.5} sqrt(64) ~
-    8e-18 of the node's first term, under half an ulp of its partial sum,
-    so a full first block would have added exactly 0.0 to it, and the stop
-    bound after the short block (~1e-18 relative) stops every node a full
-    one did.
+    v may hold one v-grid or a stack of them, a row per frequency.  With
+    q = beta v and lam = mu - q, a node needs count = ceil(_NL_DECAY / lam)
+    powers, at most _NL_BLOCK, in a first block, and i1e only below
+    head = ceil(32 / q).  A lam >= 1 node takes _closed_series, whose head
+    rows cost what explicit ones do; a lam < 1 node takes it up to head 16
+    (the subtraction loses 1e-15 at head 22, 1e-12 at 32), _bessel_series
+    past that.  lam >= 1 nodes whose counts share a power-of-2 ceiling are
+    summed together, the largest count as their block, so a stack merges
+    its frequencies' calls without making fast nodes pay the slowest one.
+    An explicit node's count is 42 to 64; a power its short first block
+    leaves out is below e^{-41.5} sqrt(64) ~ 8e-18 of the first term,
+    under half an ulp of the partial sum, and the stop bound after it
+    (~1e-18) stops every node a full block did.
     """
     out = np.zeros_like(v)
     for r2 in (r_tm2, r_te2):
@@ -213,12 +265,18 @@ def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
         q = beta * vv
         lam = mu - q
         count = np.minimum(np.ceil(_NL_DECAY / lam), _NL_BLOCK)
-        group = np.ceil(np.log2(count))
+        head = np.ceil(32.0 / q)
+        near = lam < 1.0
+        size = np.where(near, head, count)
+        # lam >= 1 by block length; lam < 1 closed (7) and explicit (8)
+        group = np.where(near, 7.0 + (head > 16.0), np.ceil(np.log2(size)))
         acc = np.empty_like(vv)
         for g in np.unique(group):
             sel = group == g
-            acc[sel] = _bessel_series(mu[sel], q[sel], lam[sel],
-                                      int(count[sel].max()), rel_tol)
+            acc[sel] = (_bessel_series(mu[sel], q[sel], lam[sel],
+                                       int(count[sel].max()), rel_tol)
+                        if g == 8.0 else _closed_series(
+                            q[sel], lam[sel], head[sel], int(size[sel].max())))
         out[mask] += acc
     return v ** 1.5 * out
 

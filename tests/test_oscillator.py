@@ -228,15 +228,23 @@ def _explicit_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol):
 def test_explicit_powers_match_fixed_64_blocks(monkeypatch):
     # the powers the short first block leaves out are below half an ulp of
     # every partial sum, so up to the close the kernel sums what fixed
-    # 64-power blocks sum, bit for bit, and closes the same nodes
+    # 64-power blocks sum, bit for bit, and closes the same nodes.  The
+    # nodes routed to the closed form are not summed in blocks: they come
+    # back as nan here, and the comparison keeps the v-nodes whose TM and
+    # TE series both stay on the explicit path
     closed = []
 
     def no_tail(lam, q, L, last):
         closed.append(lam.size)
         return np.zeros_like(lam)
 
+    def unsummed(q, lam, *args):
+        return np.full_like(q, np.nan)
+
     monkeypatch.setattr(oscillator, "_bessel_tail", no_tail)
+    monkeypatch.setattr(oscillator, "_closed_series", unsummed)
     a = E300.a
+    kept = dropped = 0
     for model in (gold_drude(), gold_plasma(), IdealMetal()):
         for zeta in (0.0, _ZETA1, 20.0, 200.0):
             v, _ = _grid_from(zeta)
@@ -247,10 +255,15 @@ def test_explicit_powers_match_fixed_64_blocks(monkeypatch):
                                                        rel_tol)
                     ref = _explicit_fixed_blocks(v, r_tm2, r_te2, beta,
                                                  rel_tol)
-                    assert np.array_equal(got, ref), (model, zeta, beta)
+                    keep = ~np.isnan(got)
+                    assert np.array_equal(got[keep], ref[keep]), (
+                        model, zeta, beta)
+                    kept += int(keep.sum())
+                    dropped += int((~keep).sum())
     # the slow nodes near zeta = 0 and Az -> a are closed, so the
     # comparison covers the close decision too
     assert sum(closed) > 0
+    assert kept > 0 and dropped > 0
 
 
 def _li_half(x, wood):
@@ -328,6 +341,72 @@ def test_bessel_series_matches_mpmath_per_node():
         fixed = _bessel_series_mpmath(v0, 0.99 * v0, wood, rule)
         adaptive = _bessel_series_mpmath(v0, 0.99 * v0, wood)
         assert abs(fixed / adaptive - 1) < 1e-15
+# (q, lam, path): nodes of the shift's Bessel series, head = ceil(32 / q).
+# A lam < 1 node takes the closed form up to head 16; a lam >= 1 node always
+_ROUTED_NODES = [
+    (40.0, 0.5, "closed"),  # lam < 1, head 1
+    (2.01, 0.3, "closed"),  # lam < 1, head 16
+    (2.02, 0.1, "closed"),  # lam < 1, head 16, slow decay
+    (5.0, 0.999, "closed"),  # lam just below 1, head 7
+    (5.1, 1.001, "closed"),  # lam just above 1, head 7
+    (41.0, 2.0, "closed"),  # lam >= 1, head 1
+    (2.5, 1.5, "closed"),  # lam >= 1, head 13 of 28 powers
+    (0.5, 8.0, "closed"),  # lam >= 1, head 64: every power takes i1e
+    (1.9, 0.5, "explicit"),  # lam < 1, head 17
+]
+
+
+def _routed_kernel(nodes, beta=0.99):
+    """v and r_TM^2 for the (q, lam) nodes, and the q and lam the kernel sees."""
+    q, lam = np.array([(n[0], n[1]) for n in nodes]).T
+    v = q / beta
+    r2 = np.exp(v * (1.0 - beta) - lam)
+    assert np.all(r2 <= 1.0)
+    q = beta * v
+    return v, r2, q, v - np.log(r2) - q
+
+
+def test_closed_form_route(monkeypatch):
+    # the lam < 1 closed form subtracts the head from Li_{k+1}(e^{-lam}),
+    # which loses digits as the head grows (1e-12 at head 32): head 17
+    # stays on the explicit path.  A lam >= 1 node needs no subtraction
+    seen = {"closed": [], "explicit": []}
+    closed_series = oscillator._closed_series
+    bessel_series = oscillator._bessel_series
+
+    def closed(q, *args):
+        seen["closed"].extend(q.tolist())
+        return closed_series(q, *args)
+
+    def explicit(mu, q, *args):
+        seen["explicit"].extend(q.tolist())
+        return bessel_series(mu, q, *args)
+
+    monkeypatch.setattr(oscillator, "_closed_series", closed)
+    monkeypatch.setattr(oscillator, "_bessel_series", explicit)
+    v, r2, q, _ = _routed_kernel(_ROUTED_NODES)
+    oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99, 1e-8)
+    for qi, (_, lam, path) in zip(q.tolist(), _ROUTED_NODES):
+        assert seen[path].count(qi) == 1, (qi, lam, path)
+    assert len(seen["closed"]) + len(seen["explicit"]) == len(_ROUTED_NODES)
+
+
+def test_closed_form_matches_mpmath_per_node():
+    # both branches of the closed form, head 1 and 16, lam on both sides
+    # of 1 and q on both sides of the route, against 30-digit direct sums
+    mp = pytest.importorskip("mpmath")
+    v, r2, q, lam = _routed_kernel(_ROUTED_NODES)
+    got = oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99, 1e-15)
+    with mp.workdps(30):
+        for i in range(v.size):
+            x, mu = mp.mpf(q[i]), mp.mpf(q[i]) + mp.mpf(lam[i])
+            terms = int(72.0 / lam[i]) + 2  # to e^{-72} ~ 5e-32
+            ref = mp.fsum(mp.exp(-mu * n) * mp.besseli(1, x * n) / mp.sqrt(n)
+                          for n in range(1, terms))
+            err = abs(got[i] / v[i] ** 1.5 / float(ref) - 1.0)
+            assert err <= 1e-14, (_ROUTED_NODES[i], err)
+
+
 def _count_work(monkeypatch):
     """Frequency rows evaluated and Bessel elements, counted as they run."""
     rows, elements = [], []
@@ -349,12 +428,14 @@ def _count_work(monkeypatch):
 
 def test_shift_work_counts(monkeypatch):
     # counts, not time.  At Az/a = 0.99 the Matsubara remainder takes one
-    # 80 / (1 - Az/a) window (1169 rows with windows 80 wide and doubling);
-    # at T = 0 the slow nodes close instead of walking to _NL_CAP (1.18 M
-    # elements)
+    # 80 / (1 - Az/a) window (1169 rows with windows 80 wide and doubling),
+    # and the closed form leaves i1e to the heads and the nodes it does not
+    # take (1.17 M elements on the explicit path alone); at T = 0 the slow
+    # nodes close instead of walking to _NL_CAP (1.18 M elements)
     rows, elements = _count_work(monkeypatch)
     frequency_shift_nonlinear(LENS, E300, gold_drude(), osc(0.99 * E300.a))
     assert 0 < sum(rows) <= 500
+    assert 0 < sum(elements) <= 150_000
     e0 = Environment(a=E300.a, T=0.0)
     elements.clear()
     frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))

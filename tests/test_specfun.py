@@ -12,7 +12,7 @@ import scipy.special
 
 import casimir_lens
 from casimir_lens.specfun import (ConvergenceError, bessel_i1_scaled,
-                                  polylog_exp_grid)
+                                  polylog_exp_grid, polylog_exp_orders)
 
 # Reference values computed with mpmath at 30 decimal digits.
 LI_HALF_AT_HALF = 0.8061267230428523
@@ -91,13 +91,27 @@ def test_polylog_exp_grid_against_mpmath(s, r2):
     # 40-digit values; the seam points are kept where v > 0.
     mpmath = pytest.importorskip("mpmath")
     seam = 1.0 + math.log(r2) + np.linspace(-0.02, 0.02, 41)
-    v = np.concatenate([np.geomspace(1e-10, 600.0, 200), seam[seam > 0.0]])
+    v = np.concatenate([np.geomspace(1e-10, 600.0, 64), seam[seam > 0.0]])
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.polylog(s, mpmath.mpf(r2)
                                              * mpmath.exp(-mpmath.mpf(vi))))
                         for vi in v])
     np.testing.assert_allclose(polylog_exp_grid(s, v, r2), ref, rtol=5e-15,
                                atol=0)
+
+
+def test_polylog_exp_orders_against_mpmath():
+    # Wood's series at integer order, log term included, for the orders
+    # the shift's closed form takes and mu across (0, 1)
+    mpmath = pytest.importorskip("mpmath")
+    mu = np.array([1e-9, 1e-4, 0.01, 0.3, 0.7, 0.999])
+    got = polylog_exp_orders(13, mu)
+    with mpmath.workdps(40):
+        ref = np.array([[float(mpmath.polylog(m, mpmath.exp(-mpmath.mpf(x))))
+                         for x in mu] for m in range(1, 14)])
+    np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0)
+    # a node's value does not depend on the other nodes in the call
+    assert np.array_equal(polylog_exp_orders(13, mu[3:4])[:, 0], got[:, 3])
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])
