@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casimir_lens
+from casimir_lens.engine import _force_kernel, _gradient_kernel, _grid_from
+from casimir_lens.materials import gold_drude, reflection_sq_grid
 from casimir_lens.specfun import (ConvergenceError, bessel_i1_scaled,
                                   polylog_exp_grid, polylog_exp_orders)
 
@@ -98,6 +102,66 @@ def test_polylog_exp_grid_against_mpmath(s, r2):
                         for vi in v])
     np.testing.assert_allclose(polylog_exp_grid(s, v, r2), ref, rtol=5e-15,
                                atol=0)
+
+
+@pytest.mark.parametrize("s", [0.5, -0.5])
+def test_polylog_exp_grid_far_branch_against_mpmath(s):
+    # the economized polynomial over mu in [1, 6], where it meets Wood's
+    # series, and a few ulp either side of the mu = 1 seam; half the
+    # points through r2 < 1, so x = r2 e^-v takes both factors
+    mpmath = pytest.importorskip("mpmath")
+    mu = np.concatenate([np.linspace(1.0, 6.0, 200),
+                         1.0 + 2.2e-16 * np.arange(-4, 5)])
+    r2 = np.where(np.arange(mu.size) % 2 == 0, 1.0, 0.37)
+    v = mu + np.log(r2)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.polylog(s, mpmath.mpf(ri)
+                                             * mpmath.exp(-mpmath.mpf(vi))))
+                        for vi, ri in zip(v, r2)])
+    np.testing.assert_allclose(polylog_exp_grid(s, v, r2), ref, rtol=5e-15,
+                               atol=0)
+
+
+@st.composite
+def _grids(draw):
+    """Nodes (v, r2) with v log-uniform over 1e-9 - 700 and r2 in [0, 1],
+    r2 = 0 and 1 included; then a permutation and a subset of them."""
+    n = draw(st.integers(1, 64))
+    v = draw(st.lists(st.floats(math.log(1e-9), math.log(700.0)),
+                      min_size=n, max_size=n))
+    r2 = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0),
+                                 st.floats(0.0, 1.0)),
+                       min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return np.exp(v), np.array(r2), np.array(order), np.array(subset)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grid=_grids(), s=st.sampled_from([0.5, -0.5]))
+def test_polylog_exp_grid_node_independent_of_the_call(grid, s):
+    # each node is the same float whatever else the call holds
+    v, r2, order, subset = grid
+    whole = polylog_exp_grid(s, v, r2)
+    for pick in (order, subset):
+        assert np.array_equal(polylog_exp_grid(s, v[pick], r2[pick]),
+                              whole[pick])
+
+
+@pytest.mark.parametrize("kernel, s, power", [(_force_kernel, 0.5, 1.5),
+                                              (_gradient_kernel, -0.5, 2.5)])
+def test_stacked_kernel_equals_two_calls(kernel, s, power):
+    # TM and TE pass through one polylog call; the sum of two calls, one
+    # per polarization, is the same float at every node, at zero frequency
+    # (where the Drude TE weight vanishes) and on a stack of 19 frequencies
+    a = 200e-9
+    for zeta in (0.0, 0.33 * np.arange(1, 20)):
+        v, _ = _grid_from(zeta)
+        r_tm2, r_te2 = reflection_sq_grid(gold_drude(), np.asarray(zeta)[...,
+                                          None], v, a)
+        two = v ** power * (polylog_exp_grid(s, v, r_tm2)
+                            + polylog_exp_grid(s, v, r_te2))
+        assert np.array_equal(kernel(v, r_tm2, r_te2), two)
 
 
 def test_polylog_exp_orders_against_mpmath():
