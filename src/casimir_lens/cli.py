@@ -6,8 +6,9 @@ sweep, and writes a CSV or JSON table.  CSV output starts with a
 a result file is self-describing; values are printed with 17 significant
 digits.  Validity diagnostics go to stderr, never into the table.
 
-Exit codes: 0 success, 2 config parse error, 3 physics domain error,
-4 convergence failure (partial results are still written, flagged).
+Exit codes: 0 success, 2 config parse error or an output file that cannot
+be written, 3 physics domain error, 4 convergence failure (partial results
+are still written, flagged).
 """
 
 import argparse
@@ -221,10 +222,12 @@ def main(argv=None) -> int:
 
     if failure is not None:
         print(f"convergence failure: {failure}", file=sys.stderr)
-        _emit(cfg, columns, rows, path, fmt, partial=True)
-        return 4
-    _emit(cfg, columns, rows, path, fmt)
-    return 0
+    try:
+        _emit(cfg, columns, rows, path, fmt, partial=failure is not None)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    return 0 if failure is None else 4
 
 
 def entry() -> None:

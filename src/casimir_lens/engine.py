@@ -291,18 +291,6 @@ def _not_converged(quad: QuadratureSpec, partial: float) -> ConvergenceError:
         partial=partial)
 
 
-def _gregory(samples):
-    """h f' and h^3 f''' at the last of seven samples f(x - 6h) ... f(x).
-
-    Gregory's form: backward differences taken along axis 0, so samples
-    may be a list of seven floats or a (7, nodes) array.
-    """
-    nabla = [np.diff(samples, k, axis=0)[-1] for k in range(1, 7)]
-    d1 = sum(d / k for k, d in enumerate(nabla, start=1))
-    d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
-    return d1, d3
-
-
 def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
                   total: float, terms: int, quad: QuadratureSpec,
                   rate: float = 1.0):
@@ -315,7 +303,7 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
             + h^3 f'''(zeta_b)/720.
 
     h f' and h^3 f''' come from the backward differences of the last seven
-    samples f(zeta_b - 6h) ... f(zeta_b) (_gregory), so they cost no
+    samples f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over contiguous windows from zeta_b,
     the first 80 / rate wide and each next one twice as wide, until the
     term at the end of a window times the window's width falls below
@@ -325,7 +313,9 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
     when every window is redone at half the Gauss order, and that end-of-
     window cut.  Returns (sum, terms_used, tail_estimate).
     """
-    d1, d3 = (float(d) for d in _gregory(samples))
+    nabla = [float(np.diff(samples, k)[-1]) for k in range(1, 7)]
+    d1 = sum(d / k for k, d in enumerate(nabla, start=1))
+    d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
     last_correction = d3 / 720.0
     total += -0.5 * samples[-1] - d1 / 12.0 + last_correction
     quad_err = 0.0

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _gregory,
-                     _leggauss, _lifshitz, casimir_force, gradient)
+from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _leggauss,
+                     _lifshitz, casimir_force, gradient)
 from .geometry import EllipticLens, Environment, LensGeometry, expect_variant
 from .materials import PermittivityModel
-from .specfun import ConvergenceError, bessel_i1_scaled, polylog_exp_orders
+from .specfun import (ConvergenceError, _horner, bessel_i1_scaled,
+                      polylog_exp_grid, polylog_exp_orders)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class OscillatorParams:
     omega0 : float
         Unperturbed angular resonance frequency, rad/s.
     C : float
-        Force-to-frequency coupling, s^-2 per (N/m) * m ... i.e. the shift is
+        Force-to-frequency coupling, kg^-1: the shift is
         Delta(omega^2) = -C dF/da in the linear regime.  For a torsional
         mount C = b^2 / I.
     Az : float
@@ -80,123 +81,46 @@ def _check_amplitude(env: Environment, osc: OscillatorParams) -> None:
 # ---------------------------------------------------------------------------
 # nonlinear kernel: sum over reflection orders with the Bessel weight
 
-_NL_BLOCK = 64
-_NL_CAP = 8192
-_NL_DECAY = 41.5  # e^{-41.5} ~ 1e-18: where the first block's powers stop
-_NL_ELEMENTS = 2 ** 14  # n x nodes elements per block call (128 kB arrays)
-_NL_AHEAD = 2  # further blocks a node may still sum before it is closed
-_TAIL_NODES = 64  # Gauss-Legendre order of the closing integral
-_TAIL_SPAN = 80.0  # the integral stops where e^{-lam (x - L)} = e^{-80}
+_NL_DECAY = 41.5  # e^{-41.5} ~ 1e-18: where a lam >= 1 node's powers stop
+_NL_ELEMENTS = 2 ** 14  # powers x nodes per closed-form call (128 kB arrays)
+_THETA_NODES = 36  # Gauss-Legendre order of the theta rule
+_THETA_CHUNK = 128  # theta-rule nodes per polylog call (37 kB arrays)
 # Hankel's expansion (DLMF 10.40.1), within 5.3e-16 from x = 32 on:
-# sqrt(2 pi x) e^{-x} I_1(x) ~ sum_{k<13} c_k x^{-k}
+# sqrt(2 pi x) e^{-x} I_1(x) ~ sum_{k<13} c_k x^{-k}, _horner(_HANKEL, 1/x)
 _HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4) / (8 * k)
                               for k in range(1, 13)])
 
 
-def _tail_integral(lam: np.ndarray, q: np.ndarray, L: int) -> np.ndarray:
-    """int_L^inf x^{-1/2} e^{-lam x} i1e(q x) dx per node, one Bessel call.
+def _theta_series(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sum_n n^{-1/2} e^{-(q + lam) n} I_1(q n) per node, as one integral.
 
-    A 64-node Gauss-Legendre rule in u = ln(x / L) over
-    [0, ln(1 + 80 / (lam L))], which follows the integrand from its
-    algebraic rise at q x << 1 to its e^{-lam x} fall.  The products are
-    taken in place, so a call holds at most three nodes x 64 arrays.
+    I_1(x) = (x / pi) int_0^pi e^{x cos t} sin^2 t dt (A&S 9.6.18) turns
+    the sum into
+
+        (q / pi) int_0^pi sin^2 t Li_{-1/2}(e^{-(lam + 2 q sin^2(t/2))}) dt,
+
+    whose integrand is positive, so nothing cancels at small q.  It peaks
+    near t = 0 over a width s = sqrt(2 lam / q); t = s sinh(y) flattens the
+    peak, and _THETA_NODES Gauss-Legendre nodes in y over
+    [0, asinh(pi / s)] take the integral.  Nodes go _THETA_CHUNK to a
+    polylog call, and each sums along its own row (np.sum, not a matrix
+    product, whose rounding depends on the rows sharing the call), so a
+    node's value does not depend on the other nodes.
     """
-    x, w = _leggauss(_TAIL_NODES)
-    span = np.log1p(_TAIL_SPAN / (lam * L))[:, None]
-    xs = L * np.exp(0.5 * span * (x + 1.0))
-    f = bessel_i1_scaled(q[:, None] * xs)
-    f *= np.sqrt(xs)
-    decay = np.multiply(-lam[:, None], xs)
-    f *= np.exp(decay, out=decay)
-    f *= w
-    return 0.5 * span[:, 0] * f.sum(axis=-1)
-
-
-def _bessel_tail(lam: np.ndarray, q: np.ndarray, L: int,
-                 last: np.ndarray) -> np.ndarray:
-    """sum_{n > L} f(n), f(x) = x^{-1/2} e^{-lam x} i1e(q x), per node.
-
-    last holds f(L - 6) ... f(L), a row per power and a column per node.
-    By Euler-Maclaurin the sum is
-
-        int_L^inf f - f(L)/2 - f'(L)/12 + f'''(L)/720,
-
-    with f' and f''' from the backward differences of last (Gregory's
-    form, as the Matsubara remainder takes them), so the endpoint terms
-    cost no evaluations.  The integral (_tail_integral) takes the nodes in
-    calls of at most _NL_ELEMENTS elements, as the blocks do.  Each node's
-    sum runs along its own contiguous row, so its value does not depend on
-    the other nodes.
-    """
-    step = _NL_ELEMENTS // _TAIL_NODES
-    integral = np.concatenate([
-        _tail_integral(lam[i:i + step], q[i:i + step], L)
-        for i in range(0, lam.size, step)])
-    d1, d3 = _gregory(last)
-    return integral - 0.5 * last[-1] - d1 / 12.0 + d3 / 720.0
-
-
-def _bessel_series(mu: np.ndarray, q: np.ndarray, lam: np.ndarray,
-                   size: int, rel_tol: float) -> np.ndarray:
-    """sum_n n^{-1/2} e^{-mu n} I_1(q n) per node, the first block size long.
-
-    The explicit path: powers summed in blocks over the nodes still open,
-    each block split over as few calls as keep its n x nodes arrays within
-    _NL_ELEMENTS; blocks after the first hold _NL_BLOCK powers.  After
-    each block a node stops once the geometric bound on its remainder is
-    below rel_tol/10 of its sum.  A node that has just summed a full
-    block, and whose bound says it would still be open after _NL_AHEAD
-    more, is closed instead: _bessel_tail adds its whole remainder from
-    the block's end.  So is a node still open at _NL_CAP.  The nodes
-    closed at one block end share one tail evaluation.
-    """
-    acc = np.zeros_like(mu)
-    active = np.ones(mu.shape, dtype=bool)
-    n0 = 0
-    while np.any(active):
-        n = np.arange(n0 + 1, n0 + size + 1, dtype=float)
-        idx = np.flatnonzero(active)
-        # the block's last seven powers: the close's Gregory differences
-        last = np.empty((min(size, 7), idx.size))
-        calls = -(-idx.size * size // _NL_ELEMENTS)
-        for part in np.array_split(np.arange(idx.size), calls):
-            cols = idx[part]
-            block = bessel_i1_scaled(np.outer(n, q[cols]))
-            block *= n[:, None] ** -0.5
-            decay = np.outer(n, -lam[cols])
-            block *= np.exp(decay, out=decay)
-            acc[cols] += block.sum(axis=0)
-            last[:, part] = block[-7:]
-        del block, decay  # free the block's arrays before a tail is taken
-        n0 += size
-        full = size == _NL_BLOCK
-        size = _NL_BLOCK
-        # geometric bound on the remainder: term ratio is at most
-        # e^{-lam} (1 + 1/(2 n)), the algebraic factor covering the rise
-        # of e^{-x} I_1(x) against n^{-1/2} while beta n v is small
-        rho = np.exp(-lam[idx]) * (1.0 + 0.5 / n0)
-        rho = np.minimum(rho, 0.999999)
-        bound = last[-1] * rho / (1.0 - rho)
-        tol = rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
-        still = bound >= tol
-        active[idx] = still
-        if not full:
-            continue
-        ahead = bound * rho ** (_NL_AHEAD * _NL_BLOCK)
-        close = still & ((ahead >= tol) | (n0 >= _NL_CAP))
-        if close.any():
-            shut = idx[close]
-            acc[shut] += _bessel_tail(lam[shut], q[shut], n0, last[:, close])
-            active[shut] = False
-    return acc
-
-
-def _hankel(u: np.ndarray) -> np.ndarray:
-    """sum_k c_k u^k ~ sqrt(2 pi x) e^{-x} I_1(x), u = 1/x."""
-    out = np.full_like(u, _HANKEL[-1])
-    for c in _HANKEL[-2::-1]:
-        out *= u
-        out += c
+    x, w = _leggauss(_THETA_NODES)
+    out = np.empty_like(q)
+    for i in range(0, q.size, _THETA_CHUNK):
+        qc, lc = q[i:i + _THETA_CHUNK, None], lam[i:i + _THETA_CHUNK, None]
+        s = np.sqrt(2.0 * lc / qc)
+        end = np.arcsinh(math.pi / s)
+        y = 0.5 * end * (x + 1.0)
+        t = s * np.sinh(y)
+        half = np.sin(0.5 * t)
+        f = polylog_exp_grid(-0.5, lc + 2.0 * qc * half * half, 1.0)
+        f *= np.sin(t) ** 2 * (s * np.cosh(y))
+        f *= w
+        out[i:i + _THETA_CHUNK] = (0.5 / math.pi) * (qc * end)[:, 0] * np.sum(
+            f, axis=-1)
     return out
 
 
@@ -222,38 +146,38 @@ def _closed_series(q: np.ndarray, lam: np.ndarray, head: np.ndarray,
         # the first lo rows hold heads alone; a lam < 1 node keeps its head
         lo = size if near else min(int(head[part].min()) - 1, size)
         term = np.zeros((size, q[part].size))
-        term[lo:] = _hankel(1.0 / n[lo:] * (1.0 / q[part]))
+        term[lo:] = _horner(_HANKEL, 1.0 / n[lo:] * (1.0 / q[part]))
         rows = int(head[part].max()) - 1
         if rows > 0:
             inside = n[:rows] < head[part]
             x = (n[:rows] * q[part])[inside]
             fix = bessel_i1_scaled(x) * np.sqrt(2.0 * math.pi * x)
-            term[:rows][inside] = fix - _hankel(1.0 / x) if near else fix
+            term[:rows][inside] = (fix - _horner(_HANKEL, 1.0 / x) if near
+                                   else fix)
         term *= np.exp(n * -lam[part]) / n
-        out[part] = term.sum(axis=0)
+        # cumsum adds row after row at any width; sum(axis=0) would sum a
+        # lone column pairwise, so a node's value would depend on the call
+        out[part] = np.cumsum(term, axis=0)[-1]
         if near:
             li = polylog_exp_orders(_HANKEL.size, lam[part])
-            out[part] += (li * _HANKEL[:, None] * q[part] ** -k).sum(axis=0)
+            out[part] += np.cumsum(li * _HANKEL[:, None] * q[part] ** -k,
+                                   axis=0)[-1]
     return out / np.sqrt(2.0 * math.pi * q)
 
 
 def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
-                      beta: float, rel_tol: float) -> np.ndarray:
+                      beta: float) -> np.ndarray:
     """v^{3/2} sum_n n^{-1/2} (r_TM^{2n} + r_TE^{2n}) e^{-nv} I_1(beta n v).
 
     v may hold one v-grid or a stack of them, a row per frequency.  With
-    q = beta v and lam = mu - q, a node needs count = ceil(_NL_DECAY / lam)
-    powers, at most _NL_BLOCK, in a first block, and i1e only below
-    head = ceil(32 / q).  A lam >= 1 node takes _closed_series, whose head
-    rows cost what explicit ones do; a lam < 1 node takes it up to head 16
-    (the subtraction loses 1e-15 at head 22, 1e-12 at 32), _bessel_series
-    past that.  lam >= 1 nodes whose counts share a power-of-2 ceiling are
-    summed together, the largest count as their block, so a stack merges
-    its frequencies' calls without making fast nodes pay the slowest one.
-    An explicit node's count is 42 to 64; a power its short first block
-    leaves out is below e^{-41.5} sqrt(64) ~ 8e-18 of the first term,
-    under half an ulp of the partial sum, and the stop bound after it
-    (~1e-18) stops every node a full block did.
+    q = beta v and lam = mu - q, a node takes i1e only below head =
+    ceil(32 / q).  A lam >= 1 node takes _closed_series over count =
+    ceil(_NL_DECAY / lam) powers; those whose counts share a power-of-2
+    ceiling are summed together, the largest count as their block, so a
+    stack merges its frequencies' calls without making fast nodes pay the
+    slowest one.  A lam < 1 node takes _closed_series up to head 16 (the
+    subtraction loses 1e-15 at head 22, 1e-12 at 32) and _theta_series
+    past that.
     """
     out = np.zeros_like(v)
     for r2 in (r_tm2, r_te2):
@@ -264,19 +188,17 @@ def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
         mu = vv - np.log(r2[mask])  # e^{-mu n} absorbs r^{2n} e^{-nv}
         q = beta * vv
         lam = mu - q
-        count = np.minimum(np.ceil(_NL_DECAY / lam), _NL_BLOCK)
         head = np.ceil(32.0 / q)
         near = lam < 1.0
-        size = np.where(near, head, count)
-        # lam >= 1 by block length; lam < 1 closed (7) and explicit (8)
+        size = np.where(near, head, np.ceil(_NL_DECAY / lam))
+        # lam >= 1 by block length; lam < 1 closed (7) and theta rule (8)
         group = np.where(near, 7.0 + (head > 16.0), np.ceil(np.log2(size)))
         acc = np.empty_like(vv)
         for g in np.unique(group):
             sel = group == g
-            acc[sel] = (_bessel_series(mu[sel], q[sel], lam[sel],
-                                       int(count[sel].max()), rel_tol)
-                        if g == 8.0 else _closed_series(
-                            q[sel], lam[sel], head[sel], int(size[sel].max())))
+            acc[sel] = (_theta_series(q[sel], lam[sel]) if g == 8.0 else
+                        _closed_series(q[sel], lam[sel], head[sel],
+                                       int(size[sel].max())))
         out[mask] += acc
     return v ** 1.5 * out
 
@@ -308,7 +230,7 @@ def frequency_shift_for_variant(geom: LensGeometry, env: Environment,
     beta = osc.Az / env.a
 
     def kernel(v, r_tm2, r_te2):
-        return _nonlinear_kernel(v, r_tm2, r_te2, beta, quad.rel_tol)
+        return _nonlinear_kernel(v, r_tm2, r_te2, beta)
 
     return 2.0 * osc.C / osc.Az * _lifshitz(kernel, geom, env, model, quad,
                                             rate=1.0 - beta).value

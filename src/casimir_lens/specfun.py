@@ -2,10 +2,11 @@
 
 The Lifshitz kernels reduce to polylogarithms Li_{+-1/2}; the oscillator's
 shift brings in the Bessel function I_1, whose series it closes with
-Li_1 ... Li_13.  polylog_exp_grid evaluates Li_s(e^-mu) from Wood's series
-in powers of mu near the singularity (mu < 1) and from one economized
-polynomial of degree 18 in e^-mu away from it; polylog_exp_orders sums
-Wood's series at integer order.  Tests hold both to mpmath at ~1e-15.
+Li_1 ... Li_13 or integrates over Li_{-1/2}.  polylog_exp_grid evaluates
+Li_s(e^-mu) from Wood's series in powers of mu near the singularity
+(mu < 1) and from one economized polynomial of degree 18 in e^-mu away
+from it, both by Horner's rule; polylog_exp_orders sums Wood's series at
+integer order.  Tests hold both to mpmath at ~1e-15.
 bessel_i1_scaled is scipy's i1e.  scipy.special is imported on the first
 evaluation, not with the package, so importing casimir_lens and parsing a
 config leaves it out.
@@ -118,36 +119,34 @@ def polylog_exp_orders(orders: int, mu: np.ndarray) -> np.ndarray:
     return out - np.log(mu) * logc[:, None] * mu ** np.arange(orders)[:, None]
 
 
-def _series(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] x^(k+1) for each element of x, as one matrix product.
-
-    x is padded with zeros to a multiple of 4 nodes: BLAS computes the
-    nodes past the last whole group of 4 on a path that rounds
-    differently, so unpadded, a node's value would depend on how many
-    nodes share the call.
-    """
-    k = x.size
-    powers = np.zeros((coef.size, -(-k // 4) * 4))
-    powers[:, :k] = x
-    np.multiply.accumulate(powers, axis=0, out=powers)
-    return (coef @ powers)[:k]
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^k for each element of x, by Horner's rule in place."""
+    out = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
     """Li_s(r2 * e^-v) for arrays of v > 0 and reflection weights r2 in [0, 1].
 
-    Vectorized fast path for the engine.  v and r2 broadcast against each
-    other, so a stack of weights (TM and TE, say) shares one v grid and
-    one call.  With mu = v - ln r2 each node takes one of two series:
+    Vectorized fast path for the engine: the force kernel takes s = 1/2,
+    the gradient kernel and the shift's theta rule s = -1/2.  v and r2
+    broadcast against each other, so a stack of weights (TM and TE, say)
+    shares one v grid and one call.  With mu = v - ln r2 each node takes
+    one of two series, each summed by Horner's rule in place:
 
     - mu < 1: Wood's series (D. C. Wood, The computation of polylogarithms,
       Kent TR 15-92, 1992), Li_s(e^-mu) = Gamma(1-s) mu^{s-1}
       + sum_k zeta(s-k) (-mu)^k / k!, cut after 24 terms; it converges
       like (mu / 2 pi)^k, so the cut is below 1e-19 at mu = 1.
     - mu >= 1: x p(x) with x = r2 e^-v <= 1/e, p the degree-18 economized
-      polynomial of _polylog_coefficients, summed by Horner's rule.  Every
-      node takes that pass (Wood's series then replaces the mu < 1 ones),
-      so no value depends on the other nodes in the call.
+      polynomial of _polylog_coefficients.  Every node takes that pass
+      (Wood's series then replaces the mu < 1 ones).
+
+    Both passes are elementwise, so no value depends on the other nodes in
+    the call.
 
     Both agree with 40-digit mpmath values to ~1e-15 relative for
     s = +-1/2; the mu >= 1 branch to 3.3e-16.
@@ -161,15 +160,11 @@ def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
     v, r2 = np.broadcast_arrays(np.asarray(v, dtype=float),
                                 np.asarray(r2, dtype=float))
     x = r2 * np.exp(-v)
-    p = np.full_like(x, econ[-1])
-    for c in econ[-2::-1]:
-        p *= x
-        p += c
-    out = x * p
+    out = x * _horner(econ, x)
     with np.errstate(divide="ignore"):
         mu = v - np.log(r2)
     near = mu < 1.0
     if near.any():
         m = mu[near]
-        out[near] = gamma * m ** (s - 1.0) + wood[0] + _series(wood[1:], m)
+        out[near] = _horner(wood, m) + gamma * m ** (s - 1.0)
     return out

@@ -235,6 +235,16 @@ def test_exit_3_on_runtime_domain_error(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_exit_2_on_unwritable_output(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["--config", write(tmp_path, BASE), "--output",
+                 str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ")
+    assert str(missing) in captured.err
+    assert captured.out == ""
+
+
 def test_exit_4_on_convergence_failure_emits_partial(tmp_path, capsys):
     cfg = BASE + """
 [quadrature]

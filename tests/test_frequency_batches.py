@@ -36,8 +36,7 @@ MODELS = {
 
 
 def _shift_kernel(v, r_tm2, r_te2):
-    return oscillator._nonlinear_kernel(v, r_tm2, r_te2, 0.5,
-                                        QuadratureSpec().rel_tol)
+    return oscillator._nonlinear_kernel(v, r_tm2, r_te2, 0.5)
 
 
 KERNELS = {"force": _force_kernel, "gradient": _gradient_kernel,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_lens import engine, oscillator
 from casimir_lens.constants import CONSTANTS
@@ -182,88 +184,10 @@ def test_direct_oracle_averages_over_half_a_cycle(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Bessel series: short first block, Euler-Maclaurin close, work counts
+# the Bessel series: closed form, theta rule, work counts
 
 _ZETA1 = (4.0 * math.pi * E300.a * CONSTANTS.kB * E300.T
           / (CONSTANTS.hbar * CONSTANTS.c))
-
-
-def _explicit_fixed_blocks(v, r_tm2, r_te2, beta, rel_tol):
-    """The series' explicit powers with every block _NL_BLOCK long.
-
-    Nodes stop and close by the kernel's rules, but a closed node gets no
-    tail: this is the part of the kernel's sum before any close.
-    """
-    block_len = oscillator._NL_BLOCK
-    out = np.zeros_like(v)
-    for r2 in (r_tm2, r_te2):
-        mask = r2 > 0.0
-        if not np.any(mask):
-            continue
-        vv = v[mask]
-        mu = vv - np.log(r2[mask])
-        q = beta * vv
-        lam = mu - q
-        acc = np.zeros_like(vv)
-        active = np.ones(vv.shape, dtype=bool)
-        n0 = 0
-        while np.any(active):
-            n = np.arange(n0 + 1, n0 + block_len + 1, dtype=float)
-            idx = np.where(active)[0]
-            nv = np.outer(n, q[idx])
-            block = (n[:, None] ** -0.5 * oscillator.bessel_i1_scaled(nv)
-                     * np.exp(-np.outer(n, lam[idx])))
-            acc[idx] += block.sum(axis=0)
-            n0 += block_len
-            rho = np.exp(-lam[idx]) * (1.0 + 0.5 / n0)
-            rho = np.minimum(rho, 0.999999)
-            bound = block[-1] * rho / (1.0 - rho)
-            tol = rel_tol / 10.0 * np.maximum(acc[idx], 1e-300)
-            slow = bound * rho ** (oscillator._NL_AHEAD * block_len) >= tol
-            active[idx] = (bound >= tol) & ~(slow | (n0 >= oscillator._NL_CAP))
-        out[mask] += acc
-    return v ** 1.5 * out
-
-
-def test_explicit_powers_match_fixed_64_blocks(monkeypatch):
-    # the powers the short first block leaves out are below half an ulp of
-    # every partial sum, so up to the close the kernel sums what fixed
-    # 64-power blocks sum, bit for bit, and closes the same nodes.  The
-    # nodes routed to the closed form are not summed in blocks: they come
-    # back as nan here, and the comparison keeps the v-nodes whose TM and
-    # TE series both stay on the explicit path
-    closed = []
-
-    def no_tail(lam, q, L, last):
-        closed.append(lam.size)
-        return np.zeros_like(lam)
-
-    def unsummed(q, lam, *args):
-        return np.full_like(q, np.nan)
-
-    monkeypatch.setattr(oscillator, "_bessel_tail", no_tail)
-    monkeypatch.setattr(oscillator, "_closed_series", unsummed)
-    a = E300.a
-    kept = dropped = 0
-    for model in (gold_drude(), gold_plasma(), IdealMetal()):
-        for zeta in (0.0, _ZETA1, 20.0, 200.0):
-            v, _ = _grid_from(zeta)
-            r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, a)
-            for beta in (0.1, 0.5, 0.99):
-                for rel_tol in (QuadratureSpec().rel_tol, 1e-13):
-                    got = oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta,
-                                                       rel_tol)
-                    ref = _explicit_fixed_blocks(v, r_tm2, r_te2, beta,
-                                                 rel_tol)
-                    keep = ~np.isnan(got)
-                    assert np.array_equal(got[keep], ref[keep]), (
-                        model, zeta, beta)
-                    kept += int(keep.sum())
-                    dropped += int((~keep).sum())
-    # the slow nodes near zeta = 0 and Az -> a are closed, so the
-    # comparison covers the close decision too
-    assert sum(closed) > 0
-    assert kept > 0 and dropped > 0
 
 
 def _li_half(x, wood):
@@ -311,9 +235,8 @@ def _bessel_series_mpmath(mu, q, wood, rule=None):
 
 
 def test_bessel_series_matches_mpmath_per_node():
-    # at rel_tol = 1e-13 the stop rule leaves <= 1e-14, so the check sees
-    # the Euler-Maclaurin close; the hardest nodes are those at v ~ 1e-6
-    # and zeta = 0, whose series runs to n ~ 1 / lam ~ 1e8
+    # Drude TM nodes on every path; the hardest are those at v ~ 1e-6 and
+    # zeta = 0, whose series runs to n ~ 1 / lam ~ 1e8 (the theta rule)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         # Wood's series converges like (x / 2 pi)^k: 60 terms reach 1e-30
@@ -329,20 +252,43 @@ def test_bessel_series_matches_mpmath_per_node():
             r_tm2, _ = reflection_sq_grid(gold_drude(), zeta, v, E300.a)
             for beta in (0.5, 0.9, 0.99):
                 got = oscillator._nonlinear_kernel(v, r_tm2, np.zeros_like(v),
-                                                   beta, 1e-13)
+                                                   beta)
                 for i in (0, 1, 2, 5, 10, 20, 47):
                     mu = v[i] - math.log(r_tm2[i])
                     ref = _bessel_series_mpmath(mu, beta * v[i], wood, rule)
                     err = abs(got[i] / (float(ref) * v[i] ** 1.5) - 1.0)
-                    assert err < 1e-10, (zeta, beta, i, err)
+                    assert err < 1e-14, (zeta, beta, i, err)
         # on the hardest node (r_TM = 1) the 32-point rule agrees with
         # mpmath's adaptive quadrature
         v0 = float(_grid_from(0.0)[0][0])
         fixed = _bessel_series_mpmath(v0, 0.99 * v0, wood, rule)
         adaptive = _bessel_series_mpmath(v0, 0.99 * v0, wood)
         assert abs(fixed / adaptive - 1) < 1e-15
+
+
+def test_theta_rule_matches_mpmath_per_node():
+    # the lam < 1, q < 2 nodes, lam / q from 1e-4 to 1e3, against mpmath's
+    # adaptive quadrature of the A&S 9.6.19 form (cos t and Li_{1/2}), which
+    # shares neither the integrand nor the rule with the theta rule
+    mp = pytest.importorskip("mpmath")
+    q = np.array([1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 0.1, 0.1, 0.1, 0.1,
+                  1.9, 1.9, 1.9])
+    lam = np.array([1e-7, 1e-5, 1e-3, 0.1, 0.999, 1e-5, 1e-3, 0.1, 0.9,
+                    1.9e-4, 0.019, 0.95])
+    got = oscillator._theta_series(q, lam)
+    with mp.workdps(30):
+        wood = [mp.zeta(mp.mpf(0.5) - k) * (-1) ** k / mp.factorial(k)
+                for k in range(60)]
+        for i in range(q.size):
+            ref = _bessel_series_mpmath(mp.mpf(q[i]) + mp.mpf(lam[i]), q[i],
+                                        wood)
+            err = abs(got[i] / float(ref) - 1.0)
+            assert err <= 1e-14, (q[i], lam[i], err)
+
+
 # (q, lam, path): nodes of the shift's Bessel series, head = ceil(32 / q).
-# A lam < 1 node takes the closed form up to head 16; a lam >= 1 node always
+# A lam < 1 node takes the closed form up to head 16 and the theta rule past
+# it; a lam >= 1 node always takes the closed form
 _ROUTED_NODES = [
     (40.0, 0.5, "closed"),  # lam < 1, head 1
     (2.01, 0.3, "closed"),  # lam < 1, head 16
@@ -352,7 +298,7 @@ _ROUTED_NODES = [
     (41.0, 2.0, "closed"),  # lam >= 1, head 1
     (2.5, 1.5, "closed"),  # lam >= 1, head 13 of 28 powers
     (0.5, 8.0, "closed"),  # lam >= 1, head 64: every power takes i1e
-    (1.9, 0.5, "explicit"),  # lam < 1, head 17
+    (1.9, 0.5, "theta"),  # lam < 1, head 17
 ]
 
 
@@ -369,26 +315,26 @@ def _routed_kernel(nodes, beta=0.99):
 def test_closed_form_route(monkeypatch):
     # the lam < 1 closed form subtracts the head from Li_{k+1}(e^{-lam}),
     # which loses digits as the head grows (1e-12 at head 32): head 17
-    # stays on the explicit path.  A lam >= 1 node needs no subtraction
-    seen = {"closed": [], "explicit": []}
+    # takes the theta rule.  A lam >= 1 node needs no subtraction
+    seen = {"closed": [], "theta": []}
     closed_series = oscillator._closed_series
-    bessel_series = oscillator._bessel_series
+    theta_series = oscillator._theta_series
 
     def closed(q, *args):
         seen["closed"].extend(q.tolist())
         return closed_series(q, *args)
 
-    def explicit(mu, q, *args):
-        seen["explicit"].extend(q.tolist())
-        return bessel_series(mu, q, *args)
+    def theta(q, lam):
+        seen["theta"].extend(q.tolist())
+        return theta_series(q, lam)
 
     monkeypatch.setattr(oscillator, "_closed_series", closed)
-    monkeypatch.setattr(oscillator, "_bessel_series", explicit)
+    monkeypatch.setattr(oscillator, "_theta_series", theta)
     v, r2, q, _ = _routed_kernel(_ROUTED_NODES)
-    oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99, 1e-8)
+    oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99)
     for qi, (_, lam, path) in zip(q.tolist(), _ROUTED_NODES):
         assert seen[path].count(qi) == 1, (qi, lam, path)
-    assert len(seen["closed"]) + len(seen["explicit"]) == len(_ROUTED_NODES)
+    assert len(seen["closed"]) + len(seen["theta"]) == len(_ROUTED_NODES)
 
 
 def test_closed_form_matches_mpmath_per_node():
@@ -396,7 +342,7 @@ def test_closed_form_matches_mpmath_per_node():
     # of 1 and q on both sides of the route, against 30-digit direct sums
     mp = pytest.importorskip("mpmath")
     v, r2, q, lam = _routed_kernel(_ROUTED_NODES)
-    got = oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99, 1e-15)
+    got = oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99)
     with mp.workdps(30):
         for i in range(v.size):
             x, mu = mp.mpf(q[i]), mp.mpf(q[i]) + mp.mpf(lam[i])
@@ -405,6 +351,33 @@ def test_closed_form_matches_mpmath_per_node():
                           for n in range(1, terms))
             err = abs(got[i] / v[i] ** 1.5 / float(ref) - 1.0)
             assert err <= 1e-14, (_ROUTED_NODES[i], err)
+
+
+@st.composite
+def _kernel_nodes(draw):
+    """Kernel nodes (v, r_TM^2, r_TE^2) and beta, with a permutation and a
+    subset of the nodes.  v is log-uniform over 1e-7 - 300 and the weights
+    take 0, 1 and values between, so every path is hit: lam >= 1 blocks,
+    the lam < 1 closed form, and the theta rule across a chunk boundary."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v = np.exp(rng.uniform(math.log(1e-7), math.log(300.0), n))
+    r2 = rng.choice([0.0, 1.0, 0.5], size=(2, n), p=[0.1, 0.3, 0.6])
+    r2 = np.where(r2 == 0.5, rng.uniform(0.2, 1.0, (2, n)), r2)
+    beta = draw(st.sampled_from([0.1, 0.5, 0.9, 0.99]))
+    return v, r2, beta, rng.permutation(n), np.flatnonzero(rng.random(n) < 0.3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(nodes=_kernel_nodes())
+def test_nonlinear_kernel_node_independent_of_the_call(nodes):
+    # each node is the same float whatever else the call holds
+    v, (r_tm2, r_te2), beta, order, subset = nodes
+    whole = oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    for pick in (order, subset):
+        assert np.array_equal(
+            oscillator._nonlinear_kernel(v[pick], r_tm2[pick], r_te2[pick],
+                                         beta), whole[pick])
 
 
 def _count_work(monkeypatch):
@@ -429,9 +402,9 @@ def _count_work(monkeypatch):
 def test_shift_work_counts(monkeypatch):
     # counts, not time.  At Az/a = 0.99 the Matsubara remainder takes one
     # 80 / (1 - Az/a) window (1169 rows with windows 80 wide and doubling),
-    # and the closed form leaves i1e to the heads and the nodes it does not
-    # take (1.17 M elements on the explicit path alone); at T = 0 the slow
-    # nodes close instead of walking to _NL_CAP (1.18 M elements)
+    # and the closed form leaves i1e to the heads; at T = 0 the slow
+    # nodes take the theta rule, which calls no i1e (407 k elements when
+    # they summed explicit blocks)
     rows, elements = _count_work(monkeypatch)
     frequency_shift_nonlinear(LENS, E300, gold_drude(), osc(0.99 * E300.a))
     assert 0 < sum(rows) <= 500
@@ -439,13 +412,12 @@ def test_shift_work_counts(monkeypatch):
     e0 = Environment(a=E300.a, T=0.0)
     elements.clear()
     frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))
-    assert 0 < sum(elements) <= 600_000
+    assert 0 < sum(elements) <= 150_000
 
 
 def test_bessel_calls_stay_within_the_element_budget(monkeypatch):
-    # the T = 0 rule closes hundreds of slow nodes at one block end; their
-    # tail integrals take the Bessel function in calls of at most
-    # _NL_ELEMENTS elements, as the blocks do, and give the same floats
+    # the closed form takes the Bessel function in calls of at most
+    # _NL_ELEMENTS elements, and a larger budget gives the same floats
     rows, elements = _count_work(monkeypatch)
     e0 = Environment(a=E300.a, T=0.0)
     got = frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))
@@ -465,8 +437,7 @@ def test_remainder_window_follows_decay_rate(beta):
         return engine._frequency_integral(shift_kernel, model, zeta, E300.a)
 
     def shift_kernel(v, r_tm2, r_te2):
-        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta,
-                                            quad.rel_tol)
+        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
 
     fast = engine._matsubara_sum(term, E300, quad, rate=1.0 - beta)
     wide = engine._matsubara_sum(term, E300, quad)
@@ -487,8 +458,9 @@ def test_force_remainder_unchanged_at_unit_rate():
 
 
 def test_nonlinear_kernel_first_block_sized_to_slowest_node(monkeypatch):
-    # count elements, not time: past the first block every node here has
-    # stopped, so the work is at most ceil(_NL_DECAY / lam_min) per node
+    # count elements, not time: a node here sums ceil(_NL_DECAY / lam)
+    # powers, so the work is at most ceil(_NL_DECAY / lam_min) per node,
+    # less than fixed 64-power blocks would take
     elements = []
     i1e = oscillator.bessel_i1_scaled
 
@@ -500,11 +472,11 @@ def test_nonlinear_kernel_first_block_sized_to_slowest_node(monkeypatch):
     zeta, beta, model = 20.0, 0.5, gold_drude()
     v, _ = _grid_from(zeta)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, E300.a)
-    oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta, QuadratureSpec().rel_tol)
+    oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
     limit = full_blocks = 0
     for r2 in (r_tm2, r_te2):
         mask = r2 > 0.0
         lam = v[mask] * (1.0 - beta) - np.log(r2[mask])
         limit += int(mask.sum()) * math.ceil(oscillator._NL_DECAY / lam.min())
-        full_blocks += int(mask.sum()) * oscillator._NL_BLOCK
+        full_blocks += int(mask.sum()) * 64
     assert 0 < sum(elements) <= limit < full_blocks

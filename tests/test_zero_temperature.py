@@ -118,8 +118,7 @@ def test_zero_temperature_shift_window_follows_decay_rate():
     model = gold_drude()
 
     def kernel(v, r_tm2, r_te2):
-        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta,
-                                            quad.rel_tol)
+        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
 
     shift = frequency_shift_nonlinear(LENS, env, model, osc, quad)
     total = _zeta_integral(kernel, model, env.a, 1.0 - beta)[0]
