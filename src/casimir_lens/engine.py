@@ -15,9 +15,9 @@ over the triangle zeta <= v with v outside (_zeta_integral).
 
 Besides these production formulas the module carries two deliberately
 unsimplified oracles that evaluate the underlying pressure integral over the
-actual lens profile with explicit reflection-order sums; they retain the
-finite width and thickness of the lens and are used to bound the error of
-the leading-order expressions.
+actual lens profile, with the reflection-order sum of each node in its
+exact geometric closed form; they retain the finite width and thickness of
+the lens and are used to bound the error of the leading-order expressions.
 """
 
 import math
@@ -33,8 +33,7 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        RotationFactor, TwoHalvesLens, expect_variant,
                        rotation_factor, shape_factor, thickness_for_width)
 from .materials import PermittivityModel, Tabulated, reflection_sq_grid
-from .specfun import (_DIRECT_DECAY, SQRT_PI, ConvergenceError,
-                      polylog_exp_grid)
+from .specfun import SQRT_PI, ConvergenceError, polylog_exp_grid
 
 
 @dataclass(frozen=True)
@@ -591,85 +590,37 @@ def rotated_gradient(geom: RotatedLens, env: Environment,
 # brute-force oracles
 #
 # These evaluate the pressure integral over the true lens profile
-# z(x) = a + B - sqrt(B^2 - B^2 x^2 / A^2) with the reflection-order series
-# kept explicit, i.e. with none of the leading-order simplifications the
-# production formulas rely on.  Exact variable changes only: the width
-# integral is taken in z with z - a = u^2 (removing the inverse-sqrt edge
-# factor), and u is rescaled by sqrt(a/v) so a fixed Gauss grid resolves the
-# exponential weight at every v.  Each Matsubara term builds one v x sigma
-# grid (a row per v node, a column per sigma node) and sums the order
-# series of each polarization over the whole grid at once.  A row's first
-# block of powers is sized by its largest ratio, and a row stops when its
-# own sigma nodes have converged, so every node sums the same explicit
-# powers whatever the other rows need.
+# z(x) = a + B - sqrt(B^2 - B^2 x^2 / A^2), with none of the leading-order
+# simplifications the production formulas rely on.  Exact variable changes
+# only: the width integral is taken in z with z - a = u^2 (removing the
+# inverse-sqrt edge factor), and u is rescaled by sqrt(a/v) so a fixed Gauss
+# grid resolves the exponential weight at every v.  Each Matsubara term
+# builds one v x sigma grid (a row per v node, a column per sigma node).  At
+# each node the plate-plate reflection-order series sum_{n>=1} rho^n is the
+# geometric series rho/(1 - rho), taken in that closed form: it is exact per
+# node, so the oracle drops no order and its independence from the
+# production formulas rests on the profile and the width integral.
 
 _SIGMA_NODES = 48
 _SIGMA_CUT = 8.5  # e^{-sigma^2} ~ 3e-32
-_N_BLOCK = 64
-_N_CAP = 8192
 
 
-def _order_series(rho: np.ndarray, rel_tol: float):
-    """sum_{n>=1} rho^n per element of a 2-D array, truncated row by row.
+def _order_sum(r2: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """sum_{n>=1} rho^n = rho/(1 - rho), rho = r2 e^{exponent}, per node.
 
-    rho is an array in [0, 1).  The powers are summed explicitly, which
-    keeps the series faithful to the reflection-order expansion.  A row's
-    first block holds ceil(39.2 / -ln max(rho_row)) powers, at most
-    _N_BLOCK: the next power is then below e^{-39.2} ~ 1e-17 of the first,
-    under half an ulp of every node's partial sum, so the powers left out
-    would not change the sum.  The rows are ordered by that count, so the
-    rows still summing at each power of the first block are a prefix of
-    the array.  Later blocks hold _N_BLOCK powers.  After each block a row
-    whose every node has its geometric remainder below rel_tol/10 of its
-    partial sum is frozen: it sums no further powers, and its dropped
-    remainder, the geometric remainder after the powers it summed, is
-    recorded.  The other rows go on.  A row still open at _N_CAP gets the
-    exact geometric remainder of the same series added (mathematically the
-    continuation of the identical sum) and drops nothing.  Returns (sum,
-    dropped), both shaped like rho.
+    r2 holds one reflection coefficient squared per row, exponent (<= 0)
+    the rows' -v - sigma^2.  The denominator is -expm1(ln r2 + exponent),
+    with ln r2 taken once per row, so 1 - rho keeps its digits as rho -> 1
+    (on the oracle grids the naive 1 - rho is up to 9e-11 relative off
+    40-digit mpmath, this form 2e-14).  A row with r2 = 0 gives exactly 0.
     """
-    acc = np.zeros_like(rho)
-    dropped = np.zeros_like(rho)
     with np.errstate(divide="ignore"):
-        first = np.minimum(np.ceil(_DIRECT_DECAY / -np.log(rho.max(axis=1))),
-                           _N_BLOCK)
-    # open rows, longest first block first; rho, part, power keep only these
-    rows = np.argsort(-first, kind="stable")
-    rho = rho[rows]
-    # the number of rows that sum power n + 1 of the first block, n < _N_BLOCK
-    summing = np.count_nonzero(first[:, None] > np.arange(_N_BLOCK), axis=0)
-    part = np.zeros_like(rho)
-    power = np.ones_like(rho)
-    for m in summing[summing > 0].tolist():
-        power[:m] *= rho[:m]
-        part[:m] += power[:m]
-    tol = rel_tol / 10.0
-    n = _N_BLOCK
-    while True:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.where(part > 0.0, power / np.maximum(part, 1e-300), 0.0)
-        done = np.all(rel * rho / np.maximum(1.0 - rho, 1e-300) < tol, axis=1)
-        if done.any():
-            acc[rows[done]] = part[done]
-            dropped[rows[done]] = power[done] * rho[done] / (1.0 - rho[done])
-            keep = ~done
-            rows, rho = rows[keep], rho[keep]
-            part, power = part[keep], power[keep]
-            if rows.size == 0:
-                return acc, dropped
-        if n >= _N_CAP:
-            break
-        for _ in range(_N_BLOCK):
-            power *= rho
-            part += power
-        n += _N_BLOCK
-    acc[rows] = part + power * rho / (1.0 - rho)
-    return acc, dropped
+        ln_r2 = np.log(r2)[:, None]
+    return r2[:, None] * np.exp(exponent) / -np.expm1(ln_r2 + exponent)
 
 
 def _oracle_term(model: PermittivityModel, zeta: float, a: float,
-                 chord: float, u2_max: float, rel_tol: float,
-                 order_tail: float = 0.0):
+                 chord: float, u2_max: float) -> float:
     """One oracle Matsubara term: int dv v^2 * (width integral) at fixed zeta.
 
     The width integral at fixed v is
@@ -679,15 +630,13 @@ def _oracle_term(model: PermittivityModel, zeta: float, a: float,
 
     evaluated in sigma = u sqrt(v/a) on a fixed Gauss grid, so the
     e^{-sigma^2} weight is resolved at every v.  The v nodes (rows) and the
-    sigma nodes (columns) form one grid, and _order_series runs once per
-    polarization on all of it, each row with a first block sized by its
-    own largest ratio; a polarization that does not reflect (TE for Drude
-    at zeta = 0) gives zero rows, which sum no powers and add exactly 0.0.
-    Every element goes through the same operations, in the same order, as
-    when each v node is taken alone.  The v-integral and the order-series
-    remainder it leaves out are summed over the rows in ascending v, as
-    Python floats, the remainder onto the running order_tail, so both sums
-    round as a node-by-node loop does.  Returns (term, order_tail).
+    sigma nodes (columns) form one grid, and each polarization's order
+    series is summed on all of it in closed form (_order_sum); a
+    polarization that does not reflect (TE for Drude at zeta = 0) adds
+    exactly 0.0.  Every element goes through the same operations as when
+    each v node is taken alone, and the v-integral is summed over the rows
+    in ascending v as Python floats, so it rounds as a node-by-node loop
+    does.
     """
     x, w = _leggauss(_SIGMA_NODES)
     v_nodes, v_weights = _grid_from(zeta)
@@ -698,19 +647,14 @@ def _oracle_term(model: PermittivityModel, zeta: float, a: float,
     wsig = w * 0.5 * smax
     u2 = a * sig * sig / v
     geo = 2.0 * (chord - u2) / np.sqrt(2.0 * chord - u2)
-    decay = np.exp(-v - sig * sig)
-    series, dropped = _order_series(r_tm2[:, None] * decay, rel_tol)
-    series_te, dropped_te = _order_series(r_te2[:, None] * decay, rel_tol)
-    weight = wsig * geo
-    scale = np.sqrt(a / v_nodes)
-    values = scale * np.sum(weight * (series + series_te), axis=1)
-    drops = scale * np.sum(weight * (dropped + dropped_te), axis=1)
+    exponent = -v - sig * sig
+    series = _order_sum(r_tm2, exponent) + _order_sum(r_te2, exponent)
+    values = np.sqrt(a / v_nodes) * np.sum(wsig * geo * series, axis=1)
     total = 0.0
-    for vv, wv, value, drop in zip(v_nodes.tolist(), v_weights.tolist(),
-                                   values.tolist(), drops.tolist()):
+    for vv, wv, value in zip(v_nodes.tolist(), v_weights.tolist(),
+                             values.tolist()):
         total += wv * vv * vv * value
-        order_tail += abs(wv * vv * vv * drop)
-    return total, order_tail
+    return total
 
 
 def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
@@ -720,24 +664,17 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
     Each Matsubara term is one v x sigma grid (_oracle_term); the terms go
     through _matsubara_sum like the production formulas', one frequency
     per call, so no term is evaluated past the stop.  Returns (sum,
-    terms_used, tail_estimate): the tail estimate is the Matsubara loop's
-    plus the order-series remainders left out in every term evaluated.
+    terms_used, tail_estimate): the order series is summed exactly, so the
+    tail estimate is the Matsubara loop's alone.
     """
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
-    order_tail = 0.0
 
     def v_integral(zeta: np.ndarray) -> np.ndarray:
-        nonlocal order_tail
-        terms = []
-        for z in zeta.tolist():
-            term, order_tail = _oracle_term(model, z, env.a, chord, u2_max,
-                                            quad.rel_tol, order_tail)
-            terms.append(term)
-        return np.array(terms)
+        return np.array([_oracle_term(model, z, env.a, chord, u2_max)
+                         for z in zeta.tolist()])
 
-    total, terms, tail = _matsubara_sum(v_integral, env, quad, chunk=1)
-    return total, terms, tail + order_tail
+    return _matsubara_sum(v_integral, env, quad, chunk=1)
 
 
 def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,

@@ -54,7 +54,6 @@ def bessel_i1_scaled(x):
 # vectorized kernel used by the force engine
 
 _WOOD_TERMS = 24     # powers of mu kept in Wood's series (mu < 1)
-_DIRECT_DECAY = 39.2  # e^{-39.2} ~ 1e-17: where an explicit power sum stops
 _ECON_DEGREE = 18     # degree of the economized polynomial (mu >= 1)
 _ECON_TAYLOR = 64     # Taylor terms it is economized from: e^{-64} ~ 2e-28
 
