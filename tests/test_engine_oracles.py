@@ -88,11 +88,14 @@ def test_oracle_error_estimate_is_measured():
     # the order series is summed in closed form, so the estimate is the
     # measured Matsubara tail plus the rounding floor, with no order
     # remainder to pad it; it must still bracket the same oracle at a much
-    # tighter tolerance, and stay close to the error it brackets
+    # tighter tolerance, and stay close to the error it brackets.  At 1 um
+    # the estimate (and so the error) stays below 1e-3 rel_tol; at 200 nm
+    # the Matsubara stop itself leaves about 1e-9 |F|, so only rel_tol
+    # bounds it there
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
     tol = DEFAULT_QUADRATURE.rel_tol
     for model in (gold_drude(), gold_plasma(), IdealMetal()):
-        for a in (200e-9, 1e-6):
+        for a, bound in ((200e-9, tol), (1e-6, 1e-3 * tol)):
             e = Environment(a=a, T=300.0)
             res = direct_pfa_force_oracle(lens, e, model)
             tight = direct_pfa_force_oracle(lens, e, model,
@@ -101,7 +104,7 @@ def test_oracle_error_estimate_is_measured():
             case = (model, a)
             assert res.est_abs_error != tol * abs(res.value), case
             assert err <= res.est_abs_error, case
-            assert res.est_abs_error < tol * abs(res.value), case
+            assert res.est_abs_error < bound * abs(res.value), case
             assert res.est_abs_error < 1.2 * err, case
 
 
@@ -109,9 +112,9 @@ def test_oracle_error_estimate_is_measured():
 # on one v node's sigma nodes, and the width integral evaluated one v node
 # at a time.
 
-def _order_sum_ref(r2, exponent):
-    """rho/(1 - rho) on one row, rho = r2 e^{exponent}."""
-    return r2 * np.exp(exponent) / -np.expm1(np.log(r2) + exponent)
+def _order_sum_ref(r2, exponent, decay):
+    """rho/(1 - rho) on one row, rho = r2 decay, decay = e^{exponent}."""
+    return r2 * decay / -np.expm1(np.log(r2) + exponent)
 
 
 def _width_integral_ref(v, r_tm2, r_te2, a, chord, u2_max):
@@ -122,9 +125,10 @@ def _width_integral_ref(v, r_tm2, r_te2, a, chord, u2_max):
     u2 = a * sig * sig / v
     geo = 2.0 * (chord - u2) / np.sqrt(2.0 * chord - u2)
     exponent = -v - sig * sig
-    series = _order_sum_ref(r_tm2, exponent)
+    decay = np.exp(exponent)
+    series = _order_sum_ref(r_tm2, exponent, decay)
     if r_te2 != 0.0:
-        series = series + _order_sum_ref(r_te2, exponent)
+        series = series + _order_sum_ref(r_te2, exponent, decay)
     return math.sqrt(a / v) * float(np.sum(wsig * geo * series))
 
 
@@ -173,9 +177,10 @@ def test_order_sum_matches_mpmath_per_node(model, zeta):
     smax = np.minimum(np.sqrt(lens.h * v / _A_TERM), _SIGMA_CUT)[:, None]
     sig = (0.5 * smax * (x + 1.0))[:, ::4]
     exponent = -v[:, None] - sig * sig
+    decay = np.exp(exponent)
     with mp.workdps(40):
         for r2 in reflection_sq_grid(model, zeta, v, _A_TERM):
-            got = _order_sum(r2, exponent)
+            got = _order_sum(r2, exponent, decay)
             for i, j in np.ndindex(*got.shape):
                 rho = mp.mpf(float(r2[i])) * mp.exp(
                     -mp.mpf(float(v[i])) - mp.mpf(float(sig[i, j])) ** 2)
