@@ -23,7 +23,7 @@ from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _leggauss,
 from .geometry import EllipticLens, Environment, LensGeometry, expect_variant
 from .materials import PermittivityModel
 from .specfun import (ConvergenceError, _horner, bessel_i1_scaled,
-                      polylog_exp_grid, polylog_exp_orders)
+                      polylog_exp_grid)
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ def _check_amplitude(env: Environment, osc: OscillatorParams) -> None:
 
 _NL_DECAY = 41.5  # e^{-41.5} ~ 1e-18: where a lam >= 1 node's powers stop
 _NL_ELEMENTS = 2 ** 14  # powers x nodes per closed-form call (128 kB arrays)
-_THETA_NODES = 36  # Gauss-Legendre order of the theta rule
-_THETA_CHUNK = 128  # theta-rule nodes per polylog call (37 kB arrays)
+_THETA_NODES = 52  # Gauss-Legendre order of the theta rule
+_THETA_CHUNK = 128  # theta-rule nodes per polylog call (52 kB arrays)
 # Hankel's expansion (DLMF 10.40.1), within 5.3e-16 from x = 32 on:
 # sqrt(2 pi x) e^{-x} I_1(x) ~ sum_{k<13} c_k x^{-k}, _horner(_HANKEL, 1/x)
 _HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4) / (8 * k)
@@ -99,69 +99,61 @@ def _theta_series(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
         (q / pi) int_0^pi sin^2 t Li_{-1/2}(e^{-(lam + 2 q sin^2(t/2))}) dt,
 
-    whose integrand is positive, so nothing cancels at small q.  It peaks
-    near t = 0 over a width s = sqrt(2 lam / q); t = s sinh(y) flattens the
-    peak, and _THETA_NODES Gauss-Legendre nodes in y over
-    [0, asinh(pi / s)] take the integral.  Nodes go _THETA_CHUNK to a
-    polylog call, and each sums along its own row (np.sum, not a matrix
-    product, whose rounding depends on the rows sharing the call), so a
-    node's value does not depend on the other nodes.
+    whose integrand is positive, so nothing cancels.  It peaks near t = 0
+    over a width s = sqrt(2 lam / q) and falls below e^{-45} past
+    t_end = 2 asin(sqrt(min(1, 22.5 / q))), where 2 q sin^2(t/2) > 45;
+    t = s sinh(y) flattens the peak, and _THETA_NODES Gauss-Legendre
+    nodes in y over [0, asinh(t_end / s)] take the integral.  Nodes go
+    _THETA_CHUNK to a polylog call, and each sums along its own row
+    (np.sum, not a matrix product, whose rounding depends on the rows
+    sharing the call), so a node's value does not depend on the other
+    nodes.
     """
     x, w = _leggauss(_THETA_NODES)
     out = np.empty_like(q)
     for i in range(0, q.size, _THETA_CHUNK):
         qc, lc = q[i:i + _THETA_CHUNK, None], lam[i:i + _THETA_CHUNK, None]
         s = np.sqrt(2.0 * lc / qc)
-        end = np.arcsinh(math.pi / s)
+        t_end = 2.0 * np.arcsin(np.sqrt(np.minimum(1.0, 22.5 / qc)))
+        end = np.arcsinh(t_end / s)
         y = 0.5 * end * (x + 1.0)
         t = s * np.sinh(y)
-        half = np.sin(0.5 * t)
-        f = polylog_exp_grid(-0.5, lc + 2.0 * qc * half * half, 1.0)
-        f *= np.sin(t) ** 2 * (s * np.cosh(y))
+        h2 = np.sin(0.5 * t) ** 2
+        f = polylog_exp_grid(-0.5, lc + 2.0 * qc * h2, 1.0)
+        f *= 4.0 * h2 * (1.0 - h2) * (s * np.cosh(y))  # 4 h2 (1 - h2) = sin^2 t
         f *= w
         out[i:i + _THETA_CHUNK] = (0.5 / math.pi) * (qc * end)[:, 0] * np.sum(
             f, axis=-1)
     return out
 
 
-def _closed_series(q: np.ndarray, lam: np.ndarray, head: np.ndarray,
-                   size: int) -> np.ndarray:
-    """sum_n n^{-1/2} e^{-(q + lam) n} I_1(q n) per node, in closed form.
+def _closed_series(q: np.ndarray, lam: np.ndarray, size: int) -> np.ndarray:
+    """sum_n n^{-1/2} e^{-(q + lam) n} I_1(q n) per lam >= 1 node.
 
     Powers n < head = ceil(32 / q) take i1e; Hankel's expansion makes the
     rest (2 pi q)^{-1/2} sum_k c_k q^{-k} T_k, T_k = sum_{n >= head}
-    e^{-lam n} n^{-k-1}, summed directly for lam >= 1 (up to size >=
-    ceil(41.5 / lam)).  For lam < 1, T_k = Li_{k+1}(e^{-lam}) minus the
-    head's terms (polylog_exp_orders).  All nodes lie on one side of
-    lam = 1; arrays stay within _NL_ELEMENTS; each node sums along its
-    own column.
+    e^{-lam n} n^{-k-1}, summed directly up to size >= ceil(41.5 / lam).
+    Arrays stay within _NL_ELEMENTS; each node sums along its own column.
     """
     n = np.arange(1.0, size + 1.0)[:, None]
-    near = lam[0] < 1.0
-    k = np.arange(_HANKEL.size)[:, None]
+    head = np.ceil(32.0 / q)
     out = np.empty_like(q)
-    step = _NL_ELEMENTS // max(size, _HANKEL.size if near else 1)
+    step = _NL_ELEMENTS // size
     for i in range(0, q.size, step):
         part = slice(i, i + step)
-        # the first lo rows hold heads alone; a lam < 1 node keeps its head
-        lo = size if near else min(int(head[part].min()) - 1, size)
+        lo = min(int(head[part].min()) - 1, size)  # rows of heads alone
         term = np.zeros((size, q[part].size))
         term[lo:] = _horner(_HANKEL, 1.0 / n[lo:] * (1.0 / q[part]))
         rows = int(head[part].max()) - 1
         if rows > 0:
             inside = n[:rows] < head[part]
             x = (n[:rows] * q[part])[inside]
-            fix = bessel_i1_scaled(x) * np.sqrt(2.0 * math.pi * x)
-            term[:rows][inside] = (fix - _horner(_HANKEL, 1.0 / x) if near
-                                   else fix)
+            term[:rows][inside] = bessel_i1_scaled(x) * np.sqrt(
+                2.0 * math.pi * x)
         term *= np.exp(n * -lam[part]) / n
         # cumsum adds row after row at any width; sum(axis=0) would sum a
         # lone column pairwise, so a node's value would depend on the call
         out[part] = np.cumsum(term, axis=0)[-1]
-        if near:
-            li = polylog_exp_orders(_HANKEL.size, lam[part])
-            out[part] += np.cumsum(li * _HANKEL[:, None] * q[part] ** -k,
-                                   axis=0)[-1]
     return out / np.sqrt(2.0 * math.pi * q)
 
 
@@ -170,14 +162,12 @@ def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
     """v^{3/2} sum_n n^{-1/2} (r_TM^{2n} + r_TE^{2n}) e^{-nv} I_1(beta n v).
 
     v may hold one v-grid or a stack of them, a row per frequency.  With
-    q = beta v and lam = mu - q, a node takes i1e only below head =
-    ceil(32 / q).  A lam >= 1 node takes _closed_series over count =
-    ceil(_NL_DECAY / lam) powers; those whose counts share a power-of-2
-    ceiling are summed together, the largest count as their block, so a
-    stack merges its frequencies' calls without making fast nodes pay the
-    slowest one.  A lam < 1 node takes _closed_series up to head 16 (the
-    subtraction loses 1e-15 at head 22, 1e-12 at 32) and _theta_series
-    past that.
+    q = beta v and lam = mu - q, a lam < 1 node takes _theta_series.  A
+    lam >= 1 node takes _closed_series over count = ceil(_NL_DECAY / lam)
+    powers, i1e only below head = ceil(32 / q); those whose counts share
+    a power-of-2 ceiling are summed together, the largest count as their
+    block, so a stack merges its frequencies' calls without making fast
+    nodes pay the slowest one.
     """
     out = np.zeros_like(v)
     for r2 in (r_tm2, r_te2):
@@ -188,17 +178,14 @@ def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
         mu = vv - np.log(r2[mask])  # e^{-mu n} absorbs r^{2n} e^{-nv}
         q = beta * vv
         lam = mu - q
-        head = np.ceil(32.0 / q)
-        near = lam < 1.0
-        size = np.where(near, head, np.ceil(_NL_DECAY / lam))
-        # lam >= 1 by block length; lam < 1 closed (7) and theta rule (8)
-        group = np.where(near, 7.0 + (head > 16.0), np.ceil(np.log2(size)))
+        size = np.ceil(_NL_DECAY / lam)
+        # lam >= 1 by block length (groups 0 ... 6), lam < 1 the theta rule
+        group = np.where(lam < 1.0, -1.0, np.ceil(np.log2(size)))
         acc = np.empty_like(vv)
         for g in np.unique(group):
             sel = group == g
-            acc[sel] = (_theta_series(q[sel], lam[sel]) if g == 8.0 else
-                        _closed_series(q[sel], lam[sel], head[sel],
-                                       int(size[sel].max())))
+            acc[sel] = (_theta_series(q[sel], lam[sel]) if g < 0.0 else
+                        _closed_series(q[sel], lam[sel], int(size[sel].max())))
         out[mask] += acc
     return v ** 1.5 * out
 

@@ -1,12 +1,12 @@
 """Series evaluation of the special functions the force formulas need.
 
 The Lifshitz kernels reduce to polylogarithms Li_{+-1/2}; the oscillator's
-shift brings in the Bessel function I_1, whose series it closes with
-Li_1 ... Li_13 or integrates over Li_{-1/2}.  polylog_exp_grid evaluates
-Li_s(e^-mu) from Wood's series in powers of mu near the singularity
-(mu < 1) and from one economized polynomial of degree 18 in e^-mu away
-from it, both by Horner's rule; polylog_exp_orders sums Wood's series at
-integer order.  Tests hold both to mpmath at ~1e-15.
+shift brings in the Bessel function I_1, whose series it sums with
+Hankel's expansion or integrates over Li_{-1/2}.  polylog_exp_grid
+evaluates Li_s(e^-mu) from Wood's series in powers of mu near the
+singularity (mu < 1) and from one economized polynomial of degree 18 in
+e^-mu away from it, both by Horner's rule.  Tests hold it to mpmath at
+~1e-15.
 bessel_i1_scaled is scipy's i1e.  scipy.special is imported on the first
 evaluation, not with the package, so importing casimir_lens and parsing a
 config leaves it out.
@@ -84,38 +84,6 @@ def _polylog_coefficients(s: float):
     econ = taylor[:kept] + high.truncate(kept).convert(kind=Polynomial).coef
     wood.flags.writeable = econ.flags.writeable = False
     return math.gamma(1.0 - s), wood, econ
-
-
-@lru_cache(maxsize=None)
-def _wood_integer_coefficients(orders: int):
-    """Wood's coefficients zeta(m - j) (-1)^j / j! of Li_m(e^-mu), j < 24.
-
-    A row per order m = 1 ... orders, with H_{m-1} for the pole zeta(1);
-    the log term's (-1)^{m-1} / (m-1)! come apart.
-    """
-    from scipy.special import zeta
-    j = np.arange(_WOOD_TERMS, dtype=float)
-    sign = (-1.0) ** j / np.cumprod(np.maximum(j, 1.0))
-    coef = zeta(np.arange(1.0, orders + 1.0)[:, None] - j) * sign
-    m = np.arange(orders)
-    coef[m, m] = np.cumsum(np.r_[0.0, 1.0 / m[1:]]) * sign[:orders]
-    coef.flags.writeable = False
-    return coef, sign[:orders]
-
-
-def polylog_exp_orders(orders: int, mu: np.ndarray) -> np.ndarray:
-    """Li_m(e^-mu) for m = 1 ... orders and 0 < mu < 1, a row per order.
-
-    At integer order Wood's series has a log term, Li_m(e^-mu) =
-    (-mu)^{m-1} / (m-1)! (H_{m-1} - ln mu) + sum_{j != m-1} zeta(m - j)
-    (-mu)^j / j!, cut after 24 terms; Horner's rule sums it node by node.
-    """
-    coef, logc = _wood_integer_coefficients(orders)
-    out = np.repeat(coef[:, -1:], mu.size, axis=1)
-    for column in coef.T[-2::-1]:
-        out *= mu
-        out += column[:, None]
-    return out - np.log(mu) * logc[:, None] * mu ** np.arange(orders)[:, None]
 
 
 def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -267,14 +267,23 @@ def test_bessel_series_matches_mpmath_per_node():
 
 
 def test_theta_rule_matches_mpmath_per_node():
-    # the lam < 1, q < 2 nodes, lam / q from 1e-4 to 1e3, against mpmath's
-    # adaptive quadrature of the A&S 9.6.19 form (cos t and Li_{1/2}), which
-    # shares neither the integrand nor the rule with the theta rule
+    # lam < 1 nodes against mpmath's adaptive quadrature of the A&S 9.6.19
+    # form (cos t and Li_{1/2}), which shares neither the integrand nor the
+    # rule with the theta rule.  q < 2: lam / q from 1e-6 to 1e3.  q >= 2:
+    # up to q = 999 (lam < 1 needs q < beta / (1 - beta), 999 at Az/a =
+    # 0.999) with lam / q down to (1 - beta) / beta = 1e-3, on both sides
+    # of q = 22.5, where the y-range starts to end before t = pi, and at
+    # q = 18 - 23, where the integrand's fall past its peak fills the
+    # range and a short rule is worst (2.5e-14 at 48 nodes)
     mp = pytest.importorskip("mpmath")
     q = np.array([1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 0.1, 0.1, 0.1, 0.1,
-                  1.9, 1.9, 1.9])
+                  1.9, 1.9, 1.9, 1.9,
+                  2.0, 2.0, 5.0, 18.0, 20.4, 20.4, 22.4, 22.6, 22.6, 23.0,
+                  60.0, 200.0, 999.0])
     lam = np.array([1e-7, 1e-5, 1e-3, 0.1, 0.999, 1e-5, 1e-3, 0.1, 0.9,
-                    1.9e-4, 0.019, 0.95])
+                    1.9e-6, 1.9e-4, 0.019, 0.95,
+                    2e-3, 0.999, 5e-3, 0.018, 0.0204, 0.21, 0.0224, 0.0226,
+                    0.6, 0.023, 0.06, 0.2, 0.999])
     got = oscillator._theta_series(q, lam)
     with mp.workdps(30):
         wood = [mp.zeta(mp.mpf(0.5) - k) * (-1) ** k / mp.factorial(k)
@@ -287,13 +296,12 @@ def test_theta_rule_matches_mpmath_per_node():
 
 
 # (q, lam, path): nodes of the shift's Bessel series, head = ceil(32 / q).
-# A lam < 1 node takes the closed form up to head 16 and the theta rule past
-# it; a lam >= 1 node always takes the closed form
+# A lam < 1 node takes the theta rule, a lam >= 1 node the closed form
 _ROUTED_NODES = [
-    (40.0, 0.5, "closed"),  # lam < 1, head 1
-    (2.01, 0.3, "closed"),  # lam < 1, head 16
-    (2.02, 0.1, "closed"),  # lam < 1, head 16, slow decay
-    (5.0, 0.999, "closed"),  # lam just below 1, head 7
+    (40.0, 0.5, "theta"),  # lam < 1, head 1
+    (2.01, 0.3, "theta"),  # lam < 1, head 16
+    (2.02, 0.1, "theta"),  # lam < 1, head 16, slow decay
+    (5.0, 0.999, "theta"),  # lam just below 1, head 7
     (5.1, 1.001, "closed"),  # lam just above 1, head 7
     (41.0, 2.0, "closed"),  # lam >= 1, head 1
     (2.5, 1.5, "closed"),  # lam >= 1, head 13 of 28 powers
@@ -313,9 +321,8 @@ def _routed_kernel(nodes, beta=0.99):
 
 
 def test_closed_form_route(monkeypatch):
-    # the lam < 1 closed form subtracts the head from Li_{k+1}(e^{-lam}),
-    # which loses digits as the head grows (1e-12 at head 32): head 17
-    # takes the theta rule.  A lam >= 1 node needs no subtraction
+    # every lam < 1 node takes the theta rule, whatever its head; every
+    # lam >= 1 node the closed form, whose T_k sums fall like e^{-lam n}
     seen = {"closed": [], "theta": []}
     closed_series = oscillator._closed_series
     theta_series = oscillator._theta_series
@@ -338,8 +345,8 @@ def test_closed_form_route(monkeypatch):
 
 
 def test_closed_form_matches_mpmath_per_node():
-    # both branches of the closed form, head 1 and 16, lam on both sides
-    # of 1 and q on both sides of the route, against 30-digit direct sums
+    # both routes, head 1 to 64, lam on both sides of 1, against 30-digit
+    # direct sums
     mp = pytest.importorskip("mpmath")
     v, r2, q, lam = _routed_kernel(_ROUTED_NODES)
     got = oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99)
@@ -353,18 +360,22 @@ def test_closed_form_matches_mpmath_per_node():
             assert err <= 1e-14, (_ROUTED_NODES[i], err)
 
 
+_BETAS = (0.1, 0.5, 0.9, 0.99)
+
+
 @st.composite
 def _kernel_nodes(draw):
     """Kernel nodes (v, r_TM^2, r_TE^2) and beta, with a permutation and a
     subset of the nodes.  v is log-uniform over 1e-7 - 300 and the weights
-    take 0, 1 and values between, so every path is hit: lam >= 1 blocks,
-    the lam < 1 closed form, and the theta rule across a chunk boundary."""
+    take 0, 1 and values between, so both routes are hit: the closed form's
+    lam >= 1 blocks, and the theta rule across a chunk boundary, at q on
+    both sides of 22.5."""
     n = draw(st.integers(1, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     v = np.exp(rng.uniform(math.log(1e-7), math.log(300.0), n))
     r2 = rng.choice([0.0, 1.0, 0.5], size=(2, n), p=[0.1, 0.3, 0.6])
     r2 = np.where(r2 == 0.5, rng.uniform(0.2, 1.0, (2, n)), r2)
-    beta = draw(st.sampled_from([0.1, 0.5, 0.9, 0.99]))
+    beta = draw(st.sampled_from(_BETAS))
     return v, r2, beta, rng.permutation(n), np.flatnonzero(rng.random(n) < 0.3)
 
 
@@ -380,23 +391,62 @@ def test_nonlinear_kernel_node_independent_of_the_call(nodes):
                                          beta), whole[pick])
 
 
+@st.composite
+def _crossing_nodes(draw):
+    """Kernel nodes (v, r_TM^2, r_TE^2) whose lam = v (1 - beta) - ln r^2
+    crosses 1 between two neighbouring beta of 0.1, 0.5, 0.9, 0.99: the
+    node takes the closed form below the crossing and the theta rule
+    above it."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r2 = np.where(rng.random((2, n)) < 0.3, 1.0,
+                  rng.uniform(math.exp(-0.9), 1.0, (2, n)))
+    low = rng.integers(0, len(_BETAS) - 1, n)
+    lo, hi = np.array(_BETAS)[low], np.array(_BETAS)[low + 1]
+    # lam = 1 at v = (1 + ln r_TM^2) / (1 - beta): put v between those of
+    # the two beta, so that the TM node crosses the route boundary
+    edge = 1.0 + np.log(r2[0])
+    v = rng.uniform(edge / (1.0 - lo), edge / (1.0 - hi))
+    return v, r2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(nodes=_crossing_nodes())
+def test_nonlinear_kernel_monotone_in_beta(nodes):
+    # I_1 rises with its argument, so the kernel rises with beta at fixed
+    # (v, r_TM^2, r_TE^2); a jump between the closed form and the theta
+    # rule at lam = 1 would break that for the nodes crossing it
+    v, (r_tm2, r_te2) = nodes
+    values = [oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+              for beta in _BETAS]
+    for below, above in zip(values, values[1:]):
+        assert np.all(above >= below)
+
+
 def _count_work(monkeypatch):
-    """Frequency rows evaluated and Bessel elements, counted as they run."""
-    rows, elements = [], []
+    """Frequency rows evaluated, Bessel elements and theta-rule polylog
+    nodes, counted as they run."""
+    rows, elements, nodes = [], [], []
     frequency_integral = engine._frequency_integral
     i1e = oscillator.bessel_i1_scaled
+    polylog = oscillator.polylog_exp_grid
 
-    def counted_rows(kernel, model, zeta, a):
+    def counted_rows(kernel, model, zeta, *args, **kwargs):
         rows.append(np.size(zeta))
-        return frequency_integral(kernel, model, zeta, a)
+        return frequency_integral(kernel, model, zeta, *args, **kwargs)
 
     def counted_i1e(x):
         elements.append(np.size(x))
         return i1e(x)
 
+    def counted_polylog(s, v, r2):
+        nodes.append(np.size(v))
+        return polylog(s, v, r2)
+
     monkeypatch.setattr(engine, "_frequency_integral", counted_rows)
     monkeypatch.setattr(oscillator, "bessel_i1_scaled", counted_i1e)
-    return rows, elements
+    monkeypatch.setattr(oscillator, "polylog_exp_grid", counted_polylog)
+    return rows, elements, nodes
 
 
 def test_shift_work_counts(monkeypatch):
@@ -404,21 +454,24 @@ def test_shift_work_counts(monkeypatch):
     # 80 / (1 - Az/a) window (1169 rows with windows 80 wide and doubling),
     # and the closed form leaves i1e to the heads; at T = 0 the slow
     # nodes take the theta rule, which calls no i1e (407 k elements when
-    # they summed explicit blocks)
-    rows, elements = _count_work(monkeypatch)
+    # they summed explicit blocks) and evaluates _THETA_NODES polylog
+    # nodes per Bessel-series node (153 k at 52)
+    rows, elements, nodes = _count_work(monkeypatch)
     frequency_shift_nonlinear(LENS, E300, gold_drude(), osc(0.99 * E300.a))
     assert 0 < sum(rows) <= 500
     assert 0 < sum(elements) <= 150_000
     e0 = Environment(a=E300.a, T=0.0)
     elements.clear()
+    nodes.clear()
     frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))
     assert 0 < sum(elements) <= 150_000
+    assert 0 < sum(nodes) <= 250_000
 
 
 def test_bessel_calls_stay_within_the_element_budget(monkeypatch):
     # the closed form takes the Bessel function in calls of at most
     # _NL_ELEMENTS elements, and a larger budget gives the same floats
-    rows, elements = _count_work(monkeypatch)
+    rows, elements, _ = _count_work(monkeypatch)
     e0 = Environment(a=E300.a, T=0.0)
     got = frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))
     assert max(elements) <= oscillator._NL_ELEMENTS

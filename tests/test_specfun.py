@@ -16,7 +16,7 @@ import casimir_lens
 from casimir_lens.engine import _force_kernel, _gradient_kernel, _grid_from
 from casimir_lens.materials import gold_drude, reflection_sq_grid
 from casimir_lens.specfun import (ConvergenceError, bessel_i1_scaled,
-                                  polylog_exp_grid, polylog_exp_orders)
+                                  polylog_exp_grid)
 
 # Reference values computed with mpmath at 30 decimal digits.
 LI_HALF_AT_HALF = 0.8061267230428523
@@ -162,20 +162,6 @@ def test_stacked_kernel_equals_two_calls(kernel, s, power):
         two = v ** power * (polylog_exp_grid(s, v, r_tm2)
                             + polylog_exp_grid(s, v, r_te2))
         assert np.array_equal(kernel(v, r_tm2, r_te2), two)
-
-
-def test_polylog_exp_orders_against_mpmath():
-    # Wood's series at integer order, log term included, for the orders
-    # the shift's closed form takes and mu across (0, 1)
-    mpmath = pytest.importorskip("mpmath")
-    mu = np.array([1e-9, 1e-4, 0.01, 0.3, 0.7, 0.999])
-    got = polylog_exp_orders(13, mu)
-    with mpmath.workdps(40):
-        ref = np.array([[float(mpmath.polylog(m, mpmath.exp(-mpmath.mpf(x))))
-                         for x in mu] for m in range(1, 14)])
-    np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0)
-    # a node's value does not depend on the other nodes in the call
-    assert np.array_equal(polylog_exp_orders(13, mu[3:4])[:, 0], got[:, 3])
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])
