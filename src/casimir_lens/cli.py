@@ -169,7 +169,7 @@ def _warn_validity(cfg: RunConfig, quiet: bool) -> None:
     if quiet or cfg.geometry is None or cfg.environment is None:
         return
     seen = set()
-    for a in visited_range(cfg, "a", cfg.environment.a):
+    for a in visited_range(cfg, "a"):
         env = Environment(a=a, T=cfg.environment.T)
         for msg in validate_geometry(cfg.geometry, env).warnings:
             if msg not in seen:

@@ -27,7 +27,7 @@ ratios), [oscillator] (omega0, Az, C or b + I), [efield] (V, V0),
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -46,7 +46,17 @@ class ConfigError(Exception):
 
 
 COMMANDS = ("force", "gradient", "efield", "freq-shift", "ratio-sweep")
-SWEEP_VARIABLES = ("a", "T", "phi", "Az", "V")
+# each sweep variable: the RunConfig field that owns it, the owner's field it
+# sets, and the error when the run has no owner carrying that field (every
+# command that can sweep a or T requires an [environment] already)
+_SWEPT = {
+    "a": ("environment", "a", None),
+    "T": ("environment", "T", None),
+    "phi": ("geometry", "phi", "a phi sweep requires variant = rotated"),
+    "Az": ("oscillator", "Az", "an Az sweep requires an [oscillator] section"),
+    "V": ("bias", "V", "a V sweep requires an [efield] section"),
+}
+SWEEP_VARIABLES = tuple(_SWEPT)
 # config name of each lens variant and material model, in both directions
 LENS_VARIANTS = {"symmetric": EllipticLens, "two-halves": TwoHalvesLens,
                  "rotated": RotatedLens}
@@ -100,15 +110,16 @@ class RunConfig:
     output_format: str = "csv"
 
 
-def visited_range(cfg: RunConfig, variable: str,
-                  value: float) -> tuple[float, float]:
-    """(lo, hi) of a variable over the points the run visits.
+def visited_range(cfg: RunConfig, variable: str) -> tuple[float, float]:
+    """(lo, hi) of a sweep variable over the points the run visits.
 
     The sweep's start and stop when the variable is swept (linspace and
     geomspace put the end points exactly there), else the configured value.
     """
     if cfg.sweep is not None and cfg.sweep.variable == variable:
         return cfg.sweep.start, cfg.sweep.stop
+    owner, name, _ = _SWEPT[variable]
+    value = getattr(getattr(cfg, owner), name)
     return value, value
 
 
@@ -118,21 +129,12 @@ def substitute(cfg: RunConfig, x: float | None):
     Without a sweep (x is None) they are the configured ones.  A value
     outside the variable's range raises the constructor's ValueError.
     """
-    geom, env, osc, bias = cfg.geometry, cfg.environment, cfg.oscillator, cfg.bias
-    if cfg.sweep is None:
-        return geom, env, osc, bias
-    var = cfg.sweep.variable
-    if var == "a":
-        env = Environment(a=float(x), T=env.T)
-    elif var == "T":
-        env = Environment(a=env.a, T=float(x))
-    elif var == "phi":
-        geom = replace(geom, phi=float(x))
-    elif var == "Az":
-        osc = replace(osc, Az=float(x))
-    elif var == "V":
-        bias = replace(bias, V=float(x))
-    return geom, env, osc, bias
+    parts = {"geometry": cfg.geometry, "environment": cfg.environment,
+             "oscillator": cfg.oscillator, "bias": cfg.bias}
+    if cfg.sweep is not None:
+        owner, name, _ = _SWEPT[cfg.sweep.variable]
+        parts[owner] = replace(parts[owner], **{name: float(x)})
+    return tuple(parts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,27 @@ def _get(sect, key: str, kind=float, default=None, required=False):
     except ValueError:
         raise ConfigError(f"[{sect.name}] {key} = {raw!r} is not "
                           f"{_NOT_A[kind]}") from None
+
+
+def _build(cls, sect, **given):
+    """cls from sect: every field not given is read as its annotated type.
+
+    A field without a dataclass default is a required key; the
+    constructor's ValueError is reported against the section.
+    """
+    for f in fields(cls):
+        if f.name not in given and (f.name in sect or f.default is MISSING):
+            given[f.name] = _get(sect, f.name, f.type, required=True)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"[{sect.name}] {exc}") from None
+
+
+def _optional(cp, name: str, read, default=None):
+    """read(section) when the file has a [name] section, else default."""
+    sect = _section(cp, name)
+    return default if sect is None else read(sect)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +248,6 @@ def _parse_material(cp) -> PermittivityModel:
         raise ConfigError(f"[material] {exc}") from None
 
 
-def _parse_environment(cp) -> Environment | None:
-    sect = _section(cp, "environment")
-    if sect is None:
-        return None
-    a = _get(sect, "a", required=True)
-    T = _get(sect, "T", default=300.0)
-    try:
-        return Environment(a=a, T=T)
-    except ValueError as exc:
-        raise ConfigError(f"[environment] {exc}") from None
-
-
 def _parse_oscillator(cp) -> OscillatorParams | None:
     sect = _section(cp, "oscillator")
     if sect is None:
@@ -259,27 +270,10 @@ def _parse_oscillator(cp) -> OscillatorParams | None:
         raise ConfigError(f"[oscillator] {exc}") from None
 
 
-def _parse_bias(cp) -> BiasState | None:
-    sect = _section(cp, "efield")
-    if sect is None:
-        return None
-    V = _get(sect, "V", required=True)
-    V0 = _get(sect, "V0", default=0.0)
-    return BiasState(V=V, V0=V0)
-
-
-def _parse_sweep(cp) -> tuple[SweepSpec | None, tuple[float, ...]]:
-    sect = _section(cp, "sweep")
-    if sect is None:
-        return None, ()
-    variable = sect.get("variable", "").strip()
-    spec = SweepSpec(
-        variable=variable,
-        start=_get(sect, "start", required=True),
-        stop=_get(sect, "stop", required=True),
-        count=_get(sect, "count", int, required=True),
-        spacing=_get(sect, "spacing", ("linear", "log"), default="linear"),
-    )
+def _parse_sweep(sect) -> tuple[SweepSpec, tuple[float, ...]]:
+    spec = _build(SweepSpec, sect, variable=sect.get("variable", "").strip(),
+                  spacing=_get(sect, "spacing", ("linear", "log"),
+                               default="linear"))
     ratios: tuple[float, ...] = ()
     if "ratios" in sect:
         try:
@@ -293,23 +287,6 @@ def _parse_sweep(cp) -> tuple[SweepSpec | None, tuple[float, ...]]:
         if any(r < 1.0 for r in ratios):
             raise ConfigError("[sweep] ratios are A/B values and must be >= 1")
     return spec, ratios
-
-
-def _parse_quadrature(cp) -> QuadratureSpec:
-    sect = _section(cp, "quadrature")
-    if sect is None:
-        return DEFAULT_QUADRATURE
-    quad = DEFAULT_QUADRATURE
-    rel_tol = _get(sect, "rel_tol")
-    l_max = _get(sect, "l_max", int)
-    try:
-        if rel_tol is not None:
-            quad = replace(quad, rel_tol=rel_tol)
-        if l_max is not None:
-            quad = replace(quad, l_max=l_max)
-    except ValueError as exc:
-        raise ConfigError(f"[quadrature] {exc}") from None
-    return quad
 
 
 def _parse_output(cp) -> tuple[str | None, str]:
@@ -343,20 +320,15 @@ def _check_consistency(cfg: RunConfig) -> None:
     if cmd == "efield" and cfg.bias is None:
         raise ConfigError("efield requires an [efield] section")
     if cfg.sweep is not None:
-        var = cfg.sweep.variable
-        if var == "phi" and not isinstance(cfg.geometry, RotatedLens):
-            raise ConfigError("a phi sweep requires variant = rotated")
-        if var == "Az" and cfg.oscillator is None:
-            raise ConfigError("an Az sweep requires an [oscillator] section")
-        if var == "V" and cfg.bias is None:
-            raise ConfigError("a V sweep requires an [efield] section")
-        if var == "Az" and cfg.environment is not None \
-                and cfg.sweep.stop >= cfg.environment.a:
+        owner, name, missing = _SWEPT[cfg.sweep.variable]
+        if not hasattr(getattr(cfg, owner), name):
+            raise ConfigError(missing)
+        if cfg.sweep.variable == "Az" and cfg.sweep.stop >= cfg.environment.a:
             raise ConfigError("Az sweep extends to or beyond the separation a")
     if cmd == "freq-shift":
         # an Az sweep past a was rejected above with its own message
-        az_hi = visited_range(cfg, "Az", cfg.oscillator.Az)[1]
-        a_lo = visited_range(cfg, "a", cfg.environment.a)[0]
+        az_hi = visited_range(cfg, "Az")[1]
+        a_lo = visited_range(cfg, "a")[0]
         if az_hi >= a_lo:
             where = ("smallest separation of the a sweep"
                      if cfg.sweep is not None and cfg.sweep.variable == "a"
@@ -383,14 +355,13 @@ def _check_tabulated_zero_t(cfg: RunConfig) -> None:
     temperature (the T = 0 companion of each row); the other commands only
     where T = 0.  The lowest frequency comes with the largest separation.
     """
-    if visited_range(cfg, "T", cfg.environment.T)[0] > 0.0:
+    if visited_range(cfg, "T")[0] > 0.0:
         if cfg.command not in ("force", "gradient"):
             return
         what = f"the T = 0 companion that every {cfg.command} row carries"
     else:
         what = "T = 0"
-    xi0 = CONSTANTS.c * _ZETA_MIN / (2.0 * visited_range(cfg, "a",
-                                                         cfg.environment.a)[1])
+    xi0 = CONSTANTS.c * _ZETA_MIN / (2.0 * visited_range(cfg, "a")[1])
     if xi0 < cfg.material.xi_grid[0]:
         raise ConfigError(
             f"[material] model = tabulated cannot run {what}: the first "
@@ -417,16 +388,18 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     run = _section(cp, "run", required=True)
     command = _get(run, "command", COMMANDS, required=True)
 
-    sweep, ratios = _parse_sweep(cp)
+    sweep, ratios = _optional(cp, "sweep", _parse_sweep, (None, ()))
     out_path, out_format = _parse_output(cp)
     cfg = RunConfig(
         command=command,
         geometry=_parse_geometry(cp),
-        environment=_parse_environment(cp),
+        environment=_optional(cp, "environment", lambda sect: _build(
+            Environment, sect, T=_get(sect, "T", default=300.0))),
         material=_parse_material(cp),
-        quadrature=_parse_quadrature(cp),
+        quadrature=_optional(cp, "quadrature", lambda sect: _build(
+            QuadratureSpec, sect), DEFAULT_QUADRATURE),
         oscillator=_parse_oscillator(cp),
-        bias=_parse_bias(cp),
+        bias=_optional(cp, "efield", lambda sect: _build(BiasState, sect)),
         sweep=sweep,
         ratios=ratios,
         output_path=out_path,
@@ -453,40 +426,26 @@ def describe_config(cfg: RunConfig) -> list[str]:
     records exactly what produced it.
     """
     lines = [f"run.command = {cfg.command}"]
-    g = cfg.geometry
-    if g is not None:
-        lines.append(f"geometry.variant = {_name_of(LENS_VARIANTS, g)}")
-        for f in fields(g):
-            lines.append(f"geometry.{f.name} = {getattr(g, f.name):.17g}")
-    m = cfg.material
-    lines.append(f"material.model = {_name_of(MATERIAL_MODELS, m)}")
-    if hasattr(m, "omega_p"):
-        lines.append(f"material.omega_p = {m.omega_p:.17g}")
-    if hasattr(m, "gamma"):
-        lines.append(f"material.gamma = {m.gamma:.17g}")
-    if cfg.environment is not None:
-        lines.append(f"environment.a = {cfg.environment.a:.17g}")
-        lines.append(f"environment.T = {cfg.environment.T:.17g}")
-    if cfg.oscillator is not None:
-        o = cfg.oscillator
-        lines.append(f"oscillator.omega0 = {o.omega0:.17g}")
-        lines.append(f"oscillator.C = {o.C:.17g}")
-        lines.append(f"oscillator.Az = {o.Az:.17g}")
-    if cfg.bias is not None:
-        lines.append(f"efield.V = {cfg.bias.V:.17g}")
-        lines.append(f"efield.V0 = {cfg.bias.V0:.17g}")
-    if cfg.sweep is not None:
-        s = cfg.sweep
-        lines.append(f"sweep.variable = {s.variable}")
-        lines.append(f"sweep.start = {s.start:.17g}")
-        lines.append(f"sweep.stop = {s.stop:.17g}")
-        lines.append(f"sweep.count = {s.count}")
-        lines.append(f"sweep.spacing = {s.spacing}")
+    if cfg.geometry is not None:
+        lines.append(f"geometry.variant = {_name_of(LENS_VARIANTS, cfg.geometry)}")
+        lines += _describe("geometry", cfg.geometry)
+    lines.append(f"material.model = {_name_of(MATERIAL_MODELS, cfg.material)}")
+    lines += _describe("material", cfg.material)
+    for section, part in (("environment", cfg.environment),
+                          ("oscillator", cfg.oscillator),
+                          ("efield", cfg.bias), ("sweep", cfg.sweep)):
+        if part is not None:
+            lines += _describe(section, part)
     if cfg.ratios:
         lines.append("sweep.ratios = " + ", ".join(f"{r:.17g}" for r in cfg.ratios))
-    lines.append(f"quadrature.rel_tol = {cfg.quadrature.rel_tol:.17g}")
-    lines.append(f"quadrature.l_max = {cfg.quadrature.l_max}")
-    return lines
+    return lines + _describe("quadrature", cfg.quadrature)
+
+
+def _describe(section: str, obj) -> list[str]:
+    """One line per field, floats at 17 digits; a table's arrays are left out."""
+    return [f"{section}.{f.name} = "
+            + format(getattr(obj, f.name), ".17g" if f.type is float else "")
+            for f in fields(obj) if f.type is not np.ndarray]
 
 
 def _name_of(table: dict, obj) -> str:

@@ -111,9 +111,8 @@ def test_visited_range_is_the_sweep_end_points(spacing):
                        f"stop = 5e-6\ncount = 16\nspacing = {spacing}\n",
                        origin="inline")
     points = cfg.sweep.points()
-    assert visited_range(cfg, "a", cfg.environment.a) == (points[0],
-                                                          points[-1])
-    assert visited_range(cfg, "T", cfg.environment.T) == (300.0, 300.0)
+    assert visited_range(cfg, "a") == (points[0], points[-1])
+    assert visited_range(cfg, "T") == (300.0, 300.0)
 
 
 def test_output_file_and_format_from_config(tmp_path):

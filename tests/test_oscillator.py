@@ -423,6 +423,33 @@ def test_nonlinear_kernel_monotone_in_beta(nodes):
         assert np.all(above >= below)
 
 
+@st.composite
+def _boundary_nodes(draw):
+    """TM-only kernel nodes (v, r_TM^2) and the beta* in (0.1, 0.99) where
+    lam = v (1 - beta) - ln r_TM^2 is 1: the node takes the closed form
+    just below beta* and the theta rule just above it."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r2 = np.where(rng.random(n) < 0.3, 1.0,
+                  rng.uniform(math.exp(-0.9), 1.0, n))
+    v = (1.0 + np.log(r2)) / (1.0 - rng.uniform(0.1, 0.99, n))
+    return v, r2, 1.0 - (1.0 + np.log(r2)) / v
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(nodes=_boundary_nodes())
+def test_nonlinear_kernel_monotone_across_the_route_boundary(nodes):
+    # 2e-6 in beta raises the kernel by less than 1e-4 of itself, so a
+    # theta rule that much low (or a closed form that much high) at lam = 1
+    # breaks the rise that the beta pairs above are too far apart to see
+    v, r2, beta_star = nodes
+    for node in zip(v, r2, beta_star):
+        vv, r_tm2 = np.array(node[:1]), np.array(node[1:2])
+        below, above = (oscillator._nonlinear_kernel(
+            vv, r_tm2, np.zeros(1), node[2] + step) for step in (-1e-6, 1e-6))
+        assert above >= below, node
+
+
 def _count_work(monkeypatch):
     """Frequency rows evaluated, Bessel elements and theta-rule polylog
     nodes, counted as they run."""
