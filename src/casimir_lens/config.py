@@ -22,7 +22,11 @@ volts, rad/s); floats accept scientific notation, so `a = 200e-9` is
 
 Optional sections: [sweep] (variable, start, stop, count, spacing,
 ratios), [oscillator] (omega0, Az, C or b + I), [efield] (V, V0),
-[output] (path, format), [quadrature] (rel_tol, l_max).
+[output] (path, format), [quadrature] (rel_tol, l_max).  The run must
+read every section and key: an unknown one ([DEFAULT] included), a
+misspelt key, or one for another variant or model (phi under a
+symmetric lens, gamma_ev under model = plasma) is a ConfigError, as is
+a number that is not finite.  Keys are case-insensitive, sections not.
 """
 
 import configparser
@@ -32,7 +36,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .electrostatics import BiasState
-from .engine import _ZETA_MIN, DEFAULT_QUADRATURE, QuadratureSpec
+from .engine import _ZETA_MIN, QuadratureSpec
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        TwoHalvesLens, symmetric_lens, thickness_for_width)
 from .materials import (Drude, GOLD_GAMMA_EV, GOLD_PLASMA_EV, IdealMetal,
@@ -138,29 +142,30 @@ def substitute(cfg: RunConfig, x: float | None):
 
 
 # ---------------------------------------------------------------------------
-# low-level readers: every failure names the section and key
+# the one reader: every failure names the section and key
 
-def _section(cp: configparser.ConfigParser, name: str, required: bool = False):
-    if cp.has_section(name):
-        return cp[name]
-    if required:
-        raise ConfigError(f"missing required section [{name}]")
-    return None
+class _Section:
+    """One INI section: its name, its values and the keys no reader took yet."""
+
+    def __init__(self, name: str, values: configparser.SectionProxy):
+        self.name, self.values, self.unread = name, values, dict.fromkeys(values)
 
 
 _NOT_A = {float: "a number", int: "an integer"}
 
 
-def _get(sect, key: str, kind=float, default=None, required=False):
-    """sect[key] read as kind: float, int or a tuple of allowed words.
+def _get(sect: _Section | None, key: str, kind=float, default=None, required=False):
+    """sect's key read as kind: float, int, str or a tuple of allowed words.
 
-    A missing key gives default, or fails if required.
+    The only reader of a raw value, so it marks the key read.  A missing
+    key or section (sect None) gives default; a missing key fails if required.
     """
-    if key not in sect:
+    if sect is None or key not in sect.values:
         if required:
             raise ConfigError(f"[{sect.name}] is missing required key '{key}'")
         return default
-    raw = sect[key]
+    sect.unread.pop(key.lower(), None)
+    raw = sect.values[key]
     if isinstance(kind, tuple):
         value = raw.strip().lower()
         if value not in kind:
@@ -168,38 +173,35 @@ def _get(sect, key: str, kind=float, default=None, required=False):
                               f"got {raw!r}")
         return value
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"[{sect.name}] {key} = {raw!r} is not "
                           f"{_NOT_A[kind]}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{sect.name}] {key} = {raw!r} is not finite")
+    return value
 
 
-def _build(cls, sect, **given):
+def _build(cls, sect: _Section | None, **given):
     """cls from sect: every field not given is read as its annotated type.
 
     A field without a dataclass default is a required key; the
     constructor's ValueError is reported against the section.
     """
     for f in fields(cls):
-        if f.name not in given and (f.name in sect or f.default is MISSING):
-            given[f.name] = _get(sect, f.name, f.type, required=True)
+        if f.name not in given:
+            given[f.name] = _get(sect, f.name, f.type, f.default,
+                                 required=f.default is MISSING)
     try:
         return cls(**given)
     except ValueError as exc:
         raise ConfigError(f"[{sect.name}] {exc}") from None
 
 
-def _optional(cp, name: str, read, default=None):
-    """read(section) when the file has a [name] section, else default."""
-    sect = _section(cp, name)
-    return default if sect is None else read(sect)
-
-
 # ---------------------------------------------------------------------------
 # section parsers
 
-def _parse_geometry(cp) -> LensGeometry | None:
-    sect = _section(cp, "geometry")
+def _parse_geometry(sect: _Section | None) -> LensGeometry | None:
     if sect is None:
         return None
     variant = _get(sect, "variant", tuple(LENS_VARIANTS), default="symmetric")
@@ -223,78 +225,61 @@ def _parse_geometry(cp) -> LensGeometry | None:
         raise ConfigError(f"[geometry] {exc}") from None
 
 
-def _parse_material(cp) -> PermittivityModel:
-    sect = _section(cp, "material")
-    if sect is None:
-        return IdealMetal()
-    model = _get(sect, "model", tuple(MATERIAL_MODELS), default="ideal")
+_GOLD_EV = {"omega_p": GOLD_PLASMA_EV, "gamma": GOLD_GAMMA_EV}
+
+
+def _parse_material(sect: _Section | None) -> PermittivityModel:
+    cls = MATERIAL_MODELS[_get(sect, "model", tuple(MATERIAL_MODELS),
+                               default="ideal")]
+    if cls is not Tabulated:  # each rad/s field from its *_ev key, gold by default
+        return _build(cls, sect, **{f.name: ev_to_rad_per_s(_get(
+            sect, f.name + "_ev", default=_GOLD_EV[f.name])) for f in fields(cls)})
+    path = _get(sect, "path", str)
+    if path is None:
+        raise ConfigError("[material] model = tabulated requires key 'path'")
     try:
-        if model == "ideal":
-            return IdealMetal()
-        if model == "drude":
-            wp = _get(sect, "omega_p_ev", default=GOLD_PLASMA_EV)
-            gamma = _get(sect, "gamma_ev", default=GOLD_GAMMA_EV)
-            return Drude(omega_p=ev_to_rad_per_s(wp), gamma=ev_to_rad_per_s(gamma))
-        if model == "plasma":
-            wp = _get(sect, "omega_p_ev", default=GOLD_PLASMA_EV)
-            return Plasma(omega_p=ev_to_rad_per_s(wp))
-        if "path" not in sect:
-            raise ConfigError("[material] model = tabulated requires key 'path'")
-        try:
-            return Tabulated.from_file(sect["path"])
-        except OSError as exc:
-            raise ConfigError(f"[material] cannot read {sect['path']!r}: {exc}") from None
+        return Tabulated.from_file(path)
+    except OSError as exc:
+        raise ConfigError(f"[material] cannot read {path!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"[material] {exc}") from None
 
 
-def _parse_oscillator(cp) -> OscillatorParams | None:
-    sect = _section(cp, "oscillator")
+def _parse_oscillator(sect: _Section | None) -> OscillatorParams | None:
     if sect is None:
         return None
-    omega0 = _get(sect, "omega0", required=True)
-    Az = _get(sect, "Az", required=True)
-    C = _get(sect, "C")
-    b = _get(sect, "b")
-    inertia = _get(sect, "I")
-    try:
-        if C is not None:
-            if b is not None or inertia is not None:
-                raise ConfigError("[oscillator] give either C or the pair b, I, "
-                                  "not both")
-            return OscillatorParams(omega0=omega0, C=C, Az=Az)
+    # omega0 and Az first, so that their errors come before those of C, b, I
+    given = {key: _get(sect, key, required=True) for key in ("omega0", "Az")}
+    C, b, inertia = (_get(sect, key) for key in ("C", "b", "I"))
+    if C is None:
         if b is None or inertia is None:
             raise ConfigError("[oscillator] requires either C or both b and I")
-        return OscillatorParams.torsional(omega0=omega0, b=b, I=inertia, Az=Az)
-    except ValueError as exc:
-        raise ConfigError(f"[oscillator] {exc}") from None
+        if not b > 0.0 or not inertia > 0.0:
+            raise ConfigError("[oscillator] b and I must be positive")
+        C = b * b / inertia
+    elif b is not None or inertia is not None:
+        raise ConfigError("[oscillator] give either C or the pair b, I, not both")
+    return _build(OscillatorParams, sect, C=C, **given)
 
 
-def _parse_sweep(sect) -> tuple[SweepSpec, tuple[float, ...]]:
-    spec = _build(SweepSpec, sect, variable=sect.get("variable", "").strip(),
-                  spacing=_get(sect, "spacing", ("linear", "log"),
-                               default="linear"))
-    ratios: tuple[float, ...] = ()
-    if "ratios" in sect:
-        try:
-            ratios = tuple(float(tok) for tok in
-                           sect["ratios"].replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(f"[sweep] ratios = {sect['ratios']!r} is not a "
-                              "list of numbers") from None
-        if not ratios:
-            raise ConfigError("[sweep] ratios is empty")
-        if any(r < 1.0 for r in ratios):
-            raise ConfigError("[sweep] ratios are A/B values and must be >= 1")
+def _parse_sweep(sect: _Section) -> tuple[SweepSpec, tuple[float, ...]]:
+    spec = _build(SweepSpec, sect, variable=_get(sect, "variable", str, "").strip(),
+                  spacing=_get(sect, "spacing", ("linear", "log"), "linear"))
+    raw = _get(sect, "ratios", str)
+    if raw is None:
+        return spec, ()
+    try:
+        ratios = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"[sweep] ratios = {raw!r} is not a list of "
+                          "numbers") from None
+    if not ratios:
+        raise ConfigError("[sweep] ratios is empty")
+    if not all(map(math.isfinite, ratios)):
+        raise ConfigError(f"[sweep] ratios = {raw!r} are not all finite")
+    if any(r < 1.0 for r in ratios):
+        raise ConfigError("[sweep] ratios are A/B values and must be >= 1")
     return spec, ratios
-
-
-def _parse_output(cp) -> tuple[str | None, str]:
-    sect = _section(cp, "output")
-    if sect is None:
-        return None, "csv"
-    fmt = _get(sect, "format", ("csv", "json"), default="csv")
-    return sect.get("path"), fmt
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +362,45 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     """Parse INI text into a validated RunConfig.
 
     Raises ConfigError with the offending section/key for any structural,
-    type or physical-constraint problem.
+    type or physical-constraint problem, and then for any section or key
+    that the run did not read.  [DEFAULT] is an ordinary, unknown section.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   default_section=None)
     try:
         cp.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from None
-
-    run = _section(cp, "run", required=True)
+    found = {name: _Section(name, cp[name]) for name in cp.sections()}
+    run, sweep, out, geometry, env, material, quad, osc, efield = read = [
+        found.pop(name, None) for name in (
+            "run", "sweep", "output", "geometry", "environment", "material",
+            "quadrature", "oscillator", "efield")]
+    if run is None:
+        raise ConfigError("missing required section [run]")
     command = _get(run, "command", COMMANDS, required=True)
-
-    sweep, ratios = _optional(cp, "sweep", _parse_sweep, (None, ()))
-    out_path, out_format = _parse_output(cp)
+    spec, ratios = (None, ()) if sweep is None else _parse_sweep(sweep)
     cfg = RunConfig(
         command=command,
-        geometry=_parse_geometry(cp),
-        environment=_optional(cp, "environment", lambda sect: _build(
-            Environment, sect, T=_get(sect, "T", default=300.0))),
-        material=_parse_material(cp),
-        quadrature=_optional(cp, "quadrature", lambda sect: _build(
-            QuadratureSpec, sect), DEFAULT_QUADRATURE),
-        oscillator=_parse_oscillator(cp),
-        bias=_optional(cp, "efield", lambda sect: _build(BiasState, sect)),
-        sweep=sweep,
+        output_format=_get(out, "format", ("csv", "json"), default="csv"),
+        output_path=_get(out, "path", str),
+        geometry=_parse_geometry(geometry),
+        environment=None if env is None else _build(
+            Environment, env, T=_get(env, "T", default=300.0)),
+        material=_parse_material(material),
+        quadrature=_build(QuadratureSpec, quad),
+        oscillator=_parse_oscillator(osc),
+        bias=None if efield is None else _build(BiasState, efield),
+        sweep=spec,
         ratios=ratios,
-        output_path=out_path,
-        output_format=out_format,
     )
     _check_consistency(cfg)
+    if found:
+        raise ConfigError(f"unknown section [{next(iter(found))}]")
+    for sect in read:
+        if sect is not None and sect.unread:
+            raise ConfigError(f"[{sect.name}] key '{next(iter(sect.unread))}' "
+                              "is not read by this run")
     return cfg
 
 

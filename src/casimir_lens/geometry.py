@@ -185,7 +185,7 @@ class Environment:
     def __post_init__(self) -> None:
         if not self.a > 0.0:
             raise ValueError("separation a must be positive")
-        if self.T < 0.0:
+        if not self.T >= 0.0:
             raise ValueError("temperature T cannot be negative")
 
 

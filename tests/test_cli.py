@@ -220,6 +220,10 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     bad_geom = BASE.replace("B = 100e-6", "B = 200e-6")  # B > A
     assert main(["--config", write(tmp_path, bad_geom)]) == 2
     capsys.readouterr()
+    misspelt = BASE.replace("T = 300", "temperature = 4")
+    assert main(["--config", write(tmp_path, misspelt)]) == 2
+    assert capsys.readouterr().err == ("config error: [environment] key "
+                                       "'temperature' is not read by this run\n")
 
 
 def test_exit_3_on_runtime_domain_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Run configuration: the echoed provenance, sweeps and parse errors."""
 
 import dataclasses
+import pathlib
+import re
 
 import pytest
 
@@ -346,10 +348,49 @@ def test_sweep_requires_its_owner(variable, cut, message):
     ("[environment]\na = 200e-9\n\n[sweep]\nvariable = a\nstart = 1e-7\n"
      "stop = 2e-7\ncount = 3\nspacing = cubic\n",
      "[sweep] spacing must be one of ('linear', 'log'), got 'cubic'"),
+    # every section and key must be one the run reads ...
+    ("[environment]\na = 200e-9\ntemperature = 4\n",
+     "[environment] key 'temperature' is not read by this run"),
+    ("[material]\nmodel = drude\ngama_ev = 0.5\n\n[environment]\na = 200e-9\n",
+     "[material] key 'gama_ev' is not read by this run"),
+    ("phi = 0.5\n\n[environment]\na = 200e-9\n",
+     "[geometry] key 'phi' is not read by this run"),
+    ("[material]\nmodel = plasma\ngamma_ev = 0.05\n\n[environment]\n"
+     "a = 200e-9\n", "[material] key 'gamma_ev' is not read by this run"),
+    ("[material]\nmodel = drude\npath = gold.dat\n\n[environment]\n"
+     "a = 200e-9\n", "[material] key 'path' is not read by this run"),
+    ("[environment]\na = 200e-9\n\n[enviroment]\nT = 4\n",
+     "unknown section [enviroment]"),
+    ("[environment]\na = 200e-9\n\n[DEFAULT]\nT = 4\n",
+     "unknown section [DEFAULT]"),
+    ("[environment]\n", "[environment] is missing required key 'a'"),
+    # ... and every number finite
+    ("[environment]\na = 200e-9\nT = nan\n",
+     "[environment] T = 'nan' is not finite"),
+    ("[environment]\na = 200e-9\nT = inf\n",
+     "[environment] T = 'inf' is not finite"),
+    ("[environment]\na = 200e-9\n\n[efield]\nV = nan\n",
+     "[efield] V = 'nan' is not finite"),
+    ("[environment]\na = 200e-9\n\n[oscillator]\nomega0 = inf\nC = 10\n"
+     "Az = 20e-9\n", "[oscillator] omega0 = 'inf' is not finite"),
 ])
 def test_section_errors_keep_their_text(section, message):
     text = ("[run]\ncommand = force\n\n[geometry]\nA = 100e-6\nB = 100e-6\n"
-            "L = 1e-3\n\n" + section)
+            "L = 1e-3\n" + section)
     with pytest.raises(ConfigError) as exc:
         parse_config(text, origin="inline")
     assert str(exc.value) == message
+
+
+def test_keys_are_case_insensitive():
+    cfg = parse_config(SWEPT.replace("T = 300", "t = 4")
+                       .replace("a = 200e-9", "A = 300e-9"), origin="inline")
+    assert (cfg.environment.a, cfg.environment.T) == (300e-9, 4.0)
+
+
+def test_readme_ini_blocks_parse():
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block, origin="README.md")

@@ -57,6 +57,8 @@ def test_environment_validation():
         Environment(a=-1e-9, T=300.0)
     with pytest.raises(ValueError):
         Environment(a=1e-7, T=-1.0)
+    with pytest.raises(ValueError, match="temperature T cannot be negative"):
+        Environment(a=1e-7, T=math.nan)
     Environment(a=1e-7, T=0.0)  # zero temperature is allowed
 
 
