@@ -366,7 +366,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     that the run did not read.  [DEFAULT] is an ordinary, unknown section.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                   default_section=None)
+                                   default_section=None, interpolation=None)
     try:
         cp.read_string(text, source=origin)
     except configparser.Error as exc:

@@ -30,8 +30,8 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
-                       RotationFactor, TwoHalvesLens, expect_variant,
-                       rotation_factor, shape_factor, thickness_for_width)
+                       TwoHalvesLens, expect_variant, rotation_factor,
+                       shape_factor, thickness_for_width)
 from .materials import PermittivityModel, Tabulated, reflection_sq_grid
 from .specfun import SQRT_PI, ConvergenceError, polylog_exp_grid
 
@@ -97,40 +97,50 @@ def _leggauss(n: int):
 
 
 @lru_cache(maxsize=None)
-def _outer_panels(span: float, nodes: tuple):
-    """Panels 2-5 of _grid_from at zeta = 0: nodes and weights.
+def _panels(edges: tuple, nodes: tuple):
+    """Gauss-Legendre nodes and weights over the panels [edges[i], edges[i+1]].
 
-    Their nodes move rigidly with zeta and their weights do not change, so
-    one copy per (span, nodes) serves every zeta.
+    nodes gives the Gauss order of each panel.  The first panel is mapped
+    through x = t^2, so that the half-integer powers the kernels develop
+    near its lower edge are integrated exactly.  The arrays are read-only:
+    one copy per (edges, nodes) serves every caller.
     """
-    scale = span / _PANEL_EDGES[-1]
-    vs, ws = [], []
-    for lo, hi, n in zip(_PANEL_EDGES[1:-1], _PANEL_EDGES[2:], nodes[1:]):
+    xs, ws = [], []
+    for i, (lo, hi, n) in enumerate(zip(edges, edges[1:], nodes)):
         x, w = _leggauss(n)
-        half = 0.5 * (hi - lo) * scale
-        vs.append(half * x + 0.5 * (hi + lo) * scale)
-        ws.append(w * half)
-    v, w = np.concatenate(vs), np.concatenate(ws)
-    v.flags.writeable = w.flags.writeable = False
-    return v, w
+        if i == 0:
+            t0, t1 = math.sqrt(lo), math.sqrt(hi)
+            t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
+            xs.append(t * t)
+            ws.append(w * (t1 - t0) * t)
+        else:
+            half = 0.5 * (hi - lo)
+            xs.append(half * x + 0.5 * (hi + lo))
+            ws.append(w * half)
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES):
     """Gauss nodes and weights covering [zeta, zeta + span].
 
-    The first panel is mapped through v = w^2 so that the half-integer
-    powers the polylog kernels develop at small v are integrated exactly;
-    it is the only panel built per call, the others are _outer_panels
-    shifted by zeta.  nodes gives the Gauss order of each panel.  zeta is
-    a float, giving 1-D arrays, or a 1-D array, giving one row per zeta;
-    a row holds the same floats a lone zeta would.  The arrays returned
-    are new on every call.
+    The panels are _PANEL_EDGES scaled to span, the first mapped through
+    v = w^2 so that the half-integer powers the polylog kernels develop at
+    small v are integrated exactly.  Only that first panel is built per
+    call; panels 2-5 are those of _panels at zeta = 0, whose nodes move
+    rigidly with zeta while their weights do not change.  nodes gives the
+    Gauss order of each panel.  zeta is a float, giving 1-D arrays, or a
+    1-D array, giving one row per zeta; a row holds the same floats a lone
+    zeta would.  The arrays returned are new on every call.
     """
-    v_out, w_out = _outer_panels(span, nodes)
+    scale = span / _PANEL_EDGES[-1]
+    v_out, w_out = _panels(tuple(e * scale for e in _PANEL_EDGES), nodes)
+    v_out, w_out = v_out[nodes[0]:], w_out[nodes[0]:]
     x, w = _leggauss(nodes[0])
     z = np.asarray(zeta, dtype=float)[..., None]
     t0 = np.sqrt(z)
-    t1 = np.sqrt(z + _PANEL_EDGES[1] * (span / _PANEL_EDGES[-1]))
+    t1 = np.sqrt(z + _PANEL_EDGES[1] * scale)
     t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
     w_out = np.broadcast_to(w_out, z.shape[:-1] + w_out.shape)
     return (np.concatenate((t * t, z + v_out), axis=-1),
@@ -146,26 +156,6 @@ _S_NODES = (16, 16, 20, 20, 24)
 # the first of 48 Gauss-Legendre nodes, written out so that importing the
 # package computes no quadrature rule.
 _ZETA_MIN = 7.552115867947006e-07
-
-
-@lru_cache(maxsize=None)
-def _s_panels(nodes: tuple):
-    """Gauss nodes and weights on [0, 1] over the panels _S_EDGES."""
-    ss, ws = [], []
-    for i, (lo, hi, n) in enumerate(zip(_S_EDGES, _S_EDGES[1:], nodes)):
-        x, w = _leggauss(n)
-        if i == 0:
-            t1 = math.sqrt(hi)
-            t = 0.5 * t1 * (x + 1.0)
-            ss.append(t * t)
-            ws.append(w * t1 * t)
-        else:
-            half = 0.5 * (hi - lo)
-            ss.append(half * x + 0.5 * (hi + lo))
-            ws.append(w * half)
-    s, w = np.concatenate(ss), np.concatenate(ws)
-    s.flags.writeable = w.flags.writeable = False
-    return s, w
 
 
 # ---------------------------------------------------------------------------
@@ -338,48 +328,31 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
         width *= 2.0
 
 
-# (v, s) nodes per T = 0 call, as many as a stack of _CHUNK frequencies
-# holds: one call for all rows peaks ~0.4 MB higher, no faster for the force
-_T0_NODES = _CHUNK * sum(_PANEL_NODES)
-
-
-def _s_integrals(kernel: Kernel, model: PermittivityModel, a: float,
-                 v: np.ndarray, zeta_lo: float, s: np.ndarray,
-                 ws: np.ndarray) -> np.ndarray:
-    """int_0^1 ds kernel(v, r^2(v s, v)) per row of a column v, one call.
-
-    No node lies below zeta_lo: each row's rule on [0, 1] is mapped onto
-    [s0, 1], s0 = zeta_lo / v, and the sliver [0, s0] is added to the
-    weight of the row's first node.  At zeta_lo = 0 the rule is unchanged.
-    """
-    s0 = zeta_lo / v
-    vv = np.broadcast_to(v, (v.size, s.size))
-    r_tm2, r_te2 = reflection_sq_grid(model, v * (s0 + (1.0 - s0) * s), vv, a)
-    f = kernel(vv, r_tm2, r_te2)
-    w = (1.0 - s0) * ws
-    w[:, 0] += s0[:, 0]
-    return np.sum(w * f, axis=-1)
-
-
 def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
                span: float, v_nodes: tuple, s_nodes: tuple):
     """v nodes, weights and row integrals int_0^v dzeta of the kernel.
 
     zeta = v s maps each row's triangle zeta <= v onto s in [0, 1], so the
-    row integral is v int_0^1 ds kernel.  A tabulated model is not
-    evaluated below _ZETA_MIN.  The rows go through reflection_sq_grid and
-    the kernel in runs of contiguous rows, each run within _T0_NODES
-    nodes.  Each row is summed on its own, so its value does not depend on
-    the call that holds it.
+    row integral is v int_0^1 ds kernel.  The v-rule is _panels over
+    _PANEL_EDGES scaled to span, the s-rule _panels over _S_EDGES, and the
+    whole (v, s) grid, a row per v node, goes through one call of
+    reflection_sq_grid and one of the kernel; each row is then summed on
+    its own.  A tabulated model is not evaluated below _ZETA_MIN: each
+    row's s-rule is mapped onto [s0, 1], s0 = _ZETA_MIN / v, and the sliver
+    [0, s0] is added to the weight of the row's first node.
     """
-    v, wv = _grid_from(0.0, span, v_nodes)
-    s, ws = _s_panels(s_nodes)
+    scale = span / _PANEL_EDGES[-1]
+    v, wv = _panels(tuple(e * scale for e in _PANEL_EDGES), v_nodes)
+    s, ws = _panels(_S_EDGES, s_nodes)
     zeta_lo = _ZETA_MIN if isinstance(model, Tabulated) else 0.0
-    step = max(1, _T0_NODES // s.size)
-    rows = np.concatenate([
-        _s_integrals(kernel, model, a, v[i:i + step, None], zeta_lo, s, ws)
-        for i in range(0, v.size, step)])
-    return v, wv, v * rows
+    col = v[:, None]
+    s0 = zeta_lo / col
+    vv = np.broadcast_to(col, (v.size, s.size))
+    r_tm2, r_te2 = reflection_sq_grid(model, col * (s0 + (1.0 - s0) * s),
+                                      vv, a)
+    w = (1.0 - s0) * ws
+    w[:, 0] += s0[:, 0]
+    return v, wv, v * np.sum(w * kernel(vv, r_tm2, r_te2), axis=-1)
 
 
 def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
@@ -391,10 +364,12 @@ def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
         int_0^V dv v int_0^1 ds kernel(v, r^2(v s, v)),
 
     with V = 80 / rate: the kernel falls like e^{-rate v}, so the window
-    spans 80 e-foldings at every rate.  v takes the panels of _grid_from
-    at _COARSE_NODES, s the panels _S_EDGES (_s_panels).  The error is
-    measured: the change when both rules are taken at half the order, plus
-    the cut at the window's end (the last row times the window's width).
+    spans 80 e-foldings at every rate.  v takes the panels _PANEL_EDGES
+    at _COARSE_NODES, s the panels _S_EDGES at _S_NODES, and each rule is
+    one call of reflection_sq_grid and of the kernel (_zeta_rows).  The
+    error is measured: the change when both rules are taken at half the
+    order, plus the cut at the window's end (the last row times the
+    window's width).
     Returns (integral, rows, error), rows counting the v-rows of both
     rules, one s-integral each.
     """
@@ -717,10 +692,10 @@ def rotated_direct_oracle(geom: RotatedLens, env: Environment,
 
 
 __all__ = [
-    "QuadratureSpec", "DEFAULT_QUADRATURE", "ForceResult", "RotationFactor",
+    "QuadratureSpec", "DEFAULT_QUADRATURE", "ForceResult",
     "force", "gradient", "casimir_force", "casimir_gradient",
     "zero_temperature_force", "zero_temperature_gradient",
     "ideal_metal_force_t0", "ideal_metal_gradient_t0", "two_halves_force",
-    "two_halves_gradient", "rotation_factor", "rotated_force",
-    "rotated_gradient", "direct_pfa_force_oracle", "rotated_direct_oracle",
+    "two_halves_gradient", "rotated_force", "rotated_gradient",
+    "direct_pfa_force_oracle", "rotated_direct_oracle",
 ]

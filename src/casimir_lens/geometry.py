@@ -196,10 +196,8 @@ PFA_RATIO_WARN = 0.1
 
 @dataclass
 class ValidityReport:
-    """Outcome of validate_geometry: hard errors, soft warnings, error estimate."""
+    """Outcome of validate_geometry: soft warnings and the PFA error estimate."""
 
-    ok: bool
-    hard_errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     a_over_B: float = 0.0
     a_over_h: float = 0.0
@@ -209,24 +207,13 @@ class ValidityReport:
 def validate_geometry(geom: LensGeometry, env: Environment) -> ValidityReport:
     """Check PFA applicability of a lens/environment combination.
 
-    Nonpositive lengths are rejected by the dataclass constructors already;
-    this re-checks them defensively and flags the soft conditions: the
-    fractional PFA error is estimated as 0.3 * a/B and a warning is issued
-    when a/B or a/h exceeds 0.1.
+    Nonpositive lengths and a negative T never get here: the dataclass
+    constructors reject them.  The fractional PFA error is estimated as
+    0.3 * a/B, and a warning is issued when a/B or a/h exceeds 0.1.
     """
-    report = ValidityReport(ok=True)
-    lengths = {f.name: getattr(geom, f.name) for f in fields(geom)
-               if f.name != "phi"}
-    for name, value in {"a": env.a, **lengths}.items():
-        if not value > 0.0:
-            report.hard_errors.append(f"{name} must be positive")
-    if env.T < 0.0:
-        report.hard_errors.append("T cannot be negative")
-    if report.hard_errors:
-        report.ok = False
-        return report
-
-    B = min(value for name, value in lengths.items() if name.startswith("B"))
+    report = ValidityReport()
+    B = min(getattr(geom, f.name) for f in fields(geom)
+            if f.name.startswith("B"))
     report.a_over_B = env.a / B
     report.a_over_h = env.a / geom.h
     report.pfa_error_estimate = 0.3 * report.a_over_B

@@ -4,7 +4,9 @@ perfbench/layers.py names each traced boundary as module + attribute.  A
 renamed or deleted engine private would otherwise only surface when the
 benchmark runs with --trace 1; here it fails with the rest of the suite.
 The same holds for the names and keywords the workloads call in the
-package and its front end.
+package and its front end, for the work counts the tracer reads off the
+traced results, and for the layers each workload requires to record calls.
+The benchmark modules are imported, never changed.
 """
 
 import ast
@@ -20,13 +22,17 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "perfbench")
 
 
-def _boundaries():
+def _bench(name: str):
+    """A module of the benchmark, imported from its directory."""
     sys.path.insert(0, BENCH)
     try:
-        from layers import BOUNDARIES
+        return importlib.import_module(name)
     finally:
         sys.path.remove(BENCH)
-    return BOUNDARIES
+
+
+def _boundaries():
+    return _bench("layers").BOUNDARIES
 
 
 def test_traced_boundaries_resolve_to_callables():
@@ -56,3 +62,69 @@ def test_workload_names_resolve_on_the_package():
     missing = sorted(f"{mod}.{attr}" for mod, attr in used
                      if not hasattr(modules[mod], attr))
     assert missing == []
+
+
+_FORCE_300K = """\
+[run]
+command = force
+
+[geometry]
+A = 100e-6
+B = 100e-6
+L = 1e-3
+
+[material]
+model = drude
+
+[environment]
+a = 200e-9
+T = 300
+"""
+_SHIFT = (_FORCE_300K.replace("command = force", "command = freq-shift")
+          + "\n[oscillator]\nomega0 = 4400.0\nC = 10.0\nAz = 100e-9\n")
+
+
+def test_traced_evaluations_record_work_and_required_layers():
+    # a 300 K force and a nonlinear shift through the front end, as the
+    # CLI workloads run them; a T = 0 force and the two oracles through the
+    # library, as oracle-check runs them
+    spans = _bench("spans")
+    required = {name for wl in _bench("workloads").WORKLOADS.values()
+                for name in wl.required}
+    lens = casimir_lens.symmetric_lens(100e-6, 100e-6, 1e-3)
+    env = casimir_lens.Environment(a=200e-9, T=300.0)
+    model = casimir_lens.gold_drude()
+    osc = casimir_lens.OscillatorParams(omega0=4400.0, C=10.0, Az=100e-9)
+
+    def run_cli(text):
+        cfg = casimir_lens.parse_config(text, origin="inline")
+        columns, rows, failure = cli.run_command(cfg)
+        assert failure is None
+        cli.format_csv(cfg, columns, rows)
+
+    evaluations = {
+        "force_300K": lambda: run_cli(_FORCE_300K),
+        "force_T0": lambda: casimir_lens.zero_temperature_force(lens, env,
+                                                                model),
+        "shift": lambda: run_cli(_SHIFT),
+        "oracles": lambda: (
+            casimir_lens.direct_pfa_force_oracle(
+                lens, casimir_lens.Environment(a=1e-6, T=300.0), model),
+            casimir_lens.frequency_shift_direct_oracle(lens, env, model, osc)),
+    }
+    tracer = spans.Tracer(_boundaries())
+    work = {}
+    with tracer:
+        for name, evaluate in evaluations.items():
+            first = len(tracer.spans)
+            evaluate()
+            work[name] = {}
+            for span in tracer.spans[first:]:
+                work[name].setdefault(span.name, []).append(span.work)
+    # the 300 K row carries its T = 0 companion
+    assert work["force_300K"]["engine.finite_t"] == [63]
+    assert work["force_300K"]["engine.zero_t"] == [114]
+    assert work["force_T0"]["engine.zero_t"] == [114]
+    assert "engine.finite_t" not in work["force_T0"]
+    spans.require_calls(spans.layer_stats(tracer.spans), sorted(required),
+                        "tier-1 trace")

@@ -61,6 +61,19 @@ def test_force_csv_matches_library(tmp_path, capsys):
     assert float(rows[0][4]) == pytest.approx(corr, rel=1e-12)
 
 
+def test_zero_temperature_row_is_its_own_companion(tmp_path, capsys):
+    assert main(["--config", write(tmp_path, BASE.replace("T = 300",
+                                                          "T = 0"))]) == 0
+    _, rows = rows_of(capsys.readouterr().out)
+    lens = symmetric_lens(100e-6, 100e-6, 1e-3)
+    expect = casimir_force(lens, Environment(a=200e-9, T=0.0), IdealMetal())
+    # the row is the T = 0 force twice, no thermal correction, and the
+    # v-rows of the T = 0 integral as its terms
+    assert rows == [[format(v, ".17g") for v in (
+        200e-9, 0.0, expect.value, expect.value, 0.0, expect.est_abs_error)]
+        + ["114"]]
+
+
 def test_json_round_trip(tmp_path, capsys):
     assert main(["--config", write(tmp_path, BASE), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -116,12 +129,14 @@ def test_visited_range_is_the_sweep_end_points(spacing):
 
 
 def test_output_file_and_format_from_config(tmp_path):
-    out_path = tmp_path / "result.json"
+    # '%' in a value is text: no interpolation, and '%(T)s' reads no key
+    out_path = tmp_path / "50%(T)s%result.json"
     cfg = BASE + f"""
 [output]
 path = {out_path}
 format = json
 """
+    assert load_config(write(tmp_path, cfg)).output_path == str(out_path)
     assert main(["--config", write(tmp_path, cfg)]) == 0
     doc = json.loads(out_path.read_text())
     assert doc["columns"][0] == "a_m"
@@ -259,6 +274,14 @@ l_max = 3
     assert "convergence failure" in captured.err
     doc = json.loads(captured.out)
     assert doc["partial"] is True
+    # CSV flags the same failure in its '#' block, above the header
+    assert main(["--config", write(tmp_path, cfg)]) == 4
+    out = capsys.readouterr().out
+    assert ("# partial = true  (convergence failure; rows below are the "
+            "completed sweep prefix)") in out.splitlines()
+    assert rows_of(out) == (["a_m", "T_K", "force_N", "force_T0_N",
+                             "thermal_correction", "est_abs_error",
+                             "terms_used"], [])
 
 
 def test_quiet_suppresses_validity_warnings(tmp_path, capsys):

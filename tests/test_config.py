@@ -7,7 +7,7 @@ import re
 import pytest
 
 from casimir_lens.cli import format_csv
-from casimir_lens.config import (ConfigError, SWEEP_VARIABLES,
+from casimir_lens.config import (ConfigError, SWEEP_VARIABLES, SweepSpec,
                                  describe_config, parse_config, substitute)
 
 # Each config and the full `section.key = value` echo it must produce.  The
@@ -333,6 +333,15 @@ def test_sweep_requires_its_owner(variable, cut, message):
     assert str(exc.value) == message
 
 
+_LENS = "[geometry]\nA = 100e-6\nB = 100e-6\nL = 1e-3\n"
+_ENV = "\n[environment]\na = 200e-9\n"
+_SWEEP_A = "\n[sweep]\nvariable = a\nstart = 1e-7\nstop = 2e-7\ncount = 3\n"
+_OSC = "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\n"
+_TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
+           "negative.dat": "-1e13 5000.0\n1e18 1.5\n",
+           "rising.dat": "1e13 2.0\n1e18 3.0\n"}
+
+
 @pytest.mark.parametrize("section, message", [
     ("[environment]\nT = 300\n", "[environment] is missing required key 'a'"),
     ("[environment]\na = 200e-9\n\n[efield]\nV = x\n",
@@ -373,13 +382,94 @@ def test_sweep_requires_its_owner(variable, cut, message):
      "[efield] V = 'nan' is not finite"),
     ("[environment]\na = 200e-9\n\n[oscillator]\nomega0 = inf\nC = 10\n"
      "Az = 20e-9\n", "[oscillator] omega0 = 'inf' is not finite"),
+    # the sweep and its ratios
+    (_ENV + "\n[sweep]\nvariable = x\nstart = 1\nstop = 2\ncount = 3\n",
+     "sweep variable must be one of ('a', 'T', 'phi', 'Az', 'V'), got 'x'"),
+    (_ENV + "\n[sweep]\nvariable = a\nstart = 2e-7\nstop = 1e-7\ncount = 3\n",
+     "sweep requires start < stop"),
+    (_ENV + "\n[sweep]\nvariable = a\nstart = 1e-7\nstop = 2e-7\ncount = 1\n",
+     "sweep count must be at least 2"),
+    (_ENV + "\n[sweep]\nvariable = T\nstart = 0\nstop = 300\ncount = 3\n"
+     "spacing = log\n", "log spacing requires start > 0"),
+    (_ENV + _SWEEP_A + "ratios = 1.5, x\n",
+     "[sweep] ratios = '1.5, x' is not a list of numbers"),
+    (_ENV + _SWEEP_A + "ratios = ,\n", "[sweep] ratios is empty"),
+    (_ENV + _SWEEP_A + "ratios = 1.5, inf\n",
+     "[sweep] ratios = '1.5, inf' are not all finite"),
+    (_ENV + _SWEEP_A + "ratios = 0.5\n",
+     "[sweep] ratios are A/B values and must be >= 1"),
+    (_ENV + "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\nC = 10\n"
+     "\n[sweep]\nvariable = Az\nstart = 1e-8\nstop = 2e-7\ncount = 3\n",
+     "Az sweep extends to or beyond the separation a"),
+    # C against b and I
+    (_ENV + _OSC + "b = 1e-3\n",
+     "[oscillator] requires either C or both b and I"),
+    (_ENV + _OSC + "b = 0\nI = 1e-12\n", "[oscillator] b and I must be positive"),
+    (_ENV + _OSC + "C = 10\nb = 1e-3\n",
+     "[oscillator] give either C or the pair b, I, not both"),
+    # sections a command requires
+    ("# ratio-sweep over a\n[run]\ncommand = ratio-sweep\n" + _SWEEP_A
+     + "ratios = 1.5\n", "ratio-sweep requires a [sweep] over phi"),
+    ("# ratio-sweep without ratios\n[run]\ncommand = ratio-sweep\n\n[sweep]\n"
+     "variable = phi\nstart = 0\nstop = 1\ncount = 3\n",
+     "ratio-sweep requires [sweep] ratios = ... (the A/B values, one curve "
+     "each)"),
+    ("# ratio-sweep past pi/2\n[run]\ncommand = ratio-sweep\n\n[sweep]\n"
+     "variable = phi\nstart = 0\nstop = 2\ncount = 3\nratios = 1.5\n",
+     "ratio-sweep phi range must lie in [0, pi/2]"),
+    ("# no [geometry]\n[run]\ncommand = force\n" + _ENV,
+     "command 'force' requires a [geometry] section"),
+    ("\n[material]\nmodel = drude\n",
+     "command 'force' requires an [environment] section"),
+    ("# no [efield]\n[run]\ncommand = efield\n\n" + _LENS + _ENV,
+     "efield requires an [efield] section"),
+    ("# no [run]\n" + _LENS + _ENV, "missing required section [run]"),
+    (_ENV + "\n[run]\ncommand = force\n",
+     "inline: While reading from 'inline' [line 12]: section 'run' already "
+     "exists"),
+    # a tabulated model's table, read from the files the test writes
+    ("\n[material]\nmodel = tabulated\n" + _ENV,
+     "[material] model = tabulated requires key 'path'"),
+    ("\n[material]\nmodel = tabulated\npath = missing.dat\n" + _ENV,
+     "[material] cannot read 'missing.dat': [Errno 2] No such file or "
+     "directory: 'missing.dat'"),
+    ("\n[material]\nmodel = tabulated\npath = columns.dat\n" + _ENV,
+     "[material] columns.dat:1: expected two columns, got 3"),
+    ("\n[material]\nmodel = tabulated\npath = one_row.dat\n" + _ENV,
+     "[material] one_row.dat: at least two data rows are required"),
+    ("\n[material]\nmodel = tabulated\npath = negative.dat\n" + _ENV,
+     "[material] tabulated frequencies must be positive"),
+    ("\n[material]\nmodel = tabulated\npath = rising.dat\n" + _ENV,
+     "[material] tabulated eps(i xi) must decrease monotonically toward 1"),
+    # the constructors' own checks
+    ("h = -1e-6\n" + _ENV, "[geometry] h must be positive, got -1e-06"),
+    ("d = 2e-4\n" + _ENV,
+     "[geometry] half-width d cannot exceed the semiaxis A"),
+    ("h = 2e-4\n" + _ENV,
+     "[geometry] a cap thinner than the semiaxis is required (h <= B)"),
+    ("variant = two-halves\nA1 = 1e-6\nB1 = 2e-6\nA2 = 1e-6\nB2 = 1e-6\n"
+     "h = 1e-7\nd = 5e-7\n" + _ENV, "[geometry] each half must satisfy A >= B"),
+    (_ENV + "\n[quadrature]\nl_max = 0\n", "[quadrature] l_max must be positive"),
 ])
-def test_section_errors_keep_their_text(section, message):
-    text = ("[run]\ncommand = force\n\n[geometry]\nA = 100e-6\nB = 100e-6\n"
-            "L = 1e-3\n" + section)
+def test_section_errors_keep_their_text(section, message, tmp_path,
+                                        monkeypatch):
+    # a case is appended to a force run on a symmetric lens; one that
+    # opens with a '#' comment is a whole config of its own
+    monkeypatch.chdir(tmp_path)
+    for name, table in _TABLES.items():
+        (tmp_path / name).write_text(table)
+    text = section if section.startswith("#") else (
+        "[run]\ncommand = force\n\n" + _LENS + section)
     with pytest.raises(ConfigError) as exc:
         parse_config(text, origin="inline")
     assert str(exc.value) == message
+
+
+def test_sweep_spec_rejects_unknown_spacing():
+    # parse_config rejects the word before it gets here
+    with pytest.raises(ConfigError, match="sweep spacing must be 'linear' "
+                                          "or 'log'"):
+        SweepSpec("a", 1e-7, 2e-7, 3, spacing="cubic")
 
 
 def test_keys_are_case_insensitive():

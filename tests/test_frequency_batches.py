@@ -17,8 +17,7 @@ from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (_CHUNK, QuadratureSpec, _evaluate,
                                  _force_kernel, _frequency_integral,
                                  _gradient_kernel, _grid_from, _matsubara_sum,
-                                 _zeta_integral, direct_pfa_force_oracle,
-                                 force)
+                                 direct_pfa_force_oracle, force)
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import (IdealMetal, Tabulated, gold_drude,
                                     gold_plasma, reflection_sq_grid)
@@ -70,14 +69,24 @@ def test_batched_terms_equal_lone_terms(model, kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
-def test_chunked_zero_temperature_rows_equal_one_call(monkeypatch, model,
-                                                      kernel):
-    # the T = 0 integral evaluates its (v, s) grid a few v-rows per call;
-    # one call per rule, or one row per call, gives the same floats
-    got = _zeta_integral(kernel, model, A)
-    for nodes in (10 ** 9, 1):
-        monkeypatch.setattr(engine, "_T0_NODES", nodes)
-        assert _zeta_integral(kernel, model, A) == got
+def test_chunked_zero_temperature_rows_equal_one_call(model, kernel):
+    # the T = 0 integral evaluates each rule's whole (v, s) grid in one
+    # call; every v-row, taken alone on its own 1-D s-rule, gives the same
+    # float as that call
+    v, _, rows = engine._zeta_rows(kernel, model, A, engine._PANEL_EDGES[-1],
+                                   engine._COARSE_NODES, engine._S_NODES)
+    s, ws = engine._panels(engine._S_EDGES, engine._S_NODES)
+    zeta_lo = engine._ZETA_MIN if isinstance(model, Tabulated) else 0.0
+    lone = []
+    for vi in v.tolist():
+        s0 = zeta_lo / vi
+        vv = np.full(s.size, vi)
+        r_tm2, r_te2 = reflection_sq_grid(model, vi * (s0 + (1.0 - s0) * s),
+                                          vv, A)
+        w = (1.0 - s0) * ws
+        w[0] += s0
+        lone.append(vi * float(np.sum(w * kernel(vv, r_tm2, r_te2))))
+    assert rows.tolist() == lone
 
 
 def _sum_term_at_a_time(term1, zeta1, quad):
@@ -203,16 +212,17 @@ def _count_calls(monkeypatch, name):
 def test_force_call_counts(monkeypatch, T):
     # counts, not times: a term evaluated one frequency per call would make
     # one polylog call per term instead of one per chunk, and TM and TE
-    # taken apart would make two per reflection call; at T = 0 a v-row
-    # (one s-integral) evaluated alone would make one per row, 114 in all
+    # taken apart would make two per reflection call; at T = 0 each rule's
+    # (v, s) grid is one call, where a v-row (one s-integral) evaluated
+    # alone would make one per row, 114 in all
     polylog = _count_calls(monkeypatch, "polylog_exp_grid")
     reflection = _count_calls(monkeypatch, "reflection_sq_grid")
     res = force(LENS, Environment(a=A, T=T), gold_drude())
     if T == 0.0:
-        # 76 rows of 96 s-nodes in 3 calls of at most 19 x 152 nodes, and
-        # the half-order check's 38 rows of 48 in one call
+        # 76 rows of 96 s-nodes in one call, and the half-order check's 38
+        # rows of 48 in another
         assert res.terms_used == 76 + 38
-        calls = 3 + 1
+        calls = 1 + 1
     else:
         assert res.terms_used == 63
         calls = 1 + math.ceil((res.terms_used - 1) / _CHUNK)  # l = 0 alone

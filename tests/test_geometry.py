@@ -65,11 +65,13 @@ def test_environment_validation():
 def test_validity_report_flags_large_separation():
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
     good = validate_geometry(lens, Environment(a=200e-9, T=300.0))
-    assert good.ok and not good.warnings
+    assert good.warnings == []
     assert good.pfa_error_estimate == pytest.approx(0.3 * 200e-9 / 100e-6)
+    # both ratios past 0.1 warn: a/B = 0.2, and a/h = 0.355 (h = 56.4 um)
     bad = validate_geometry(lens, Environment(a=20e-6, T=300.0))
-    assert bad.ok  # soft warning, not an error
-    assert bad.warnings
+    assert bad.warnings == [
+        "a/B = 0.2 exceeds 0.1; PFA error estimate 6.00%",
+        "a/h = 0.355 exceeds 0.1; the lens is thin compared to the separation"]
 
 
 def test_validity_two_halves_uses_smaller_semiaxis():

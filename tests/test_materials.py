@@ -46,6 +46,10 @@ def test_model_parameter_validation():
         Plasma(omega_p=-1.0)
     with pytest.raises(ValueError):
         Drude(omega_p=1e16, gamma=-1.0)
+    with pytest.raises(ValueError, match="equal length >= 2"):
+        Tabulated([1e13], [2.0])
+    with pytest.raises(ValueError, match="equal length >= 2"):
+        Tabulated([1e13, 1e14], [2.0, 1.5, 1.2])
 
 
 def _pair(model, zeta, v, a):

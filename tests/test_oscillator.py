@@ -43,6 +43,9 @@ def test_torsional_effective_coefficient():
     p = OscillatorParams.torsional(omega0=5.0, b=2.0, I=8.0, Az=1e-9)
     assert p.C == pytest.approx(0.5)  # b^2 / I
     assert p.omega0 == 5.0
+    for b, inertia in ((0.0, 8.0), (2.0, -1.0)):
+        with pytest.raises(ValueError, match="b and I must be positive"):
+            OscillatorParams.torsional(omega0=5.0, b=b, I=inertia, Az=1e-9)
 
 
 def test_amplitude_must_stay_below_gap():
