@@ -24,9 +24,11 @@ Optional sections: [sweep] (variable, start, stop, count, spacing,
 ratios), [oscillator] (omega0, Az, C or b + I), [efield] (V, V0),
 [output] (path, format), [quadrature] (rel_tol, l_max).  The run must
 read every section and key: an unknown one ([DEFAULT] included), a
-misspelt key, or one for another variant or model (phi under a
-symmetric lens, gamma_ev under model = plasma) is a ConfigError, as is
-a number that is not finite.  Keys are case-insensitive, sections not.
+misspelt key, one for another variant or model (phi under a symmetric
+lens, gamma_ev under model = plasma), or one for another command
+([oscillator] outside freq-shift, [efield] outside efield) is a
+ConfigError, as is a number that is not finite.  Keys are
+case-insensitive, sections not.
 """
 
 import configparser
@@ -379,6 +381,10 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     if run is None:
         raise ConfigError("missing required section [run]")
     command = _get(run, "command", COMMANDS, required=True)
+    for sect, reader in ((osc, "freq-shift"), (efield, "efield")):
+        if sect is not None and command != reader:
+            raise ConfigError(f"[{sect.name}] is not read by command "
+                              f"'{command}'")
     spec, ratios = (None, ()) if sweep is None else _parse_sweep(sweep)
     cfg = RunConfig(
         command=command,

@@ -41,14 +41,17 @@ class QuadratureSpec:
     """Convergence knobs for the frequency sum.
 
     rel_tol drives the Matsubara stop rule (three consecutive terms below
-    rel_tol/10 of the running sum) and the end of the Euler-Maclaurin
-    remainder that completes a sum still running after the explicit
-    block; the fixed Gauss panels are converged to ~1e-13 by construction,
-    comfortably beyond the 1e-8 default.  l_max caps the term evaluations:
-    the remainder's, and those past the stop (terms are evaluated in
-    stacks of up to _CHUNK frequencies, so the stack holding the stop can
-    run past it), are included.  The v-integral is not a knob: at T > 0 it
-    runs over the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES).  The
+    rel_tol/10 of the running sum), the projected stop that sends a long
+    sum to the Euler-Maclaurin remainder early, and the end of that
+    remainder: a low-temperature force costs 286 term evaluations (1 + 57
+    explicit and one remainder pass of 228) where the whole explicit block
+    and the pass cost 485; a tabulated model keeps the whole block.  The
+    fixed Gauss panels are converged to ~1e-13 by construction, comfortably
+    beyond the 1e-8 default.  l_max caps the term evaluations: the
+    remainder's, and those past the stop (terms are evaluated in stacks of
+    up to _CHUNK frequencies, so the stack holding the stop can run past
+    it), are included.  The v-integral is not a knob: at T > 0 it runs
+    over the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES).  The
     force and gradient integrands carry e^-v, so 80 leaves a ~1e-35 cutoff
     error there.  The nonlinear shift's integrand decays only like
     e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at 300 K,
@@ -216,10 +219,13 @@ def _ascending(term: Term, zeta1: float, last: int, chunk: int):
 
 _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
+# evaluations of one remainder window, at full and at half the Gauss order
+_EM_PASS = sum(_PANEL_NODES) + sum(_COARSE_NODES)
+_FIRST_CHECK = 3 * _CHUNK  # the first l at which the block may hand off
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
-                   chunk: int = _CHUNK, rate: float = 1.0):
+                   chunk: int = _CHUNK, rate: float = 1.0, smooth: bool = True):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
@@ -238,10 +244,19 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     after a dip the term ratio rises back toward e^{-rate zeta_1}, and the
     last ratio alone undershoots.
     A sum still running after the block l <= _EM_BLOCK (low temperature,
-    or a slowly decaying term) is completed by _em_remainder.  l_max caps
-    the term evaluations, those past the stop included; ConvergenceError
-    carries the partial sum if the cap comes first.  terms_used counts the
-    terms summed.
+    or a slowly decaying term) is completed by _em_remainder, and one that
+    is clearly going to be long hands off earlier.  At each l that ends a
+    stack of _CHUNK terms, from _FIRST_CHECK on, the stop is projected at
+    the last term ratio r: n = ln(rel_tol/10 |sum| / |f_l|) / ln r terms
+    ahead.  If r >= 1, or n exceeds one remainder pass (_EM_PASS
+    evaluations), the remainder starts at zeta_b = l zeta_1.  The check
+    points do not depend on chunk, so chunk = 1 and batched sums stay
+    bit-identical and no evaluated term goes unused.  The remainder needs a
+    term smooth in zeta; smooth=False (a tabulated permittivity, linear in
+    log-log space between its nodes, so with kinks) keeps the whole block.
+    l_max caps the term evaluations, those past the stop included;
+    ConvergenceError carries the partial sum if the cap comes first.
+    terms_used counts the terms summed.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
@@ -249,29 +264,32 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     terms = 1
     streak = 0
     prev = math.inf
-    tail = 0.0
     recent = deque(maxlen=7)
     last = min(quad.l_max, _EM_BLOCK)
     for l, value in _ascending(term, zeta1, last, chunk):
         total += value
         terms += 1
         recent.append(value)
-        if abs(value) < quad.rel_tol / 10.0 * abs(total):
+        need = quad.rel_tol / 10.0 * abs(total)
+        if abs(value) < need:
             streak += 1
             if streak >= _STOP_STREAK:
                 ratio = (min(max(abs(value) / prev, decay), 0.97)
                          if prev > 0.0 else 0.0)
-                tail = abs(value) * ratio / (1.0 - ratio)
-                break
+                return total, terms, abs(value) * ratio / (1.0 - ratio)
         else:
             streak = 0
+            if smooth and l >= _FIRST_CHECK and l % _CHUNK == 0:
+                ratio = abs(value) / prev
+                # the stop, projected at this ratio, lies past one pass
+                if ratio >= 1.0 or abs(value) * ratio ** _EM_PASS > need:
+                    break
         prev = abs(value) if value != 0.0 else prev
     else:
         if quad.l_max < _EM_BLOCK:
             raise _not_converged(quad, total)
-        return _em_remainder(term, zeta1, l * zeta1, list(recent), total,
-                             terms, quad, rate)
-    return total, terms, tail
+    return _em_remainder(term, zeta1, l * zeta1, list(recent), total, terms,
+                         quad, rate)
 
 
 def _not_converged(quad: QuadratureSpec, partial: float) -> ConvergenceError:
@@ -397,8 +415,10 @@ def _scaled(prefactor: float, total: float, terms: int, tail: float,
 
 
 def _finite_t(term: Term, prefactor: float, env: Environment,
-              quad: QuadratureSpec, rate: float = 1.0) -> ForceResult:
-    return _scaled(prefactor, *_matsubara_sum(term, env, quad, rate=rate))
+              quad: QuadratureSpec, rate: float = 1.0,
+              smooth: bool = True) -> ForceResult:
+    return _scaled(prefactor, *_matsubara_sum(term, env, quad, rate=rate,
+                                              smooth=smooth))
 
 
 def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
@@ -434,7 +454,8 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     if zero_t:
         return _scaled(pref, *_zeta_integral(kernel, model, a, rate),
                        mode="zeroT")
-    return _finite_t(term, pref, env, quad, rate)
+    return _finite_t(term, pref, env, quad, rate,
+                     smooth=not isinstance(model, Tabulated))
 
 
 def force(geom: LensGeometry, env: Environment, model: PermittivityModel,
@@ -653,7 +674,8 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
         return np.array([_oracle_term(model, z, env.a, chord, u2_max)
                          for z in zeta.tolist()])
 
-    return _matsubara_sum(v_integral, env, quad, chunk=1)
+    return _matsubara_sum(v_integral, env, quad, chunk=1,
+                          smooth=not isinstance(model, Tabulated))
 
 
 def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,

@@ -282,16 +282,23 @@ T = 300
 omega0 = 4398.2
 C = 10.0
 Az = 20e-9
-
-[efield]
-V = 0.5
-V0 = 0.1
 """
+_SWEPT_OSC = "[oscillator]\nomega0 = 4398.2\nC = 10.0\nAz = 20e-9\n"
+_SWEPT_EFIELD = "[efield]\nV = 0.5\nV0 = 0.1\n"
 
 # the RunConfig field each sweep variable lives in: (owner, field, a point)
 OWNERS = {"a": ("environment", "a", 250e-9), "T": ("environment", "T", 4.0),
           "phi": ("geometry", "phi", 1.25), "Az": ("oscillator", "Az", 30e-9),
           "V": ("bias", "V", 0.25)}
+
+
+def _swept(variable):
+    """SWEPT under the command that reads the variable's owner: a V sweep
+    is an efield run, whose [efield] takes the place of [oscillator]."""
+    if variable != "V":
+        return SWEPT
+    return (SWEPT.replace("command = freq-shift", "command = efield")
+            .replace(_SWEPT_OSC, _SWEPT_EFIELD))
 
 
 def test_owners_cover_every_sweep_variable():
@@ -301,7 +308,7 @@ def test_owners_cover_every_sweep_variable():
 @pytest.mark.parametrize("variable", list(OWNERS))
 def test_substitute_changes_only_the_swept_field(variable):
     owner, name, x = OWNERS[variable]
-    cfg = parse_config(SWEPT + f"\n[sweep]\nvariable = {variable}\n"
+    cfg = parse_config(_swept(variable) + f"\n[sweep]\nvariable = {variable}\n"
                        f"start = {x / 2}\nstop = {x}\ncount = 3\n",
                        origin="inline")
     parts = dict(zip(("geometry", "environment", "oscillator", "bias"),
@@ -313,23 +320,23 @@ def test_substitute_changes_only_the_swept_field(variable):
             assert getattr(part, name) == x != getattr(configured, name)
         else:
             assert part is configured
-    unswept = parse_config(SWEPT, origin="inline")
+    unswept = parse_config(_swept(variable), origin="inline")
     assert substitute(unswept, None) == (unswept.geometry, unswept.environment,
                                          unswept.oscillator, unswept.bias)
 
 
 @pytest.mark.parametrize("variable, cut, message", [
     ("phi", "variant = rotated\n", "a phi sweep requires variant = rotated"),
-    ("Az", "[oscillator]\nomega0 = 4398.2\nC = 10.0\nAz = 20e-9\n",
-     "an Az sweep requires an [oscillator] section"),
-    ("V", "[efield]\nV = 0.5\nV0 = 0.1\n",
-     "a V sweep requires an [efield] section"),
+    ("Az", "", "an Az sweep requires an [oscillator] section"),
+    ("V", "", "a V sweep requires an [efield] section"),
 ])
 def test_sweep_requires_its_owner(variable, cut, message):
-    text = SWEPT.replace("command = freq-shift", "command = force")
+    # a force run, which reads neither [oscillator] nor [efield]
+    text = (SWEPT.replace("command = freq-shift", "command = force")
+            .replace(_SWEPT_OSC, "").replace(cut, ""))
     sweep = f"\n[sweep]\nvariable = {variable}\nstart = 0.1\nstop = 0.2\ncount = 3\n"
     with pytest.raises(ConfigError) as exc:
-        parse_config(text.replace(cut, "") + sweep, origin="inline")
+        parse_config(text + sweep, origin="inline")
     assert str(exc.value) == message
 
 
@@ -337,6 +344,9 @@ _LENS = "[geometry]\nA = 100e-6\nB = 100e-6\nL = 1e-3\n"
 _ENV = "\n[environment]\na = 200e-9\n"
 _SWEEP_A = "\n[sweep]\nvariable = a\nstart = 1e-7\nstop = 2e-7\ncount = 3\n"
 _OSC = "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\n"
+# whole configs of the commands that read [oscillator] and [efield]
+_SHIFT_RUN = "# a freq-shift run\n[run]\ncommand = freq-shift\n\n" + _LENS + _ENV
+_EFIELD_RUN = "# an efield run\n[run]\ncommand = efield\n\n" + _LENS + _ENV
 _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
            "negative.dat": "-1e13 5000.0\n1e18 1.5\n",
            "rising.dat": "1e13 2.0\n1e18 3.0\n"}
@@ -344,8 +354,7 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
 
 @pytest.mark.parametrize("section, message", [
     ("[environment]\nT = 300\n", "[environment] is missing required key 'a'"),
-    ("[environment]\na = 200e-9\n\n[efield]\nV = x\n",
-     "[efield] V = 'x' is not a number"),
+    (_EFIELD_RUN + "\n[efield]\nV = x\n", "[efield] V = 'x' is not a number"),
     ("[environment]\na = 200e-9\n\n[quadrature]\nl_max = 1.5\n",
      "[quadrature] l_max = '1.5' is not an integer"),
     ("[environment]\na = 200e-9\n\n[quadrature]\nrel_tol = 2\n",
@@ -372,16 +381,24 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
      "unknown section [enviroment]"),
     ("[environment]\na = 200e-9\n\n[DEFAULT]\nT = 4\n",
      "unknown section [DEFAULT]"),
+    # ... a section only another command reads included
+    (_ENV + _OSC + "C = 10\n", "[oscillator] is not read by command 'force'"),
+    (_ENV + "\n[efield]\nV = 0.5\n", "[efield] is not read by command 'force'"),
+    (_EFIELD_RUN + "\n[efield]\nV = 0.5\n" + _OSC + "C = 10\n",
+     "[oscillator] is not read by command 'efield'"),
+    (_SHIFT_RUN + _OSC + "C = 10\n\n[efield]\nV = 0.5\n",
+     "[efield] is not read by command 'freq-shift'"),
+    ("# ratio-sweep\n[run]\ncommand = ratio-sweep\n\n[efield]\nV = 0.5\n",
+     "[efield] is not read by command 'ratio-sweep'"),
     ("[environment]\n", "[environment] is missing required key 'a'"),
     # ... and every number finite
     ("[environment]\na = 200e-9\nT = nan\n",
      "[environment] T = 'nan' is not finite"),
     ("[environment]\na = 200e-9\nT = inf\n",
      "[environment] T = 'inf' is not finite"),
-    ("[environment]\na = 200e-9\n\n[efield]\nV = nan\n",
-     "[efield] V = 'nan' is not finite"),
-    ("[environment]\na = 200e-9\n\n[oscillator]\nomega0 = inf\nC = 10\n"
-     "Az = 20e-9\n", "[oscillator] omega0 = 'inf' is not finite"),
+    (_EFIELD_RUN + "\n[efield]\nV = nan\n", "[efield] V = 'nan' is not finite"),
+    (_SHIFT_RUN + "\n[oscillator]\nomega0 = inf\nC = 10\nAz = 20e-9\n",
+     "[oscillator] omega0 = 'inf' is not finite"),
     # the sweep and its ratios
     (_ENV + "\n[sweep]\nvariable = x\nstart = 1\nstop = 2\ncount = 3\n",
      "sweep variable must be one of ('a', 'T', 'phi', 'Az', 'V'), got 'x'"),
@@ -398,14 +415,15 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
      "[sweep] ratios = '1.5, inf' are not all finite"),
     (_ENV + _SWEEP_A + "ratios = 0.5\n",
      "[sweep] ratios are A/B values and must be >= 1"),
-    (_ENV + "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\nC = 10\n"
+    (_SHIFT_RUN + "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\nC = 10\n"
      "\n[sweep]\nvariable = Az\nstart = 1e-8\nstop = 2e-7\ncount = 3\n",
      "Az sweep extends to or beyond the separation a"),
     # C against b and I
-    (_ENV + _OSC + "b = 1e-3\n",
+    (_SHIFT_RUN + _OSC + "b = 1e-3\n",
      "[oscillator] requires either C or both b and I"),
-    (_ENV + _OSC + "b = 0\nI = 1e-12\n", "[oscillator] b and I must be positive"),
-    (_ENV + _OSC + "C = 10\nb = 1e-3\n",
+    (_SHIFT_RUN + _OSC + "b = 0\nI = 1e-12\n",
+     "[oscillator] b and I must be positive"),
+    (_SHIFT_RUN + _OSC + "C = 10\nb = 1e-3\n",
      "[oscillator] give either C or the pair b, I, not both"),
     # sections a command requires
     ("# ratio-sweep over a\n[run]\ncommand = ratio-sweep\n" + _SWEEP_A

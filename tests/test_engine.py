@@ -152,7 +152,9 @@ def test_remainder_matches_explicit_sum(monkeypatch):
     e = env(200e-9, 24.0)
     res = casimir_force(LENS, e, gold_drude())
     assert res.terms_used > _EM_BLOCK + 1  # the remainder was used
+    # no block end and no early hand-off: the sum is explicit throughout
     monkeypatch.setattr("casimir_lens.engine._EM_BLOCK", 100_000)
+    monkeypatch.setattr("casimir_lens.engine._FIRST_CHECK", math.inf)
     explicit = casimir_force(LENS, e, gold_drude(), QuadratureSpec(rel_tol=5e-16))
     assert explicit.terms_used > 1000
     assert abs(res.value - explicit.value) <= res.est_abs_error
@@ -177,11 +179,27 @@ def test_gradient_and_shift_finish_at_3k():
 
 
 def test_cap_above_block_limits_remainder_evaluations():
-    # l_max counts every term evaluation, the remainder's included
-    cap = QuadratureSpec(rel_tol=1e-8, l_max=300)
+    # l_max counts every term evaluation, the remainder's included: a cold
+    # sum takes 1 + 57 explicit terms and a pass of 228, so 280 cuts it
+    cap = QuadratureSpec(rel_tol=1e-8, l_max=280)
     with pytest.raises(ConvergenceError) as info:
         casimir_force(LENS, env(200e-9, 1.0), IdealMetal(), cap)
     assert info.value.partial != 0.0
+
+
+@pytest.mark.parametrize("a, T, force_terms, gradient_terms", [
+    # sums that stop on their own keep the counts of the whole block
+    (200e-9, 300.0, 63, 69), (200e-9, 77.0, 220, 241), (1e-6, 24.0, 165, 180),
+    (1e-6, 300.0, 18, 19),
+    # cold sums leave the block at l = 57 for one remainder pass of 228,
+    # where running all 256 first cost 485
+    (200e-9, 24.0, 286, 286), (200e-9, 3.0, 286, 286), (200e-9, 1.0, 286, 286),
+    (1e-6, 12.0, 286, 286), (1e-6, 1.0, 286, 286)])
+def test_matsubara_evaluation_counts(a, T, force_terms, gradient_terms):
+    e = env(a, T)
+    assert force(LENS, e, gold_drude()).terms_used == force_terms
+    assert gradient(LENS, e, gold_drude()).terms_used == gradient_terms
+    assert max(force_terms, gradient_terms) <= 300
 
 
 def test_independent_matsubara_term_spot_check():

@@ -498,6 +498,20 @@ def test_shift_work_counts(monkeypatch):
     assert 0 < sum(nodes) <= 250_000
 
 
+def test_cold_shift_work_counts(monkeypatch):
+    # counts, not time.  At 3 K the shift's Matsubara sum leaves the
+    # explicit block at l = 57 for one remainder pass, 286 rows.  Running
+    # the whole block of 256 first took 485 rows, 839 352 Bessel elements
+    # and 853 216 theta-rule polylog nodes at Az/a = 0.5; the bounds are
+    # half of those
+    rows, elements, nodes = _count_work(monkeypatch)
+    cold = Environment(a=E300.a, T=3.0)
+    frequency_shift_nonlinear(LENS, cold, gold_drude(), osc(0.5 * cold.a))
+    assert sum(rows) == 286
+    assert 0 < sum(elements) <= 839_352 // 2
+    assert 0 < sum(nodes) <= 853_216 // 2
+
+
 def test_bessel_calls_stay_within_the_element_budget(monkeypatch):
     # the closed form takes the Bessel function in calls of at most
     # _NL_ELEMENTS elements, and a larger budget gives the same floats
