@@ -333,12 +333,12 @@ def _check_consistency(cfg: RunConfig) -> None:
 
 
 def _check_tabulated_zero_t(cfg: RunConfig) -> None:
-    """A tabulated run evaluating T = 0 must reach the first zeta-node.
+    """A tabulated run evaluating T = 0 must reach zeta = _ZETA_MIN.
 
     The T = 0 integral runs from zeta = 0, where xi = c zeta / 2a is far
     below any measured permittivity table; it evaluates a tabulated model
-    only from zeta = _ZETA_MIN (~7.55e-7) up, so the table must reach that
-    frequency.  force and gradient rows evaluate T = 0 at every
+    only from zeta = _ZETA_MIN (~7.55e-7, fixed) up, so the table must
+    reach that frequency.  force and gradient rows evaluate T = 0 at every
     temperature (the T = 0 companion of each row); the other commands only
     where T = 0.  The lowest frequency comes with the largest separation.
     """

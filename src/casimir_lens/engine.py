@@ -45,22 +45,22 @@ class QuadratureSpec:
     sum to the Euler-Maclaurin remainder early, and the end of that
     remainder: a low-temperature force costs 286 term evaluations (1 + 57
     explicit and one remainder pass of 228) where the whole explicit block
-    and the pass cost 485; a tabulated model keeps the whole block.  The
-    fixed Gauss panels are converged to ~1e-13 by construction, comfortably
-    beyond the 1e-8 default.  l_max caps the term evaluations: the
-    remainder's, and those past the stop (terms are evaluated in stacks of
-    up to _CHUNK frequencies, so the stack holding the stop can run past
-    it), are included.  The v-integral is not a knob: at T > 0 it runs
-    over the fixed window [zeta_l, zeta_l + 80] (_PANEL_EDGES).  The
-    force and gradient integrands carry e^-v, so 80 leaves a ~1e-35 cutoff
-    error there.  The nonlinear shift's integrand decays only like
-    e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at 300 K,
-    200 nm and Az/a = 0.99 the shift is -743.4 with the window of 80 and
-    -2627.9 with one of 320.  The remainder's first window and the T = 0
-    integral's v-window do follow the kernel: they are 80 / rate wide,
-    with rate 1 for the force and the gradient and 1 - Az/a for the shift.
-    The T = 0 integral is not a knob either: fixed (v, s) panels, converged
-    to ~3e-15, whose error estimate is measured (_zeta_integral).
+    and the pass cost 485; a tabulated model keeps the whole block.  l_max
+    caps the term evaluations, the remainder's and those past the stop
+    included (the stack of _CHUNK terms holding the stop can run past it).
+    The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
+    error not yet in est_abs_error.  Against the rule of twice its order,
+    forces and gradients moved by <= 1.1e-15 at 30 - 300 K and
+    2.8e-14 at 3 K, shifts by <= 1.5e-14.  At T > 0 it spans [zeta_l,
+    zeta_l + 80] (_PANEL_EDGES); the force and gradient integrands carry
+    e^-v, so that cuts them at ~1e-35.  The shift's integrand decays only
+    like e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at
+    300 K, 200 nm and Az/a = 0.99 the shift is -743.4 with the window of
+    80 and -2627.9 with one of 320.  The remainder's first window and the
+    T = 0 integral's v-window do follow the kernel: they are 80 / rate
+    wide, rate 1 for the force and the gradient and 1 - Az/a for the
+    shift.  The T = 0 integral's fixed (v, s) panels are converged to
+    ~3e-15, and its error estimate is measured (_zeta_integral).
     """
 
     rel_tol: float = 1e-8
@@ -90,8 +90,8 @@ class ForceResult:
 # quadrature grids
 
 _PANEL_EDGES = (0.0, 2.0, 8.0, 20.0, 45.0, 80.0)
-_PANEL_NODES = (48, 32, 32, 24, 16)
-_COARSE_NODES = (24, 16, 16, 12, 8)  # the same panels at half the order
+_PANEL_NODES = (24, 16, 16, 12, 8)  # the one v-rule, 76 nodes
+_FINE_NODES = tuple(2 * n for n in _PANEL_NODES)  # remainder, oracles
 
 
 @lru_cache(maxsize=None)
@@ -154,10 +154,10 @@ def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES):
 # with s = t^2 on the first.
 _S_EDGES = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
 _S_NODES = (16, 16, 20, 20, 24)
-# The lowest frequency a tabulated model is evaluated at in the T = 0
-# integral: the first node of _grid_from(0.0), 2 ((1 + x_0) / 2)^2 with x_0
-# the first of 48 Gauss-Legendre nodes, written out so that importing the
-# package computes no quadrature rule.
+# The lowest zeta the T = 0 integral evaluates a table at, and a config's
+# table must reach: the first node of _grid_from(0.0, nodes=_FINE_NODES),
+# 2 ((1 + x_0) / 2)^2 with x_0 the first of 48 Gauss-Legendre nodes, written
+# out so that importing the package computes no quadrature rule.
 _ZETA_MIN = 7.552115867947006e-07
 
 
@@ -178,9 +178,8 @@ def _gradient_kernel(v, r_tm2, r_te2):
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 Term = Callable[[np.ndarray], np.ndarray]
 
-# Frequencies per term call: 19 rows of 152 v nodes are enough work to
-# hide numpy's per-call cost, and the stack holding the Matsubara stop
-# evaluates at most 18 terms the sum does not use.
+# Frequencies per explicit term call: 19 rows of 76 v nodes hide most of
+# numpy's per-call cost, and the stop's stack wastes at most 18 terms.
 _CHUNK = 19
 
 
@@ -200,9 +199,9 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
 
 
 def _evaluate(term: Term, zeta: np.ndarray) -> np.ndarray:
-    """term at every frequency of zeta, _CHUNK frequencies per call."""
-    return np.concatenate([term(zeta[i:i + _CHUNK])
-                           for i in range(0, zeta.size, _CHUNK)])
+    """term at every frequency of zeta, 4 _CHUNK (a third of a pass) a call."""
+    return np.concatenate([term(zeta[i:i + 4 * _CHUNK])
+                           for i in range(0, zeta.size, 4 * _CHUNK)])
 
 
 def _ascending(term: Term, zeta1: float, last: int, chunk: int):
@@ -220,7 +219,7 @@ def _ascending(term: Term, zeta1: float, last: int, chunk: int):
 _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
 # evaluations of one remainder window, at full and at half the Gauss order
-_EM_PASS = sum(_PANEL_NODES) + sum(_COARSE_NODES)
+_EM_PASS = sum(_FINE_NODES) + sum(_PANEL_NODES)
 _FIRST_CHECK = 3 * _CHUNK  # the first l at which the block may hand off
 
 
@@ -315,10 +314,11 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
     the first 80 / rate wide and each next one twice as wide, until the
     term at the end of a window times the window's width falls below
     rel_tol/10 of the sum; the terms fall like e^{-rate zeta}, so the
-    first window spans the same 80 e-foldings at every rate.  The returned
-    tail estimate is measured: the last correction applied, the change
-    when every window is redone at half the Gauss order, and that end-of-
-    window cut.  Returns (sum, terms_used, tail_estimate).
+    first window spans the same 80 e-foldings at every rate.  Windows take
+    _FINE_NODES (at 76 + 38 the 3 K shift at Az/a = 0.999 is 1e-5 off).
+    The returned tail estimate is measured: the last correction applied,
+    the change when every window is redone at half the Gauss order, and
+    that end-of-window cut.  Returns (sum, terms_used, tail_estimate).
     """
     nabla = [float(np.diff(samples, k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
@@ -328,18 +328,17 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
     quad_err = 0.0
     start, width = zeta_b, _PANEL_EDGES[-1] / rate
     while True:
-        z, w = _grid_from(start, width)
-        zc, wc = _grid_from(start, width, _COARSE_NODES)
-        if terms + z.size + zc.size > quad.l_max + 1:
+        z, w = _grid_from(start, width, _FINE_NODES)
+        zc, wc = _grid_from(start, width)
+        if terms + _EM_PASS > quad.l_max + 1:
             raise _not_converged(quad, total)
-        both = _evaluate(term, np.concatenate((z, zc)))
-        f, fc = both[:z.size].tolist(), both[z.size:].tolist()
+        f = _evaluate(term, np.concatenate((z, zc))).tolist()
         fine = float(sum(wx * fx for wx, fx in zip(w, f))) / h
-        coarse = float(sum(wx * fx for wx, fx in zip(wc, fc))) / h
-        terms += z.size + zc.size
+        coarse = float(sum(wx * fx for wx, fx in zip(wc, f[z.size:]))) / h
+        terms += _EM_PASS
         total += fine
         quad_err += abs(fine - coarse)
-        cut = abs(f[-1]) * width / h
+        cut = abs(f[z.size - 1]) * width / h
         if cut <= quad.rel_tol / 10.0 * abs(total):
             return total, terms, abs(last_correction) + quad_err + cut
         start += width
@@ -383,7 +382,7 @@ def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
 
     with V = 80 / rate: the kernel falls like e^{-rate v}, so the window
     spans 80 e-foldings at every rate.  v takes the panels _PANEL_EDGES
-    at _COARSE_NODES, s the panels _S_EDGES at _S_NODES, and each rule is
+    at _PANEL_NODES, s the panels _S_EDGES at _S_NODES, and each rule is
     one call of reflection_sq_grid and of the kernel (_zeta_rows).  The
     error is measured: the change when both rules are taken at half the
     order, plus the cut at the window's end (the last row times the
@@ -392,9 +391,9 @@ def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
     rules, one s-integral each.
     """
     span = _PANEL_EDGES[-1] / rate
-    v, wv, g = _zeta_rows(kernel, model, a, span, _COARSE_NODES, _S_NODES)
+    v, wv, g = _zeta_rows(kernel, model, a, span, _PANEL_NODES, _S_NODES)
     vc, wc, gc = _zeta_rows(kernel, model, a, span,
-                            tuple(n // 2 for n in _COARSE_NODES),
+                            tuple(n // 2 for n in _PANEL_NODES),
                             tuple(n // 2 for n in _S_NODES))
     total = float(np.sum(wv * g))
     coarse = float(np.sum(wc * gc))
@@ -627,17 +626,18 @@ def _oracle_term(model: PermittivityModel, zeta: float, a: float,
             sum_n [ (r_TM^2 e^{-v(a+u^2)/a})^n + (TE term) ],
 
     evaluated in sigma = u sqrt(v/a) on a fixed Gauss grid, so the
-    e^{-sigma^2} weight is resolved at every v.  The v nodes (rows) and the
-    sigma nodes (columns) form one grid, and each polarization's order
-    series is summed on all of it in closed form (_order_sum); a
-    polarization that does not reflect (TE for Drude at zeta = 0) adds
-    exactly 0.0.  Every element goes through the same operations as when
-    each v node is taken alone, and the v-integral is summed over the rows
-    in ascending v as Python floats, so it rounds as a node-by-node loop
-    does.
+    e^{-sigma^2} weight is resolved at every v.  The v nodes (rows, on
+    _FINE_NODES: at 76 the PFA oracle drifts 1.7 - 3.3e-12, past its
+    estimate at rel_tol = 1e-13) and the sigma nodes (columns) form one
+    grid, and each polarization's order series is summed on all of it in
+    closed form (_order_sum); a polarization that does not reflect (TE for
+    Drude at zeta = 0) adds exactly 0.0.  Every element goes through the
+    same operations as when each v node is taken alone, and the v-integral
+    is summed over the rows in ascending v as Python floats, so it rounds
+    as a node-by-node loop does.
     """
     x, w = _leggauss(_SIGMA_NODES)
-    v_nodes, v_weights = _grid_from(zeta)
+    v_nodes, v_weights = _grid_from(zeta, nodes=_FINE_NODES)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
     v = v_nodes[:, None]
     smax = np.minimum(np.sqrt(u2_max * v / a), _SIGMA_CUT)

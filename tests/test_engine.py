@@ -7,7 +7,7 @@ import pytest
 
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.electrostatics import BiasState, pfa_electric_force
-from casimir_lens.engine import (_COARSE_NODES, _EM_BLOCK, _PANEL_EDGES,
+from casimir_lens.engine import (_EM_BLOCK, _FINE_NODES, _PANEL_EDGES,
                                  _PANEL_NODES, DEFAULT_QUADRATURE,
                                  QuadratureSpec, _grid_from, casimir_force,
                                  casimir_gradient, direct_pfa_force_oracle,
@@ -245,7 +245,7 @@ def test_in_block_tail_estimate_brackets_truncation(quantity, model, a):
 
 
 @pytest.mark.parametrize("span", [80.0, 160.0])
-@pytest.mark.parametrize("nodes", [_PANEL_NODES, _COARSE_NODES])
+@pytest.mark.parametrize("nodes", [_PANEL_NODES, _FINE_NODES])
 def test_cached_panels_match_fresh_grid(span, nodes):
     # _grid_from reuses panels 2-5 shifted by zeta; rebuild every panel
     # from its edges and compare.

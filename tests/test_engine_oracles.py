@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_SIGMA_CUT, _SIGMA_NODES, DEFAULT_QUADRATURE,
+from casimir_lens.engine import (_FINE_NODES, _SIGMA_CUT, _SIGMA_NODES,
+                                 DEFAULT_QUADRATURE,
                                  QuadratureSpec, _grid_from, _leggauss,
                                  _oracle_term, _order_sum, casimir_force,
                                  direct_pfa_force_oracle,
@@ -133,7 +134,8 @@ def _width_integral_ref(v, r_tm2, r_te2, a, chord, u2_max):
 
 
 def _oracle_term_ref(model, zeta, a, chord, u2_max):
-    v_nodes, v_weights = _grid_from(zeta)
+    # the oracles keep the v-rule of twice the production order
+    v_nodes, v_weights = _grid_from(zeta, nodes=_FINE_NODES)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
     total = 0.0
     for v, wv, tm2, te2 in zip(v_nodes, v_weights, r_tm2, r_te2):
@@ -172,7 +174,7 @@ def test_order_sum_matches_mpmath_per_node(model, zeta):
     mp = pytest.importorskip("mpmath")
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
     x, _ = _leggauss(_SIGMA_NODES)
-    v, _ = _grid_from(zeta)
+    v, _ = _grid_from(zeta, nodes=_FINE_NODES)
     v = v[::4]
     smax = np.minimum(np.sqrt(lens.h * v / _A_TERM), _SIGMA_CUT)[:, None]
     sig = (0.5 * smax * (x + 1.0))[:, ::4]

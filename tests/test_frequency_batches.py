@@ -74,7 +74,7 @@ def test_chunked_zero_temperature_rows_equal_one_call(model, kernel):
     # call; every v-row, taken alone on its own 1-D s-rule, gives the same
     # float as that call
     v, _, rows = engine._zeta_rows(kernel, model, A, engine._PANEL_EDGES[-1],
-                                   engine._COARSE_NODES, engine._S_NODES)
+                                   engine._PANEL_NODES, engine._S_NODES)
     s, ws = engine._panels(engine._S_EDGES, engine._S_NODES)
     zeta_lo = engine._ZETA_MIN if isinstance(model, Tabulated) else 0.0
     lone = []
@@ -142,13 +142,18 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder():
                          for z in zeta])
 
     def batched(zeta):
+        sizes.append(zeta.size)
         return _frequency_integral(_force_kernel, model, zeta, A)
 
+    sizes = []
     got = _matsubara_sum(batched, env, quad)
     ref = _matsubara_sum(lone, env, quad, chunk=1)
     assert got == ref
     assert got[1] > engine._EM_BLOCK + 1
     assert sum(calls) == ref[1]
+    # l = 0 alone, three stacks of 19 to the hand-off at l = 57, and the
+    # remainder's pass of 228 in three calls of 76
+    assert sizes == [1, 19, 19, 19, 76, 76, 76]
 
 
 def _converged_sum(kernel, model, T, a=A):

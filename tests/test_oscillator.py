@@ -216,9 +216,12 @@ def _bessel_series_mpmath(mu, q, wood, rule=None):
     I_1(x) = (1/pi) int_0^pi e^{x cos t} cos t dt turns the sum into
     (1/pi) int_0^pi cos t Li_{1/2}(e^{-(mu - q cos t)}) dt.  Near t = 0
     the integrand peaks like (lam + q t^2 / 2)^{-1/2}, lam = mu - q, over
-    t ~ s = sqrt(2 lam / q); t = s sinh(y) flattens that peak.  The
-    y-integral takes the Gauss-Legendre rule (nodes, weights on [-1, 1]),
-    or mpmath.quad without one.
+    t ~ s = sqrt(2 lam / q); t = s sinh(y) flattens that peak.  Past
+    t ~ sqrt(2 / q) it falls like e^{-q t^2 / 2}, so a rule spread over
+    all of [0, asinh(pi / s)] misses that fall once q is large (1.5e-13
+    at q ~ 13 with 32 nodes).  The y-range is split at t = 2 sqrt(2 / q),
+    and each part takes the Gauss-Legendre rule (nodes, weights on
+    [-1, 1]); mpmath.quad takes the whole range without one.
     """
     import mpmath as mp
     mu, q = mp.mpf(mu), mp.mpf(q)
@@ -232,14 +235,16 @@ def _bessel_series_mpmath(mu, q, wood, rule=None):
     if rule is None:
         return mp.quad(integrand, [0, end]) / mp.pi
     nodes, weights = rule
-    total = mp.fsum(w * integrand(end * (x + 1) / 2)
-                    for x, w in zip(nodes, weights))
-    return end / 2 * total / mp.pi
+    edges = [0, min(mp.asinh(2 * mp.sqrt(2 / q) / s), end), end]
+    total = mp.fsum(
+        (hi - lo) / 2 * w * integrand(lo + (hi - lo) * (x + 1) / 2)
+        for lo, hi in zip(edges, edges[1:]) for x, w in zip(nodes, weights))
+    return total / mp.pi
 
 
 def test_bessel_series_matches_mpmath_per_node():
-    # Drude TM nodes on every path; the hardest are those at v ~ 1e-6 and
-    # zeta = 0, whose series runs to n ~ 1 / lam ~ 1e8 (the theta rule)
+    # Drude TM nodes on every path; the hardest are those at v ~ 1e-5 and
+    # zeta = 0, whose series runs to n ~ 1 / lam ~ 1e7 (the theta rule)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         # Wood's series converges like (x / 2 pi)^k: 60 terms reach 1e-30
@@ -261,12 +266,14 @@ def test_bessel_series_matches_mpmath_per_node():
                     ref = _bessel_series_mpmath(mu, beta * v[i], wood, rule)
                     err = abs(got[i] / (float(ref) * v[i] ** 1.5) - 1.0)
                     assert err < 1e-14, (zeta, beta, i, err)
-        # on the hardest node (r_TM = 1) the 32-point rule agrees with
-        # mpmath's adaptive quadrature
-        v0 = float(_grid_from(0.0)[0][0])
-        fixed = _bessel_series_mpmath(v0, 0.99 * v0, wood, rule)
-        adaptive = _bessel_series_mpmath(v0, 0.99 * v0, wood)
-        assert abs(fixed / adaptive - 1) < 1e-15
+        # on the hardest node (r_TM = 1) and on the largest q (node 47,
+        # q ~ 13) the split 32-point rule agrees with mpmath's adaptive
+        # quadrature
+        v = _grid_from(0.0)[0]
+        for vi in (float(v[0]), float(v[47])):
+            fixed = _bessel_series_mpmath(vi, 0.99 * vi, wood, rule)
+            adaptive = _bessel_series_mpmath(vi, 0.99 * vi, wood)
+            assert abs(fixed / adaptive - 1) < 1e-15
 
 
 def test_theta_rule_matches_mpmath_per_node():
@@ -500,16 +507,17 @@ def test_shift_work_counts(monkeypatch):
 
 def test_cold_shift_work_counts(monkeypatch):
     # counts, not time.  At 3 K the shift's Matsubara sum leaves the
-    # explicit block at l = 57 for one remainder pass, 286 rows.  Running
-    # the whole block of 256 first took 485 rows, 839 352 Bessel elements
-    # and 853 216 theta-rule polylog nodes at Az/a = 0.5; the bounds are
-    # half of those
+    # explicit block at l = 57 for one remainder pass, 286 rows.  At
+    # Az/a = 0.5 that takes 184 442 Bessel elements and 159 484 theta-rule
+    # polylog nodes on the 76-node v-rule (369 294 and 318 448 on 152
+    # nodes); the bounds are a quarter of the 839 352 and 853 216 that the
+    # whole block of 256 took on 152 nodes
     rows, elements, nodes = _count_work(monkeypatch)
     cold = Environment(a=E300.a, T=3.0)
     frequency_shift_nonlinear(LENS, cold, gold_drude(), osc(0.5 * cold.a))
     assert sum(rows) == 286
-    assert 0 < sum(elements) <= 839_352 // 2
-    assert 0 < sum(nodes) <= 853_216 // 2
+    assert 0 < sum(elements) <= 839_352 // 4
+    assert 0 < sum(nodes) <= 853_216 // 4
 
 
 def test_bessel_calls_stay_within_the_element_budget(monkeypatch):

@@ -1,0 +1,84 @@
+"""The v-rule of the Matsubara terms and the remainder's zeta-rule, each
+against the same rule at twice the order with everything else held fixed.
+
+Every explicit Matsubara term integrates v on _PANEL_NODES (76 nodes); the
+Euler-Maclaurin remainder integrates zeta on _FINE_NODES plus _PANEL_NODES
+(152 + 76).  Doubling one rule while keeping the other measures that rule's
+error alone.
+"""
+
+import numpy as np
+import pytest
+
+from casimir_lens import engine
+from casimir_lens.engine import _PANEL_NODES, _grid_from, force, gradient
+from casimir_lens.geometry import Environment, symmetric_lens
+from casimir_lens.materials import (IdealMetal, gold_drude, gold_plasma,
+                                    reflection_sq_grid)
+from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
+
+LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
+A = 200e-9
+MODELS = {"drude": gold_drude(), "plasma": gold_plasma(),
+          "ideal": IdealMetal()}
+
+
+def _results(model, env):
+    """Force, gradient and the shift at Az/a = 0.5, 0.9, 0.99 and 0.999."""
+    out = {"force": force(LENS, env, model).value,
+           "gradient": gradient(LENS, env, model).value}
+    for beta in (0.5, 0.9, 0.99, 0.999):
+        osc = OscillatorParams(omega0=1e4, C=1.0, Az=beta * env.a)
+        out[beta] = frequency_shift_nonlinear(LENS, env, model, osc)
+    return out
+
+
+@pytest.mark.parametrize("T", [3.0, 300.0])
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+def test_v_rule_against_twice_its_order(monkeypatch, model, T):
+    # each term's v-integral taken again on the panels at twice the order;
+    # the remainder's zeta-windows, the hand-off and the stop stay as they
+    # are.  The largest change seen is 1.4e-14, on the shift at Az/a = 0.5
+    env = Environment(a=A, T=T)
+    got = _results(model, env)
+    doubled = tuple(2 * n for n in _PANEL_NODES)
+    calls = []
+
+    def v_integral(kernel, model, zeta, a):
+        calls.append(np.size(zeta))
+        zeta = np.asarray(zeta, dtype=float)
+        v, w = _grid_from(zeta, nodes=doubled)
+        r_tm2, r_te2 = reflection_sq_grid(model, zeta[..., None], v, a)
+        return np.sum(w * kernel(v, r_tm2, r_te2), axis=-1)
+
+    monkeypatch.setattr(engine, "_frequency_integral", v_integral)
+    ref = _results(model, env)
+    assert calls
+    for key, value in got.items():
+        assert value == pytest.approx(ref[key], rel=5e-14, abs=0.0), key
+
+
+def test_cold_shift_remainder_rule_against_twice_its_order(monkeypatch):
+    # at 3 K the shift leaves the explicit block at l = 57, and the
+    # remainder's first window is 80 / (1 - Az/a) = 8000 wide.  Its zeta-
+    # windows taken at twice the order (304 + 152 nodes) move the shift by
+    # 2.4e-15; with the windows at 76 + 38 the shift is 1.1e-9 off
+    env = Environment(a=A, T=3.0)
+    osc = OscillatorParams(omega0=1e4, C=1.0, Az=0.99 * env.a)
+    got = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
+    grid_from = engine._grid_from
+    windows = []
+
+    def remainder_doubled(zeta, span=engine._PANEL_EDGES[-1],
+                          nodes=_PANEL_NODES):
+        # the remainder builds its windows from a float start; the terms'
+        # v-grids come from an array of frequencies and are left alone
+        if np.ndim(zeta) == 0:
+            windows.append(zeta)
+            nodes = tuple(2 * n for n in nodes)
+        return grid_from(zeta, span, nodes)
+
+    monkeypatch.setattr(engine, "_grid_from", remainder_doubled)
+    ref = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
+    assert windows
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)

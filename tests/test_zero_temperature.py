@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from casimir_lens import engine, oscillator
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_CHUNK, _COARSE_NODES, _PANEL_EDGES,
+from casimir_lens.engine import (_CHUNK, _FINE_NODES, _PANEL_EDGES,
                                  _S_NODES, _ZETA_MIN,
                                  QuadratureSpec, _force_kernel,
                                  _frequency_integral, _gradient_kernel,
@@ -92,9 +92,9 @@ def test_error_estimate_brackets_fine_reference(a, model, kind):
 
 def test_zeta_min_is_the_first_node_from_zero():
     # the lowest zeta a table must reach, as the config check has always
-    # computed it
-    assert _ZETA_MIN == pytest.approx(float(_grid_from(0.0)[0][0]),
-                                      rel=1e-15, abs=0.0)
+    # computed it: the first node of the rule of twice the v-rule's order
+    assert _ZETA_MIN == pytest.approx(
+        float(_grid_from(0.0, nodes=_FINE_NODES)[0][0]), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -105,7 +105,8 @@ def test_tabulated_table_from_the_checked_frequency(kind):
     xi = np.geomspace(CONSTANTS.c * _ZETA_MIN / (2.0 * a), 1e18, 20_000)
     table = Tabulated(xi, epsilon_at_imaginary(gold_drude(), xi))
     quantity, kernel = KINDS[kind]
-    res, ref = _reference(quantity, kernel, table, a, _grid_from(0.0))
+    res, ref = _reference(quantity, kernel, table, a,
+                          _grid_from(0.0, nodes=_FINE_NODES))
     assert res.value == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
@@ -124,7 +125,7 @@ def test_zero_temperature_shift_window_follows_decay_rate():
     total = _zeta_integral(kernel, model, env.a, 1.0 - beta)[0]
     v, wv, rows = engine._zeta_rows(
         kernel, model, env.a, 4.0 * _PANEL_EDGES[-1] / (1.0 - beta),
-        tuple(2 * n for n in _COARSE_NODES), tuple(2 * n for n in _S_NODES))
+        _FINE_NODES, tuple(2 * n for n in _S_NODES))
     wide = shift / total * float(np.sum(wv * rows))
     assert shift == pytest.approx(wide, rel=1e-9, abs=0.0)
     # the window of 80 truncated it to a quarter
