@@ -253,15 +253,16 @@ def _parse_oscillator(sect: _Section | None) -> OscillatorParams | None:
     # omega0 and Az first, so that their errors come before those of C, b, I
     given = {key: _get(sect, key, required=True) for key in ("omega0", "Az")}
     C, b, inertia = (_get(sect, key) for key in ("C", "b", "I"))
-    if C is None:
-        if b is None or inertia is None:
-            raise ConfigError("[oscillator] requires either C or both b and I")
-        if not b > 0.0 or not inertia > 0.0:
-            raise ConfigError("[oscillator] b and I must be positive")
-        C = b * b / inertia
-    elif b is not None or inertia is not None:
-        raise ConfigError("[oscillator] give either C or the pair b, I, not both")
-    return _build(OscillatorParams, sect, C=C, **given)
+    if C is not None:
+        if b is not None or inertia is not None:
+            raise ConfigError("[oscillator] give either C or the pair b, I, not both")
+        return _build(OscillatorParams, sect, C=C, **given)
+    if b is None or inertia is None:
+        raise ConfigError("[oscillator] requires either C or both b and I")
+    try:
+        return OscillatorParams.torsional(b=b, I=inertia, **given)
+    except ValueError as exc:
+        raise ConfigError(f"[oscillator] {exc}") from None
 
 
 def _parse_sweep(sect: _Section) -> tuple[SweepSpec, tuple[float, ...]]:

@@ -45,9 +45,9 @@ class QuadratureSpec:
     sum to the Euler-Maclaurin remainder early, and the end of that
     remainder: a low-temperature force costs 286 term evaluations (1 + 57
     explicit and one remainder pass of 228) where the whole explicit block
-    and the pass cost 485; a tabulated model keeps the whole block.  l_max
-    caps the term evaluations, the remainder's and those past the stop
-    included (the stack of _CHUNK terms holding the stop can run past it).
+    and the pass cost 485, for every permittivity model.  l_max caps the
+    term evaluations, the remainder's and those past the stop included
+    (the stack of _CHUNK terms holding the stop can run past it).
     The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
     error not yet in est_abs_error.  Against the rule of twice its order,
     forces and gradients moved by <= 1.1e-15 at 30 - 300 K and
@@ -224,7 +224,7 @@ _FIRST_CHECK = 3 * _CHUNK  # the first l at which the block may hand off
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
-                   chunk: int = _CHUNK, rate: float = 1.0, smooth: bool = True):
+                   chunk: int = _CHUNK, rate: float = 1.0):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
@@ -250,9 +250,8 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     ahead.  If r >= 1, or n exceeds one remainder pass (_EM_PASS
     evaluations), the remainder starts at zeta_b = l zeta_1.  The check
     points do not depend on chunk, so chunk = 1 and batched sums stay
-    bit-identical and no evaluated term goes unused.  The remainder needs a
-    term smooth in zeta; smooth=False (a tabulated permittivity, linear in
-    log-log space between its nodes, so with kinks) keeps the whole block.
+    bit-identical and no evaluated term goes unused.  The remainder's end
+    corrections need a term that is C^2 in zeta; a table's spline is.
     l_max caps the term evaluations, those past the stop included;
     ConvergenceError carries the partial sum if the cap comes first.
     terms_used counts the terms summed.
@@ -278,7 +277,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
                 return total, terms, abs(value) * ratio / (1.0 - ratio)
         else:
             streak = 0
-            if smooth and l >= _FIRST_CHECK and l % _CHUNK == 0:
+            if l >= _FIRST_CHECK and l % _CHUNK == 0:
                 ratio = abs(value) / prev
                 # the stop, projected at this ratio, lies past one pass
                 if ratio >= 1.0 or abs(value) * ratio ** _EM_PASS > need:
@@ -414,10 +413,8 @@ def _scaled(prefactor: float, total: float, terms: int, tail: float,
 
 
 def _finite_t(term: Term, prefactor: float, env: Environment,
-              quad: QuadratureSpec, rate: float = 1.0,
-              smooth: bool = True) -> ForceResult:
-    return _scaled(prefactor, *_matsubara_sum(term, env, quad, rate=rate,
-                                              smooth=smooth))
+              quad: QuadratureSpec, rate: float = 1.0) -> ForceResult:
+    return _scaled(prefactor, *_matsubara_sum(term, env, quad, rate=rate))
 
 
 def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
@@ -453,8 +450,7 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     if zero_t:
         return _scaled(pref, *_zeta_integral(kernel, model, a, rate),
                        mode="zeroT")
-    return _finite_t(term, pref, env, quad, rate,
-                     smooth=not isinstance(model, Tabulated))
+    return _finite_t(term, pref, env, quad, rate)
 
 
 def force(geom: LensGeometry, env: Environment, model: PermittivityModel,
@@ -674,8 +670,7 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
         return np.array([_oracle_term(model, z, env.a, chord, u2_max)
                          for z in zeta.tolist()])
 
-    return _matsubara_sum(v_integral, env, quad, chunk=1,
-                          smooth=not isinstance(model, Tabulated))
+    return _matsubara_sum(v_integral, env, quad, chunk=1)
 
 
 def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,

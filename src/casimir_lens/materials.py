@@ -52,9 +52,10 @@ class Drude:
 class Tabulated:
     """Permittivity sampled on an imaginary-frequency grid.
 
-    Interpolation is linear in log-log space.  The grid must be strictly
-    increasing and eps must be >= 1 and non-increasing (a causal response
-    decays toward 1 at high frequency).  Queries outside the grid raise.
+    ln eps is interpolated by a natural cubic spline in ln xi, C^2 as the
+    Euler-Maclaurin remainder of a Matsubara sum needs, and eps clamped at
+    1.  Both columns must be finite, the grid strictly increasing and eps
+    >= 1 and non-increasing at the nodes.  Queries outside the grid raise.
 
     At zero frequency the table cannot express a metallic divergence, so the
     dedicated zeta = 0 branch clamps eps to the lowest tabulated value
@@ -64,25 +65,26 @@ class Tabulated:
     xi_grid: np.ndarray
     eps_grid: np.ndarray
     _log_xi: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_eps: np.ndarray = field(init=False, repr=False, compare=False)
+    _cubic: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xi = np.asarray(self.xi_grid, dtype=float)
         eps = np.asarray(self.eps_grid, dtype=float)
         if xi.ndim != 1 or xi.size < 2 or eps.shape != xi.shape:
             raise ValueError("xi_grid and eps_grid must be 1-D arrays of equal length >= 2")
-        if not np.all(xi > 0.0):
-            raise ValueError("tabulated frequencies must be positive")
-        if not np.all(np.diff(xi) > 0.0):
-            raise ValueError("tabulated frequency grid must be strictly increasing")
-        if not np.all(eps >= 1.0):
-            raise ValueError("tabulated eps(i xi) must be >= 1")
-        if np.any(np.diff(eps) > 0.0):
-            raise ValueError("tabulated eps(i xi) must decrease monotonically toward 1")
+        for bad, message in (
+                (~np.isfinite(xi), "frequencies must be finite"),
+                (~np.isfinite(eps), "eps(i xi) must be finite"),
+                (xi <= 0.0, "frequencies must be positive"),
+                (np.diff(xi) <= 0.0, "frequency grid must be strictly increasing"),
+                (eps < 1.0, "eps(i xi) must be >= 1"),
+                (np.diff(eps) > 0.0, "eps(i xi) must decrease monotonically toward 1")):
+            if np.any(bad):
+                raise ValueError("tabulated " + message)
         object.__setattr__(self, "xi_grid", xi)
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "_log_xi", np.log(xi))
-        object.__setattr__(self, "_log_eps", np.log(eps))
+        object.__setattr__(self, "_cubic", _natural_spline(self._log_xi, np.log(eps)))
 
     @classmethod
     def from_file(cls, path) -> "Tabulated":
@@ -110,6 +112,24 @@ class Tabulated:
         if len(xis) < 2:
             raise ValueError(f"{path}: at least two data rows are required")
         return cls(np.asarray(xis), np.asarray(epss))
+
+
+def _natural_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(b, c, d) per knot of the natural cubic spline y_i + t (b + t (c + t d)),
+    t = x - x_i, its curvature m from Thomas's algorithm; zero at the last knot.
+    """
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    step, c, d, m = h.tolist(), [0.0], [0.0], [0.0]
+    for lo, hi, r in zip(step, step[1:], (6.0 * np.diff(slope)).tolist()):
+        denom = 2.0 * (lo + hi) - lo * c[-1]
+        c.append(hi / denom)
+        d.append((r - lo * d[-1]) / denom)
+    for ci, di in zip(c[:0:-1], d[:0:-1]):
+        m.append(di - ci * m[-1])
+    m = np.array([0.0] + m[::-1])
+    return np.pad(np.stack((slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, m[:-1] / 2.0,
+                            np.diff(m) / (6.0 * h))), ((0, 0), (0, 1)))
 
 
 PermittivityModel = Union[IdealMetal, Plasma, Drude, Tabulated]
@@ -150,7 +170,10 @@ def epsilon_at_imaginary(model: PermittivityModel, xi):
             raise ValueError(
                 f"xi = {np.min(np.asarray(xi)[outside]):.6g} outside the "
                 f"tabulated range [{lo:.6g}, {hi:.6g}]")
-        eps = np.exp(np.interp(np.log(xi), model._log_xi, model._log_eps))
+        x, knots = np.log(xi), model._log_xi
+        i = np.interp(x, knots, np.arange(knots.size)).astype(int)  # last knot <= x
+        (b, c, d), t = np.take(model._cubic, i, axis=1), x - knots[i]
+        eps = np.maximum(model.eps_grid[i] * np.exp(t * (b + t * (c + t * d))), 1.0)
         return float(eps) if np.ndim(xi) == 0 else eps
     raise TypeError(f"unknown permittivity model {model!r}")
 

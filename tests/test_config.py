@@ -349,7 +349,8 @@ _SHIFT_RUN = "# a freq-shift run\n[run]\ncommand = freq-shift\n\n" + _LENS + _EN
 _EFIELD_RUN = "# an efield run\n[run]\ncommand = efield\n\n" + _LENS + _ENV
 _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
            "negative.dat": "-1e13 5000.0\n1e18 1.5\n",
-           "rising.dat": "1e13 2.0\n1e18 3.0\n"}
+           "rising.dat": "1e13 2.0\n1e18 3.0\n",
+           "infinite.dat": "1e13 inf\n1e18 1.5\n"}
 
 
 @pytest.mark.parametrize("section, message", [
@@ -459,6 +460,8 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
      "[material] tabulated frequencies must be positive"),
     ("\n[material]\nmodel = tabulated\npath = rising.dat\n" + _ENV,
      "[material] tabulated eps(i xi) must decrease monotonically toward 1"),
+    ("\n[material]\nmodel = tabulated\npath = infinite.dat\n" + _ENV,
+     "[material] tabulated eps(i xi) must be finite"),
     # the constructors' own checks
     ("h = -1e-6\n" + _ENV, "[geometry] h must be positive, got -1e-06"),
     ("d = 2e-4\n" + _ENV,

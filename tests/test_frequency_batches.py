@@ -176,8 +176,9 @@ def _converged_sum(kernel, model, T, a=A):
 @pytest.mark.parametrize("model", ["drude", "plasma", "tabulated"])
 def test_cold_sum_within_its_estimate_of_the_converged_sum(model,
                                                            monkeypatch):
-    # 1 K, 200 nm: zeta_1 ~ 1.1e-3.  The Drude term, whose TE part is zero
-    # at zeta = 0, still rises where a smooth model's sum hands off (l = 57)
+    # 1 K, 200 nm: zeta_1 ~ 1.1e-3.  Every model's sum hands off to the
+    # remainder at l = 57, the table's too (its spline is C^2 in zeta); the
+    # Drude term, whose TE part is zero at zeta = 0, still rises there
     model = MODELS[model]
     sums = []
 
@@ -192,14 +193,27 @@ def test_cold_sum_within_its_estimate_of_the_converged_sum(model,
     ref = _converged_sum(_force_kernel, model, 1.0)
     rel_est = res.est_abs_error / abs(res.value)
     assert abs(total - ref) <= rel_est * abs(total)
-    if isinstance(model, Tabulated):
-        # linear in log-log space between its nodes, so kinked in zeta: it
-        # keeps the whole block, and the remainder's estimate (2e-6 of the
-        # force here) is far above rel_tol
-        assert res.terms_used == 1 + engine._EM_BLOCK + engine._EM_PASS
-    else:
-        assert res.terms_used == 1 + engine._FIRST_CHECK + engine._EM_PASS
-        assert res.est_abs_error <= QuadratureSpec().rel_tol * abs(res.value)
+    assert res.terms_used == 1 + engine._FIRST_CHECK + engine._EM_PASS
+    assert res.est_abs_error <= QuadratureSpec().rel_tol * abs(res.value)
+
+
+@pytest.mark.parametrize("T", [1.0, 12.0])
+@pytest.mark.parametrize("a", [200e-9, 1e-6])
+@pytest.mark.parametrize("nodes", [12, 200])
+def test_cold_tabulated_sum_within_rel_tol_of_the_converged_sum(nodes, a, T):
+    # a table of 1 + 1e32 / (xi (xi + 5e13)) hands off to the remainder at
+    # l = 57, as the analytic models do, and lands within rel_tol
+    xi = np.geomspace(1.0e7, 1.0e18, nodes)
+    model = Tabulated(xi, 1.0 + 1.0e32 / (xi * (xi + 5.0e13)))
+    quad = QuadratureSpec()
+
+    def term(zeta):
+        return _frequency_integral(_force_kernel, model, zeta, a)
+
+    total, terms, _ = _matsubara_sum(term, Environment(a=a, T=T), quad)
+    ref = _converged_sum(_force_kernel, model, T, a)
+    assert terms == 1 + engine._FIRST_CHECK + engine._EM_PASS
+    assert abs(total - ref) <= quad.rel_tol * abs(ref)
 
 
 @pytest.mark.parametrize("l_max", [5, 40, 280])

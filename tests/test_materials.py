@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from casimir_lens.constants import CONSTANTS, ev_to_rad_per_s
 from casimir_lens.materials import (Drude, IdealMetal, Plasma, Tabulated,
@@ -149,9 +150,12 @@ def test_tabulated_from_file(tmp_path):
     model = Tabulated.from_file(str(path))
     # exact at a grid point
     assert epsilon_at_imaginary(model, 1.0e14) == pytest.approx(120.0)
-    # log-log interpolation between grid points
+    # between grid points, the natural cubic spline of ln eps in ln xi
+    spline = CubicSpline(np.log([1.0e13, 1.0e14, 1.0e15, 1.0e16]),
+                         np.log([5000.0, 120.0, 8.0, 1.5]), bc_type="natural")
     mid = epsilon_at_imaginary(model, math.sqrt(1.0e14 * 1.0e15))
-    assert mid == pytest.approx(math.sqrt(120.0 * 8.0), rel=1e-12)
+    assert mid == pytest.approx(math.exp(spline(0.5 * math.log(1.0e29))),
+                                rel=1e-13)
 
 
 def test_tabulated_zero_frequency_uses_first_entry(tmp_path):
@@ -186,6 +190,54 @@ def test_epsilon_array_path_matches_scalar_path():
         assert np.array_equal(array, scalar), model
         column = epsilon_at_imaginary(model, xi[:, None])
         assert np.array_equal(column[:, 0], scalar), model
+
+
+def _sampled(nodes, lo=1.0e7):
+    xi = np.geomspace(lo, 1.0e18, nodes)
+    return xi, 1.0 + 1.0e32 / (xi * (xi + 5.0e13))
+
+
+@pytest.mark.parametrize("xi, eps", [
+    ([1.0e13, 1.0e14, 1.0e15, 1.0e16], [5000.0, 120.0, 8.0, 1.5]),  # GOOD_TABLE
+    _sampled(9, lo=1.0e11), _sampled(12), _sampled(3000)],
+    ids=["good", "9", "12", "3000"])
+def test_tabulated_is_the_natural_spline_of_ln_eps(xi, eps):
+    # exp of scipy's natural spline of ln eps in ln xi, clamped at 1 (the
+    # splines through the 9- and 12-node tables dip to 0.953 and 0.9988
+    # between their nodes), and exactly eps at the nodes
+    xi, eps = np.asarray(xi), np.asarray(eps)
+    model = Tabulated(xi, eps)
+    spline = CubicSpline(np.log(xi), np.log(eps), bc_type="natural")
+    q = np.geomspace(xi[0], xi[-1], 10_001)
+    got = epsilon_at_imaginary(model, q)
+    ref = np.maximum(np.exp(spline(np.log(q))), 1.0)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+    assert np.min(got) >= 1.0
+    assert np.array_equal(epsilon_at_imaginary(model, xi), eps)
+    assert [epsilon_at_imaginary(model, x) for x in xi.tolist()] == eps.tolist()
+
+
+@pytest.mark.parametrize("xi, eps, column", [
+    ([1.0e7, 1.0e14, 1.0e18], [math.inf, 50.0, 1.5], "eps"),
+    ([1.0e7, 1.0e14, 1.0e18], [50.0, math.nan, 1.5], "eps"),
+    ([1.0e7, 1.0e14, math.inf], [50.0, 20.0, 1.5], "frequencies"),
+    ([-math.inf, 1.0e14, 1.0e18], [50.0, 20.0, 1.5], "frequencies"),
+    ([math.nan, 1.0e14, 1.0e18], [50.0, 20.0, 1.5], "frequencies")],
+    ids=["eps-inf", "eps-nan", "xi-inf", "xi-minus-inf", "xi-nan"])
+def test_tabulated_rejects_non_finite_entries(xi, eps, column):
+    # checked before the sign and order checks, naming the column
+    with pytest.raises(ValueError, match=f"tabulated {column}.* must be finite"):
+        Tabulated(np.array(xi), np.array(eps))
+
+
+def test_tabulated_file_rejects_non_finite_entries(tmp_path):
+    path = tmp_path / "eps.dat"
+    path.write_text("1e7 inf\n1e14 50\n1e18 1.5\n")
+    with pytest.raises(ValueError, match=r"tabulated eps\(i xi\) must be finite"):
+        Tabulated.from_file(str(path))
+    path.write_text("1e7 50\n1e14 20\ninf 1.5\n")
+    with pytest.raises(ValueError, match="tabulated frequencies must be finite"):
+        Tabulated.from_file(str(path))
 
 
 def test_tabulated_array_out_of_range_names_smallest_xi(tmp_path):
