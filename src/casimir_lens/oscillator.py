@@ -82,7 +82,7 @@ def _check_amplitude(env: Environment, osc: OscillatorParams) -> None:
 # nonlinear kernel: sum over reflection orders with the Bessel weight
 
 _NL_DECAY = 41.5  # e^{-41.5} ~ 1e-18: where a lam >= 1 node's powers stop
-_NL_ELEMENTS = 2 ** 14  # powers x nodes per closed-form call (128 kB arrays)
+_NL_ELEMENTS = 2 ** 14  # powers per closed-form call (128 kB arrays)
 _THETA_NODES = 52  # Gauss-Legendre order of the theta rule
 _THETA_CHUNK = 128  # theta-rule nodes per polylog call (52 kB arrays)
 # Hankel's expansion (DLMF 10.40.1), within 5.3e-16 from x = 32 on:
@@ -127,66 +127,66 @@ def _theta_series(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_series(q: np.ndarray, lam: np.ndarray, size: int) -> np.ndarray:
-    """sum_n n^{-1/2} e^{-(q + lam) n} I_1(q n) per lam >= 1 node.
+def _closed_series(q: np.ndarray, lam2: np.ndarray,
+                   count: np.ndarray) -> np.ndarray:
+    """sum_n n^{-1/2} (e^{-(q + lam_TM) n} + e^{-(q + lam_TE) n}) I_1(q n).
 
-    Powers n < head = ceil(32 / q) take i1e; Hankel's expansion makes the
-    rest (2 pi q)^{-1/2} sum_k c_k q^{-k} T_k, T_k = sum_{n >= head}
-    e^{-lam n} n^{-k-1}, summed directly up to size >= ceil(41.5 / lam).
-    Arrays stay within _NL_ELEMENTS; each node sums along its own column.
+    lam2 holds each node's (lam_TM, lam_TE), >= 1 or inf; node k sums
+    n = 1 ... count[k], its powers laid flat after the earlier nodes'.
+    A power takes sqrt(2 pi x) i1e(x) below x = n q = 32 and Hankel's
+    expansion above, one factor for TM and TE.  Each node sums its own
+    segment, so its value does not depend on the other nodes.
     """
-    n = np.arange(1.0, size + 1.0)[:, None]
-    head = np.ceil(32.0 / q)
-    out = np.empty_like(q)
-    step = _NL_ELEMENTS // size
-    for i in range(0, q.size, step):
-        part = slice(i, i + step)
-        lo = min(int(head[part].min()) - 1, size)  # rows of heads alone
-        term = np.zeros((size, q[part].size))
-        term[lo:] = _horner(_HANKEL, 1.0 / n[lo:] * (1.0 / q[part]))
-        rows = int(head[part].max()) - 1
-        if rows > 0:
-            inside = n[:rows] < head[part]
-            x = (n[:rows] * q[part])[inside]
-            term[:rows][inside] = bessel_i1_scaled(x) * np.sqrt(
-                2.0 * math.pi * x)
-        term *= np.exp(n * -lam[part]) / n
-        # cumsum adds row after row at any width; sum(axis=0) would sum a
-        # lone column pairwise, so a node's value would depend on the call
-        out[part] = np.cumsum(term, axis=0)[-1]
-    return out / np.sqrt(2.0 * math.pi * q)
+    start = np.cumsum(count) - count
+    n = np.arange(1.0, start[-1] + count[-1] + 1.0) - np.repeat(start, count)
+    term = _horner(_HANKEL, 1.0 / n * np.repeat(1.0 / q, count))
+    x = np.repeat(q, count) * n
+    head = x < 32.0
+    x = x[head]
+    i1 = bessel_i1_scaled(x) if x.size else x  # no call without a head
+    x *= 2.0 * math.pi
+    i1 *= np.sqrt(x, out=x)
+    term[head] = i1
+    del x, i1  # freed for the decay's two rows: 4 arrays of powers at most
+    power = np.repeat(-lam2, count, axis=1)
+    power *= n
+    decay = np.exp(power, out=power)[0]
+    decay += power[1]
+    decay /= n
+    term *= decay
+    return np.add.reduceat(term, start) / np.sqrt(2.0 * math.pi * q)
 
 
 def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
                       beta: float) -> np.ndarray:
     """v^{3/2} sum_n n^{-1/2} (r_TM^{2n} + r_TE^{2n}) e^{-nv} I_1(beta n v).
 
-    v may hold one v-grid or a stack of them, a row per frequency.  With
-    q = beta v and lam = mu - q, a lam < 1 node takes _theta_series.  A
-    lam >= 1 node takes _closed_series over count = ceil(_NL_DECAY / lam)
-    powers, i1e only below head = ceil(32 / q); those whose counts share
-    a power-of-2 ceiling are summed together, the largest count as their
-    block, so a stack merges its frequencies' calls without making fast
-    nodes pay the slowest one.
+    v holds one v-grid or a stack of them, a row per frequency.  With
+    q = beta v, a polarization's lam = v - ln r^2 - q (inf if r^2 = 0).
+    Every lam < 1 goes to one _theta_series call.  A node with a lam >= 1
+    sums ceil(_NL_DECAY / min lam) powers of both polarizations in
+    _closed_series, called on runs of nodes of at most _NL_ELEMENTS powers.
     """
-    out = np.zeros_like(v)
-    for r2 in (r_tm2, r_te2):
-        mask = r2 > 0.0
-        if not np.any(mask):
-            continue
-        vv = v[mask]
-        mu = vv - np.log(r2[mask])  # e^{-mu n} absorbs r^{2n} e^{-nv}
-        q = beta * vv
-        lam = mu - q
-        size = np.ceil(_NL_DECAY / lam)
-        # lam >= 1 by block length (groups 0 ... 6), lam < 1 the theta rule
-        group = np.where(lam < 1.0, -1.0, np.ceil(np.log2(size)))
-        acc = np.empty_like(vv)
-        for g in np.unique(group):
-            sel = group == g
-            acc[sel] = (_theta_series(q[sel], lam[sel]) if g < 0.0 else
-                        _closed_series(q[sel], lam[sel], int(size[sel].max())))
-        out[mask] += acc
+    q = beta * v
+    with np.errstate(divide="ignore"):
+        lam = v - np.log(np.stack((r_tm2, r_te2))) - q
+    theta = lam < 1.0
+    out = np.zeros_like(lam)
+    out[theta] = _theta_series(np.broadcast_to(q, lam.shape)[theta],
+                               lam[theta])
+    out = out[0] + out[1]
+    lam[theta] = np.inf
+    closed = np.any(lam < np.inf, axis=0)
+    q, lam = q[closed], lam[:, closed]
+    count = np.ceil(_NL_DECAY / lam.min(axis=0)).astype(np.intp)
+    end = np.cumsum(count)
+    acc = np.empty_like(q)
+    i = 0
+    while i < q.size:
+        j = np.searchsorted(end, end[i] - count[i] + _NL_ELEMENTS, "right")
+        acc[i:j] = _closed_series(q[i:j], lam[:, i:j], count[i:j])
+        i = j
+    out[closed] += acc
     return v ** 1.5 * out
 
 

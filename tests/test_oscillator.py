@@ -354,20 +354,46 @@ def test_closed_form_route(monkeypatch):
     assert len(seen["closed"]) + len(seen["theta"]) == len(_ROUTED_NODES)
 
 
+# (q, lam_TM, lam_TE): nodes where both polarizations reflect, so TE
+# reaches the Bessel factors TM's powers share with it
+_PAIRED_NODES = [
+    (2.5, 0.5, 1.5),  # mixed: TM the theta rule, TE the closed form
+    (40.0, 0.6, 3.0),  # mixed, head 1
+    (2.5, 1.5, 0.4),  # mixed the other way round
+    (2.5, 1.2, 9.0),  # both closed, counts 35 and 5
+    (0.7, 9.0, 1.2),  # both closed, TE the slower
+    (41.0, 2.0, 5.0),  # both closed, head 1
+    (33.0, 1.0, 1.1),  # both closed, head 1, lam_TM on the boundary
+    (0.5, 1.2, 8.0),  # both closed, head 64: every power takes i1e
+    (2.02, 0.3, 0.9),  # both the theta rule
+]
+
+
 def test_closed_form_matches_mpmath_per_node():
-    # both routes, head 1 to 64, lam on both sides of 1, against 30-digit
-    # direct sums
+    # both routes, head 1 to 64, lam on both sides of 1, with TE dark
+    # (r_TE = 0) and with TE reflecting, against 30-digit direct sums of
+    # each polarization's series at the q and lam the kernel sees
     mp = pytest.importorskip("mpmath")
-    v, r2, q, lam = _routed_kernel(_ROUTED_NODES)
-    got = oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99)
+    nodes = [(q, lam, math.inf) for q, lam, _ in _ROUTED_NODES] + _PAIRED_NODES
+    beta = 0.99
+    q, lam_tm, lam_te = np.array(nodes).T
+    v = q / beta
+    r2 = np.exp(v * (1.0 - beta) - np.stack((lam_tm, lam_te)))
+    assert np.all(r2 <= 1.0)
+    got = oscillator._nonlinear_kernel(v, r2[0], r2[1], beta)
+    q = beta * v
+    with np.errstate(divide="ignore"):
+        lam = v - np.log(r2) - q
     with mp.workdps(30):
         for i in range(v.size):
-            x, mu = mp.mpf(q[i]), mp.mpf(q[i]) + mp.mpf(lam[i])
-            terms = int(72.0 / lam[i]) + 2  # to e^{-72} ~ 5e-32
-            ref = mp.fsum(mp.exp(-mu * n) * mp.besseli(1, x * n) / mp.sqrt(n)
-                          for n in range(1, terms))
+            x, ref = mp.mpf(q[i]), 0
+            for li in lam[np.isfinite(lam[:, i]), i]:
+                terms = int(72.0 / li) + 2  # to e^{-72} ~ 5e-32
+                mu = x + mp.mpf(li)
+                ref += mp.fsum(mp.exp(-mu * n) * mp.besseli(1, x * n)
+                               / mp.sqrt(n) for n in range(1, terms))
             err = abs(got[i] / v[i] ** 1.5 / float(ref) - 1.0)
-            assert err <= 1e-14, (_ROUTED_NODES[i], err)
+            assert err <= 1e-14, (nodes[i], err)
 
 
 _BETAS = (0.1, 0.5, 0.9, 0.99)
@@ -399,6 +425,18 @@ def test_nonlinear_kernel_node_independent_of_the_call(nodes):
         assert np.array_equal(
             oscillator._nonlinear_kernel(v[pick], r_tm2[pick], r_te2[pick],
                                          beta), whole[pick])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(nodes=_kernel_nodes())
+def test_nonlinear_kernel_polarizations_add(nodes):
+    # one call on both polarizations, which share each power's Bessel
+    # factor, against one call per polarization
+    v, (r_tm2, r_te2), beta, _, _ = nodes
+    both = oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    split = (oscillator._nonlinear_kernel(v, r_tm2, np.zeros_like(v), beta)
+             + oscillator._nonlinear_kernel(v, np.zeros_like(v), r_te2, beta))
+    np.testing.assert_allclose(both, split, rtol=2e-15, atol=0.0)
 
 
 @st.composite
@@ -492,16 +530,19 @@ def test_shift_work_counts(monkeypatch):
     # and the closed form leaves i1e to the heads; at T = 0 the slow
     # nodes take the theta rule, which calls no i1e (407 k elements when
     # they summed explicit blocks) and evaluates _THETA_NODES polylog
-    # nodes per Bessel-series node (153 k at 52)
+    # nodes per Bessel-series node (153 k at 52).  A node's TM and TE
+    # share its i1e factors and sum only its own powers: 6 574 and
+    # 53 929 elements, against 10 895 and 90 870 when each polarization
+    # took its own factors, padded to power-of-2 blocks
     rows, elements, nodes = _count_work(monkeypatch)
     frequency_shift_nonlinear(LENS, E300, gold_drude(), osc(0.99 * E300.a))
     assert 0 < sum(rows) <= 500
-    assert 0 < sum(elements) <= 150_000
+    assert 0 < sum(elements) <= 7_000
     e0 = Environment(a=E300.a, T=0.0)
     elements.clear()
     nodes.clear()
     frequency_shift_nonlinear(LENS, e0, gold_drude(), osc(0.5 * e0.a))
-    assert 0 < sum(elements) <= 150_000
+    assert 0 < sum(elements) <= 55_000
     assert 0 < sum(nodes) <= 250_000
 
 
@@ -510,13 +551,15 @@ def test_cold_shift_work_counts(monkeypatch):
     # explicit block at l = 57 for one remainder pass, 286 rows.  At
     # Az/a = 0.5 that takes 184 442 Bessel elements and 159 484 theta-rule
     # polylog nodes on the 76-node v-rule (369 294 and 318 448 on 152
-    # nodes); the bounds are a quarter of the 839 352 and 853 216 that the
-    # whole block of 256 took on 152 nodes
+    # nodes).  The theta bound is a quarter of the 853 216 nodes that the
+    # whole block of 256 took on 152 nodes.  With TM and TE sharing each
+    # power's i1e factor, and each node summing only its own powers, the
+    # 184 442 Bessel elements fall to 99 762
     rows, elements, nodes = _count_work(monkeypatch)
     cold = Environment(a=E300.a, T=3.0)
     frequency_shift_nonlinear(LENS, cold, gold_drude(), osc(0.5 * cold.a))
     assert sum(rows) == 286
-    assert 0 < sum(elements) <= 839_352 // 4
+    assert 0 < sum(elements) <= 100_000
     assert 0 < sum(nodes) <= 853_216 // 4
 
 
@@ -585,3 +628,25 @@ def test_nonlinear_kernel_first_block_sized_to_slowest_node(monkeypatch):
         limit += int(mask.sum()) * math.ceil(oscillator._NL_DECAY / lam.min())
         full_blocks += int(mask.sum()) * 64
     assert 0 < sum(elements) <= limit < full_blocks
+
+
+def test_nonlinear_kernel_bessel_work_is_each_nodes_own_head(monkeypatch):
+    # count elements, not time: TM and TE share one i1e factor per power,
+    # and a node evaluates it only on its own powers n <= ceil(_NL_DECAY /
+    # min lam) with x = n q < 32, so the elements are exactly the sum of
+    # those counts, not one per polarization or padded to a block
+    _, elements, _ = _count_work(monkeypatch)
+    zeta, beta, model = 20.0, 0.5, gold_drude()
+    v, _ = _grid_from(zeta)
+    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, E300.a)
+    assert np.all(r_tm2 > 0.0) and np.all(r_te2 > 0.0)
+    oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    q = beta * v
+    lam = v - np.log(np.stack((r_tm2, r_te2))) - q
+    lam_min = np.where(lam < 1.0, np.inf, lam).min(axis=0)
+    heads = 0
+    for qi, li in zip(q[lam_min < np.inf], lam_min[lam_min < np.inf]):
+        n = np.arange(1.0, math.ceil(oscillator._NL_DECAY / li) + 1.0)
+        heads += int(np.count_nonzero(n * qi < 32.0))
+    assert heads > 0
+    assert sum(elements) == heads
