@@ -20,9 +20,9 @@ volts, rad/s); floats accept scientific notation, so `a = 200e-9` is
     a = 200e-9
     T = 300
 
-Optional sections: [sweep] (variable, start, stop, count, spacing,
-ratios), [oscillator] (omega0, Az, C or b + I), [efield] (V, V0),
-[output] (path, format), [quadrature] (rel_tol, l_max).  The run must
+Optional sections: [sweep] (variable, start, stop, count, spacing, and
+ratios under ratio-sweep), [oscillator] (omega0, Az, C or b + I), [efield]
+(V, V0), [output] (path, format), [quadrature] (rel_tol).  The run must
 read every section and key: an unknown one ([DEFAULT] included), a
 misspelt key, one for another variant or model (phi under a symmetric
 lens, gamma_ev under model = plasma), or one for another command
@@ -265,10 +265,11 @@ def _parse_oscillator(sect: _Section | None) -> OscillatorParams | None:
         raise ConfigError(f"[oscillator] {exc}") from None
 
 
-def _parse_sweep(sect: _Section) -> tuple[SweepSpec, tuple[float, ...]]:
+def _parse_sweep(sect: _Section,
+                 command: str) -> tuple[SweepSpec, tuple[float, ...]]:
     spec = _build(SweepSpec, sect, variable=_get(sect, "variable", str, "").strip(),
                   spacing=_get(sect, "spacing", ("linear", "log"), "linear"))
-    raw = _get(sect, "ratios", str)
+    raw = _get(sect, "ratios", str) if command == "ratio-sweep" else None
     if raw is None:
         return spec, ()
     try:
@@ -386,7 +387,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         if sect is not None and command != reader:
             raise ConfigError(f"[{sect.name}] is not read by command "
                               f"'{command}'")
-    spec, ratios = (None, ()) if sweep is None else _parse_sweep(sweep)
+    spec, ratios = (None, ()) if sweep is None else _parse_sweep(sweep, command)
     cfg = RunConfig(
         command=command,
         output_format=_get(out, "format", ("csv", "json"), default="csv"),

@@ -38,16 +38,15 @@ from .specfun import SQRT_PI, ConvergenceError, polylog_exp_grid
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Convergence knobs for the frequency sum.
+    """The package's one numerical setting: the frequency sum's tolerance.
 
     rel_tol drives the Matsubara stop rule (three consecutive terms below
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
     remainder: a low-temperature force costs 286 term evaluations (1 + 57
     explicit and one remainder pass of 228) where the whole explicit block
-    and the pass cost 485, for every permittivity model.  l_max caps the
-    term evaluations, the remainder's and those past the stop included
-    (the stack of _CHUNK terms holding the stop can run past it).
+    and the pass cost 485, for every permittivity model.  No sum evaluates
+    more than those 485 (_matsubara_sum).
     The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
     error not yet in est_abs_error.  Against the rule of twice its order,
     forces and gradients moved by <= 1.1e-15 at 30 - 300 K and
@@ -56,21 +55,18 @@ class QuadratureSpec:
     e^-v, so that cuts them at ~1e-35.  The shift's integrand decays only
     like e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at
     300 K, 200 nm and Az/a = 0.99 the shift is -743.4 with the window of
-    80 and -2627.9 with one of 320.  The remainder's first window and the
-    T = 0 integral's v-window do follow the kernel: they are 80 / rate
-    wide, rate 1 for the force and the gradient and 1 - Az/a for the
-    shift.  The T = 0 integral's fixed (v, s) panels are converged to
-    ~3e-15, and its error estimate is measured (_zeta_integral).
+    80 and -2627.9 with one of 320.  The remainder's window and the T = 0
+    integral's v-window do follow the kernel: they are 80 / rate wide,
+    rate 1 for the force and the gradient and 1 - Az/a for the shift.
+    The T = 0 integral's fixed (v, s) panels are converged to ~3e-15, and
+    its error estimate is measured (_zeta_integral).
     """
 
     rel_tol: float = 1e-8
-    l_max: int = 100_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.l_max < 1:
-            raise ValueError("l_max must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -252,9 +248,9 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     points do not depend on chunk, so chunk = 1 and batched sums stay
     bit-identical and no evaluated term goes unused.  The remainder's end
     corrections need a term that is C^2 in zeta; a table's spline is.
-    l_max caps the term evaluations, those past the stop included;
-    ConvergenceError carries the partial sum if the cap comes first.
-    terms_used counts the terms summed.
+    No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 485 terms; a
+    remainder that falls short raises ConvergenceError with the partial
+    sum.  terms_used counts the terms summed.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
@@ -263,8 +259,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     streak = 0
     prev = math.inf
     recent = deque(maxlen=7)
-    last = min(quad.l_max, _EM_BLOCK)
-    for l, value in _ascending(term, zeta1, last, chunk):
+    for l, value in _ascending(term, zeta1, _EM_BLOCK, chunk):
         total += value
         terms += 1
         recent.append(value)
@@ -283,17 +278,8 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
                 if ratio >= 1.0 or abs(value) * ratio ** _EM_PASS > need:
                     break
         prev = abs(value) if value != 0.0 else prev
-    else:
-        if quad.l_max < _EM_BLOCK:
-            raise _not_converged(quad, total)
     return _em_remainder(term, zeta1, l * zeta1, list(recent), total, terms,
                          quad, rate)
-
-
-def _not_converged(quad: QuadratureSpec, partial: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"Matsubara sum not converged within l_max = {quad.l_max}",
-        partial=partial)
 
 
 def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
@@ -309,39 +295,36 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
 
     h f' and h^3 f''' come from the backward differences of the last seven
     samples f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
-    evaluations.  The integral runs over contiguous windows from zeta_b,
-    the first 80 / rate wide and each next one twice as wide, until the
-    term at the end of a window times the window's width falls below
-    rel_tol/10 of the sum; the terms fall like e^{-rate zeta}, so the
-    first window spans the same 80 e-foldings at every rate.  Windows take
-    _FINE_NODES (at 76 + 38 the 3 K shift at Az/a = 0.999 is 1e-5 off).
-    The returned tail estimate is measured: the last correction applied,
-    the change when every window is redone at half the Gauss order, and
-    that end-of-window cut.  Returns (sum, terms_used, tail_estimate).
+    evaluations.  The integral runs over one window, [zeta_b, zeta_b +
+    80 / rate]: the terms fall like e^{-rate zeta}, so it spans 80
+    e-foldings at every rate.  It takes _FINE_NODES (at 76 + 38 the 3 K
+    shift at Az/a = 0.999 is 1e-5 off) and, as a check, _PANEL_NODES.  The
+    returned tail estimate is measured: the last correction applied, the
+    check's change, and the cut at the window's end (its last term times
+    its width).  A cut above rel_tol/10 of the sum (or a NaN) raises
+    ConvergenceError with the sum so far; the ideal-metal force at 200 nm
+    and 1 K needs a rel_tol below ~3e-30 for that.  Returns (sum,
+    terms_used, tail_estimate).
     """
     nabla = [float(np.diff(samples, k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
     d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
     last_correction = d3 / 720.0
     total += -0.5 * samples[-1] - d1 / 12.0 + last_correction
-    quad_err = 0.0
-    start, width = zeta_b, _PANEL_EDGES[-1] / rate
-    while True:
-        z, w = _grid_from(start, width, _FINE_NODES)
-        zc, wc = _grid_from(start, width)
-        if terms + _EM_PASS > quad.l_max + 1:
-            raise _not_converged(quad, total)
-        f = _evaluate(term, np.concatenate((z, zc))).tolist()
-        fine = float(sum(wx * fx for wx, fx in zip(w, f))) / h
-        coarse = float(sum(wx * fx for wx, fx in zip(wc, f[z.size:]))) / h
-        terms += _EM_PASS
-        total += fine
-        quad_err += abs(fine - coarse)
-        cut = abs(f[z.size - 1]) * width / h
-        if cut <= quad.rel_tol / 10.0 * abs(total):
-            return total, terms, abs(last_correction) + quad_err + cut
-        start += width
-        width *= 2.0
+    width = _PANEL_EDGES[-1] / rate
+    z, w = _grid_from(zeta_b, width, _FINE_NODES)
+    zc, wc = _grid_from(zeta_b, width)
+    f = _evaluate(term, np.concatenate((z, zc))).tolist()
+    fine = float(sum(wx * fx for wx, fx in zip(w, f))) / h
+    coarse = float(sum(wx * fx for wx, fx in zip(wc, f[z.size:]))) / h
+    total += fine
+    cut = abs(f[z.size - 1]) * width / h
+    if not cut <= quad.rel_tol / 10.0 * abs(total):
+        raise ConvergenceError(
+            f"Euler-Maclaurin remainder cut at {cut / abs(total):.3g} of the "
+            f"sum, above rel_tol/10 (rel_tol = {quad.rel_tol:g})", partial=total)
+    return (total, terms + _EM_PASS,
+            abs(last_correction) + abs(fine - coarse) + cut)
 
 
 def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,

@@ -25,6 +25,8 @@ from .materials import PermittivityModel
 from .specfun import (ConvergenceError, _horner, bessel_i1_scaled,
                       polylog_exp_grid)
 
+_THETA_TOL = 1e-9  # relative stability target of the direct shift oracle
+
 
 @dataclass(frozen=True)
 class OscillatorParams:
@@ -245,8 +247,7 @@ def frequency_shift_linear(geom: LensGeometry, env: Environment,
 
 def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
                                   model: PermittivityModel, osc: OscillatorParams,
-                                  quad: QuadratureSpec = DEFAULT_QUADRATURE,
-                                  theta_tol: float = 1e-9) -> float:
+                                  quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Time-domain evaluation of the shift: force averaged over one cycle.
 
     Delta(omega^2) = -(C / pi A_z) int_0^{2pi} dtheta cos(theta)
@@ -257,7 +258,7 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
     m/2 + 1 nodes in [0, pi] with weights 1, 2, ..., 2, 1: the same rule in
     exact arithmetic, at m/2 + 1 force calls, where the full circle would
     call the force again at the mirrored nodes, whose cosines round to
-    other floats.  m is doubled until the result is stable to theta_tol,
+    other floats.  m is doubled until the result is stable to _THETA_TOL,
     up to 256 points, and ConvergenceError carries the last estimate if it
     is not.  Force values are reused across doublings (the grids nest).
     """
@@ -280,9 +281,9 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
         weight[[0, -1]] = 1.0
         integral = 2.0 * math.pi / m * float(np.sum(weight * cos * vals))
         shift = -osc.C / (math.pi * osc.Az) * integral
-        if prev is not None and abs(shift - prev) <= theta_tol * max(abs(shift), 1e-300):
+        if prev is not None and abs(shift - prev) <= _THETA_TOL * max(abs(shift), 1e-300):
             return shift
         prev = shift
     raise ConvergenceError(
-        f"shift oracle not converged to theta_tol = {theta_tol:g} at {m} points",
+        f"shift oracle not converged to {_THETA_TOL:g} at {m} points",
         partial=prev)

@@ -23,9 +23,9 @@ SQRT_PI = math.sqrt(math.pi)
 class ConvergenceError(RuntimeError):
     """Raised when a sum stops short of its tolerance.
 
-    The Matsubara sum raises it at l_max terms and the shift oracle at 256
-    theta points; the best partial value is carried in the `partial`
-    attribute.
+    The Matsubara sum raises it when its one Euler-Maclaurin window falls
+    short of rel_tol, and the shift oracle at 256 theta points; the best
+    partial value is carried in the `partial` attribute.
     """
 
     def __init__(self, message: str, partial: float):

@@ -5,8 +5,9 @@ renamed or deleted engine private would otherwise only surface when the
 benchmark runs with --trace 1; here it fails with the rest of the suite.
 The same holds for the names and keywords the workloads call in the
 package and its front end, for the work counts the tracer reads off the
-traced results, and for the layers each workload requires to record calls.
-The benchmark modules are imported, never changed.
+traced results, for the layers each workload requires to record calls, and
+for the configs every workload parses when it is built.  The benchmark
+modules are imported, never changed.
 """
 
 import ast
@@ -14,6 +15,8 @@ import importlib
 import inspect
 import os
 import sys
+
+import pytest
 
 import casimir_lens
 from casimir_lens import cli
@@ -62,6 +65,15 @@ def test_workload_names_resolve_on_the_package():
     missing = sorted(f"{mod}.{attr}" for mod, attr in used
                      if not hasattr(modules[mod], attr))
     assert missing == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_workload_builds(seed):
+    # building a workload parses each of its configs through parse_config,
+    # so a config-schema change that would break the benchmark fails here
+    workloads = _bench("workloads")
+    for name in workloads.WORKLOADS:
+        assert workloads.make(name, seed).name == name
 
 
 _FORCE_300K = """\

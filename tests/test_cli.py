@@ -264,9 +264,10 @@ def test_exit_2_on_unwritable_output(tmp_path, capsys):
 
 
 def test_exit_4_on_convergence_failure_emits_partial(tmp_path, capsys):
-    cfg = BASE + """
+    # at 1 K no remainder window reaches rel_tol = 1e-40
+    cfg = BASE.replace("T = 300", "T = 1") + """
 [quadrature]
-l_max = 3
+rel_tol = 1e-40
 """
     code = main(["--config", write(tmp_path, cfg), "--format", "json"])
     captured = capsys.readouterr()

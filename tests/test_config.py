@@ -41,8 +41,7 @@ geometry.L = 0.001
 material.model = ideal
 environment.a = 1.9999999999999999e-07
 environment.T = 300
-quadrature.rel_tol = 1e-08
-quadrature.l_max = 100000"""),
+quadrature.rel_tol = 1e-08"""),
     "two halves, drude with gamma_ev, non-default quadrature": ("""\
 [run]
 command = gradient
@@ -65,7 +64,6 @@ T = 77
 
 [quadrature]
 rel_tol = 1e-6
-l_max = 5000
 """, """\
 run.command = gradient
 geometry.variant = two-halves
@@ -81,8 +79,7 @@ material.omega_p = 13673407039285594
 material.gamma = 75963372440475.531
 environment.a = 2.9999999999999999e-07
 environment.T = 77
-quadrature.rel_tol = 9.9999999999999995e-07
-quadrature.l_max = 5000"""),
+quadrature.rel_tol = 9.9999999999999995e-07"""),
     "rotated with d, plasma with omega_p_ev, sweep with ratios": ("""\
 [run]
 command = ratio-sweep
@@ -128,8 +125,7 @@ sweep.stop = 1.5707963267948966
 sweep.count = 9
 sweep.spacing = linear
 sweep.ratios = 1.1000000000000001, 1.2, 1.3999999999999999
-quadrature.rel_tol = 1e-08
-quadrature.l_max = 100000"""),
+quadrature.rel_tol = 1e-08"""),
     "oscillator with C, log Az sweep": ("""\
 [run]
 command = freq-shift
@@ -178,8 +174,7 @@ sweep.start = 1e-08
 sweep.stop = 9.9999999999999995e-08
 sweep.count = 4
 sweep.spacing = log
-quadrature.rel_tol = 1e-08
-quadrature.l_max = 100000"""),
+quadrature.rel_tol = 1e-08"""),
     "oscillator with b and I, no material section": ("""\
 [run]
 command = freq-shift
@@ -212,8 +207,7 @@ environment.T = 0
 oscillator.omega0 = 4398.1999999999998
 oscillator.C = 7499.9999999999982
 oscillator.Az = 2e-08
-quadrature.rel_tol = 1e-08
-quadrature.l_max = 100000"""),
+quadrature.rel_tol = 1e-08"""),
     "efield with the default V0, tabulated material": ("""\
 [run]
 command = efield
@@ -246,8 +240,7 @@ environment.a = 1.9999999999999999e-07
 environment.T = 300
 efield.V = 0.5
 efield.V0 = 0
-quadrature.rel_tol = 1e-08
-quadrature.l_max = 100000"""),
+quadrature.rel_tol = 1e-08"""),
 }
 
 
@@ -347,6 +340,9 @@ _OSC = "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\n"
 # whole configs of the commands that read [oscillator] and [efield]
 _SHIFT_RUN = "# a freq-shift run\n[run]\ncommand = freq-shift\n\n" + _LENS + _ENV
 _EFIELD_RUN = "# an efield run\n[run]\ncommand = efield\n\n" + _LENS + _ENV
+# a ratio-sweep's [sweep] up to its ratios, the one key only it reads
+_RATIO_RUN = ("# a ratio-sweep run\n[run]\ncommand = ratio-sweep\n\n[sweep]\n"
+              "variable = phi\nstart = 0\nstop = 1\ncount = 3\n")
 _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
            "negative.dat": "-1e13 5000.0\n1e18 1.5\n",
            "rising.dat": "1e13 2.0\n1e18 3.0\n",
@@ -356,8 +352,8 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
 @pytest.mark.parametrize("section, message", [
     ("[environment]\nT = 300\n", "[environment] is missing required key 'a'"),
     (_EFIELD_RUN + "\n[efield]\nV = x\n", "[efield] V = 'x' is not a number"),
-    ("[environment]\na = 200e-9\n\n[quadrature]\nl_max = 1.5\n",
-     "[quadrature] l_max = '1.5' is not an integer"),
+    ("[environment]\na = 200e-9\n\n[quadrature]\nl_max = 5\n",
+     "[quadrature] key 'l_max' is not read by this run"),
     ("[environment]\na = 200e-9\n\n[quadrature]\nrel_tol = 2\n",
      "[quadrature] rel_tol must lie in (0, 1)"),
     ("[environment]\na = 200e-9\nT = -1\n",
@@ -409,13 +405,16 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
      "sweep count must be at least 2"),
     (_ENV + "\n[sweep]\nvariable = T\nstart = 0\nstop = 300\ncount = 3\n"
      "spacing = log\n", "log spacing requires start > 0"),
-    (_ENV + _SWEEP_A + "ratios = 1.5, x\n",
+    (_RATIO_RUN + "ratios = 1.5, x\n",
      "[sweep] ratios = '1.5, x' is not a list of numbers"),
-    (_ENV + _SWEEP_A + "ratios = ,\n", "[sweep] ratios is empty"),
-    (_ENV + _SWEEP_A + "ratios = 1.5, inf\n",
+    (_RATIO_RUN + "ratios = ,\n", "[sweep] ratios is empty"),
+    (_RATIO_RUN + "ratios = 1.5, inf\n",
      "[sweep] ratios = '1.5, inf' are not all finite"),
-    (_ENV + _SWEEP_A + "ratios = 0.5\n",
+    (_RATIO_RUN + "ratios = 0.5\n",
      "[sweep] ratios are A/B values and must be >= 1"),
+    # ... which only ratio-sweep reads
+    (_ENV + _SWEEP_A + "ratios = 1.5, 2\n",
+     "[sweep] key 'ratios' is not read by this run"),
     (_SHIFT_RUN + "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\nC = 10\n"
      "\n[sweep]\nvariable = Az\nstart = 1e-8\nstop = 2e-7\ncount = 3\n",
      "Az sweep extends to or beyond the separation a"),
@@ -470,7 +469,6 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
      "[geometry] a cap thinner than the semiaxis is required (h <= B)"),
     ("variant = two-halves\nA1 = 1e-6\nB1 = 2e-6\nA2 = 1e-6\nB2 = 1e-6\n"
      "h = 1e-7\nd = 5e-7\n" + _ENV, "[geometry] each half must satisfy A >= B"),
-    (_ENV + "\n[quadrature]\nl_max = 0\n", "[quadrature] l_max must be positive"),
 ])
 def test_section_errors_keep_their_text(section, message, tmp_path,
                                         monkeypatch):

@@ -2,9 +2,11 @@
 
 The engine evaluates the v-integral of many frequencies in one call.  These
 tests hold it to the term-at-a-time evaluation bit for bit: every term, every
-Matsubara sum with its term count and tail, and every partial sum a capped
-loop reports.  They also count the calls a force makes, so a change that
-falls back to one frequency per call shows up without timing anything.
+Matsubara sum with its term count and tail, and every partial sum an
+unconverged loop reports.  They also count the calls a force makes and the
+frequencies every sum evaluates, so a change that falls back to one frequency
+per call, or that runs past the block and one remainder pass, shows up
+without timing anything.
 """
 
 import math
@@ -17,10 +19,11 @@ from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (_CHUNK, QuadratureSpec, _evaluate,
                                  _force_kernel, _frequency_integral,
                                  _gradient_kernel, _grid_from, _matsubara_sum,
-                                 direct_pfa_force_oracle, force)
+                                 direct_pfa_force_oracle, force, gradient)
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import (IdealMetal, Tabulated, gold_drude,
                                     gold_plasma, reflection_sq_grid)
+from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
 from casimir_lens.specfun import ConvergenceError
 
 LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
@@ -93,7 +96,7 @@ def _sum_term_at_a_time(term1, zeta1, quad):
     """The explicit block of the Matsubara loop, one evaluation per term."""
     total = 0.5 * term1(0.0)
     terms, streak, prev = 1, 0, math.inf
-    for l in range(1, min(quad.l_max, engine._EM_BLOCK) + 1):
+    for l in range(1, engine._EM_BLOCK + 1):
         value = term1(l * zeta1)
         total += value
         terms += 1
@@ -106,7 +109,7 @@ def _sum_term_at_a_time(term1, zeta1, quad):
         else:
             streak = 0
         prev = abs(value) if value != 0.0 else prev
-    raise ConvergenceError("capped", partial=total)
+    raise AssertionError("the explicit block ended before the stop")
 
 
 @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
@@ -216,10 +219,13 @@ def test_cold_tabulated_sum_within_rel_tol_of_the_converged_sum(nodes, a, T):
     assert abs(total - ref) <= quad.rel_tol * abs(ref)
 
 
-@pytest.mark.parametrize("l_max", [5, 40, 280])
-def test_capped_sum_raises_with_the_term_at_a_time_partial(l_max):
-    model, env = MODELS["drude"], Environment(a=A, T=3.0)
-    quad = QuadratureSpec(l_max=l_max)
+@pytest.mark.parametrize("T", [1.0, 3.0])
+def test_capped_sum_raises_with_the_term_at_a_time_partial(T):
+    # at rel_tol = 1e-40 the remainder's one window falls short: batched
+    # and one frequency at a time, the sum raises the same error with the
+    # same partial sum, within the block and one remainder pass
+    model, env = MODELS["drude"], Environment(a=A, T=T)
+    quad = QuadratureSpec(rel_tol=1e-40)
     evaluated = []
 
     def term(zeta):
@@ -234,16 +240,60 @@ def test_capped_sum_raises_with_the_term_at_a_time_partial(l_max):
         _matsubara_sum(term, env, quad)
     with pytest.raises(ConvergenceError) as ref:
         _matsubara_sum(lone, env, quad, chunk=1)
-    assert got.value.partial == ref.value.partial
+    assert got.value.partial == ref.value.partial != 0.0
     assert str(got.value) == str(ref.value)
-    # l_max caps the evaluations, the speculative ones included
-    assert len(evaluated) <= l_max + 1
-    if l_max < engine._EM_BLOCK:
-        with pytest.raises(ConvergenceError) as own:
-            _sum_term_at_a_time(
-                lambda z: _lone_term(_force_kernel, model, z), _zeta1(3.0),
-                quad)
-        assert got.value.partial == own.value.partial
+    assert "Euler-Maclaurin remainder" in str(got.value)
+    assert len(evaluated) <= 1 + engine._EM_BLOCK + engine._EM_PASS
+
+
+def _sum_evaluations(monkeypatch):
+    """The frequencies each Matsubara sum passes to its term, one count a sum."""
+    counts = []
+    matsubara_sum = engine._matsubara_sum
+
+    def counted(term, *args, **kwargs):
+        counts.append(0)
+
+        def counted_term(zeta):
+            counts[-1] += zeta.size
+            return term(zeta)
+
+        return matsubara_sum(counted_term, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_matsubara_sum", counted)
+    return counts
+
+
+_BOUND = 1 + engine._EM_BLOCK + engine._EM_PASS  # l = 0, the block, one pass
+
+
+@pytest.mark.parametrize("T", [0.01, 3.0, 300.0])
+@pytest.mark.parametrize("a", [150e-9, 1e-6])
+@pytest.mark.parametrize("model", ["drude", "plasma", "ideal"])
+def test_every_sum_evaluates_at_most_the_block_and_one_pass(monkeypatch,
+                                                            model, a, T):
+    # no setting caps a sum: its structure does.  A cold sum leaves the
+    # block at l = 57 for one remainder pass, 286 evaluations
+    counts = _sum_evaluations(monkeypatch)
+    model, e = MODELS[model], Environment(a=a, T=T)
+    force(LENS, e, model)
+    gradient(LENS, e, model)
+    frequency_shift_nonlinear(LENS, e, model, OscillatorParams(
+        omega0=4400.0, C=10.0, Az=0.5 * a))
+    assert len(counts) == 3
+    assert max(counts) <= _BOUND
+    if T < 300.0:
+        assert counts[0] == 1 + engine._FIRST_CHECK + engine._EM_PASS == 286
+
+
+def test_slow_shift_evaluates_the_whole_bound(monkeypatch):
+    # at 300 K and Az/a = 0.9 the shift's terms fall like e^{-0.1 zeta}:
+    # the whole block of 256, then one pass
+    counts = _sum_evaluations(monkeypatch)
+    frequency_shift_nonlinear(LENS, Environment(a=A, T=300.0), gold_drude(),
+                              OscillatorParams(omega0=4400.0, C=10.0,
+                                               Az=0.9 * A))
+    assert counts == [_BOUND] == [485]
 
 
 def test_oracle_evaluates_only_the_terms_it_sums(monkeypatch):

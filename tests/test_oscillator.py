@@ -147,16 +147,24 @@ def test_linear_shift_for_two_halves_uses_two_halves_gradient():
     assert lin.delta_omega2 == -p.C * grad
 
 
-def test_direct_oracle_raises_when_unconverged():
-    # a 1e-300 stability target asks successive grids for bit-equal
-    # estimates, which 256 points do not give; the last estimate must come
-    # back as the partial value instead of as a result
-    e = Environment(a=1e-6, T=300.0)
+def test_direct_oracle_raises_when_unconverged(monkeypatch):
+    # at Az/a = 0.99 the force along the cycle is too sharply peaked at
+    # closest approach for 256 theta points to settle to _THETA_TOL; the
+    # last estimate must come back as the partial value, not as a result
+    calls = []
+    force = oscillator.casimir_force
+
+    def counted(*args):
+        calls.append(args[1].a)
+        return force(*args)
+
+    monkeypatch.setattr(oscillator, "casimir_force", counted)
     with pytest.raises(ConvergenceError) as info:
-        frequency_shift_direct_oracle(LENS, e, IdealMetal(), osc(0.3 * e.a),
-                                      QuadratureSpec(rel_tol=1e-3),
-                                      theta_tol=1e-300)
+        frequency_shift_direct_oracle(LENS, E300, gold_drude(),
+                                      osc(0.99 * E300.a))
     assert info.value.partial < 0.0
+    assert "256 points" in str(info.value)
+    assert len(set(calls)) == 256 // 2 + 1
 
 
 def test_direct_oracle_averages_over_half_a_cycle(monkeypatch):
@@ -577,8 +585,8 @@ def test_bessel_calls_stay_within_the_element_budget(monkeypatch):
 
 @pytest.mark.parametrize("beta", [0.9, 0.99])
 def test_remainder_window_follows_decay_rate(beta):
-    # windows sized by the kernel's rate and windows 80 wide and doubling
-    # are two measurements of the same remainder
+    # a window sized by the kernel's rate and one twice as wide are two
+    # measurements of the same remainder
     model, quad = gold_drude(), QuadratureSpec()
 
     def term(zeta):
@@ -588,9 +596,14 @@ def test_remainder_window_follows_decay_rate(beta):
         return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
 
     fast = engine._matsubara_sum(term, E300, quad, rate=1.0 - beta)
-    wide = engine._matsubara_sum(term, E300, quad)
+    wide = engine._matsubara_sum(term, E300, quad, rate=(1.0 - beta) / 2.0)
     assert fast[1] <= wide[1]
     assert abs(fast[0] - wide[0]) <= fast[2] + wide[2]
+    if beta == 0.99:
+        # at the force's rate the window is 80 wide, 0.8 e-foldings of
+        # these terms: its end cut is 1.5e-3 of the sum, and the sum raises
+        with pytest.raises(ConvergenceError):
+            engine._matsubara_sum(term, E300, quad, rate=1.0)
 
 
 def test_force_remainder_unchanged_at_unit_rate():
