@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import lru_cache
 
 from .config import (ConfigError, RunConfig, describe_config, load_config,
                      substitute, visited_range)
@@ -44,16 +45,16 @@ def _plan_force(cfg: RunConfig):
                   else ["force_N", "force_T0_N"])
     columns = ["a_m", "T_K"] + value_cols + ["thermal_correction",
                                              "est_abs_error", "terms_used"]
-    compute = gradient if grad else force
+
+    @lru_cache(maxsize=None)  # this run only: a T sweep shares its T = 0 row
+    def compute(geom, env):
+        return (gradient if grad else force)(geom, env, cfg.material,
+                                             cfg.quadrature)
 
     def worker(x):
         geom, env, _, _ = substitute(cfg, x)
-        res = compute(geom, env, cfg.material, cfg.quadrature)
-        if env.T == 0.0:
-            res_t0 = res
-        else:
-            res_t0 = compute(geom, Environment(a=env.a, T=0.0), cfg.material,
-                             cfg.quadrature)
+        res = compute(geom, env)
+        res_t0 = compute(geom, Environment(a=env.a, T=0.0))
         corr = thermal_correction(res.value, res_t0.value) if env.T > 0.0 else 0.0
         return [env.a, env.T, res.value, res_t0.value, corr,
                 res.est_abs_error, res.terms_used]
@@ -75,13 +76,16 @@ def _plan_efield(cfg: RunConfig):
 def _plan_freq_shift(cfg: RunConfig):
     columns = ["a_m", "T_K", "Az_m", "delta_omega2_rad2_per_s2",
                "delta_omega2_linear_rad2_per_s2", "omega_r_linear_rad_per_s"]
+    linear = {}  # for this run only: the linear shift does not depend on Az
 
     def worker(x):
         geom, env, osc, _ = substitute(cfg, x)
         nonlin = frequency_shift_for_variant(geom, env, cfg.material, osc,
                                              cfg.quadrature)
-        lin = frequency_shift_linear(geom, env, cfg.material, osc,
-                                     cfg.quadrature)
+        if (key := (geom, env, osc.C, osc.omega0)) not in linear:
+            linear[key] = frequency_shift_linear(geom, env, cfg.material, osc,
+                                                 cfg.quadrature)
+        lin = linear[key]
         return [env.a, env.T, osc.Az, nonlin, lin.delta_omega2, lin.omega_r]
 
     return columns, worker

@@ -25,10 +25,11 @@ ratios under ratio-sweep), [oscillator] (omega0, Az, C or b + I), [efield]
 (V, V0), [output] (path, format), [quadrature] (rel_tol).  The run must
 read every section and key: an unknown one ([DEFAULT] included), a
 misspelt key, one for another variant or model (phi under a symmetric
-lens, gamma_ev under model = plasma), or one for another command
-([oscillator] outside freq-shift, [efield] outside efield) is a
-ConfigError, as is a number that is not finite.  Keys are
-case-insensitive, sections not.
+lens, gamma_ev under model = plasma), or one the command's rows do not
+read ([oscillator] outside freq-shift, [efield] outside efield, [material]
+and [quadrature] under efield, and all but [sweep] and [output] under
+ratio-sweep) is a ConfigError, as is a number that is not finite.  Keys
+are case-insensitive, sections not.
 """
 
 import configparser
@@ -51,7 +52,12 @@ class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
 
 
-COMMANDS = ("force", "gradient", "efield", "freq-shift", "ratio-sweep")
+# the sections each command's rows read besides [run], [sweep] and [output]
+_FORCE_READS = ("geometry", "environment", "material", "quadrature")
+_READS = {"force": _FORCE_READS, "gradient": _FORCE_READS,
+          "efield": ("geometry", "environment", "efield"),
+          "freq-shift": _FORCE_READS + ("oscillator",), "ratio-sweep": ()}
+COMMANDS = tuple(_READS)
 # each sweep variable: the RunConfig field that owns it, the owner's field it
 # sets, and the error when the run has no owner carrying that field (every
 # command that can sweep a or T requires an [environment] already)
@@ -383,8 +389,8 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     if run is None:
         raise ConfigError("missing required section [run]")
     command = _get(run, "command", COMMANDS, required=True)
-    for sect, reader in ((osc, "freq-shift"), (efield, "efield")):
-        if sect is not None and command != reader:
+    for sect in (geometry, env, material, quad, osc, efield):
+        if sect is not None and sect.name not in _READS[command]:
             raise ConfigError(f"[{sect.name}] is not read by command "
                               f"'{command}'")
     spec, ratios = (None, ()) if sweep is None else _parse_sweep(sweep, command)
@@ -426,14 +432,16 @@ def describe_config(cfg: RunConfig) -> list[str]:
     """Flat `section.key = value` lines of the resolved config.
 
     Used for the '#'-prefixed header block of CSV output so a result file
-    records exactly what produced it.
+    records exactly what produced it, and no section its rows do not read.
     """
+    reads = _READS[cfg.command]
     lines = [f"run.command = {cfg.command}"]
     if cfg.geometry is not None:
         lines.append(f"geometry.variant = {_name_of(LENS_VARIANTS, cfg.geometry)}")
         lines += _describe("geometry", cfg.geometry)
-    lines.append(f"material.model = {_name_of(MATERIAL_MODELS, cfg.material)}")
-    lines += _describe("material", cfg.material)
+    if "material" in reads:
+        lines.append(f"material.model = {_name_of(MATERIAL_MODELS, cfg.material)}")
+        lines += _describe("material", cfg.material)
     for section, part in (("environment", cfg.environment),
                           ("oscillator", cfg.oscillator),
                           ("efield", cfg.bias), ("sweep", cfg.sweep)):
@@ -441,7 +449,9 @@ def describe_config(cfg: RunConfig) -> list[str]:
             lines += _describe(section, part)
     if cfg.ratios:
         lines.append("sweep.ratios = " + ", ".join(f"{r:.17g}" for r in cfg.ratios))
-    return lines + _describe("quadrature", cfg.quadrature)
+    if "quadrature" in reads:
+        lines += _describe("quadrature", cfg.quadrature)
+    return lines
 
 
 def _describe(section: str, obj) -> list[str]:

@@ -174,8 +174,8 @@ def _gradient_kernel(v, r_tm2, r_te2):
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 Term = Callable[[np.ndarray], np.ndarray]
 
-# Frequencies per explicit term call: 19 rows of 76 v nodes hide most of
-# numpy's per-call cost, and the stop's stack wastes at most 18 terms.
+# Spacing of the hand-off check points: a stack of terms ends at the next
+# one or at the projected stop (_matsubara_sum).  _evaluate takes 4 _CHUNK.
 _CHUNK = 19
 
 
@@ -200,16 +200,17 @@ def _evaluate(term: Term, zeta: np.ndarray) -> np.ndarray:
                            for i in range(0, zeta.size, 4 * _CHUNK)])
 
 
-def _ascending(term: Term, zeta1: float, last: int, chunk: int):
+def _ascending(term: Term, zeta1: float, last: int, stack_end: Callable):
     """(l, term(l zeta_1)) for l = 1 ... last, in ascending l.
 
-    The terms are evaluated chunk frequencies per call, a chunk when the
-    caller reads its first term, so a caller that stops early evaluates
-    at most chunk - 1 terms it does not use, and never one past last.
+    One call per stack l = first ... stack_end(first), made (and stack_end
+    asked) when the caller reads the stack's first term.
     """
-    for first in range(1, last + 1, chunk):
-        l = np.arange(first, min(first + chunk, last + 1))
+    first = 1
+    while first <= last:
+        l = np.arange(first, min(stack_end(first), last) + 1)
         yield from zip(l.tolist(), term(l * zeta1).tolist())
+        first = int(l[-1]) + 1
 
 
 _STOP_STREAK = 3
@@ -220,16 +221,19 @@ _FIRST_CHECK = 3 * _CHUNK  # the first l at which the block may hand off
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
-                   chunk: int = _CHUNK, rate: float = 1.0):
+                   chunk: int = _FIRST_CHECK, rate: float = 1.0):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
     shift and the oracles differ only in the per-frequency callable, which
     takes an array of frequencies and returns one term per frequency.
     Returns (sum, terms_used, tail_estimate).  The l = 0 term is evaluated
-    alone, the terms l >= 1 chunk frequencies per call in ascending l;
+    alone, the terms l >= 1 a stack per call in ascending l (_ascending);
     the sum reads them one by one, in ascending l, so results are
     bit-reproducible and a term evaluated past the stop never enters it.
+    A stack of at most chunk terms (1 for the oracles) ends at the next
+    check point (below) or _STOP_STREAK past the projected stop, ln(10 /
+    rel_tol) / (rate zeta_1) terms ahead for the first, n (below) after.
     The sum stops after _STOP_STREAK consecutive terms each contribute less
     than rel_tol/10, and its tail is estimated as a geometric series.
     rate is the kernel's decay rate in v: the terms fall like
@@ -240,12 +244,12 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     last ratio alone undershoots.
     A sum still running after the block l <= _EM_BLOCK (low temperature,
     or a slowly decaying term) is completed by _em_remainder, and one that
-    is clearly going to be long hands off earlier.  At each l that ends a
-    stack of _CHUNK terms, from _FIRST_CHECK on, the stop is projected at
+    is clearly going to be long hands off earlier.  At each check point,
+    a multiple of _CHUNK from _FIRST_CHECK on, the stop is projected at
     the last term ratio r: n = ln(rel_tol/10 |sum| / |f_l|) / ln r terms
     ahead.  If r >= 1, or n exceeds one remainder pass (_EM_PASS
     evaluations), the remainder starts at zeta_b = l zeta_1.  The check
-    points do not depend on chunk, so chunk = 1 and batched sums stay
+    points do not depend on the stacks, so chunk = 1 and batched sums stay
     bit-identical and no evaluated term goes unused.  The remainder's end
     corrections need a term that is C^2 in zeta; a table's spline is.
     No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 485 terms; a
@@ -259,21 +263,32 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     streak = 0
     prev = math.inf
     recent = deque(maxlen=7)
-    for l, value in _ascending(term, zeta1, _EM_BLOCK, chunk):
+
+    def stack_end(first: int) -> int:
+        ahead = math.inf  # terms to the stop; none projected at r >= 1
+        if first == 1:  # no ratio yet: the terms fall like e^{-rate zeta_l}
+            ahead = math.log(10.0 / quad.rel_tol) / (rate * zeta1)
+        elif abs(value) <= need:
+            ahead = 0.0
+        elif 0.0 < ratio < 1.0 and need > 0.0:
+            ahead = math.log(need / abs(value)) / math.log(ratio)
+        check = max(_FIRST_CHECK, -(-first // _CHUNK) * _CHUNK)
+        return math.ceil(min(check, first - 1 + min(chunk, ahead + _STOP_STREAK)))
+
+    for l, value in _ascending(term, zeta1, _EM_BLOCK, stack_end):
         total += value
         terms += 1
         recent.append(value)
         need = quad.rel_tol / 10.0 * abs(total)
+        ratio = abs(value) / prev
         if abs(value) < need:
             streak += 1
             if streak >= _STOP_STREAK:
-                ratio = (min(max(abs(value) / prev, decay), 0.97)
-                         if prev > 0.0 else 0.0)
+                ratio = min(max(ratio, decay), 0.97) if prev > 0.0 else 0.0
                 return total, terms, abs(value) * ratio / (1.0 - ratio)
         else:
             streak = 0
             if l >= _FIRST_CHECK and l % _CHUNK == 0:
-                ratio = abs(value) / prev
                 # the stop, projected at this ratio, lies past one pass
                 if ratio >= 1.0 or abs(value) * ratio ** _EM_PASS > need:
                     break
@@ -336,9 +351,11 @@ def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
     _PANEL_EDGES scaled to span, the s-rule _panels over _S_EDGES, and the
     whole (v, s) grid, a row per v node, goes through one call of
     reflection_sq_grid and one of the kernel; each row is then summed on
-    its own.  A tabulated model is not evaluated below _ZETA_MIN: each
-    row's s-rule is mapped onto [s0, 1], s0 = _ZETA_MIN / v, and the sliver
-    [0, s0] is added to the weight of the row's first node.
+    its own.  Both take v as a column (n, 1), so e^-v, its powers and an
+    ideal metal's kernel are computed once per row.  A tabulated model is
+    not evaluated below _ZETA_MIN: each row's s-rule is mapped onto
+    [s0, 1], s0 = _ZETA_MIN / v, and the sliver [0, s0] is added to the
+    weight of the row's first node.
     """
     scale = span / _PANEL_EDGES[-1]
     v, wv = _panels(tuple(e * scale for e in _PANEL_EDGES), v_nodes)
@@ -346,12 +363,11 @@ def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
     zeta_lo = _ZETA_MIN if isinstance(model, Tabulated) else 0.0
     col = v[:, None]
     s0 = zeta_lo / col
-    vv = np.broadcast_to(col, (v.size, s.size))
     r_tm2, r_te2 = reflection_sq_grid(model, col * (s0 + (1.0 - s0) * s),
-                                      vv, a)
+                                      col, a)
     w = (1.0 - s0) * ws
     w[:, 0] += s0[:, 0]
-    return v, wv, v * np.sum(w * kernel(vv, r_tm2, r_te2), axis=-1)
+    return v, wv, v * np.sum(w * kernel(col, r_tm2, r_te2), axis=-1)
 
 
 def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,

@@ -163,11 +163,11 @@ def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
                       beta: float) -> np.ndarray:
     """v^{3/2} sum_n n^{-1/2} (r_TM^{2n} + r_TE^{2n}) e^{-nv} I_1(beta n v).
 
-    v holds one v-grid or a stack of them, a row per frequency.  With
-    q = beta v, a polarization's lam = v - ln r^2 - q (inf if r^2 = 0).
-    Every lam < 1 goes to one _theta_series call.  A node with a lam >= 1
-    sums ceil(_NL_DECAY / min lam) powers of both polarizations in
-    _closed_series, called on runs of nodes of at most _NL_ELEMENTS powers.
+    v holds a v-grid, a stack of them (a row per frequency) or a column
+    (one v per row, T = 0).  With q = beta v, a polarization's lam = v -
+    ln r^2 - q (inf if r^2 = 0).  Every lam < 1 goes to one _theta_series
+    call.  A node with a lam >= 1 sums ceil(_NL_DECAY / min lam) powers of
+    both polarizations in _closed_series, on runs of <= _NL_ELEMENTS powers.
     """
     q = beta * v
     with np.errstate(divide="ignore"):
@@ -179,7 +179,7 @@ def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
     out = out[0] + out[1]
     lam[theta] = np.inf
     closed = np.any(lam < np.inf, axis=0)
-    q, lam = q[closed], lam[:, closed]
+    q, lam = np.broadcast_to(q, closed.shape)[closed], lam[:, closed]
     count = np.ceil(_NL_DECAY / lam.min(axis=0)).astype(np.intp)
     end = np.cumsum(count)
     acc = np.empty_like(q)

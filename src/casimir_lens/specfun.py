@@ -101,8 +101,9 @@ def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
     Vectorized fast path for the engine: the force kernel takes s = 1/2,
     the gradient kernel and the shift's theta rule s = -1/2.  v and r2
     broadcast against each other, so a stack of weights (TM and TE, say)
-    shares one v grid and one call.  With mu = v - ln r2 each node takes
-    one of two series, each summed by Horner's rule in place:
+    shares one v grid and one call; e^-v is taken before v is broadcast,
+    once per node of a stack, once per row of a column (m, 1) of v.  With
+    mu = v - ln r2 each node takes one of two series, by Horner's rule:
 
     - mu < 1: Wood's series (D. C. Wood, The computation of polylogarithms,
       Kent TR 15-92, 1992), Li_s(e^-mu) = Gamma(1-s) mu^{s-1}
@@ -124,8 +125,7 @@ def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
         If s is a positive integer, where Wood's series has a log term.
     """
     gamma, wood, econ = _polylog_coefficients(s)
-    v, r2 = np.broadcast_arrays(np.asarray(v, dtype=float),
-                                np.asarray(r2, dtype=float))
+    v, r2 = np.asarray(v, dtype=float), np.asarray(r2, dtype=float)
     x = r2 * np.exp(-v)
     out = x * _horner(econ, x)
     with np.errstate(divide="ignore"):

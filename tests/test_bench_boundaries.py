@@ -19,7 +19,7 @@ import sys
 import pytest
 
 import casimir_lens
-from casimir_lens import cli
+from casimir_lens import cli, engine, oscillator
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench")
@@ -74,6 +74,30 @@ def test_every_workload_builds(seed):
     workloads = _bench("workloads")
     for name in workloads.WORKLOADS:
         assert workloads.make(name, seed).name == name
+
+
+# per seed-0 table: (T = 0 integrals, gradients the linear shift takes).
+# A T sweep's rows share one T = 0 companion and an Az sweep's rows one
+# linear shift; force-sweep's 32 rows have 32 separations
+_TABLE_WORK = {"cryo-sweep": (1, 0), "force-sweep": (32, 0),
+               "freq-shift": (2, 2)}
+
+
+@pytest.mark.parametrize("name", _TABLE_WORK)
+def test_each_bench_table_computes_each_value_once(name, monkeypatch):
+    counts = {}
+    for module, attr in ((engine, "_zeta_integral"), (oscillator, "gradient")):
+        fn = getattr(module, attr)
+
+        def counted(*args, _fn=fn, _attr=attr, **kwargs):
+            counts[_attr] = counts.get(_attr, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    outputs = _bench("workloads").make(name, 0).table()
+    assert [out.failure for out in outputs] == [None] * len(outputs)
+    assert (counts.get("_zeta_integral", 0),
+            counts.get("gradient", 0)) == _TABLE_WORK[name]
 
 
 _FORCE_300K = """\

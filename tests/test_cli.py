@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from casimir_lens.cli import main, thermal_correction
+from casimir_lens import engine, oscillator
+from casimir_lens.cli import main, run_command, thermal_correction
 from casimir_lens.config import (ConfigError, load_config, parse_config,
                                  visited_range)
-from casimir_lens.engine import casimir_force, rotation_factor
+from casimir_lens.engine import casimir_force, force, rotation_factor
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import IdealMetal
 from casimir_lens.oscillator import (OscillatorParams,
@@ -150,7 +151,8 @@ def test_tolerance_override_recorded(tmp_path, capsys):
 
 
 def test_efield_parabola(tmp_path, capsys):
-    cfg = BASE.replace("command = force", "command = efield") + """
+    cfg = BASE.replace("command = force", "command = efield").replace(
+        "[material]\nmodel = ideal\n\n", "") + """
 [efield]
 V = 0.5
 V0 = 0.1
@@ -195,20 +197,6 @@ def test_ratio_sweep_columns_and_values(tmp_path, capsys):
     cfg = """
 [run]
 command = ratio-sweep
-
-[geometry]
-variant = rotated
-A = 110e-6
-B = 100e-6
-phi = 0.0
-L = 1e-3
-
-[material]
-model = ideal
-
-[environment]
-a = 200e-9
-T = 300
 
 [sweep]
 variable = phi
@@ -383,3 +371,72 @@ Az = 20e-9
 """
     assert parse_config(shift, origin="inline").environment.T == 300.0
     assert main(["--config", write(tmp_path, shift)]) == 0
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to a list."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_DRUDE_200NM = BASE.replace("model = ideal", "model = drude")
+
+
+def test_t_sweep_computes_its_t0_companion_once_per_run(monkeypatch):
+    # every row of a T sweep carries the same T = 0 companion: one
+    # zero-temperature integral per run, and a second run makes its own
+    cfg = parse_config(_DRUDE_200NM + "\n[sweep]\nvariable = T\nstart = 3\n"
+                       "stop = 24\ncount = 4\nspacing = log\n")
+    integrals = _counted(monkeypatch, engine, "_zeta_integral")
+    _, rows, failure = run_command(cfg)
+    assert failure is None and len(rows) == 4
+    assert len(integrals) == 1
+    assert run_command(cfg)[1] == rows
+    assert len(integrals) == 2
+    lens, model = cfg.geometry, cfg.material
+    t0 = force(lens, Environment(a=200e-9, T=0.0), model)
+    for row, T in zip(rows, cfg.sweep.points()):
+        res = force(lens, Environment(a=200e-9, T=float(T)), model)
+        assert row == [200e-9, T, res.value, t0.value,
+                       thermal_correction(res.value, t0.value),
+                       res.est_abs_error, res.terms_used]
+
+
+def test_zero_temperature_row_is_its_own_companion(monkeypatch):
+    cfg = parse_config(_DRUDE_200NM.replace("T = 300", "T = 0"))
+    integrals = _counted(monkeypatch, engine, "_zeta_integral")
+    row = run_command(cfg)[1][0]
+    assert len(integrals) == 1
+    assert row[2] == row[3] == force(cfg.geometry, cfg.environment,
+                                     cfg.material).value
+    assert row[4] == 0.0
+
+
+def test_az_sweep_computes_its_linear_shift_once_per_run(monkeypatch):
+    # the linear shift does not depend on Az: one gradient per run, while
+    # the nonlinear shift is evaluated (and its amplitude checked) per row
+    cfg = parse_config(_DRUDE_200NM.replace("command = force",
+                                            "command = freq-shift")
+                       + "\n[oscillator]\nomega0 = 4400.0\nC = 10.0\n"
+                       "Az = 20e-9\n\n[sweep]\nvariable = Az\nstart = 20e-9\n"
+                       "stop = 198e-9\ncount = 4\nspacing = log\n")
+    gradients = _counted(monkeypatch, oscillator, "gradient")
+    _, rows, failure = run_command(cfg)
+    assert failure is None and len(rows) == 4
+    assert len(gradients) == 1
+    run_command(cfg)
+    assert len(gradients) == 2
+    env, model = cfg.environment, cfg.material
+    for row, az in zip(rows, cfg.sweep.points()):
+        osc = OscillatorParams(omega0=4400.0, C=10.0, Az=float(az))
+        lin = frequency_shift_linear(cfg.geometry, env, model, osc)
+        assert row == [200e-9, 300.0, az,
+                       frequency_shift_for_variant(cfg.geometry, env, model,
+                                                   osc),
+                       lin.delta_omega2, lin.omega_r]

@@ -80,9 +80,9 @@ material.gamma = 75963372440475.531
 environment.a = 2.9999999999999999e-07
 environment.T = 77
 quadrature.rel_tol = 9.9999999999999995e-07"""),
-    "rotated with d, plasma with omega_p_ev, sweep with ratios": ("""\
+    "rotated with d, plasma with omega_p_ev": ("""\
 [run]
-command = ratio-sweep
+command = force
 
 [geometry]
 variant = rotated
@@ -99,15 +99,8 @@ omega_p_ev = 8.5
 [environment]
 a = 200e-9
 T = 300
-
-[sweep]
-variable = phi
-start = 0.0
-stop = 1.5707963267948966
-count = 9
-ratios = 1.1, 1.2 1.4
 """, """\
-run.command = ratio-sweep
+run.command = force
 geometry.variant = rotated
 geometry.A = 0.00011
 geometry.B = 0.0001
@@ -119,13 +112,25 @@ material.model = plasma
 material.omega_p = 12913773314880838
 environment.a = 1.9999999999999999e-07
 environment.T = 300
+quadrature.rel_tol = 1e-08"""),
+    "sweep with ratios, which a ratio-sweep alone reads": ("""\
+[run]
+command = ratio-sweep
+
+[sweep]
+variable = phi
+start = 0.0
+stop = 1.5707963267948966
+count = 9
+ratios = 1.1, 1.2 1.4
+""", """\
+run.command = ratio-sweep
 sweep.variable = phi
 sweep.start = 0
 sweep.stop = 1.5707963267948966
 sweep.count = 9
 sweep.spacing = linear
-sweep.ratios = 1.1000000000000001, 1.2, 1.3999999999999999
-quadrature.rel_tol = 1e-08"""),
+sweep.ratios = 1.1000000000000001, 1.2, 1.3999999999999999"""),
     "oscillator with C, log Az sweep": ("""\
 [run]
 command = freq-shift
@@ -208,7 +213,7 @@ oscillator.omega0 = 4398.1999999999998
 oscillator.C = 7499.9999999999982
 oscillator.Az = 2e-08
 quadrature.rel_tol = 1e-08"""),
-    "efield with the default V0, tabulated material": ("""\
+    "efield with the default V0": ("""\
 [run]
 command = efield
 
@@ -216,10 +221,6 @@ command = efield
 A = 100e-6
 B = 100e-6
 L = 1e-3
-
-[material]
-model = tabulated
-path = {table}
 
 [environment]
 a = 200e-9
@@ -235,11 +236,37 @@ geometry.B = 0.0001
 geometry.h = 5.641101056459328e-05
 geometry.d = 9.0000000000000006e-05
 geometry.L = 0.001
-material.model = tabulated
 environment.a = 1.9999999999999999e-07
 environment.T = 300
 efield.V = 0.5
-efield.V0 = 0
+efield.V0 = 0"""),
+    "tabulated material, its arrays left out": ("""\
+[run]
+command = force
+
+[geometry]
+A = 100e-6
+B = 100e-6
+L = 1e-3
+
+[material]
+model = tabulated
+path = {table}
+
+[environment]
+a = 200e-9
+T = 300
+""", """\
+run.command = force
+geometry.variant = symmetric
+geometry.A = 0.0001
+geometry.B = 0.0001
+geometry.h = 5.641101056459328e-05
+geometry.d = 9.0000000000000006e-05
+geometry.L = 0.001
+material.model = tabulated
+environment.a = 1.9999999999999999e-07
+environment.T = 300
 quadrature.rel_tol = 1e-08"""),
 }
 
@@ -247,7 +274,7 @@ quadrature.rel_tol = 1e-08"""),
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_provenance_echo_is_pinned(name, tmp_path):
     table = tmp_path / "gold.dat"
-    table.write_text("1.0e8 5000.0\n2.0e13 2500.0\n")
+    table.write_text("1.0e2 5000.0\n2.0e13 2500.0\n")  # reaches _ZETA_MIN
     text, echo = GOLDEN[name]
     cfg = parse_config(text.format(table=table), origin="inline")
     assert describe_config(cfg) == echo.splitlines()
@@ -387,6 +414,19 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
      "[efield] is not read by command 'freq-shift'"),
     ("# ratio-sweep\n[run]\ncommand = ratio-sweep\n\n[efield]\nV = 0.5\n",
      "[efield] is not read by command 'ratio-sweep'"),
+    # ... and one that no row of the command reads
+    (_RATIO_RUN + "ratios = 1.5\n\n" + _LENS,
+     "[geometry] is not read by command 'ratio-sweep'"),
+    (_RATIO_RUN + "ratios = 1.5\n" + _ENV,
+     "[environment] is not read by command 'ratio-sweep'"),
+    (_RATIO_RUN + "ratios = 1.5\n\n[material]\nmodel = plasma\n",
+     "[material] is not read by command 'ratio-sweep'"),
+    (_RATIO_RUN + "ratios = 1.5\n\n[quadrature]\nrel_tol = 1e-6\n",
+     "[quadrature] is not read by command 'ratio-sweep'"),
+    (_EFIELD_RUN + "\n[efield]\nV = 0.5\n\n[material]\nmodel = drude\n",
+     "[material] is not read by command 'efield'"),
+    (_EFIELD_RUN + "\n[efield]\nV = 0.5\n\n[quadrature]\nrel_tol = 1e-6\n",
+     "[quadrature] is not read by command 'efield'"),
     ("[environment]\n", "[environment] is missing required key 'a'"),
     # ... and every number finite
     ("[environment]\na = 200e-9\nT = nan\n",

@@ -154,9 +154,10 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder():
     assert got == ref
     assert got[1] > engine._EM_BLOCK + 1
     assert sum(calls) == ref[1]
-    # l = 0 alone, three stacks of 19 to the hand-off at l = 57, and the
+    # l = 0 alone, one stack of 57 to the hand-off at l = 57 (the first
+    # check point; the projected stop lies far past it), and the
     # remainder's pass of 228 in three calls of 76
-    assert sizes == [1, 19, 19, 19, 76, 76, 76]
+    assert sizes == [1, 57, 76, 76, 76]
 
 
 def _converged_sum(kernel, model, T, a=A):
@@ -316,7 +317,7 @@ def _count_calls(monkeypatch, name):
     fn = getattr(engine, name)
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return fn(*args)
 
     monkeypatch.setattr(engine, name, counted)
@@ -339,7 +340,11 @@ def test_force_call_counts(monkeypatch, T):
         assert res.terms_used == 76 + 38
         calls = 1 + 1
     else:
+        # l = 0 alone, one stack to the first check point l = 57, and one
+        # stack to _STOP_STREAK past the stop projected at l = 57
         assert res.terms_used == 63
-        calls = 1 + math.ceil((res.terms_used - 1) / _CHUNK)  # l = 0 alone
+        calls = 1 + 1 + 1
+        evaluated = sum(np.shape(args[1])[0] for args in reflection)
+        assert evaluated <= res.terms_used + engine._STOP_STREAK
     assert len(reflection) == calls
     assert len(polylog) == calls

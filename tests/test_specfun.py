@@ -148,6 +148,30 @@ def test_polylog_exp_grid_node_independent_of_the_call(grid, s):
                               whole[pick])
 
 
+@st.composite
+def _columns(draw):
+    """A column of v (n, 1), log-uniform over 1e-9 - 700, and a stack of
+    weights r2 (2, n, m) in [0, 1], r2 = 0 and 1 included."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    v = draw(st.lists(st.floats(math.log(1e-9), math.log(700.0)),
+                      min_size=n, max_size=n))
+    r2 = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0),
+                                 st.floats(0.0, 1.0)),
+                       min_size=2 * n * m, max_size=2 * n * m))
+    return np.exp(v)[:, None], np.array(r2).reshape(2, n, m)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grid=_columns(), s=st.sampled_from([0.5, -0.5]))
+def test_polylog_exp_grid_column_of_v_equals_v_on_every_node(grid, s):
+    # e^-v taken once per row of a column is the same float as per node
+    col, r2 = grid
+    got = polylog_exp_grid(s, col, r2)
+    assert got.shape == r2.shape
+    assert np.array_equal(got, polylog_exp_grid(
+        s, np.broadcast_to(col, r2.shape), r2))
+
+
 @pytest.mark.parametrize("kernel, s, power", [(_force_kernel, 0.5, 1.5),
                                               (_gradient_kernel, -0.5, 2.5)])
 def test_stacked_kernel_equals_two_calls(kernel, s, power):

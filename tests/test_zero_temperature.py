@@ -131,3 +131,44 @@ def test_zero_temperature_shift_window_follows_decay_rate():
     # the window of 80 truncated it to a quarter
     assert shift < 4.0 * -74.27
 
+
+
+_ROW_KERNELS = {
+    "force": _force_kernel, "gradient": _gradient_kernel,
+    "shift": lambda v, r_tm2, r_te2: oscillator._nonlinear_kernel(
+        v, r_tm2, r_te2, 0.5)}
+
+
+@pytest.mark.parametrize("kind", _ROW_KERNELS)
+@pytest.mark.parametrize("model", [gold_drude(), IdealMetal()],
+                         ids=["drude", "ideal"])
+def test_zeta_rows_take_v_as_a_column(model, kind, monkeypatch):
+    # reflection_sq_grid and the kernel see each rule's v as a column, so
+    # what depends on v alone is computed once per row; the rows are the
+    # same floats as with v, and an ideal metal's r^2, on every node
+    kernel = _ROW_KERNELS[kind]
+    shapes = []
+    reflection = engine.reflection_sq_grid
+
+    def recorded(model, zeta, v, a):
+        shapes.append(("reflection", v.shape))
+        return reflection(model, zeta, v, a)
+
+    def column(v, r_tm2, r_te2):
+        shapes.append(("kernel", v.shape))
+        return kernel(v, r_tm2, r_te2)
+
+    def every_node(v, r_tm2, r_te2):
+        shape = (v.shape[0], sum(_S_NODES) * v.shape[0] // 76)
+        return kernel(*(np.broadcast_to(x, shape) for x in (v, r_tm2, r_te2)))
+
+    monkeypatch.setattr(engine, "reflection_sq_grid", recorded)
+    _zeta_integral(column, model, 200e-9)
+    assert shapes == [("reflection", (76, 1)), ("kernel", (76, 1)),
+                      ("reflection", (38, 1)), ("kernel", (38, 1))]
+    for v_nodes, s_nodes in ((engine._PANEL_NODES, _S_NODES),
+                             (tuple(n // 2 for n in engine._PANEL_NODES),
+                              tuple(n // 2 for n in _S_NODES))):
+        rows = [engine._zeta_rows(k, model, 200e-9, _PANEL_EDGES[-1], v_nodes,
+                                  s_nodes)[2] for k in (column, every_node)]
+        assert np.array_equal(rows[0], rows[1])
