@@ -21,7 +21,6 @@ the lens and are used to bound the error of the leading-order expressions.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -54,10 +53,11 @@ class QuadratureSpec:
     zeta_l + 80] (_PANEL_EDGES); the force and gradient integrands carry
     e^-v, so that cuts them at ~1e-35.  The shift's integrand decays only
     like e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at
-    300 K, 200 nm and Az/a = 0.99 the shift is -743.4 with the window of
-    80 and -2627.9 with one of 320.  The remainder's window and the T = 0
-    integral's v-window do follow the kernel: they are 80 / rate wide,
-    rate 1 for the force and the gradient and 1 - Az/a for the shift.
+    300 K, 200 nm, C = 10 and Az/a = 0.99 the shift is -743.4 against
+    the converged -3091.858, 4.2 times too small (186 times at 0.999).
+    The remainder's window and the T = 0 integral's v-window do follow
+    the kernel: they are 80 / rate wide, rate 1 for the force and the
+    gradient and 1 - Az/a for the shift.
     The T = 0 integral's fixed (v, s) panels are converged to ~3e-15, and
     its error estimate is measured (_zeta_integral).
     """
@@ -200,19 +200,6 @@ def _evaluate(term: Term, zeta: np.ndarray) -> np.ndarray:
                            for i in range(0, zeta.size, 4 * _CHUNK)])
 
 
-def _ascending(term: Term, zeta1: float, last: int, stack_end: Callable):
-    """(l, term(l zeta_1)) for l = 1 ... last, in ascending l.
-
-    One call per stack l = first ... stack_end(first), made (and stack_end
-    asked) when the caller reads the stack's first term.
-    """
-    first = 1
-    while first <= last:
-        l = np.arange(first, min(stack_end(first), last) + 1)
-        yield from zip(l.tolist(), term(l * zeta1).tolist())
-        first = int(l[-1]) + 1
-
-
 _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
 # evaluations of one remainder window, at full and at half the Gauss order
@@ -227,89 +214,84 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     The only frequency sum in the package: force, gradient, the nonlinear
     shift and the oracles differ only in the per-frequency callable, which
     takes an array of frequencies and returns one term per frequency.
-    Returns (sum, terms_used, tail_estimate).  The l = 0 term is evaluated
-    alone, the terms l >= 1 a stack per call in ascending l (_ascending);
-    the sum reads them one by one, in ascending l, so results are
-    bit-reproducible and a term evaluated past the stop never enters it.
-    A stack of at most chunk terms (1 for the oracles) ends at the next
-    check point (below) or _STOP_STREAK past the projected stop, ln(10 /
-    rel_tol) / (rate zeta_1) terms ahead for the first, n (below) after.
-    The sum stops after _STOP_STREAK consecutive terms each contribute less
-    than rel_tol/10, and its tail is estimated as a geometric series.
-    rate is the kernel's decay rate in v: the terms fall like
-    e^{-rate zeta_l} times a power of l (rate 1 for the force and the
-    gradient, 1 - Az/a for the shift).  The series' ratio is the last
+    Returns (sum, terms_used, tail_estimate), terms_used counting the terms
+    summed.  The l = 0 term is evaluated alone, the terms l >= 1 one stack
+    per call; each term of a stack is added in ascending l, so results are
+    bit-reproducible and a term evaluated past the stop never enters the
+    sum.  The sum stops after _STOP_STREAK consecutive terms each
+    contribute less than need = rel_tol/10 of it, and its tail is estimated
+    as a geometric series.  rate is the kernel's decay rate in v: the terms
+    fall like e^{-rate zeta_l} times a power of l (rate 1 for the force and
+    the gradient, 1 - Az/a for the shift).  The series' ratio is the last
     observed one, raised to at least e^{-rate zeta_1} and capped at 0.97:
     after a dip the term ratio rises back toward e^{-rate zeta_1}, and the
     last ratio alone undershoots.
-    A sum still running after the block l <= _EM_BLOCK (low temperature,
-    or a slowly decaying term) is completed by _em_remainder, and one that
-    is clearly going to be long hands off earlier.  At each check point,
-    a multiple of _CHUNK from _FIRST_CHECK on, the stop is projected at
-    the last term ratio r: n = ln(rel_tol/10 |sum| / |f_l|) / ln r terms
-    ahead.  If r >= 1, or n exceeds one remainder pass (_EM_PASS
-    evaluations), the remainder starts at zeta_b = l zeta_1.  The check
-    points do not depend on the stacks, so chunk = 1 and batched sums stay
-    bit-identical and no evaluated term goes unused.  The remainder's end
-    corrections need a term that is C^2 in zeta; a table's spline is.
+    After each stack the stop is projected once, at the last term ratio r:
+    n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need, none
+    at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).  The
+    next stack ends _STOP_STREAK past that stop, after at most chunk terms
+    (1 for the oracles), or at the next check point, a multiple of _CHUNK
+    from _FIRST_CHECK on.  A sum still running after the block l <=
+    _EM_BLOCK (low temperature, or a slowly decaying term) is completed by
+    _em_remainder, and one that is clearly going to be long hands off
+    earlier: a stack that ends at a check point with its stop more than
+    one remainder pass (_EM_PASS evaluations) ahead.  The check points do
+    not depend on chunk, so chunk = 1 and batched sums stay bit-identical
+    and no evaluated term goes unused.  The remainder's end corrections
+    need a term that is C^2 in zeta; a table's spline is.
     No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 485 terms; a
     remainder that falls short raises ConvergenceError with the partial
-    sum.  terms_used counts the terms summed.
+    sum.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
     total = 0.5 * float(term(np.zeros(1))[0])
-    terms = 1
+    values = []  # the terms l >= 1 summed so far
     streak = 0
     prev = math.inf
-    recent = deque(maxlen=7)
-
-    def stack_end(first: int) -> int:
-        ahead = math.inf  # terms to the stop; none projected at r >= 1
-        if first == 1:  # no ratio yet: the terms fall like e^{-rate zeta_l}
-            ahead = math.log(10.0 / quad.rel_tol) / (rate * zeta1)
-        elif abs(value) <= need:
+    ahead = math.log(10.0 / quad.rel_tol) / (rate * zeta1)
+    while len(values) < _EM_BLOCK:
+        first = len(values) + 1
+        check = max(_FIRST_CHECK, -(-first // _CHUNK) * _CHUNK)
+        last = min(_EM_BLOCK, math.ceil(
+            min(check, first - 1 + min(chunk, ahead + _STOP_STREAK))))
+        for value in term(np.arange(first, last + 1) * zeta1).tolist():
+            total += value
+            values.append(value)
+            need = quad.rel_tol / 10.0 * abs(total)
+            ratio = abs(value) / prev
+            if abs(value) < need:
+                streak += 1
+                if streak >= _STOP_STREAK:
+                    ratio = min(max(ratio, decay), 0.97) if prev > 0.0 else 0.0
+                    return (total, len(values) + 1,
+                            abs(value) * ratio / (1.0 - ratio))
+            else:
+                streak = 0
+            prev = abs(value) if value != 0.0 else prev
+        ahead = math.inf  # the projected stop, terms past l = last
+        if abs(value) <= need:
             ahead = 0.0
         elif 0.0 < ratio < 1.0 and need > 0.0:
             ahead = math.log(need / abs(value)) / math.log(ratio)
-        check = max(_FIRST_CHECK, -(-first // _CHUNK) * _CHUNK)
-        return math.ceil(min(check, first - 1 + min(chunk, ahead + _STOP_STREAK)))
-
-    for l, value in _ascending(term, zeta1, _EM_BLOCK, stack_end):
-        total += value
-        terms += 1
-        recent.append(value)
-        need = quad.rel_tol / 10.0 * abs(total)
-        ratio = abs(value) / prev
-        if abs(value) < need:
-            streak += 1
-            if streak >= _STOP_STREAK:
-                ratio = min(max(ratio, decay), 0.97) if prev > 0.0 else 0.0
-                return total, terms, abs(value) * ratio / (1.0 - ratio)
-        else:
-            streak = 0
-            if l >= _FIRST_CHECK and l % _CHUNK == 0:
-                # the stop, projected at this ratio, lies past one pass
-                if ratio >= 1.0 or abs(value) * ratio ** _EM_PASS > need:
-                    break
-        prev = abs(value) if value != 0.0 else prev
-    return _em_remainder(term, zeta1, l * zeta1, list(recent), total, terms,
-                         quad, rate)
+        if last == check and ahead > _EM_PASS:
+            break
+    return _em_remainder(term, zeta1, values, total, quad, rate)
 
 
-def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
-                  total: float, terms: int, quad: QuadratureSpec,
-                  rate: float = 1.0):
+def _em_remainder(term: Term, h: float, values: list, total: float,
+                  quad: QuadratureSpec, rate: float = 1.0):
     """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
 
-    The primed sum is the trapezoid rule for the zeta-integral, so by
-    Euler-Maclaurin the remainder is
+    values holds the explicit terms f(h) ... f(L h), and total their
+    primed sum with the l = 0 term.  The primed sum is the trapezoid rule
+    for the zeta-integral, so by Euler-Maclaurin the remainder is
 
         (1/h) int_{zeta_b}^inf f - f(zeta_b)/2 - h f'(zeta_b)/12
             + h^3 f'''(zeta_b)/720.
 
     h f' and h^3 f''' come from the backward differences of the last seven
-    samples f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
+    terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
     80 / rate]: the terms fall like e^{-rate zeta}, so it spans 80
     e-foldings at every rate.  It takes _FINE_NODES (at 76 + 38 the 3 K
@@ -321,12 +303,13 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
     and 1 K needs a rel_tol below ~3e-30 for that.  Returns (sum,
     terms_used, tail_estimate).
     """
-    nabla = [float(np.diff(samples, k)[-1]) for k in range(1, 7)]
+    nabla = [float(np.diff(values[-7:], k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
     d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
     last_correction = d3 / 720.0
-    total += -0.5 * samples[-1] - d1 / 12.0 + last_correction
+    total += -0.5 * values[-1] - d1 / 12.0 + last_correction
     width = _PANEL_EDGES[-1] / rate
+    zeta_b = len(values) * h
     z, w = _grid_from(zeta_b, width, _FINE_NODES)
     zc, wc = _grid_from(zeta_b, width)
     f = _evaluate(term, np.concatenate((z, zc))).tolist()
@@ -338,7 +321,7 @@ def _em_remainder(term: Term, h: float, zeta_b: float, samples: list,
         raise ConvergenceError(
             f"Euler-Maclaurin remainder cut at {cut / abs(total):.3g} of the "
             f"sum, above rel_tol/10 (rel_tol = {quad.rel_tol:g})", partial=total)
-    return (total, terms + _EM_PASS,
+    return (total, len(values) + 1 + _EM_PASS,
             abs(last_correction) + abs(fine - coarse) + cut)
 
 

@@ -259,7 +259,7 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
     exact arithmetic, at m/2 + 1 force calls, where the full circle would
     call the force again at the mirrored nodes, whose cosines round to
     other floats.  m is doubled until the result is stable to _THETA_TOL,
-    up to 256 points, and ConvergenceError carries the last estimate if it
+    up to 2048 points, and ConvergenceError carries the last estimate if it
     is not.  Force values are reused across doublings (the grids nest).
     """
     expect_variant(geom, EllipticLens, "frequency_shift_direct_oracle")
@@ -273,7 +273,7 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
         return cache[sep]
 
     prev = None
-    for m in (16, 32, 64, 128, 256):
+    for m in (16, 32, 64, 128, 256, 512, 1024, 2048):
         half = m // 2
         cos = np.cos(math.pi * np.arange(half + 1) / half)
         vals = np.array([force_at(env.a + osc.Az * c) for c in cos])

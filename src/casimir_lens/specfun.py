@@ -24,7 +24,7 @@ class ConvergenceError(RuntimeError):
     """Raised when a sum stops short of its tolerance.
 
     The Matsubara sum raises it when its one Euler-Maclaurin window falls
-    short of rel_tol, and the shift oracle at 256 theta points; the best
+    short of rel_tol, and the shift oracle at 2048 theta points; the best
     partial value is carried in the `partial` attribute.
     """
 
