@@ -17,8 +17,8 @@ import json
 import sys
 from functools import lru_cache
 
-from .config import (ConfigError, RunConfig, describe_config, load_config,
-                     substitute, visited_range)
+from .config import (_READS, ConfigError, RunConfig, describe_config,
+                     load_config, substitute, visited_range)
 from .electrostatics import asymmetric_electric_force
 from .engine import force, gradient
 from .geometry import Environment, rotation_factor, validate_geometry
@@ -207,6 +207,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tolerance is not None:
+            if "quadrature" not in _READS[cfg.command]:
+                raise ConfigError("--tolerance is not read by command "
+                                  f"'{cfg.command}'")
             cfg = dataclasses.replace(
                 cfg, quadrature=dataclasses.replace(cfg.quadrature,
                                                     rel_tol=args.tolerance))

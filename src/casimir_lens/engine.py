@@ -22,7 +22,7 @@ the lens and are used to bound the error of the leading-order expressions.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -87,7 +87,9 @@ class ForceResult:
 
 _PANEL_EDGES = (0.0, 2.0, 8.0, 20.0, 45.0, 80.0)
 _PANEL_NODES = (24, 16, 16, 12, 8)  # the one v-rule, 76 nodes
-_FINE_NODES = tuple(2 * n for n in _PANEL_NODES)  # remainder, oracles
+# The remainder's zeta-rule, and the oracles' v-rule: on _PANEL_NODES the
+# PFA oracle drifts by 1.7 - 3.3e-12, past its estimate at rel_tol = 1e-13.
+_FINE_NODES = tuple(2 * n for n in _PANEL_NODES)
 
 
 @lru_cache(maxsize=None)
@@ -180,16 +182,17 @@ _CHUNK = 19
 
 
 def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
-                        a: float):
+                        a: float, nodes: tuple = _PANEL_NODES):
     """The v-integral at fixed zeta: one Matsubara term per frequency.
 
+    The package's one, for every kernel; nodes is the v-rule (_grid_from).
     zeta is a float or a 1-D array.  For an array, one call of
     reflection_sq_grid and of the kernel covers the whole (zeta, v) grid,
     a row per frequency, and each row is then summed on its own, as a
     lone frequency is.
     """
     zeta = np.asarray(zeta, dtype=float)
-    v, w = _grid_from(zeta)
+    v, w = _grid_from(zeta, nodes=nodes)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta[..., None], v, a)
     return np.sum(w * kernel(v, r_tm2, r_te2), axis=-1)
 
@@ -263,7 +266,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
             if abs(value) < need:
                 streak += 1
                 if streak >= _STOP_STREAK:
-                    ratio = min(max(ratio, decay), 0.97) if prev > 0.0 else 0.0
+                    ratio = min(max(ratio, decay), 0.97)
                     return (total, len(values) + 1,
                             abs(value) * ratio / (1.0 - ratio))
             else:
@@ -406,27 +409,23 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
 
     The one evaluator of every Lifshitz-type quantity: force, gradient and
     nonlinear shift differ only in the per-v kernel (and derivative=True
-    adds the gradient's extra -1/a).  Holds the only prefactor and the only
-    T = 0 dispatch: at T = 0 the sum's kB T becomes hbar c / 4 pi a times
-    the continuous zeta-integral (_zeta_integral), whose terms_used counts
-    v-rows.  rate is the kernel's decay rate, the kernel falling like
-    e^{-rate v}; the Matsubara sum sizes its tail ratio and its
-    remainder's first window by it, and the T = 0 integral its v-window.
+    adds the gradient's extra -1/a).  Holds the one prefactor, kT at every
+    temperature, and the only T = 0 dispatch: at T = 0 kT is hbar c / 4 pi a
+    and the sum the continuous zeta-integral (_zeta_integral), whose
+    terms_used counts v-rows.  rate is the kernel's decay rate, the kernel
+    falling like e^{-rate v}; the Matsubara sum sizes its tail ratio and
+    its remainder's first window by it, and the T = 0 integral its v-window.
     """
     a = env.a
 
     def term(zeta: np.ndarray) -> np.ndarray:
         return _frequency_integral(kernel, model, zeta, a)
 
-    shape = shape_factor(geom)
     zero_t = env.T == 0.0
-    if zero_t:
-        hc = CONSTANTS.hbar * CONSTANTS.c
-        pref = -(hc * geom.L / (16.0 * math.pi * SQRT_PI * a ** 3)
-                 * shape / math.sqrt(2.0 * a))
-    else:
-        pref = -(CONSTANTS.kB * env.T * geom.L / (4.0 * SQRT_PI * a * a)
-                 * shape / math.sqrt(2.0 * a))
+    kT = (CONSTANTS.hbar * CONSTANTS.c / (4.0 * math.pi * a) if zero_t
+          else CONSTANTS.kB * env.T)
+    pref = -(kT * geom.L / (4.0 * SQRT_PI * a * a)
+             * shape_factor(geom) / math.sqrt(2.0 * a))
     if derivative:
         pref = -pref / a
     if zero_t:
@@ -567,8 +566,8 @@ def rotated_gradient(geom: RotatedLens, env: Environment,
 # simplifications the production formulas rely on.  Exact variable changes
 # only: the width integral is taken in z with z - a = u^2 (removing the
 # inverse-sqrt edge factor), and u is rescaled by sqrt(a/v) so a fixed Gauss
-# grid resolves the exponential weight at every v.  Each Matsubara term
-# builds one v x sigma grid (a row per v node, a column per sigma node).  At
+# grid resolves the exponential weight at every v.  A Matsubara term is the
+# v-integral of _oracle_kernel, a sigma axis past each v node's.  At
 # each node the plate-plate reflection-order series sum_{n>=1} rho^n is the
 # geometric series rho/(1 - rho), taken in that closed form: it is exact per
 # node, so the oracle drops no order and its independence from the
@@ -582,74 +581,63 @@ def _order_sum(r2: np.ndarray, exponent: np.ndarray,
                decay: np.ndarray) -> np.ndarray:
     """sum_{n>=1} rho^n = rho/(1 - rho), rho = r2 e^{exponent}, per node.
 
-    r2 holds one reflection coefficient squared per row, exponent (<= 0)
-    the rows' -v - sigma^2 and decay its exp, which the two polarizations
-    share.  The denominator is -expm1(ln r2 + exponent),
-    with ln r2 taken once per row, so 1 - rho keeps its digits as rho -> 1
-    (on the oracle grids the naive 1 - rho is up to 9e-11 relative off
-    40-digit mpmath, this form 2e-14).  A row with r2 = 0 gives exactly 0.
+    r2 holds one reflection coefficient squared per v node, exponent (<= 0)
+    each node's -v - sigma^2 on a last, sigma axis and decay its exp, which
+    the polarizations share.  The denominator is -expm1(ln r2 + exponent),
+    with ln r2 taken once per v node, so 1 - rho keeps its digits as rho ->
+    1 (on the oracle grids the naive 1 - rho is up to 9e-11 relative off
+    40-digit mpmath, this form 2e-14).  A node with r2 = 0 gives exactly 0.
     """
     with np.errstate(divide="ignore"):
-        ln_r2 = np.log(r2)[:, None]
-    return r2[:, None] * decay / -np.expm1(ln_r2 + exponent)
+        ln_r2 = np.log(r2)[..., None]
+    return r2[..., None] * decay / -np.expm1(ln_r2 + exponent)
 
 
-def _oracle_term(model: PermittivityModel, zeta: float, a: float,
-                 chord: float, u2_max: float) -> float:
-    """One oracle Matsubara term: int dv v^2 * (width integral) at fixed zeta.
+def _oracle_kernel(v, r_tm2, r_te2, a: float, chord: float, u2_max: float):
+    """The oracles' integrand: v^2 times the width integral, per v node.
 
     The width integral at fixed v is
 
         2 int_0^sqrt(u2_max) du (chord - u^2)/sqrt(2 chord - u^2)
             sum_n [ (r_TM^2 e^{-v(a+u^2)/a})^n + (TE term) ],
 
-    evaluated in sigma = u sqrt(v/a) on a fixed Gauss grid, so the
-    e^{-sigma^2} weight is resolved at every v.  The v nodes (rows, on
-    _FINE_NODES: at 76 the PFA oracle drifts 1.7 - 3.3e-12, past its
-    estimate at rel_tol = 1e-13) and the sigma nodes (columns) form one
-    grid, and each polarization's order series is summed on all of it in
-    closed form (_order_sum); a polarization that does not reflect (TE for
-    Drude at zeta = 0) adds exactly 0.0.  Every element goes through the
-    same operations as when each v node is taken alone, and the v-integral
-    is summed over the rows in ascending v as Python floats, so it rounds
-    as a node-by-node loop does.
+    taken in sigma = u sqrt(v/a) on a fixed Gauss grid on a last axis, so
+    the e^{-sigma^2} weight is resolved at every v.  Each polarization's
+    order series is summed on the (v, sigma) grid in closed form
+    (_order_sum); one that does not reflect (TE for Drude at zeta = 0) adds
+    exactly 0.0.  Each v node goes through the operations it would alone.
     """
     x, w = _leggauss(_SIGMA_NODES)
-    v_nodes, v_weights = _grid_from(zeta, nodes=_FINE_NODES)
-    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
-    v = v_nodes[:, None]
-    smax = np.minimum(np.sqrt(u2_max * v / a), _SIGMA_CUT)
+    col = v[..., None]
+    smax = np.minimum(np.sqrt(u2_max * col / a), _SIGMA_CUT)
     sig = 0.5 * smax * (x + 1.0)
-    wsig = w * 0.5 * smax
-    u2 = a * sig * sig / v
+    u2 = a * sig * sig / col
     geo = 2.0 * (chord - u2) / np.sqrt(2.0 * chord - u2)
-    exponent = -v - sig * sig
+    exponent = -col - sig * sig
     decay = np.exp(exponent)
     series = (_order_sum(r_tm2, exponent, decay)
               + _order_sum(r_te2, exponent, decay))
-    values = np.sqrt(a / v_nodes) * np.sum(wsig * geo * series, axis=1)
-    total = 0.0
-    for vv, wv, value in zip(v_nodes.tolist(), v_weights.tolist(),
-                             values.tolist()):
-        total += wv * vv * vv * value
-    return total
+    return v * v * (np.sqrt(a / v)
+                    * np.sum(w * 0.5 * smax * geo * series, axis=-1))
 
 
 def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
                 u2_max: float, quad: QuadratureSpec):
-    """Matsubara sum of _oracle_term: the oracles' one frequency loop.
+    """Matsubara sum of the v-integral of _oracle_kernel on _FINE_NODES.
 
-    Each Matsubara term is one v x sigma grid (_oracle_term); the terms go
-    through _matsubara_sum like the production formulas', one frequency
-    per call, so no term is evaluated past the stop.  Returns (sum,
-    terms_used, tail_estimate): the order series is summed exactly, so the
-    tail estimate is the Matsubara loop's alone.
+    The terms are _frequency_integral's, as the production formulas', and
+    go through _matsubara_sum one frequency per call, so no term is
+    evaluated past the stop.  Returns (sum, terms_used, tail_estimate):
+    the order series is summed exactly, so the tail estimate is the
+    Matsubara loop's alone.
     """
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
+    kernel = partial(_oracle_kernel, a=env.a, chord=chord, u2_max=u2_max)
 
     def v_integral(zeta: np.ndarray) -> np.ndarray:
-        return np.array([_oracle_term(model, z, env.a, chord, u2_max)
+        return np.array([_frequency_integral(kernel, model, z, env.a,
+                                             _FINE_NODES)
                          for z in zeta.tolist()])
 
     return _matsubara_sum(v_integral, env, quad, chunk=1)

@@ -149,11 +149,11 @@ def test_traced_evaluations_record_work_and_required_layers():
             casimir_lens.frequency_shift_direct_oracle(lens, env, model, osc)),
     }
     tracer = spans.Tracer(_boundaries())
-    work = {}
+    work, results = {}, {}
     with tracer:
         for name, evaluate in evaluations.items():
             first = len(tracer.spans)
-            evaluate()
+            results[name] = evaluate()
             work[name] = {}
             for span in tracer.spans[first:]:
                 work[name].setdefault(span.name, []).append(span.work)
@@ -162,5 +162,8 @@ def test_traced_evaluations_record_work_and_required_layers():
     assert work["force_300K"]["engine.zero_t"] == [114]
     assert work["force_T0"]["engine.zero_t"] == [114]
     assert "engine.finite_t" not in work["force_T0"]
+    # perfbench reads engine.oracle's work from _oracle_sum's terms_used
+    oracle = results["oracles"][0]
+    assert work["oracles"]["engine.oracle"] == [oracle.terms_used]
     spans.require_calls(spans.layer_stats(tracer.spans), sorted(required),
                         "tier-1 trace")

@@ -150,9 +150,8 @@ def test_tolerance_override_recorded(tmp_path, capsys):
     assert "# quadrature.rel_tol = 9.9999999999999995e-07" in out
 
 
-def test_efield_parabola(tmp_path, capsys):
-    cfg = BASE.replace("command = force", "command = efield").replace(
-        "[material]\nmodel = ideal\n\n", "") + """
+EFIELD = BASE.replace("command = force", "command = efield").replace(
+    "[material]\nmodel = ideal\n\n", "") + """
 [efield]
 V = 0.5
 V0 = 0.1
@@ -163,7 +162,36 @@ start = -0.3
 stop = 0.5
 count = 5
 """
-    assert main(["--config", write(tmp_path, cfg)]) == 0
+
+RATIO_SWEEP = """
+[run]
+command = ratio-sweep
+
+[sweep]
+variable = phi
+start = 0.0
+stop = 1.5707963267948966
+count = 9
+ratios = 1.1, 1.2, 1.4
+"""
+
+
+@pytest.mark.parametrize("command, cfg", [("efield", EFIELD),
+                                          ("ratio-sweep", RATIO_SWEEP)],
+                         ids=["efield", "ratio-sweep"])
+def test_tolerance_rejected_where_no_frequency_sum_runs(tmp_path, capsys,
+                                                        command, cfg):
+    # the flag sets [quadrature] rel_tol, which these commands do not read
+    assert main(["--config", write(tmp_path, cfg),
+                 "--tolerance", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: --tolerance is not read by "
+                            f"command '{command}'\n")
+
+
+def test_efield_parabola(tmp_path, capsys):
+    assert main(["--config", write(tmp_path, EFIELD)]) == 0
     header, rows = rows_of(capsys.readouterr().out)
     assert header == ["a_m", "V_volt", "V0_volt", "force_N"]
     vs = [float(r[1]) for r in rows]
@@ -194,18 +222,7 @@ Az = 20e-9
 
 
 def test_ratio_sweep_columns_and_values(tmp_path, capsys):
-    cfg = """
-[run]
-command = ratio-sweep
-
-[sweep]
-variable = phi
-start = 0.0
-stop = 1.5707963267948966
-count = 9
-ratios = 1.1, 1.2, 1.4
-"""
-    assert main(["--config", write(tmp_path, cfg)]) == 0
+    assert main(["--config", write(tmp_path, RATIO_SWEEP)]) == 0
     header, rows = rows_of(capsys.readouterr().out)
     assert header == ["phi_rad", "G_A_over_B_1.1", "G_A_over_B_1.2",
                       "G_A_over_B_1.4"]

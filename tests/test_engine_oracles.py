@@ -8,8 +8,9 @@ import pytest
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (_FINE_NODES, _SIGMA_CUT, _SIGMA_NODES,
                                  DEFAULT_QUADRATURE,
-                                 QuadratureSpec, _grid_from, _leggauss,
-                                 _oracle_term, _order_sum, casimir_force,
+                                 QuadratureSpec, _frequency_integral,
+                                 _grid_from, _leggauss, _oracle_kernel,
+                                 _order_sum, casimir_force,
                                  direct_pfa_force_oracle,
                                  rotated_direct_oracle, rotated_force)
 from casimir_lens.geometry import Environment, RotatedLens, symmetric_lens
@@ -109,9 +110,9 @@ def test_oracle_error_estimate_is_measured():
             assert res.est_abs_error < 1.2 * err, case
 
 
-# Per-v reference for the vectorized oracle term: the closed-form order sum
-# on one v node's sigma nodes, and the width integral evaluated one v node
-# at a time.
+# Per-v reference for the vectorized oracle kernel: the closed-form order
+# sum on one v node's sigma nodes, and the width integral evaluated one v
+# node at a time.
 
 def _order_sum_ref(r2, exponent, decay):
     """rho/(1 - rho) on one row, rho = r2 decay, decay = e^{exponent}."""
@@ -134,14 +135,14 @@ def _width_integral_ref(v, r_tm2, r_te2, a, chord, u2_max):
 
 
 def _oracle_term_ref(model, zeta, a, chord, u2_max):
-    # the oracles keep the v-rule of twice the production order
-    v_nodes, v_weights = _grid_from(zeta, nodes=_FINE_NODES)
+    # the oracles keep the v-rule of twice the production order; each v
+    # node's integrand is evaluated alone, then summed as the v-integral is
+    v_nodes, w = _grid_from(zeta, nodes=_FINE_NODES)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
-    total = 0.0
-    for v, wv, tm2, te2 in zip(v_nodes, v_weights, r_tm2, r_te2):
-        total += wv * v * v * _width_integral_ref(
-            float(v), float(tm2), float(te2), a, chord, u2_max)
-    return total
+    rows = np.array([v * v * _width_integral_ref(
+        v, tm2, te2, a, chord, u2_max) for v, tm2, te2 in zip(
+            v_nodes.tolist(), r_tm2.tolist(), r_te2.tolist())])
+    return np.sum(w * rows)
 
 
 _A_TERM = 200e-9
@@ -155,9 +156,14 @@ _ZETA1 = (4.0 * math.pi * _A_TERM * CONSTANTS.kB * 300.0
                          ids=["drude", "plasma", "ideal"])
 def test_vectorized_oracle_term_is_bit_identical_to_per_v_loop(model, zeta):
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
-    args = (model, zeta, _A_TERM, lens.B, lens.h)
+
+    def kernel(v, r_tm2, r_te2):
+        return _oracle_kernel(v, r_tm2, r_te2, _A_TERM, lens.B, lens.h)
+
     with np.errstate(divide="raise", invalid="raise"):  # r^2 = 0 rows
-        assert _oracle_term(*args) == _oracle_term_ref(*args)
+        assert _frequency_integral(kernel, model, zeta, _A_TERM,
+                                   _FINE_NODES) == \
+            _oracle_term_ref(model, zeta, _A_TERM, lens.B, lens.h)
     if zeta == 0.0 and model == gold_drude():
         v, _ = _grid_from(0.0)
         assert not np.any(reflection_sq_grid(model, 0.0, v, _A_TERM)[1])
@@ -168,7 +174,7 @@ def test_vectorized_oracle_term_is_bit_identical_to_per_v_loop(model, zeta):
 @pytest.mark.parametrize("model", [gold_drude(), gold_plasma(), IdealMetal()],
                          ids=["drude", "plasma", "ideal"])
 def test_order_sum_matches_mpmath_per_node(model, zeta):
-    # the grids _oracle_term hands the order sum, every fourth v row and
+    # the grids _oracle_kernel hands the order sum, every fourth v row and
     # sigma column (the smallest v and sigma, where rho -> 1, included),
     # against 40-digit mpmath from the same float r^2, v and sigma
     mp = pytest.importorskip("mpmath")

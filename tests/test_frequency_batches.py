@@ -299,13 +299,14 @@ def test_slow_shift_evaluates_the_whole_bound(monkeypatch):
 
 def test_oracle_evaluates_only_the_terms_it_sums(monkeypatch):
     calls = []
-    oracle_term = engine._oracle_term
+    frequency_integral = engine._frequency_integral
 
-    def counted(*args):
-        calls.append(args[1])
-        return oracle_term(*args)
+    def counted(kernel, model, zeta, a, nodes=engine._PANEL_NODES):
+        if nodes == engine._FINE_NODES:  # an oracle term
+            calls.append(zeta)
+        return frequency_integral(kernel, model, zeta, a, nodes)
 
-    monkeypatch.setattr(engine, "_oracle_term", counted)
+    monkeypatch.setattr(engine, "_frequency_integral", counted)
     res = direct_pfa_force_oracle(LENS, Environment(a=1e-6, T=300.0),
                                   gold_drude())
     assert len(calls) == res.terms_used

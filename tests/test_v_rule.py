@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from casimir_lens import engine
-from casimir_lens.engine import _PANEL_NODES, _grid_from, force, gradient
+from casimir_lens.engine import _PANEL_NODES, force, gradient
 from casimir_lens.geometry import Environment, symmetric_lens
-from casimir_lens.materials import (IdealMetal, gold_drude, gold_plasma,
-                                    reflection_sq_grid)
+from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
 from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
 
 LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
@@ -41,15 +40,13 @@ def test_v_rule_against_twice_its_order(monkeypatch, model, T):
     # are.  The largest change seen is 1.4e-14, on the shift at Az/a = 0.5
     env = Environment(a=A, T=T)
     got = _results(model, env)
-    doubled = tuple(2 * n for n in _PANEL_NODES)
+    frequency_integral = engine._frequency_integral
     calls = []
 
-    def v_integral(kernel, model, zeta, a):
+    def v_integral(kernel, model, zeta, a, nodes=_PANEL_NODES):
         calls.append(np.size(zeta))
-        zeta = np.asarray(zeta, dtype=float)
-        v, w = _grid_from(zeta, nodes=doubled)
-        r_tm2, r_te2 = reflection_sq_grid(model, zeta[..., None], v, a)
-        return np.sum(w * kernel(v, r_tm2, r_te2), axis=-1)
+        return frequency_integral(kernel, model, zeta, a,
+                                  tuple(2 * n for n in nodes))
 
     monkeypatch.setattr(engine, "_frequency_integral", v_integral)
     ref = _results(model, env)
