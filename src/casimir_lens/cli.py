@@ -14,6 +14,7 @@ are still written, flagged).
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -117,19 +118,26 @@ def run_command(cfg: RunConfig, threads: int = 1):
 
     Returns (columns, rows, failure).  failure is None on full success or
     the ConvergenceError that cut the sweep short; rows then hold the points
-    completed before it (in sweep order).  threads is ignored; it is kept
-    only because perfbench/workloads.py still passes it.
+    completed before it (in sweep order).  A row that is not finite or
+    raises ArithmeticError raises ValueError naming it.  threads is ignored;
+    it is kept only because perfbench/workloads.py still passes it.
     """
     columns, worker = _PLANS[cfg.command](cfg)
     points = cfg.sweep.points() if cfg.sweep is not None else [None]
     rows = []
     failure = None
-    for x in points:
+    for i, x in enumerate(points, start=1):
         try:
-            rows.append(worker(x))
+            row = worker(x)
+            if not all(map(math.isfinite, row)):
+                raise ArithmeticError(f"not finite: {dict(zip(columns, row))}")
         except ConvergenceError as exc:
             failure = exc
             break
+        except ArithmeticError as exc:
+            at = "" if x is None else f" ({cfg.sweep.variable} = {x:g})"
+            raise ValueError(f"row {i}{at}: {exc}") from exc
+        rows.append(row)
     return columns, rows, failure
 
 

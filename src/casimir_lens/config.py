@@ -318,10 +318,7 @@ def _check_consistency(cfg: RunConfig) -> None:
         owner, name, missing = _SWEPT[cfg.sweep.variable]
         if not hasattr(getattr(cfg, owner), name):
             raise ConfigError(missing)
-        if cfg.sweep.variable == "Az" and cfg.sweep.stop >= cfg.environment.a:
-            raise ConfigError("Az sweep extends to or beyond the separation a")
     if cmd == "freq-shift":
-        # an Az sweep past a was rejected above with its own message
         az_hi = visited_range(cfg, "Az")[1]
         a_lo = visited_range(cfg, "a")[0]
         if az_hi >= a_lo:

@@ -43,9 +43,8 @@ class QuadratureSpec:
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
     remainder: a low-temperature force costs 286 term evaluations (1 + 57
-    explicit and one remainder pass of 228) where the whole explicit block
-    and the pass cost 485, for every permittivity model.  No sum evaluates
-    more than those 485 (_matsubara_sum).
+    explicit and one remainder pass of 228), and no sum more than 485
+    (_matsubara_sum), for every permittivity model.
     The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
     error not yet in est_abs_error.  Against the rule of twice its order,
     forces and gradients moved by <= 1.1e-15 at 30 - 300 K and
@@ -176,9 +175,7 @@ def _gradient_kernel(v, r_tm2, r_te2):
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 Term = Callable[[np.ndarray], np.ndarray]
 
-# Spacing of the hand-off check points: a stack of terms ends at the next
-# one or at the projected stop (_matsubara_sum).  _evaluate takes 4 _CHUNK.
-_CHUNK = 19
+_STACK = 76  # frequencies per term call: a third of a remainder pass
 
 
 def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
@@ -198,20 +195,21 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
 
 
 def _evaluate(term: Term, zeta: np.ndarray) -> np.ndarray:
-    """term at every frequency of zeta, 4 _CHUNK (a third of a pass) a call."""
-    return np.concatenate([term(zeta[i:i + 4 * _CHUNK])
-                           for i in range(0, zeta.size, 4 * _CHUNK)])
+    """term at every frequency of zeta, _STACK a call."""
+    return np.concatenate([term(zeta[i:i + _STACK])
+                           for i in range(0, zeta.size, _STACK)])
 
 
 _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
 # evaluations of one remainder window, at full and at half the Gauss order
 _EM_PASS = sum(_FINE_NODES) + sum(_PANEL_NODES)
-_FIRST_CHECK = 3 * _CHUNK  # the first l at which the block may hand off
+_HANDOFF = 57  # the one l before the block's end at which a sum may hand off
+_MAX_RATIO = 0.97  # the largest ratio the geometric tail estimate takes
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
-                   chunk: int = _FIRST_CHECK, rate: float = 1.0):
+                   chunk: int = _STACK, rate: float = 1.0):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
@@ -226,22 +224,20 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     as a geometric series.  rate is the kernel's decay rate in v: the terms
     fall like e^{-rate zeta_l} times a power of l (rate 1 for the force and
     the gradient, 1 - Az/a for the shift).  The series' ratio is the last
-    observed one, raised to at least e^{-rate zeta_1} and capped at 0.97:
-    after a dip the term ratio rises back toward e^{-rate zeta_1}, and the
-    last ratio alone undershoots.
+    observed one, raised to at least e^{-rate zeta_1} (after a dip the term
+    ratio rises back toward it) and capped at _MAX_RATIO.  Such a series
+    cannot bound terms that fall slower, so where e^{-rate zeta_1} >
+    _MAX_RATIO the sum does not stop in the block.
     After each stack the stop is projected once, at the last term ratio r:
     n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need, none
     at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).  The
     next stack ends _STOP_STREAK past that stop, after at most chunk terms
-    (1 for the oracles), or at the next check point, a multiple of _CHUNK
-    from _FIRST_CHECK on.  A sum still running after the block l <=
-    _EM_BLOCK (low temperature, or a slowly decaying term) is completed by
-    _em_remainder, and one that is clearly going to be long hands off
-    earlier: a stack that ends at a check point with its stop more than
-    one remainder pass (_EM_PASS evaluations) ahead.  The check points do
-    not depend on chunk, so chunk = 1 and batched sums stay bit-identical
-    and no evaluated term goes unused.  The remainder's end corrections
-    need a term that is C^2 in zeta; a table's spline is.
+    (_STACK; 1 for the oracles), or at l = _HANDOFF or _EM_BLOCK.  A sum still
+    running after the block is completed by _em_remainder, and one whose
+    stop lies more than one remainder pass (_EM_PASS evaluations) past
+    l = _HANDOFF hands off there.  That point does not depend on chunk, so
+    chunk = 1 and batched sums stay bit-identical.  The remainder's end
+    corrections need a term that is C^2 in zeta; a table's spline is.
     No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 485 terms; a
     remainder that falls short raises ConvergenceError with the partial
     sum.
@@ -255,9 +251,9 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     ahead = math.log(10.0 / quad.rel_tol) / (rate * zeta1)
     while len(values) < _EM_BLOCK:
         first = len(values) + 1
-        check = max(_FIRST_CHECK, -(-first // _CHUNK) * _CHUNK)
-        last = min(_EM_BLOCK, math.ceil(
-            min(check, first - 1 + min(chunk, ahead + _STOP_STREAK))))
+        end = _HANDOFF if first <= _HANDOFF else _EM_BLOCK
+        last = min(end, math.ceil(
+            first - 1 + min(chunk, ahead + _STOP_STREAK)))
         for value in term(np.arange(first, last + 1) * zeta1).tolist():
             total += value
             values.append(value)
@@ -265,8 +261,8 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
             ratio = abs(value) / prev
             if abs(value) < need:
                 streak += 1
-                if streak >= _STOP_STREAK:
-                    ratio = min(max(ratio, decay), 0.97)
+                if streak >= _STOP_STREAK and decay <= _MAX_RATIO:
+                    ratio = min(max(ratio, decay), _MAX_RATIO)
                     return (total, len(values) + 1,
                             abs(value) * ratio / (1.0 - ratio))
             else:
@@ -277,7 +273,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
             ahead = 0.0
         elif 0.0 < ratio < 1.0 and need > 0.0:
             ahead = math.log(need / abs(value)) / math.log(ratio)
-        if last == check and ahead > _EM_PASS:
+        if last == _HANDOFF and ahead > _EM_PASS:
             break
     return _em_remainder(term, zeta1, values, total, quad, rate)
 
@@ -333,18 +329,17 @@ def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
     """v nodes, weights and row integrals int_0^v dzeta of the kernel.
 
     zeta = v s maps each row's triangle zeta <= v onto s in [0, 1], so the
-    row integral is v int_0^1 ds kernel.  The v-rule is _panels over
-    _PANEL_EDGES scaled to span, the s-rule _panels over _S_EDGES, and the
-    whole (v, s) grid, a row per v node, goes through one call of
-    reflection_sq_grid and one of the kernel; each row is then summed on
-    its own.  Both take v as a column (n, 1), so e^-v, its powers and an
-    ideal metal's kernel are computed once per row.  A tabulated model is
-    not evaluated below _ZETA_MIN: each row's s-rule is mapped onto
-    [s0, 1], s0 = _ZETA_MIN / v, and the sliver [0, s0] is added to the
-    weight of the row's first node.
+    row integral is v int_0^1 ds kernel.  The v-rule is a Matsubara
+    term's window at zeta = 0, _grid_from(0.0, span, v_nodes), the s-rule
+    _panels over _S_EDGES, and the whole (v, s) grid, a row per v node,
+    goes through one call of reflection_sq_grid and one of the kernel;
+    each row is then summed on its own.  Both take v as a column (n, 1),
+    so e^-v, its powers and an ideal metal's kernel are computed once per
+    row.  A tabulated model is not evaluated below _ZETA_MIN: each row's
+    s-rule is mapped onto [s0, 1], s0 = _ZETA_MIN / v, and the sliver
+    [0, s0] is added to the weight of the row's first node.
     """
-    scale = span / _PANEL_EDGES[-1]
-    v, wv = _panels(tuple(e * scale for e in _PANEL_EDGES), v_nodes)
+    v, wv = _grid_from(0.0, span, v_nodes)
     s, ws = _panels(_S_EDGES, s_nodes)
     zeta_lo = _ZETA_MIN if isinstance(model, Tabulated) else 0.0
     col = v[:, None]
@@ -417,10 +412,6 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     its remainder's first window by it, and the T = 0 integral its v-window.
     """
     a = env.a
-
-    def term(zeta: np.ndarray) -> np.ndarray:
-        return _frequency_integral(kernel, model, zeta, a)
-
     zero_t = env.T == 0.0
     kT = (CONSTANTS.hbar * CONSTANTS.c / (4.0 * math.pi * a) if zero_t
           else CONSTANTS.kB * env.T)
@@ -431,6 +422,7 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     if zero_t:
         return _scaled(pref, *_zeta_integral(kernel, model, a, rate),
                        mode="zeroT")
+    term = partial(_frequency_integral, kernel, model, a=a)
     return _finite_t(term, pref, env, quad, rate)
 
 

@@ -16,6 +16,7 @@ import inspect
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import casimir_lens
@@ -98,6 +99,31 @@ def test_each_bench_table_computes_each_value_once(name, monkeypatch):
     assert [out.failure for out in outputs] == [None] * len(outputs)
     assert (counts.get("_zeta_integral", 0),
             counts.get("gradient", 0)) == _TABLE_WORK[name]
+
+
+# per seed-0 table: (frequencies, calls) of engine._frequency_integral
+_TABLE_TERMS = {"force-sweep": (976, 85), "cryo-sweep": (1144, 20),
+                "freq-shift": (603, 17), "oracle-check": (2416, 166)}
+
+
+@pytest.mark.parametrize("name", _TABLE_TERMS)
+def test_each_bench_table_evaluates_at_most_its_terms(name, monkeypatch):
+    # a term evaluated past a sum's stop, or a stack split into more calls,
+    # shows up here as a count, without timing anything
+    work = [0, 0]
+    frequency_integral = engine._frequency_integral
+
+    def counted(kernel, model, zeta, *args, **kwargs):
+        work[0] += np.size(zeta)
+        work[1] += 1
+        return frequency_integral(kernel, model, zeta, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_frequency_integral", counted)
+    outputs = _bench("workloads").make(name, 0).table()
+    assert [out for out in outputs
+            if isinstance(out, str) or getattr(out, "failure", None)] == []
+    frequencies, calls = _TABLE_TERMS[name]
+    assert work[0] <= frequencies and work[1] <= calls
 
 
 _FORCE_300K = """\

@@ -258,6 +258,25 @@ def test_exit_3_on_runtime_domain_error(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, sweep, message", [
+    # the 300 K force overflows to -inf and its T = 0 companion to NaN
+    ("1e-160", "", "row 1: not finite: {'a_m': 1e-160, 'T_K': 300.0, "
+     "'force_N': -inf, 'force_T0_N': nan"),
+    # the prefactor's 1/a^2 divides by zero
+    ("1e-200", "\n[sweep]\nvariable = a\nstart = 1e-200\nstop = 2e-200\n"
+     "count = 2\n", "row 1 (a = 1e-200): float division by zero"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exit_3_on_a_row_that_cannot_be_computed(tmp_path, capsys, a, sweep,
+                                                 message):
+    cfg = BASE.replace("a = 200e-9", f"a = {a}").replace(
+        "model = ideal", "model = drude") + sweep
+    assert main(["--config", write(tmp_path, cfg), "--quiet"]) == 3
+    captured = capsys.readouterr()
+    assert f"domain error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_2_on_unwritable_output(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.csv"
     assert main(["--config", write(tmp_path, BASE), "--output",

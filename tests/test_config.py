@@ -457,7 +457,7 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
      "[sweep] key 'ratios' is not read by this run"),
     (_SHIFT_RUN + "\n[oscillator]\nomega0 = 1e4\nAz = 20e-9\nC = 10\n"
      "\n[sweep]\nvariable = Az\nstart = 1e-8\nstop = 2e-7\ncount = 3\n",
-     "Az sweep extends to or beyond the separation a"),
+     "[oscillator] Az must be smaller than the separation a"),
     # C against b and I
     (_SHIFT_RUN + _OSC + "b = 1e-3\n",
      "[oscillator] requires either C or both b and I"),

@@ -144,9 +144,11 @@ def test_remainder_matches_explicit_sum(monkeypatch):
     e = env(200e-9, 24.0)
     res = casimir_force(LENS, e, gold_drude())
     assert res.terms_used > _EM_BLOCK + 1  # the remainder was used
-    # no block end and no early hand-off: the sum is explicit throughout
+    # no block end and no early hand-off: the sum is explicit throughout,
+    # and it may stop where its terms fall by e^{-zeta_1} = 0.974 per step
     monkeypatch.setattr("casimir_lens.engine._EM_BLOCK", 100_000)
-    monkeypatch.setattr("casimir_lens.engine._FIRST_CHECK", math.inf)
+    monkeypatch.setattr("casimir_lens.engine._HANDOFF", math.inf)
+    monkeypatch.setattr("casimir_lens.engine._MAX_RATIO", 0.99)
     explicit = casimir_force(LENS, e, gold_drude(), QuadratureSpec(rel_tol=5e-16))
     assert explicit.terms_used > 1000
     assert abs(res.value - explicit.value) <= res.est_abs_error

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from casimir_lens import engine, oscillator
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_CHUNK, _FINE_NODES, _PANEL_EDGES,
+from casimir_lens.engine import (_STACK, _FINE_NODES, _PANEL_EDGES,
                                  _S_NODES, _ZETA_MIN,
                                  QuadratureSpec, _force_kernel,
                                  _frequency_integral, _gradient_kernel,
@@ -54,8 +54,8 @@ def _zeta_outer(kernel, model, a, rule):
     """sum_j w_j int_{zeta_j}^{zeta_j + 80} dv kernel, zeta-outer order."""
     zeta, w = rule
     terms = np.concatenate([
-        _frequency_integral(kernel, model, zeta[i:i + _CHUNK], a)
-        for i in range(0, zeta.size, _CHUNK)])
+        _frequency_integral(kernel, model, zeta[i:i + _STACK], a)
+        for i in range(0, zeta.size, _STACK)])
     return float(np.sum(w * terms))
 
 
