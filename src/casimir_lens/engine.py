@@ -42,9 +42,9 @@ class QuadratureSpec:
     rel_tol drives the Matsubara stop rule (three consecutive terms below
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
-    remainder: a low-temperature force costs 286 term evaluations (1 + 57
-    explicit and one remainder pass of 228), and no sum more than 485
-    (_matsubara_sum), for every permittivity model.
+    remainder: a low-temperature force, or any slower sum, costs 286 term
+    evaluations (1 + 57 explicit and one remainder pass of 228), and no
+    sum more than 485 (_matsubara_sum), for every permittivity model.
     The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
     error not yet in est_abs_error.  Against the rule of twice its order,
     forces and gradients moved by <= 1.1e-15 at 30 - 300 K and
@@ -194,10 +194,10 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
     return np.sum(w * kernel(v, r_tm2, r_te2), axis=-1)
 
 
-def _evaluate(term: Term, zeta: np.ndarray) -> np.ndarray:
-    """term at every frequency of zeta, _STACK a call."""
-    return np.concatenate([term(zeta[i:i + _STACK])
-                           for i in range(0, zeta.size, _STACK)])
+def _evaluate(term: Term, zeta: np.ndarray, chunk: int = _STACK) -> np.ndarray:
+    """term at every frequency of zeta, chunk a call."""
+    return np.concatenate([term(zeta[i:i + chunk])
+                           for i in range(0, zeta.size, chunk)])
 
 
 _STOP_STREAK = 3
@@ -227,16 +227,18 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     observed one, raised to at least e^{-rate zeta_1} (after a dip the term
     ratio rises back toward it) and capped at _MAX_RATIO.  Such a series
     cannot bound terms that fall slower, so where e^{-rate zeta_1} >
-    _MAX_RATIO the sum does not stop in the block.
+    _MAX_RATIO the sum does not stop in the block, nor projects a stop:
+    it hands off at l = _HANDOFF at every rel_tol.
     After each stack the stop is projected once, at the last term ratio r:
     n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need, none
     at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).  The
     next stack ends _STOP_STREAK past that stop, after at most chunk terms
-    (_STACK; 1 for the oracles), or at l = _HANDOFF or _EM_BLOCK.  A sum still
-    running after the block is completed by _em_remainder, and one whose
-    stop lies more than one remainder pass (_EM_PASS evaluations) past
-    l = _HANDOFF hands off there.  That point does not depend on chunk, so
-    chunk = 1 and batched sums stay bit-identical.  The remainder's end
+    (_STACK; 1 for the oracles; the remainder's calls too), or at
+    l = _HANDOFF or _EM_BLOCK.  A sum still running after the block is
+    completed by _em_remainder, and one whose stop lies more than one
+    remainder pass (_EM_PASS evaluations) past l = _HANDOFF hands off
+    there.  That point does not depend on chunk, so chunk = 1 and batched
+    sums stay bit-identical.  The remainder's end
     corrections need a term that is C^2 in zeta; a table's spline is.
     No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 485 terms; a
     remainder that falls short raises ConvergenceError with the partial
@@ -244,6 +246,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
+    stops = decay <= _MAX_RATIO  # else the sum cannot stop in the block
     total = 0.5 * float(term(np.zeros(1))[0])
     values = []  # the terms l >= 1 summed so far
     streak = 0
@@ -261,7 +264,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
             ratio = abs(value) / prev
             if abs(value) < need:
                 streak += 1
-                if streak >= _STOP_STREAK and decay <= _MAX_RATIO:
+                if streak >= _STOP_STREAK and stops:
                     ratio = min(max(ratio, decay), _MAX_RATIO)
                     return (total, len(values) + 1,
                             abs(value) * ratio / (1.0 - ratio))
@@ -269,17 +272,17 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
                 streak = 0
             prev = abs(value) if value != 0.0 else prev
         ahead = math.inf  # the projected stop, terms past l = last
-        if abs(value) <= need:
+        if stops and abs(value) <= need:
             ahead = 0.0
-        elif 0.0 < ratio < 1.0 and need > 0.0:
+        elif stops and 0.0 < ratio < 1.0 and need > 0.0:
             ahead = math.log(need / abs(value)) / math.log(ratio)
         if last == _HANDOFF and ahead > _EM_PASS:
             break
-    return _em_remainder(term, zeta1, values, total, quad, rate)
+    return _em_remainder(term, zeta1, values, total, quad, chunk, rate)
 
 
 def _em_remainder(term: Term, h: float, values: list, total: float,
-                  quad: QuadratureSpec, rate: float = 1.0):
+                  quad: QuadratureSpec, chunk: int, rate: float):
     """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
 
     values holds the explicit terms f(h) ... f(L h), and total their
@@ -294,13 +297,13 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
     80 / rate]: the terms fall like e^{-rate zeta}, so it spans 80
     e-foldings at every rate.  It takes _FINE_NODES (at 76 + 38 the 3 K
-    shift at Az/a = 0.999 is 1e-5 off) and, as a check, _PANEL_NODES.  The
-    returned tail estimate is measured: the last correction applied, the
-    check's change, and the cut at the window's end (its last term times
-    its width).  A cut above rel_tol/10 of the sum (or a NaN) raises
-    ConvergenceError with the sum so far; the ideal-metal force at 200 nm
-    and 1 K needs a rel_tol below ~3e-30 for that.  Returns (sum,
-    terms_used, tail_estimate).
+    shift at Az/a = 0.999 is 1e-5 off) and, as a check, _PANEL_NODES,
+    chunk frequencies a call of term.  The tail estimate is measured: the
+    last correction applied, the check's change, and the cut at the
+    window's end (its last term times its width).  A cut above rel_tol/10
+    of the sum (or a NaN) raises ConvergenceError with the sum so far; the
+    ideal-metal force at 200 nm and 1 K needs a rel_tol below ~3e-30 for
+    that.  Returns (sum, terms_used, tail_estimate).
     """
     nabla = [float(np.diff(values[-7:], k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
@@ -311,7 +314,7 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     zeta_b = len(values) * h
     z, w = _grid_from(zeta_b, width, _FINE_NODES)
     zc, wc = _grid_from(zeta_b, width)
-    f = _evaluate(term, np.concatenate((z, zc))).tolist()
+    f = _evaluate(term, np.concatenate((z, zc)), chunk).tolist()
     fine = float(sum(wx * fx for wx, fx in zip(w, f))) / h
     coarse = float(sum(wx * fx for wx, fx in zip(wc, f[z.size:]))) / h
     total += fine
@@ -617,22 +620,18 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
                 u2_max: float, quad: QuadratureSpec):
     """Matsubara sum of the v-integral of _oracle_kernel on _FINE_NODES.
 
-    The terms are _frequency_integral's, as the production formulas', and
-    go through _matsubara_sum one frequency per call, so no term is
-    evaluated past the stop.  Returns (sum, terms_used, tail_estimate):
-    the order series is summed exactly, so the tail estimate is the
-    Matsubara loop's alone.
+    The term is _lifshitz's partial of _frequency_integral, on the oracles'
+    kernel and v-rule, summed with chunk = 1: one frequency per call, the
+    remainder's too, so no term is evaluated past the stop.  Returns (sum,
+    terms_used, tail_estimate), the tail estimate the Matsubara loop's
+    alone: the order series is summed exactly.
     """
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
     kernel = partial(_oracle_kernel, a=env.a, chord=chord, u2_max=u2_max)
-
-    def v_integral(zeta: np.ndarray) -> np.ndarray:
-        return np.array([_frequency_integral(kernel, model, z, env.a,
-                                             _FINE_NODES)
-                         for z in zeta.tolist()])
-
-    return _matsubara_sum(v_integral, env, quad, chunk=1)
+    term = partial(_frequency_integral, kernel, model, a=env.a,
+                   nodes=_FINE_NODES)
+    return _matsubara_sum(term, env, quad, chunk=1)
 
 
 def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,

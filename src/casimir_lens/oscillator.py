@@ -15,6 +15,7 @@ Bessel kernel linearizes and the shift reduces to -C dF/da.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -217,10 +218,7 @@ def frequency_shift_for_variant(geom: LensGeometry, env: Environment,
     """
     _check_amplitude(env, osc)
     beta = osc.Az / env.a
-
-    def kernel(v, r_tm2, r_te2):
-        return _nonlinear_kernel(v, r_tm2, r_te2, beta)
-
+    kernel = partial(_nonlinear_kernel, beta=beta)
     return 2.0 * osc.C / osc.Az * _lifshitz(kernel, geom, env, model, quad,
                                             rate=1.0 - beta).value
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_lens import engine
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (_FINE_NODES, _SIGMA_CUT, _SIGMA_NODES,
                                  DEFAULT_QUADRATURE,
@@ -39,6 +40,28 @@ def test_oracle_converges_toward_formula_as_gap_shrinks():
         oracle = direct_pfa_force_oracle(lens, e, IdealMetal()).value
         rels.append(abs(oracle - f) / abs(f))
     assert rels[1] < rels[0]
+
+
+@pytest.mark.parametrize("a, T", [(200e-9, 20.0), (1e-6, 5.0)])
+def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
+    # a cold oracle hands off to the Euler-Maclaurin remainder at l = 57:
+    # every one of its 286 terms is one frequency on the oracles' v-rule,
+    # and it stays within the PFA error scale 0.3 a/B of the formula
+    calls = []
+    frequency_integral = engine._frequency_integral
+
+    def counted(kernel, model, zeta, a, nodes=engine._PANEL_NODES):
+        calls.append((np.size(zeta), nodes))
+        return frequency_integral(kernel, model, zeta, a, nodes)
+
+    lens = symmetric_lens(100e-6, 100e-6, 1e-3)
+    e = Environment(a=a, T=T)
+    f = casimir_force(lens, e, gold_drude()).value
+    monkeypatch.setattr(engine, "_frequency_integral", counted)
+    oracle = direct_pfa_force_oracle(lens, e, gold_drude())
+    assert calls == [(1, _FINE_NODES)] * 286
+    assert oracle.terms_used == 286
+    assert abs(oracle.value - f) <= 0.3 * a / lens.B * abs(f)
 
 
 def test_oracle_requires_finite_temperature():

@@ -154,6 +154,8 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder():
     assert got == ref
     assert got[1] > engine._EM_BLOCK + 1
     assert sum(calls) == ref[1]
+    # chunk bounds every call of term, the remainder's too
+    assert set(calls) == {1}
     # l = 0 alone, one stack of 57 to the hand-off at l = 57 (the
     # projected stop lies far past it), and the remainder's pass of 228 in
     # three calls of 76
@@ -212,6 +214,27 @@ def test_slow_sum_at_a_loose_rel_tol_within_its_estimate(T):
     for rel_tol in (0.9, 0.5, 0.2):
         res = force(LENS, env, MODELS["drude"], QuadratureSpec(rel_tol))
         assert abs(res.value - ref.value) <= res.est_abs_error
+
+
+@pytest.mark.parametrize("rel_tol", [0.9, 0.5, 0.2])
+@pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+def test_slow_sum_at_a_loose_rel_tol_hands_off_at_l_57(monkeypatch, T,
+                                                       rel_tol):
+    # e^{-zeta_1} > _MAX_RATIO: the sum cannot stop in the block, so it
+    # projects no stop and hands off at l = 57, in the stacks of a cold
+    # sum at any rel_tol, not in stacks of 3 through the whole block
+    sizes = []
+    frequency_integral = engine._frequency_integral
+
+    def counted(kernel, model, zeta, a, nodes=engine._PANEL_NODES):
+        sizes.append(np.size(zeta))
+        return frequency_integral(kernel, model, zeta, a, nodes)
+
+    monkeypatch.setattr(engine, "_frequency_integral", counted)
+    res = force(LENS, Environment(a=A, T=T), MODELS["drude"],
+                QuadratureSpec(rel_tol))
+    assert sizes == [1, engine._HANDOFF, _STACK, _STACK, _STACK]
+    assert sum(sizes) == res.terms_used == 286
 
 
 @pytest.mark.parametrize("T", [1.0, 12.0])

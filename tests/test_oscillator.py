@@ -625,7 +625,12 @@ def test_remainder_window_follows_decay_rate(beta):
 
     fast = engine._matsubara_sum(term, E300, quad, rate=1.0 - beta)
     wide = engine._matsubara_sum(term, E300, quad, rate=(1.0 - beta) / 2.0)
-    assert fast[1] <= wide[1]
+    zeta1 = 4.0 * math.pi * E300.a * CONSTANTS.kB * E300.T / (
+        CONSTANTS.hbar * CONSTANTS.c)
+    for rate, got in ((1.0 - beta, fast), ((1.0 - beta) / 2.0, wide)):
+        # a sum that cannot stop in the block hands off at l = 57
+        if math.exp(-rate * zeta1) > engine._MAX_RATIO:
+            assert got[1] == 1 + engine._HANDOFF + engine._EM_PASS == 286
     assert abs(fast[0] - wide[0]) <= fast[2] + wide[2]
     if beta == 0.99:
         # at the force's rate the window is 80 wide, 0.8 e-foldings of
