@@ -42,9 +42,9 @@ class QuadratureSpec:
     rel_tol drives the Matsubara stop rule (three consecutive terms below
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
-    remainder: a low-temperature force, or any slower sum, costs 286 term
-    evaluations (1 + 57 explicit and one remainder pass of 228), and no
-    sum more than 485 (_matsubara_sum), for every permittivity model.
+    remainder: a cold force, or any slower sum, costs 215 evaluations in
+    3 calls (1 + 57 explicit, one Kronrod remainder pass of 157), and no
+    sum more than 414 (_matsubara_sum), for every permittivity model.
     The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
     error not yet in est_abs_error.  Against the rule of twice its order,
     forces and gradients moved by <= 1.1e-15 at 30 - 300 K and
@@ -54,11 +54,10 @@ class QuadratureSpec:
     like e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at
     300 K, 200 nm, C = 10 and Az/a = 0.99 the shift is -743.4 against
     the converged -3091.858, 4.2 times too small (186 times at 0.999).
-    The remainder's window and the T = 0 integral's v-window do follow
-    the kernel: they are 80 / rate wide, rate 1 for the force and the
-    gradient and 1 - Az/a for the shift.
-    The T = 0 integral's fixed (v, s) panels are converged to ~3e-15, and
-    its error estimate is measured (_zeta_integral).
+    The remainder's window and the T = 0 integral's v-window follow the
+    kernel: 80 / rate wide, rate 1 for the force and the gradient and
+    1 - Az/a for the shift.  The T = 0 integral's fixed (v, s) panels are
+    converged to ~3e-15, and its error estimate is measured.
     """
 
     rel_tol: float = 1e-8
@@ -86,8 +85,8 @@ class ForceResult:
 
 _PANEL_EDGES = (0.0, 2.0, 8.0, 20.0, 45.0, 80.0)
 _PANEL_NODES = (24, 16, 16, 12, 8)  # the one v-rule, 76 nodes
-# The remainder's zeta-rule, and the oracles' v-rule: on _PANEL_NODES the
-# PFA oracle drifts by 1.7 - 3.3e-12, past its estimate at rel_tol = 1e-13.
+# The oracles' v-rule: on _PANEL_NODES the PFA oracle drifts by
+# 1.7 - 3.3e-12, past its estimate at rel_tol = 1e-13.
 _FINE_NODES = tuple(2 * n for n in _PANEL_NODES)
 
 
@@ -97,17 +96,48 @@ def _leggauss(n: int):
 
 
 @lru_cache(maxsize=None)
-def _panels(edges: tuple, nodes: tuple):
-    """Gauss-Legendre nodes and weights over the panels [edges[i], edges[i+1]].
+def _kronrod(n: int):
+    """Nodes and (Kronrod, embedded Gauss) weights of the (2n + 1)-node
+    rule extending _leggauss(n), exact to degree 3n + 1: Laurie's algorithm
+    (Math. Comp. 66, 1133 (1997); Gautschi's r_kronrod, 1-based arrays) on
+    the Legendre recurrence, whose alpha_k = 0 drop out, and an eigensolve."""
+    k = np.arange((3 * n + 1) // 2 + 1)
+    b = np.zeros(2 * n + 2)
+    b[k + 1] = np.where(k > 0, k * k / (4.0 * k * k - 1.0), 2.0)
+    s, t = np.zeros(n // 2 + 3), np.zeros(n // 2 + 3)
+    t[2] = b[n + 2]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 2] = np.cumsum(b[k + n + 2] * s[k + 1] - b[m - k + 1] * s[k + 2])
+        s, t = t, s
+    s[2:n // 2 + 3] = s[1:n // 2 + 2]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 2] = np.cumsum(b[m - k + 1] * s[j + 3] - b[k + n + 2] * s[j + 2])
+        if m % 2:
+            b[(m + 1) // 2 + n + 2] = s[j[-1] + 2] / s[j[-1] + 3]
+        s, t = t, s
+    # the Jacobi-Kronrod matrix has a zero diagonal; eigh reads its lower half
+    x, vec = np.linalg.eigh(np.diag(np.sqrt(b[2:]), -1))
+    w = np.stack((2.0 * vec[0] ** 2, np.zeros(x.size)))
+    x[1::2], w[1, 1::2] = _leggauss(n)
+    return x, w
 
-    nodes gives the Gauss order of each panel.  The first panel is mapped
-    through x = t^2, so that the half-integer powers the kernels develop
-    near its lower edge are integrated exactly.  The arrays are read-only:
-    one copy per (edges, nodes) serves every caller.
+
+@lru_cache(maxsize=None)
+def _panels(edges: tuple, nodes: tuple, rule=_leggauss, scale: float = 1.0):
+    """Nodes and weights of rule over the panels [edges[i], edges[i+1]]
+    times scale: nodes gives each panel's order (_leggauss; _kronrod's
+    weights have a first axis of two).  The first panel is mapped through
+    x = t^2, so that the half-integer powers the kernels develop near its
+    lower edge are integrated exactly.  The arrays are read-only: one copy
+    per (edges, nodes, rule, scale) serves every caller.
     """
     xs, ws = [], []
     for i, (lo, hi, n) in enumerate(zip(edges, edges[1:], nodes)):
-        x, w = _leggauss(n)
+        x, w = rule(n)
+        lo, hi = lo * scale, hi * scale
         if i == 0:
             t0, t1 = math.sqrt(lo), math.sqrt(hi)
             t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
@@ -117,34 +147,35 @@ def _panels(edges: tuple, nodes: tuple):
             half = 0.5 * (hi - lo)
             xs.append(half * x + 0.5 * (hi + lo))
             ws.append(w * half)
-    x, w = np.concatenate(xs), np.concatenate(ws)
+    x, w = np.concatenate(xs), np.concatenate(ws, axis=-1)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES):
-    """Gauss nodes and weights covering [zeta, zeta + span].
+def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
+               rule=_leggauss):
+    """Nodes and weights covering [zeta, zeta + span].
 
     The panels are _PANEL_EDGES scaled to span, the first mapped through
     v = w^2 so that the half-integer powers the polylog kernels develop at
     small v are integrated exactly.  Only that first panel is built per
     call; panels 2-5 are those of _panels at zeta = 0, whose nodes move
-    rigidly with zeta while their weights do not change.  nodes gives the
-    Gauss order of each panel.  zeta is a float, giving 1-D arrays, or a
-    1-D array, giving one row per zeta; a row holds the same floats a lone
-    zeta would.  The arrays returned are new on every call.
+    rigidly with zeta while their weights do not change.  nodes and rule
+    are _panels'.  zeta is a float, giving 1-D nodes, or a 1-D array,
+    giving one row per zeta; a row holds the same floats a lone zeta
+    would.  The arrays returned are new on every call.
     """
     scale = span / _PANEL_EDGES[-1]
-    v_out, w_out = _panels(tuple(e * scale for e in _PANEL_EDGES), nodes)
-    v_out, w_out = v_out[nodes[0]:], w_out[nodes[0]:]
-    x, w = _leggauss(nodes[0])
+    x, wx = rule(nodes[0])
+    v_out, w_out = _panels(_PANEL_EDGES, nodes, rule, scale)
+    v_out, w_out = v_out[x.size:], w_out[..., x.size:]
     z = np.asarray(zeta, dtype=float)[..., None]
     t0 = np.sqrt(z)
     t1 = np.sqrt(z + _PANEL_EDGES[1] * scale)
     t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
-    w_out = np.broadcast_to(w_out, z.shape[:-1] + w_out.shape)
-    return (np.concatenate((t * t, z + v_out), axis=-1),
-            np.concatenate((w * (t1 - t0) * t, w_out), axis=-1))
+    w = np.empty(wx.shape[:-1] + t.shape[:-1] + (x.size + v_out.size,))
+    w[..., :x.size], w[..., x.size:] = wx * (t1 - t0) * t, w_out
+    return np.concatenate((t * t, z + v_out), axis=-1), w
 
 
 # The T = 0 integral's inner variable s = zeta / v runs over these panels,
@@ -175,7 +206,7 @@ def _gradient_kernel(v, r_tm2, r_te2):
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 Term = Callable[[np.ndarray], np.ndarray]
 
-_STACK = 76  # frequencies per term call: a third of a remainder pass
+_STACK = 79  # frequencies per term call: half a remainder pass, rounded up
 
 
 def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
@@ -202,8 +233,8 @@ def _evaluate(term: Term, zeta: np.ndarray, chunk: int = _STACK) -> np.ndarray:
 
 _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
-# evaluations of one remainder window, at full and at half the Gauss order
-_EM_PASS = sum(_FINE_NODES) + sum(_PANEL_NODES)
+# evaluations of one remainder window: the Kronrod extension of _PANEL_NODES
+_EM_PASS = sum(2 * n + 1 for n in _PANEL_NODES)
 _HANDOFF = 57  # the one l before the block's end at which a sum may hand off
 _MAX_RATIO = 0.97  # the largest ratio the geometric tail estimate takes
 
@@ -216,10 +247,10 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     shift and the oracles differ only in the per-frequency callable, which
     takes an array of frequencies and returns one term per frequency.
     Returns (sum, terms_used, tail_estimate), terms_used counting the terms
-    summed.  The l = 0 term is evaluated alone, the terms l >= 1 one stack
-    per call; each term of a stack is added in ascending l, so results are
+    summed.  The terms are evaluated one stack per call, l = 0 in the
+    first; each term of a stack is added in ascending l, so results are
     bit-reproducible and a term evaluated past the stop never enters the
-    sum.  The sum stops after _STOP_STREAK consecutive terms each
+    sum.  The sum stops after _STOP_STREAK consecutive terms l >= 1 each
     contribute less than need = rel_tol/10 of it, and its tail is estimated
     as a geometric series.  rate is the kernel's decay rate in v: the terms
     fall like e^{-rate zeta_l} times a power of l (rate 1 for the force and
@@ -231,34 +262,32 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     it hands off at l = _HANDOFF at every rel_tol.
     After each stack the stop is projected once, at the last term ratio r:
     n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need, none
-    at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).  The
-    next stack ends _STOP_STREAK past that stop, after at most chunk terms
-    (_STACK; 1 for the oracles; the remainder's calls too), or at
-    l = _HANDOFF or _EM_BLOCK.  A sum still running after the block is
-    completed by _em_remainder, and one whose stop lies more than one
-    remainder pass (_EM_PASS evaluations) past l = _HANDOFF hands off
+    at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1) past
+    l = 0.  The next stack ends _STOP_STREAK past that stop, after at most
+    chunk frequencies (_STACK; 1 for the oracles; the remainder's calls
+    too), or at l = _HANDOFF or _EM_BLOCK.  A sum still running after the
+    block is completed by _em_remainder, and one whose stop lies more than
+    one remainder pass (_EM_PASS evaluations) past l = _HANDOFF hands off
     there.  That point does not depend on chunk, so chunk = 1 and batched
-    sums stay bit-identical.  The remainder's end
-    corrections need a term that is C^2 in zeta; a table's spline is.
-    No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 485 terms; a
+    sums stay bit-identical.  The remainder's end corrections need a term
+    that is C^2 in zeta; a table's spline is.
+    No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 414 terms; a
     remainder that falls short raises ConvergenceError with the partial
     sum.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
     stops = decay <= _MAX_RATIO  # else the sum cannot stop in the block
-    total = 0.5 * float(term(np.zeros(1))[0])
-    values = []  # the terms l >= 1 summed so far
-    streak = 0
-    prev = math.inf
+    total, streak, prev = 0.0, 0, math.inf
+    values = []  # the terms summed so far, l = 0, 1, ...
     ahead = math.log(10.0 / quad.rel_tol) / (rate * zeta1)
-    while len(values) < _EM_BLOCK:
-        first = len(values) + 1
+    while len(values) <= _EM_BLOCK:
+        first = len(values)
         end = _HANDOFF if first <= _HANDOFF else _EM_BLOCK
-        last = min(end, math.ceil(
-            first - 1 + min(chunk, ahead + _STOP_STREAK)))
+        last = min(end, first + chunk - 1, max(first - 1, 0) + math.ceil(
+            min(chunk, ahead + _STOP_STREAK)))
         for value in term(np.arange(first, last + 1) * zeta1).tolist():
-            total += value
+            total += value if values else 0.5 * value
             values.append(value)
             need = quad.rel_tol / 10.0 * abs(total)
             ratio = abs(value) / prev
@@ -266,7 +295,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
                 streak += 1
                 if streak >= _STOP_STREAK and stops:
                     ratio = min(max(ratio, decay), _MAX_RATIO)
-                    return (total, len(values) + 1,
+                    return (total, len(values),
                             abs(value) * ratio / (1.0 - ratio))
             else:
                 streak = 0
@@ -285,9 +314,9 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
                   quad: QuadratureSpec, chunk: int, rate: float):
     """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
 
-    values holds the explicit terms f(h) ... f(L h), and total their
-    primed sum with the l = 0 term.  The primed sum is the trapezoid rule
-    for the zeta-integral, so by Euler-Maclaurin the remainder is
+    values holds the terms f(0) ... f(L h), and total their primed sum,
+    the trapezoid rule for the zeta-integral; by Euler-Maclaurin the
+    remainder is
 
         (1/h) int_{zeta_b}^inf f - f(zeta_b)/2 - h f'(zeta_b)/12
             + h^3 f'''(zeta_b)/720.
@@ -296,14 +325,15 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
     80 / rate]: the terms fall like e^{-rate zeta}, so it spans 80
-    e-foldings at every rate.  It takes _FINE_NODES (at 76 + 38 the 3 K
-    shift at Az/a = 0.999 is 1e-5 off) and, as a check, _PANEL_NODES,
-    chunk frequencies a call of term.  The tail estimate is measured: the
-    last correction applied, the check's change, and the cut at the
-    window's end (its last term times its width).  A cut above rel_tol/10
-    of the sum (or a NaN) raises ConvergenceError with the sum so far; the
-    ideal-metal force at 200 nm and 1 K needs a rel_tol below ~3e-30 for
-    that.  Returns (sum, terms_used, tail_estimate).
+    e-foldings at every rate.  It takes the Kronrod extension of
+    _PANEL_NODES (_kronrod, 157 nodes), chunk frequencies a call of term,
+    and as its check the embedded 76-node Gauss rule, at no evaluation.
+    The tail estimate is measured: the last correction applied, the
+    check's change, and the cut at the window's end (its last term times
+    its width).  A cut above rel_tol/10 of the sum (or a NaN) raises
+    ConvergenceError with the sum so far; the ideal-metal force at 200 nm
+    and 1 K needs a rel_tol below ~3e-30 for that.  Returns (sum,
+    terms_used, tail_estimate).
     """
     nabla = [float(np.diff(values[-7:], k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
@@ -311,19 +341,16 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     last_correction = d3 / 720.0
     total += -0.5 * values[-1] - d1 / 12.0 + last_correction
     width = _PANEL_EDGES[-1] / rate
-    zeta_b = len(values) * h
-    z, w = _grid_from(zeta_b, width, _FINE_NODES)
-    zc, wc = _grid_from(zeta_b, width)
-    f = _evaluate(term, np.concatenate((z, zc)), chunk).tolist()
-    fine = float(sum(wx * fx for wx, fx in zip(w, f))) / h
-    coarse = float(sum(wx * fx for wx, fx in zip(wc, f[z.size:]))) / h
+    z, w = _grid_from((len(values) - 1) * h, width, _PANEL_NODES, _kronrod)
+    f = _evaluate(term, z, chunk)
+    fine, coarse = (w @ f / h).tolist()
     total += fine
-    cut = abs(f[z.size - 1]) * width / h
+    cut = abs(float(f[-1])) * width / h
     if not cut <= quad.rel_tol / 10.0 * abs(total):
         raise ConvergenceError(
             f"Euler-Maclaurin remainder cut at {cut / abs(total):.3g} of the "
             f"sum, above rel_tol/10 (rel_tol = {quad.rel_tol:g})", partial=total)
-    return (total, len(values) + 1 + _EM_PASS,
+    return (total, len(values) + _EM_PASS,
             abs(last_correction) + abs(fine - coarse) + cut)
 
 

@@ -154,8 +154,13 @@ def epsilon_at_imaginary(model: PermittivityModel, xi):
     on queries outside their grid rather than extrapolating silently,
     naming the smallest such xi.
     """
-    if not np.all(np.asarray(xi) > 0.0):
+    if not (np.asarray(xi) > 0.0).all():
         raise ValueError("xi must be positive; zero frequency has dedicated branches")
+    return _epsilon(model, xi)
+
+
+def _epsilon(model: PermittivityModel, xi):
+    """epsilon_at_imaginary past its check that xi > 0."""
     if isinstance(model, IdealMetal):
         return math.inf if np.ndim(xi) == 0 else np.full(np.shape(xi), math.inf)
     if isinstance(model, Plasma):
@@ -166,12 +171,15 @@ def epsilon_at_imaginary(model: PermittivityModel, xi):
     if isinstance(model, Tabulated):
         lo, hi = model.xi_grid[0], model.xi_grid[-1]
         outside = (xi < lo) | (xi > hi)
-        if np.any(outside):
+        if outside.any():
             raise ValueError(
                 f"xi = {np.min(np.asarray(xi)[outside]):.6g} outside the "
                 f"tabulated range [{lo:.6g}, {hi:.6g}]")
         x, knots = np.log(xi), model._log_xi
-        i = np.interp(x, knots, np.arange(knots.size)).astype(int)  # last knot <= x
+        order = np.argsort(x, axis=None)  # search the sorted x, scatter back
+        i = np.empty(np.size(x), dtype=int)  # the last knot <= x
+        i[order] = np.interp(np.ravel(x)[order], knots, np.arange(knots.size))
+        i = i.reshape(np.shape(x))
         (b, c, d), t = np.take(model._cubic, i, axis=1), x - knots[i]
         eps = np.maximum(model.eps_grid[i] * np.exp(t * (b + t * (c + t * d))), 1.0)
         return float(eps) if np.ndim(xi) == 0 else eps
@@ -190,8 +198,8 @@ def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
     against v that gives each row of v its own frequency (a column, shape
     (m, 1), for m rows), or each node its own.  For zeta > 0 both
     coefficients follow from eps(i xi).  A zeta of zero takes the model's
-    zero-frequency branch, so one call holds zero frequency alone or
-    positive frequencies only:
+    zero-frequency branch, row by row in a column, so every row holds the
+    floats it would alone:
 
     * IdealMetal: (1, -1) at any v.
     * Drude: (1, 0) -- dissipation removes the zero-frequency TE mode.
@@ -200,15 +208,27 @@ def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
 
     Raises ValueError unless v > 0, 0 <= zeta <= v and a > 0.
     """
-    if not np.all(v > 0.0):
+    zeta = np.asarray(zeta, dtype=float)
+    if not (v > 0.0).all():
         raise ValueError("v must be positive")
-    if np.any(zeta < 0.0) or np.any(v < zeta):
+    if not ((zeta >= 0.0).all() and (v >= zeta).all()):
         raise ValueError("require 0 <= zeta <= v")
     if not a > 0.0:
         raise ValueError("separation a must be positive")
+    zero = zeta == 0.0
+    if zero.any() and not zero.all():  # zero rows among positive ones
+        out = np.empty((2,) + v.shape)
+        for rows in (zero[:, 0], ~zero[:, 0]):
+            out[:, rows] = _reflection_sq(model, zeta[rows], v[rows], a)
+        return out[0], out[1]
+    return _reflection_sq(model, zeta, v, a)
+
+
+def _reflection_sq(model: PermittivityModel, zeta, v: np.ndarray, a: float):
+    """reflection_sq_grid past its checks, at zeta all zero or all positive."""
     if isinstance(model, IdealMetal):
         r_tm, r_te = np.ones_like(v), -np.ones_like(v)
-    elif not np.any(zeta):
+    elif not zeta.any():
         r_tm, r_te = np.ones_like(v), np.zeros_like(v)
         if isinstance(model, Plasma):
             root = np.hypot(v, 2.0 * a * model.omega_p / CONSTANTS.c)
@@ -217,7 +237,7 @@ def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
             eps0 = float(model.eps_grid[0])
             r_tm = np.full_like(v, (eps0 - 1.0) / (eps0 + 1.0))
     else:
-        eps = epsilon_at_imaginary(model, CONSTANTS.c * zeta / (2.0 * a))
+        eps = _epsilon(model, CONSTANTS.c * zeta / (2.0 * a))
         root = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
         r_tm = (eps * v - root) / (eps * v + root)
         r_te = (v - root) / (v + root)

@@ -7,9 +7,9 @@ import pytest
 
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.electrostatics import BiasState, pfa_electric_force
-from casimir_lens.engine import (_EM_BLOCK, _FINE_NODES, _PANEL_EDGES,
-                                 _PANEL_NODES, DEFAULT_QUADRATURE,
-                                 QuadratureSpec, _grid_from, casimir_force,
+from casimir_lens.engine import (_FINE_NODES, _PANEL_EDGES, _PANEL_NODES,
+                                 DEFAULT_QUADRATURE, QuadratureSpec,
+                                 _em_remainder, _grid_from, casimir_force,
                                  casimir_gradient, direct_pfa_force_oracle,
                                  force, gradient, ideal_metal_force_t0,
                                  ideal_metal_gradient_t0, rotated_direct_oracle,
@@ -142,8 +142,12 @@ def test_remainder_matches_explicit_sum(monkeypatch):
     # 24 K, 200 nm: the block plus Euler-Maclaurin remainder against the
     # same primed sum added term by term to rel_tol = 5e-16
     e = env(200e-9, 24.0)
+    remainders = []
+    monkeypatch.setattr("casimir_lens.engine._em_remainder",
+                        lambda *args: remainders.append(args)
+                        or _em_remainder(*args))
     res = casimir_force(LENS, e, gold_drude())
-    assert res.terms_used > _EM_BLOCK + 1  # the remainder was used
+    assert len(remainders) == 1  # the remainder was used
     # no block end and no early hand-off: the sum is explicit throughout,
     # and it may stop where its terms fall by e^{-zeta_1} = 0.974 per step
     monkeypatch.setattr("casimir_lens.engine._EM_BLOCK", 100_000)
@@ -174,12 +178,13 @@ def test_gradient_and_shift_finish_at_3k():
 
 @pytest.mark.parametrize("a, T, force_terms, gradient_terms", [
     # sums that stop on their own keep the counts of the whole block
-    (200e-9, 300.0, 63, 69), (200e-9, 77.0, 220, 241), (1e-6, 24.0, 165, 180),
-    (1e-6, 300.0, 18, 19),
-    # cold sums leave the block at l = 57 for one remainder pass of 228,
-    # where running all 256 first cost 485
-    (200e-9, 24.0, 286, 286), (200e-9, 3.0, 286, 286), (200e-9, 1.0, 286, 286),
-    (1e-6, 12.0, 286, 286), (1e-6, 1.0, 286, 286)])
+    (200e-9, 300.0, 63, 69), (1e-6, 24.0, 165, 180), (1e-6, 300.0, 18, 19),
+    # cold sums, and sums whose stop is projected more than one remainder
+    # pass past l = 57 (200 nm at 77 K), leave the block there for one pass
+    # of 157, where running all 256 first would cost up to 414
+    (200e-9, 77.0, 215, 215), (200e-9, 24.0, 215, 215),
+    (200e-9, 3.0, 215, 215), (200e-9, 1.0, 215, 215),
+    (1e-6, 12.0, 215, 215), (1e-6, 1.0, 215, 215)])
 def test_matsubara_evaluation_counts(a, T, force_terms, gradient_terms):
     e = env(a, T)
     assert force(LENS, e, gold_drude()).terms_used == force_terms

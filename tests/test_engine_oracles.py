@@ -45,7 +45,7 @@ def test_oracle_converges_toward_formula_as_gap_shrinks():
 @pytest.mark.parametrize("a, T", [(200e-9, 20.0), (1e-6, 5.0)])
 def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     # a cold oracle hands off to the Euler-Maclaurin remainder at l = 57:
-    # every one of its 286 terms is one frequency on the oracles' v-rule,
+    # every one of its 215 terms is one frequency on the oracles' v-rule,
     # and it stays within the PFA error scale 0.3 a/B of the formula
     calls = []
     frequency_integral = engine._frequency_integral
@@ -59,8 +59,8 @@ def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     f = casimir_force(lens, e, gold_drude()).value
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     oracle = direct_pfa_force_oracle(lens, e, gold_drude())
-    assert calls == [(1, _FINE_NODES)] * 286
-    assert oracle.terms_used == 286
+    assert calls == [(1, _FINE_NODES)] * 215
+    assert oracle.terms_used == 215
     assert abs(oracle.value - f) <= 0.3 * a / lens.B * abs(f)
 
 

@@ -64,7 +64,9 @@ def test_batched_terms_equal_lone_terms(model, kernel):
 
     zero = term(np.zeros(1))
     assert zero.tolist() == [_lone_term(kernel, model, 0.0)]
-    matsubara = _zeta1(300.0) * np.arange(1, _STACK + 1)
+    # l = 0 travels in the first stack: its row takes the zero-frequency
+    # branch on its own
+    matsubara = _zeta1(300.0) * np.arange(_STACK)
     batched = _evaluate(term, matsubara)
     lone = [_lone_term(kernel, model, float(z)) for z in matsubara]
     assert batched.tolist() == lone
@@ -152,14 +154,13 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder():
     got = _matsubara_sum(batched, env, quad)
     ref = _matsubara_sum(lone, env, quad, chunk=1)
     assert got == ref
-    assert got[1] > engine._EM_BLOCK + 1
+    assert got[1] == 1 + engine._HANDOFF + engine._EM_PASS
     assert sum(calls) == ref[1]
     # chunk bounds every call of term, the remainder's too
     assert set(calls) == {1}
-    # l = 0 alone, one stack of 57 to the hand-off at l = 57 (the
-    # projected stop lies far past it), and the remainder's pass of 228 in
-    # three calls of 76
-    assert sizes == [1, 57, 76, 76, 76]
+    # one stack of l = 0 - 57 to the hand-off at l = 57 (the projected stop
+    # lies far past it), and the remainder's pass of 157 in two calls
+    assert sizes == [58, 79, 78]
 
 
 def _converged_sum(kernel, model, T, a=A):
@@ -233,8 +234,8 @@ def test_slow_sum_at_a_loose_rel_tol_hands_off_at_l_57(monkeypatch, T,
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     res = force(LENS, Environment(a=A, T=T), MODELS["drude"],
                 QuadratureSpec(rel_tol))
-    assert sizes == [1, engine._HANDOFF, _STACK, _STACK, _STACK]
-    assert sum(sizes) == res.terms_used == 286
+    assert sizes == [1 + engine._HANDOFF, _STACK, engine._EM_PASS - _STACK]
+    assert sum(sizes) == res.terms_used == 215
 
 
 @pytest.mark.parametrize("T", [1.0, 12.0])
@@ -310,7 +311,7 @@ _BOUND = 1 + engine._EM_BLOCK + engine._EM_PASS  # l = 0, the block, one pass
 def test_every_sum_evaluates_at_most_the_block_and_one_pass(monkeypatch,
                                                             model, a, T):
     # no setting caps a sum: its structure does.  A cold sum leaves the
-    # block at l = 57 for one remainder pass, 286 evaluations
+    # block at l = 57 for one remainder pass, 215 evaluations
     counts = _sum_evaluations(monkeypatch)
     model, e = MODELS[model], Environment(a=a, T=T)
     force(LENS, e, model)
@@ -318,19 +319,20 @@ def test_every_sum_evaluates_at_most_the_block_and_one_pass(monkeypatch,
     frequency_shift_nonlinear(LENS, e, model, OscillatorParams(
         omega0=4400.0, C=10.0, Az=0.5 * a))
     assert len(counts) == 3
-    assert max(counts) <= _BOUND
+    assert max(counts) <= _BOUND == 414
     if T < 300.0:
-        assert counts[0] == 1 + engine._HANDOFF + engine._EM_PASS == 286
+        assert counts[0] == 1 + engine._HANDOFF + engine._EM_PASS == 215
 
 
-def test_slow_shift_evaluates_the_whole_bound(monkeypatch):
+def test_slow_shift_hands_off_at_l_57(monkeypatch):
     # at 300 K and Az/a = 0.9 the shift's terms fall like e^{-0.1 zeta}:
-    # the whole block of 256, then one pass
+    # at l = 57 its stop is projected 192 terms ahead, more than one
+    # remainder pass, so it hands off there instead of running the block
     counts = _sum_evaluations(monkeypatch)
     frequency_shift_nonlinear(LENS, Environment(a=A, T=300.0), gold_drude(),
                               OscillatorParams(omega0=4400.0, C=10.0,
                                                Az=0.9 * A))
-    assert counts == [_BOUND] == [485]
+    assert counts == [1 + engine._HANDOFF + engine._EM_PASS] == [215]
 
 
 def test_oracle_evaluates_only_the_terms_it_sums(monkeypatch):
@@ -377,10 +379,10 @@ def test_force_call_counts(monkeypatch, T):
         assert res.terms_used == 76 + 38
         calls = 1 + 1
     else:
-        # l = 0 alone, one stack to the hand-off point l = 57, and one
-        # stack to _STOP_STREAK past the stop projected at l = 57
+        # one stack of l = 0 - 57 to the hand-off point, and one stack to
+        # _STOP_STREAK past the stop projected at l = 57
         assert res.terms_used == 63
-        calls = 1 + 1 + 1
+        calls = 1 + 1
         evaluated = sum(np.shape(args[1])[0] for args in reflection)
         assert evaluated <= res.terms_used + engine._STOP_STREAK
     assert len(reflection) == calls

@@ -584,17 +584,16 @@ def test_shift_work_counts(monkeypatch):
 
 def test_cold_shift_work_counts(monkeypatch):
     # counts, not time.  At 3 K the shift's Matsubara sum leaves the
-    # explicit block at l = 57 for one remainder pass, 286 rows.  At
-    # Az/a = 0.5 that takes 184 442 Bessel elements and 159 484 theta-rule
-    # polylog nodes on the 76-node v-rule (369 294 and 318 448 on 152
-    # nodes).  The theta bound is a quarter of the 853 216 nodes that the
-    # whole block of 256 took on 152 nodes.  With TM and TE sharing each
-    # power's i1e factor, and each node summing only its own powers, the
-    # 184 442 Bessel elements fall to 99 762
+    # explicit block at l = 57 for one remainder pass, 215 rows.  At
+    # Az/a = 0.5 that takes 79 230 Bessel elements (TM and TE share each
+    # power's i1e factor, and each node sums only its own powers) and
+    # 143 936 theta-rule polylog nodes on the 76-node v-rule.  The theta
+    # bound is a quarter of the 853 216 nodes that the whole block of 256
+    # took on 152 nodes
     rows, elements, nodes = _count_work(monkeypatch)
     cold = Environment(a=E300.a, T=3.0)
     frequency_shift_nonlinear(LENS, cold, gold_drude(), osc(0.5 * cold.a))
-    assert sum(rows) == 286
+    assert sum(rows) == 215
     assert 0 < sum(elements) <= 100_000
     assert 0 < sum(nodes) <= 853_216 // 4
 
@@ -630,7 +629,7 @@ def test_remainder_window_follows_decay_rate(beta):
     for rate, got in ((1.0 - beta, fast), ((1.0 - beta) / 2.0, wide)):
         # a sum that cannot stop in the block hands off at l = 57
         if math.exp(-rate * zeta1) > engine._MAX_RATIO:
-            assert got[1] == 1 + engine._HANDOFF + engine._EM_PASS == 286
+            assert got[1] == 1 + engine._HANDOFF + engine._EM_PASS == 215
     assert abs(fast[0] - wide[0]) <= fast[2] + wide[2]
     if beta == 0.99:
         # at the force's rate the window is 80 wide, 0.8 e-foldings of
@@ -639,15 +638,20 @@ def test_remainder_window_follows_decay_rate(beta):
             engine._matsubara_sum(term, E300, quad, rate=1.0)
 
 
-def test_force_remainder_unchanged_at_unit_rate():
+def test_force_remainder_unchanged_at_unit_rate(monkeypatch):
     env, model, quad = Environment(a=E300.a, T=3.0), gold_drude(), QuadratureSpec()
 
     def term(zeta):
         return engine._frequency_integral(engine._force_kernel, model, zeta,
                                           env.a)
 
+    remainders = []
+    em_remainder = engine._em_remainder
+    monkeypatch.setattr(engine, "_em_remainder",
+                        lambda *args: remainders.append(args)
+                        or em_remainder(*args))
     got = engine._matsubara_sum(term, env, quad, rate=1.0)
-    assert got[1] > engine._EM_BLOCK + 1  # the remainder ran
+    assert len(remainders) == 1  # the remainder ran
     assert got == engine._matsubara_sum(term, env, quad)
 
 

@@ -2,9 +2,9 @@
 against the same rule at twice the order with everything else held fixed.
 
 Every explicit Matsubara term integrates v on _PANEL_NODES (76 nodes); the
-Euler-Maclaurin remainder integrates zeta on _FINE_NODES plus _PANEL_NODES
-(152 + 76).  Doubling one rule while keeping the other measures that rule's
-error alone.
+Euler-Maclaurin remainder integrates zeta on their Gauss-Kronrod extension
+(157 nodes).  Doubling one rule while keeping the other measures that
+rule's error alone.
 """
 
 import numpy as np
@@ -57,9 +57,10 @@ def test_v_rule_against_twice_its_order(monkeypatch, model, T):
 
 def test_cold_shift_remainder_rule_against_twice_its_order(monkeypatch):
     # at 3 K the shift leaves the explicit block at l = 57, and the
-    # remainder's first window is 80 / (1 - Az/a) = 8000 wide.  Its zeta-
-    # windows taken at twice the order (304 + 152 nodes) move the shift by
-    # 2.4e-15; with the windows at 76 + 38 the shift is 1.1e-9 off
+    # remainder's window is 80 / (1 - Az/a) = 8000 wide.  Its Kronrod rule
+    # taken at twice the order (313 nodes, extending 152) leaves the shift
+    # unchanged to the last bit; with Gauss windows at 76 + 38 it was
+    # 1.1e-9 off
     env = Environment(a=A, T=3.0)
     osc = OscillatorParams(omega0=1e4, C=1.0, Az=0.99 * env.a)
     got = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
@@ -67,13 +68,13 @@ def test_cold_shift_remainder_rule_against_twice_its_order(monkeypatch):
     windows = []
 
     def remainder_doubled(zeta, span=engine._PANEL_EDGES[-1],
-                          nodes=_PANEL_NODES):
-        # the remainder builds its windows from a float start; the terms'
-        # v-grids come from an array of frequencies and are left alone
-        if np.ndim(zeta) == 0:
+                          nodes=_PANEL_NODES, rule=engine._leggauss):
+        # the remainder builds its window on the Kronrod rule; the terms'
+        # v-grids are Gauss rules and are left alone
+        if rule is engine._kronrod:
             windows.append(zeta)
             nodes = tuple(2 * n for n in nodes)
-        return grid_from(zeta, span, nodes)
+        return grid_from(zeta, span, nodes, rule)
 
     monkeypatch.setattr(engine, "_grid_from", remainder_doubled)
     ref = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
