@@ -43,7 +43,7 @@ class QuadratureSpec:
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
     remainder: a cold force, or any slower sum, costs 215 evaluations in
-    3 calls (1 + 57 explicit, one Kronrod remainder pass of 157), and no
+    4 calls (1 + 57 explicit, one Kronrod remainder pass of 157), and no
     sum more than 414 (_matsubara_sum), for every permittivity model.
     The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
     error not yet in est_abs_error.  Against the rule of twice its order,
@@ -126,18 +126,18 @@ def _kronrod(n: int):
 
 
 @lru_cache(maxsize=None)
-def _panels(edges: tuple, nodes: tuple, rule=_leggauss, scale: float = 1.0):
-    """Nodes and weights of rule over the panels [edges[i], edges[i+1]]
-    times scale: nodes gives each panel's order (_leggauss; _kronrod's
-    weights have a first axis of two).  The first panel is mapped through
-    x = t^2, so that the half-integer powers the kernels develop near its
-    lower edge are integrated exactly.  The arrays are read-only: one copy
-    per (edges, nodes, rule, scale) serves every caller.
+def _panels(edges: tuple, nodes: tuple, rule=_leggauss):
+    """Nodes and weights of rule over the panels [edges[i], edges[i+1]].
+
+    nodes gives each panel's order (_leggauss; _kronrod's weights have a
+    first axis of two).  The first panel is mapped through x = t^2, so
+    that the half-integer powers the kernels develop near its lower edge
+    are integrated exactly.  The arrays are read-only: one copy per
+    (edges, nodes, rule) serves every caller.
     """
     xs, ws = [], []
     for i, (lo, hi, n) in enumerate(zip(edges, edges[1:], nodes)):
         x, w = rule(n)
-        lo, hi = lo * scale, hi * scale
         if i == 0:
             t0, t1 = math.sqrt(lo), math.sqrt(hi)
             t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
@@ -161,21 +161,21 @@ def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
     small v are integrated exactly.  Only that first panel is built per
     call; panels 2-5 are those of _panels at zeta = 0, whose nodes move
     rigidly with zeta while their weights do not change.  nodes and rule
-    are _panels'.  zeta is a float, giving 1-D nodes, or a 1-D array,
-    giving one row per zeta; a row holds the same floats a lone zeta
-    would.  The arrays returned are new on every call.
+    are _panels'.  zeta is a float, giving 1-D nodes, or (for _leggauss)
+    a 1-D array, giving one row per zeta; a row holds the same floats a
+    lone zeta would.  The arrays returned are new on every call.
     """
     scale = span / _PANEL_EDGES[-1]
-    x, wx = rule(nodes[0])
-    v_out, w_out = _panels(_PANEL_EDGES, nodes, rule, scale)
+    x, w = rule(nodes[0])
+    v_out, w_out = _panels(tuple(e * scale for e in _PANEL_EDGES), nodes, rule)
     v_out, w_out = v_out[x.size:], w_out[..., x.size:]
     z = np.asarray(zeta, dtype=float)[..., None]
     t0 = np.sqrt(z)
     t1 = np.sqrt(z + _PANEL_EDGES[1] * scale)
     t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
-    w = np.empty(wx.shape[:-1] + t.shape[:-1] + (x.size + v_out.size,))
-    w[..., :x.size], w[..., x.size:] = wx * (t1 - t0) * t, w_out
-    return np.concatenate((t * t, z + v_out), axis=-1), w
+    w_out = np.broadcast_to(w_out, z.shape[:-1] + w_out.shape)
+    return (np.concatenate((t * t, z + v_out), axis=-1),
+            np.concatenate((w * (t1 - t0) * t, w_out), axis=-1))
 
 
 # The T = 0 integral's inner variable s = zeta / v runs over these panels,
@@ -247,10 +247,10 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     shift and the oracles differ only in the per-frequency callable, which
     takes an array of frequencies and returns one term per frequency.
     Returns (sum, terms_used, tail_estimate), terms_used counting the terms
-    summed.  The terms are evaluated one stack per call, l = 0 in the
-    first; each term of a stack is added in ascending l, so results are
+    summed.  The l = 0 term is evaluated alone, the terms l >= 1 one stack
+    per call; each term of a stack is added in ascending l, so results are
     bit-reproducible and a term evaluated past the stop never enters the
-    sum.  The sum stops after _STOP_STREAK consecutive terms l >= 1 each
+    sum.  The sum stops after _STOP_STREAK consecutive terms each
     contribute less than need = rel_tol/10 of it, and its tail is estimated
     as a geometric series.  rate is the kernel's decay rate in v: the terms
     fall like e^{-rate zeta_l} times a power of l (rate 1 for the force and
@@ -262,15 +262,15 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     it hands off at l = _HANDOFF at every rel_tol.
     After each stack the stop is projected once, at the last term ratio r:
     n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need, none
-    at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1) past
-    l = 0.  The next stack ends _STOP_STREAK past that stop, after at most
-    chunk frequencies (_STACK; 1 for the oracles; the remainder's calls
-    too), or at l = _HANDOFF or _EM_BLOCK.  A sum still running after the
-    block is completed by _em_remainder, and one whose stop lies more than
-    one remainder pass (_EM_PASS evaluations) past l = _HANDOFF hands off
+    at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).  The
+    next stack ends _STOP_STREAK past that stop, after at most chunk terms
+    (_STACK; 1 for the oracles; the remainder's calls too), or at
+    l = _HANDOFF or _EM_BLOCK.  A sum still running after the block is
+    completed by _em_remainder, and one whose stop lies more than one
+    remainder pass (_EM_PASS evaluations) past l = _HANDOFF hands off
     there.  That point does not depend on chunk, so chunk = 1 and batched
-    sums stay bit-identical.  The remainder's end corrections need a term
-    that is C^2 in zeta; a table's spline is.
+    sums stay bit-identical.  The remainder's end
+    corrections need a term that is C^2 in zeta; a table's spline is.
     No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 414 terms; a
     remainder that falls short raises ConvergenceError with the partial
     sum.
@@ -278,16 +278,18 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
     stops = decay <= _MAX_RATIO  # else the sum cannot stop in the block
-    total, streak, prev = 0.0, 0, math.inf
-    values = []  # the terms summed so far, l = 0, 1, ...
+    total = 0.5 * float(term(np.zeros(1))[0])
+    values = []  # the terms l >= 1 summed so far
+    streak = 0
+    prev = math.inf
     ahead = math.log(10.0 / quad.rel_tol) / (rate * zeta1)
-    while len(values) <= _EM_BLOCK:
-        first = len(values)
+    while len(values) < _EM_BLOCK:
+        first = len(values) + 1
         end = _HANDOFF if first <= _HANDOFF else _EM_BLOCK
-        last = min(end, first + chunk - 1, max(first - 1, 0) + math.ceil(
-            min(chunk, ahead + _STOP_STREAK)))
+        last = min(end, math.ceil(
+            first - 1 + min(chunk, ahead + _STOP_STREAK)))
         for value in term(np.arange(first, last + 1) * zeta1).tolist():
-            total += value if values else 0.5 * value
+            total += value
             values.append(value)
             need = quad.rel_tol / 10.0 * abs(total)
             ratio = abs(value) / prev
@@ -295,7 +297,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
                 streak += 1
                 if streak >= _STOP_STREAK and stops:
                     ratio = min(max(ratio, decay), _MAX_RATIO)
-                    return (total, len(values),
+                    return (total, len(values) + 1,
                             abs(value) * ratio / (1.0 - ratio))
             else:
                 streak = 0
@@ -314,9 +316,9 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
                   quad: QuadratureSpec, chunk: int, rate: float):
     """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
 
-    values holds the terms f(0) ... f(L h), and total their primed sum,
-    the trapezoid rule for the zeta-integral; by Euler-Maclaurin the
-    remainder is
+    values holds the explicit terms f(h) ... f(L h), and total their
+    primed sum with the l = 0 term.  The primed sum is the trapezoid rule
+    for the zeta-integral, so by Euler-Maclaurin the remainder is
 
         (1/h) int_{zeta_b}^inf f - f(zeta_b)/2 - h f'(zeta_b)/12
             + h^3 f'''(zeta_b)/720.
@@ -341,7 +343,7 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     last_correction = d3 / 720.0
     total += -0.5 * values[-1] - d1 / 12.0 + last_correction
     width = _PANEL_EDGES[-1] / rate
-    z, w = _grid_from((len(values) - 1) * h, width, _PANEL_NODES, _kronrod)
+    z, w = _grid_from(len(values) * h, width, _PANEL_NODES, _kronrod)
     f = _evaluate(term, z, chunk)
     fine, coarse = (w @ f / h).tolist()
     total += fine
@@ -350,7 +352,7 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
         raise ConvergenceError(
             f"Euler-Maclaurin remainder cut at {cut / abs(total):.3g} of the "
             f"sum, above rel_tol/10 (rel_tol = {quad.rel_tol:g})", partial=total)
-    return (total, len(values) + _EM_PASS,
+    return (total, len(values) + 1 + _EM_PASS,
             abs(last_correction) + abs(fine - coarse) + cut)
 
 

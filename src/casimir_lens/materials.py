@@ -176,10 +176,7 @@ def _epsilon(model: PermittivityModel, xi):
                 f"xi = {np.min(np.asarray(xi)[outside]):.6g} outside the "
                 f"tabulated range [{lo:.6g}, {hi:.6g}]")
         x, knots = np.log(xi), model._log_xi
-        order = np.argsort(x, axis=None)  # search the sorted x, scatter back
-        i = np.empty(np.size(x), dtype=int)  # the last knot <= x
-        i[order] = np.interp(np.ravel(x)[order], knots, np.arange(knots.size))
-        i = i.reshape(np.shape(x))
+        i = np.interp(x, knots, np.arange(knots.size)).astype(int)  # last knot <= x
         (b, c, d), t = np.take(model._cubic, i, axis=1), x - knots[i]
         eps = np.maximum(model.eps_grid[i] * np.exp(t * (b + t * (c + t * d))), 1.0)
         return float(eps) if np.ndim(xi) == 0 else eps
@@ -198,15 +195,16 @@ def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
     against v that gives each row of v its own frequency (a column, shape
     (m, 1), for m rows), or each node its own.  For zeta > 0 both
     coefficients follow from eps(i xi).  A zeta of zero takes the model's
-    zero-frequency branch, row by row in a column, so every row holds the
-    floats it would alone:
+    zero-frequency branch, so one call holds zero frequency alone or
+    positive frequencies only:
 
     * IdealMetal: (1, -1) at any v.
     * Drude: (1, 0) -- dissipation removes the zero-frequency TE mode.
     * Plasma: r_TM = 1 and a finite r_TE set by 2 a omega_p / c.
     * Tabulated: dielectric-like, eps clamped to its lowest-frequency value.
 
-    Raises ValueError unless v > 0, 0 <= zeta <= v and a > 0.
+    Raises ValueError unless v > 0, 0 <= zeta <= v and a > 0, or where
+    zeta mixes zero and positive frequencies.
     """
     zeta = np.asarray(zeta, dtype=float)
     if not (v > 0.0).all():
@@ -215,17 +213,6 @@ def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
         raise ValueError("require 0 <= zeta <= v")
     if not a > 0.0:
         raise ValueError("separation a must be positive")
-    zero = zeta == 0.0
-    if zero.any() and not zero.all():  # zero rows among positive ones
-        out = np.empty((2,) + v.shape)
-        for rows in (zero[:, 0], ~zero[:, 0]):
-            out[:, rows] = _reflection_sq(model, zeta[rows], v[rows], a)
-        return out[0], out[1]
-    return _reflection_sq(model, zeta, v, a)
-
-
-def _reflection_sq(model: PermittivityModel, zeta, v: np.ndarray, a: float):
-    """reflection_sq_grid past its checks, at zeta all zero or all positive."""
     if isinstance(model, IdealMetal):
         r_tm, r_te = np.ones_like(v), -np.ones_like(v)
     elif not zeta.any():
@@ -236,6 +223,8 @@ def _reflection_sq(model: PermittivityModel, zeta, v: np.ndarray, a: float):
         elif isinstance(model, Tabulated):  # finite dielectric limit
             eps0 = float(model.eps_grid[0])
             r_tm = np.full_like(v, (eps0 - 1.0) / (eps0 + 1.0))
+    elif not zeta.all():
+        raise ValueError("zeta must be all zero or all positive")
     else:
         eps = _epsilon(model, CONSTANTS.c * zeta / (2.0 * a))
         root = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)

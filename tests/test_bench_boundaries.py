@@ -102,8 +102,8 @@ def test_each_bench_table_computes_each_value_once(name, monkeypatch):
 
 
 # per seed-0 table: (frequencies, calls) of engine._frequency_integral
-_TABLE_TERMS = {"force-sweep": (976, 53), "cryo-sweep": (860, 12),
-                "freq-shift": (532, 11), "oracle-check": (2416, 133)}
+_TABLE_TERMS = {"force-sweep": (976, 85), "cryo-sweep": (860, 16),
+                "freq-shift": (532, 16), "oracle-check": (2416, 166)}
 
 
 @pytest.mark.parametrize("name", _TABLE_TERMS)

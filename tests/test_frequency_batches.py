@@ -64,9 +64,7 @@ def test_batched_terms_equal_lone_terms(model, kernel):
 
     zero = term(np.zeros(1))
     assert zero.tolist() == [_lone_term(kernel, model, 0.0)]
-    # l = 0 travels in the first stack: its row takes the zero-frequency
-    # branch on its own
-    matsubara = _zeta1(300.0) * np.arange(_STACK)
+    matsubara = _zeta1(300.0) * np.arange(1, _STACK + 1)
     batched = _evaluate(term, matsubara)
     lone = [_lone_term(kernel, model, float(z)) for z in matsubara]
     assert batched.tolist() == lone
@@ -158,9 +156,10 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder():
     assert sum(calls) == ref[1]
     # chunk bounds every call of term, the remainder's too
     assert set(calls) == {1}
-    # one stack of l = 0 - 57 to the hand-off at l = 57 (the projected stop
-    # lies far past it), and the remainder's pass of 157 in two calls
-    assert sizes == [58, 79, 78]
+    # l = 0 alone, one stack of 57 to the hand-off at l = 57 (the
+    # projected stop lies far past it), and the remainder's pass of 157 in
+    # two calls
+    assert sizes == [1, 57, 79, 78]
 
 
 def _converged_sum(kernel, model, T, a=A):
@@ -204,6 +203,32 @@ def test_cold_sum_within_its_estimate_of_the_converged_sum(model,
     assert res.est_abs_error <= QuadratureSpec().rel_tol * abs(res.value)
 
 
+@pytest.mark.parametrize("kind, a, T", [
+    ("force", 200e-9, 77.0), ("gradient", 200e-9, 77.0),
+    ("force", 500e-9, 30.0), ("gradient", 150e-9, 120.0),
+    ("gradient", 300e-9, 60.0)])
+def test_warm_sum_handed_off_within_its_estimate_of_the_converged_sum(
+        kind, a, T, monkeypatch):
+    # sums whose stop is projected more than one remainder pass past l = 57
+    # hand off there, though they would stop in the block: 1.6 - 4.6e-13
+    # off the converged sum, against estimates of ~1e-9
+    sums = []
+
+    def recorded(*args, **kwargs):
+        sums.append(matsubara_sum(*args, **kwargs))
+        return sums[-1]
+
+    matsubara_sum = engine._matsubara_sum
+    monkeypatch.setattr(engine, "_matsubara_sum", recorded)
+    res = {"force": force, "gradient": gradient}[kind](
+        LENS, Environment(a=a, T=T), MODELS["drude"])
+    total = sums[0][0]
+    ref = _converged_sum(KERNELS[kind], MODELS["drude"], T, a)
+    assert res.terms_used == 1 + engine._HANDOFF + engine._EM_PASS
+    assert abs(total - ref) <= res.est_abs_error / abs(res.value) * abs(total)
+    assert abs(total - ref) <= 1e-12 * abs(ref)
+
+
 @pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
 def test_slow_sum_at_a_loose_rel_tol_within_its_estimate(T):
     # at 200 nm and T <= 3 K the terms fall slower than e^{-zeta_1} > 0.97
@@ -234,7 +259,7 @@ def test_slow_sum_at_a_loose_rel_tol_hands_off_at_l_57(monkeypatch, T,
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     res = force(LENS, Environment(a=A, T=T), MODELS["drude"],
                 QuadratureSpec(rel_tol))
-    assert sizes == [1 + engine._HANDOFF, _STACK, engine._EM_PASS - _STACK]
+    assert sizes == [1, engine._HANDOFF, _STACK, engine._EM_PASS - _STACK]
     assert sum(sizes) == res.terms_used == 215
 
 
@@ -379,10 +404,10 @@ def test_force_call_counts(monkeypatch, T):
         assert res.terms_used == 76 + 38
         calls = 1 + 1
     else:
-        # one stack of l = 0 - 57 to the hand-off point, and one stack to
-        # _STOP_STREAK past the stop projected at l = 57
+        # l = 0 alone, one stack to the hand-off point l = 57, and one
+        # stack to _STOP_STREAK past the stop projected at l = 57
         assert res.terms_used == 63
-        calls = 1 + 1
+        calls = 1 + 1 + 1
         evaluated = sum(np.shape(args[1])[0] for args in reflection)
         assert evaluated <= res.terms_used + engine._STOP_STREAK
     assert len(reflection) == calls

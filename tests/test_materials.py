@@ -7,8 +7,6 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from casimir_lens.constants import CONSTANTS, ev_to_rad_per_s
-from casimir_lens.engine import (_S_EDGES, _S_NODES, _ZETA_MIN, _grid_from,
-                                 _panels)
 from casimir_lens.materials import (Drude, IdealMetal, Plasma, Tabulated,
                                     epsilon_at_imaginary, gold_drude,
                                     gold_plasma, reflection_sq_grid)
@@ -125,11 +123,17 @@ def test_reflection_grid_matches_scalar():
 
 
 def test_reflection_requires_v_at_least_zeta():
-    # the checks cover every element of a grid, and a and v themselves
+    # the checks cover every element of a grid, and a and v themselves;
+    # zero frequency never shares a call with positive ones, in a column
+    # or node by node
     for zeta, v, a in ((2.0, [3.0, 1.0], 200e-9),
                        (np.array([[0.5], [2.0]]), [1.0, 1.5], 200e-9),
                        (-1e-3, [1.0], 200e-9), (0.0, [0.0, 1.0], 200e-9),
-                       (0.5, [1.0], 0.0)):
+                       (0.5, [1.0], 0.0),
+                       (np.array([0.0, 0.5]), [1.0, 1.5], 200e-9),
+                       (np.array([[0.0], [0.5]]), [1.0, 1.5], 200e-9),
+                       (np.array([[0.0, 0.5], [0.5, 0.5]]),
+                        [[1.0, 1.5], [1.0, 1.5]], 200e-9)):
         with pytest.raises(ValueError):
             reflection_sq_grid(gold_drude(), zeta, np.array(v), a)
 
@@ -192,33 +196,6 @@ def test_epsilon_array_path_matches_scalar_path():
         assert np.array_equal(array, scalar), model
         column = epsilon_at_imaginary(model, xi[:, None])
         assert np.array_equal(column[:, 0], scalar), model
-
-
-def _lookup_in_query_order(model, xi):
-    """A table's eps with np.interp searching the queries as they come."""
-    x, knots = np.log(xi), model._log_xi
-    i = np.interp(x, knots, np.arange(knots.size)).astype(int)
-    (b, c, d), t = np.take(model._cubic, i, axis=1), x - knots[i]
-    return np.maximum(model.eps_grid[i] * np.exp(t * (b + t * (c + t * d))),
-                      1.0)
-
-
-def test_sorted_table_lookup_equals_the_lookup_in_query_order():
-    # a table looks its knots up on the queries sorted, then scatters them
-    # back: bit for bit the search in query order, on random queries and
-    # on the T = 0 integral's (v, s) grid at 200 nm, whose rows jump back
-    a = 200e-9
-    xi = np.geomspace(CONSTANTS.c * _ZETA_MIN / (2.0 * a), 1.0e18, 20_000)
-    model = Tabulated(xi, epsilon_at_imaginary(gold_drude(), xi))
-    rng = np.random.default_rng(7)
-    random = np.exp(rng.uniform(math.log(xi[0]), math.log(xi[-1]), 5000))
-    v = _grid_from(0.0)[0][:, None]
-    s = _panels(_S_EDGES, _S_NODES)[0]
-    s0 = _ZETA_MIN / v
-    grid = CONSTANTS.c * v * (s0 + (1.0 - s0) * s) / (2.0 * a)
-    for q in (random, random.reshape(50, 100), grid, xi, xi[::-1]):
-        assert np.array_equal(epsilon_at_imaginary(model, q),
-                              _lookup_in_query_order(model, q))
 
 
 def _sampled(nodes, lo=1.0e7):
