@@ -23,7 +23,7 @@ the lens and are used to bound the error of the leading-order expressions.
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,10 +54,8 @@ class QuadratureSpec:
     like e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at
     300 K, 200 nm, C = 10 and Az/a = 0.99 the shift is -743.4 against
     the converged -3091.858, 4.2 times too small (186 times at 0.999).
-    The remainder's window and the T = 0 integral's v-window follow the
-    kernel: 80 / rate wide, rate 1 for the force and the gradient and
-    1 - Az/a for the shift.  The T = 0 integral's fixed (v, s) panels are
-    converged to ~3e-15, and its error estimate is measured.
+    The other windows follow the kernel (_Window).  The T = 0 integral's
+    (v, s) panels are converged to ~3e-15, its error estimate measured.
     """
 
     rel_tol: float = 1e-8
@@ -88,6 +86,24 @@ _PANEL_NODES = (24, 16, 16, 12, 8)  # the one v-rule, 76 nodes
 # The oracles' v-rule: on _PANEL_NODES the PFA oracle drifts by
 # 1.7 - 3.3e-12, past its estimate at rel_tol = 1e-13.
 _FINE_NODES = tuple(2 * n for n in _PANEL_NODES)
+
+
+class _Window(NamedTuple):
+    """A kernel's v-window, built once per evaluation (_lifshitz, _oracle_sum).
+
+    The kernel falls like e^{-rate v} (rate 1 for the force, the gradient
+    and the oracles, 1 - Az/a for the shift), its Matsubara terms like
+    e^{-rate zeta_l} times a power of l.  span is 80 e-foldings at every
+    rate: the remainder's zeta-window and the T = 0 integral's v-window.
+    nodes is the terms' v-rule; their window stays [zeta_l, zeta_l + 80].
+    """
+
+    rate: float = 1.0
+    nodes: tuple = _PANEL_NODES
+
+    @property
+    def span(self) -> float:
+        return _PANEL_EDGES[-1] / self.rate
 
 
 @lru_cache(maxsize=None)
@@ -210,25 +226,18 @@ _STACK = 79  # frequencies per term call: half a remainder pass, rounded up
 
 
 def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
-                        a: float, nodes: tuple = _PANEL_NODES):
+                        a: float, window: _Window = _Window()):
     """The v-integral at fixed zeta: one Matsubara term per frequency.
 
-    The package's one, for every kernel; nodes is the v-rule (_grid_from).
-    zeta is a float or a 1-D array.  For an array, one call of
-    reflection_sq_grid and of the kernel covers the whole (zeta, v) grid,
-    a row per frequency, and each row is then summed on its own, as a
-    lone frequency is.
+    The package's one, for every kernel, on window.nodes (_grid_from); zeta
+    is a float or a 1-D array.  For an array, one call of reflection_sq_grid
+    and of the kernel covers the whole (zeta, v) grid, a row per frequency,
+    and each row is then summed on its own, as a lone frequency is.
     """
     zeta = np.asarray(zeta, dtype=float)
-    v, w = _grid_from(zeta, nodes=nodes)
+    v, w = _grid_from(zeta, nodes=window.nodes)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta[..., None], v, a)
     return np.sum(w * kernel(v, r_tm2, r_te2), axis=-1)
-
-
-def _evaluate(term: Term, zeta: np.ndarray, chunk: int = _STACK) -> np.ndarray:
-    """term at every frequency of zeta, chunk a call."""
-    return np.concatenate([term(zeta[i:i + chunk])
-                           for i in range(0, zeta.size, chunk)])
 
 
 _STOP_STREAK = 3
@@ -240,7 +249,7 @@ _MAX_RATIO = 0.97  # the largest ratio the geometric tail estimate takes
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
-                   chunk: int = _STACK, rate: float = 1.0):
+                   chunk: int = _STACK, window: _Window = _Window()):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
@@ -250,39 +259,35 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     summed.  The l = 0 term is evaluated alone, the terms l >= 1 one stack
     per call; each term of a stack is added in ascending l, so results are
     bit-reproducible and a term evaluated past the stop never enters the
-    sum.  The sum stops after _STOP_STREAK consecutive terms each
-    contribute less than need = rel_tol/10 of it, and its tail is estimated
-    as a geometric series.  rate is the kernel's decay rate in v: the terms
-    fall like e^{-rate zeta_l} times a power of l (rate 1 for the force and
-    the gradient, 1 - Az/a for the shift).  The series' ratio is the last
-    observed one, raised to at least e^{-rate zeta_1} (after a dip the term
-    ratio rises back toward it) and capped at _MAX_RATIO.  Such a series
-    cannot bound terms that fall slower, so where e^{-rate zeta_1} >
-    _MAX_RATIO the sum does not stop in the block, nor projects a stop:
-    it hands off at l = _HANDOFF at every rel_tol.
-    After each stack the stop is projected once, at the last term ratio r:
-    n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need, none
-    at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).  The
-    next stack ends _STOP_STREAK past that stop, after at most chunk terms
-    (_STACK; 1 for the oracles; the remainder's calls too), or at
+    sum.  The sum stops after _STOP_STREAK consecutive terms each contribute
+    less than need = rel_tol/10 of it, and its tail is estimated as a
+    geometric series: the last term ratio, raised to at least
+    e^{-rate zeta_1} (_Window; after a dip the ratio rises back toward it),
+    capped at _MAX_RATIO.  Such a series cannot bound terms that fall
+    slower, so where e^{-rate zeta_1} > _MAX_RATIO the sum neither stops in
+    the block nor projects a stop: it hands off at l = _HANDOFF at every
+    rel_tol.  After each stack the stop is projected once, at the last term
+    ratio r: n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need,
+    none at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).
+    The next stack ends _STOP_STREAK past that stop, after at most chunk
+    terms (_STACK; 1 for the oracles; the remainder's calls too), or at
     l = _HANDOFF or _EM_BLOCK.  A sum still running after the block is
     completed by _em_remainder, and one whose stop lies more than one
     remainder pass (_EM_PASS evaluations) past l = _HANDOFF hands off
     there.  That point does not depend on chunk, so chunk = 1 and batched
-    sums stay bit-identical.  The remainder's end
-    corrections need a term that is C^2 in zeta; a table's spline is.
-    No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS = 414 terms; a
-    remainder that falls short raises ConvergenceError with the partial
-    sum.
+    sums stay bit-identical.  The remainder's end corrections need a term
+    that is C^2 in zeta; a table's spline is.  No sum evaluates more than
+    1 + _EM_BLOCK + _EM_PASS = 414 terms; a remainder that falls short
+    raises ConvergenceError with the partial sum.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
-    decay = math.exp(-rate * zeta1)  # the terms' asymptotic ratio
+    decay = math.exp(-window.rate * zeta1)  # the terms' asymptotic ratio
     stops = decay <= _MAX_RATIO  # else the sum cannot stop in the block
     total = 0.5 * float(term(np.zeros(1))[0])
     values = []  # the terms l >= 1 summed so far
     streak = 0
     prev = math.inf
-    ahead = math.log(10.0 / quad.rel_tol) / (rate * zeta1)
+    ahead = math.log(10.0 / quad.rel_tol) / (window.rate * zeta1)
     while len(values) < _EM_BLOCK:
         first = len(values) + 1
         end = _HANDOFF if first <= _HANDOFF else _EM_BLOCK
@@ -309,11 +314,11 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
             ahead = math.log(need / abs(value)) / math.log(ratio)
         if last == _HANDOFF and ahead > _EM_PASS:
             break
-    return _em_remainder(term, zeta1, values, total, quad, chunk, rate)
+    return _em_remainder(term, zeta1, values, total, quad, chunk, window.span)
 
 
 def _em_remainder(term: Term, h: float, values: list, total: float,
-                  quad: QuadratureSpec, chunk: int, rate: float):
+                  quad: QuadratureSpec, chunk: int, span: float):
     """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
 
     values holds the explicit terms f(h) ... f(L h), and total their
@@ -325,29 +330,26 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
 
     h f' and h^3 f''' come from the backward differences of the last seven
     terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
-    evaluations.  The integral runs over one window, [zeta_b, zeta_b +
-    80 / rate]: the terms fall like e^{-rate zeta}, so it spans 80
-    e-foldings at every rate.  It takes the Kronrod extension of
-    _PANEL_NODES (_kronrod, 157 nodes), chunk frequencies a call of term,
-    and as its check the embedded 76-node Gauss rule, at no evaluation.
-    The tail estimate is measured: the last correction applied, the
-    check's change, and the cut at the window's end (its last term times
-    its width).  A cut above rel_tol/10 of the sum (or a NaN) raises
-    ConvergenceError with the sum so far; the ideal-metal force at 200 nm
-    and 1 K needs a rel_tol below ~3e-30 for that.  Returns (sum,
-    terms_used, tail_estimate).
+    evaluations.  The integral runs over one window, [zeta_b, zeta_b + span]
+    (_Window), on the Kronrod extension of _PANEL_NODES (_kronrod, 157
+    nodes), chunk frequencies a call of term, and as its check the embedded
+    76-node Gauss rule, at no evaluation.  The tail estimate is measured:
+    the last correction applied, the check's change, and the cut at the
+    window's end (its last term times its width).  A cut above rel_tol/10 of
+    the sum (or a NaN) raises ConvergenceError with the sum so far; the
+    ideal-metal force at 200 nm and 1 K needs a rel_tol below ~3e-30 for
+    that.  Returns (sum, terms_used, tail_estimate).
     """
     nabla = [float(np.diff(values[-7:], k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
     d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
     last_correction = d3 / 720.0
     total += -0.5 * values[-1] - d1 / 12.0 + last_correction
-    width = _PANEL_EDGES[-1] / rate
-    z, w = _grid_from(len(values) * h, width, _PANEL_NODES, _kronrod)
-    f = _evaluate(term, z, chunk)
+    z, w = _grid_from(len(values) * h, span, _PANEL_NODES, _kronrod)
+    f = np.concatenate([term(z[i:i + chunk]) for i in range(0, z.size, chunk)])
     fine, coarse = (w @ f / h).tolist()
     total += fine
-    cut = abs(float(f[-1])) * width / h
+    cut = abs(float(f[-1])) * span / h
     if not cut <= quad.rel_tol / 10.0 * abs(total):
         raise ConvergenceError(
             f"Euler-Maclaurin remainder cut at {cut / abs(total):.3g} of the "
@@ -384,24 +386,22 @@ def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
 
 
 def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
-                   rate: float = 1.0):
+                   window: _Window = _Window()):
     """Zero-temperature replacement of the sum: integral over continuous zeta.
 
     The integral over 0 <= zeta <= v runs in v-outer order,
 
         int_0^V dv v int_0^1 ds kernel(v, r^2(v s, v)),
 
-    with V = 80 / rate: the kernel falls like e^{-rate v}, so the window
-    spans 80 e-foldings at every rate.  v takes the panels _PANEL_EDGES
-    at _PANEL_NODES, s the panels _S_EDGES at _S_NODES, and each rule is
-    one call of reflection_sq_grid and of the kernel (_zeta_rows).  The
-    error is measured: the change when both rules are taken at half the
-    order, plus the cut at the window's end (the last row times the
-    window's width).
+    with V = window.span.  v takes the panels _PANEL_EDGES at _PANEL_NODES,
+    s the panels _S_EDGES at _S_NODES, and each rule is one call of
+    reflection_sq_grid and of the kernel (_zeta_rows).  The error is
+    measured: the change when both rules are taken at half the order, plus
+    the cut at the window's end (the last row times the window's width).
     Returns (integral, rows, error), rows counting the v-rows of both
     rules, one s-integral each.
     """
-    span = _PANEL_EDGES[-1] / rate
+    span = window.span
     v, wv, g = _zeta_rows(kernel, model, a, span, _PANEL_NODES, _S_NODES)
     vc, wc, gc = _zeta_rows(kernel, model, a, span,
                             tuple(n // 2 for n in _PANEL_NODES),
@@ -425,8 +425,8 @@ def _scaled(prefactor: float, total: float, terms: int, tail: float,
 
 
 def _finite_t(term: Term, prefactor: float, env: Environment,
-              quad: QuadratureSpec, rate: float = 1.0) -> ForceResult:
-    return _scaled(prefactor, *_matsubara_sum(term, env, quad, rate=rate))
+              quad: QuadratureSpec, window: _Window) -> ForceResult:
+    return _scaled(prefactor, *_matsubara_sum(term, env, quad, window=window))
 
 
 def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
@@ -439,9 +439,8 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     adds the gradient's extra -1/a).  Holds the one prefactor, kT at every
     temperature, and the only T = 0 dispatch: at T = 0 kT is hbar c / 4 pi a
     and the sum the continuous zeta-integral (_zeta_integral), whose
-    terms_used counts v-rows.  rate is the kernel's decay rate, the kernel
-    falling like e^{-rate v}; the Matsubara sum sizes its tail ratio and
-    its remainder's first window by it, and the T = 0 integral its v-window.
+    terms_used counts v-rows.  The kernel's _Window, built here once from
+    its decay rate, goes to the terms, the sum and the T = 0 integral.
     """
     a = env.a
     zero_t = env.T == 0.0
@@ -451,11 +450,12 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
              * shape_factor(geom) / math.sqrt(2.0 * a))
     if derivative:
         pref = -pref / a
+    window = _Window(rate)
     if zero_t:
-        return _scaled(pref, *_zeta_integral(kernel, model, a, rate),
+        return _scaled(pref, *_zeta_integral(kernel, model, a, window),
                        mode="zeroT")
-    term = partial(_frequency_integral, kernel, model, a=a)
-    return _finite_t(term, pref, env, quad, rate)
+    term = partial(_frequency_integral, kernel, model, a=a, window=window)
+    return _finite_t(term, pref, env, quad, window)
 
 
 def force(geom: LensGeometry, env: Environment, model: PermittivityModel,
@@ -658,9 +658,9 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
     kernel = partial(_oracle_kernel, a=env.a, chord=chord, u2_max=u2_max)
-    term = partial(_frequency_integral, kernel, model, a=env.a,
-                   nodes=_FINE_NODES)
-    return _matsubara_sum(term, env, quad, chunk=1)
+    window = _Window(nodes=_FINE_NODES)
+    term = partial(_frequency_integral, kernel, model, a=env.a, window=window)
+    return _matsubara_sum(term, env, quad, chunk=1, window=window)
 
 
 def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,

@@ -9,7 +9,7 @@ from casimir_lens import engine
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.engine import (_FINE_NODES, _SIGMA_CUT, _SIGMA_NODES,
                                  DEFAULT_QUADRATURE,
-                                 QuadratureSpec, _frequency_integral,
+                                 QuadratureSpec, _Window, _frequency_integral,
                                  _grid_from, _leggauss, _oracle_kernel,
                                  _order_sum, casimir_force,
                                  direct_pfa_force_oracle,
@@ -50,9 +50,9 @@ def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     calls = []
     frequency_integral = engine._frequency_integral
 
-    def counted(kernel, model, zeta, a, nodes=engine._PANEL_NODES):
-        calls.append((np.size(zeta), nodes))
-        return frequency_integral(kernel, model, zeta, a, nodes)
+    def counted(kernel, model, zeta, a, window=engine._Window()):
+        calls.append((np.size(zeta), window.nodes))
+        return frequency_integral(kernel, model, zeta, a, window)
 
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
     e = Environment(a=a, T=T)
@@ -185,7 +185,7 @@ def test_vectorized_oracle_term_is_bit_identical_to_per_v_loop(model, zeta):
 
     with np.errstate(divide="raise", invalid="raise"):  # r^2 = 0 rows
         assert _frequency_integral(kernel, model, zeta, _A_TERM,
-                                   _FINE_NODES) == \
+                                   _Window(nodes=_FINE_NODES)) == \
             _oracle_term_ref(model, zeta, _A_TERM, lens.B, lens.h)
     if zeta == 0.0 and model == gold_drude():
         v, _ = _grid_from(0.0)

@@ -16,8 +16,7 @@ import pytest
 
 from casimir_lens import engine, oscillator
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_STACK, QuadratureSpec, _evaluate,
-                                 _force_kernel, _frequency_integral,
+from casimir_lens.engine import (_STACK, QuadratureSpec, _force_kernel, _frequency_integral,
                                  _gradient_kernel, _grid_from, _matsubara_sum,
                                  direct_pfa_force_oracle, force, gradient)
 from casimir_lens.geometry import Environment, symmetric_lens
@@ -65,7 +64,7 @@ def test_batched_terms_equal_lone_terms(model, kernel):
     zero = term(np.zeros(1))
     assert zero.tolist() == [_lone_term(kernel, model, 0.0)]
     matsubara = _zeta1(300.0) * np.arange(1, _STACK + 1)
-    batched = _evaluate(term, matsubara)
+    batched = term(matsubara)  # one stack, one call
     lone = [_lone_term(kernel, model, float(z)) for z in matsubara]
     assert batched.tolist() == lone
 
@@ -252,9 +251,9 @@ def test_slow_sum_at_a_loose_rel_tol_hands_off_at_l_57(monkeypatch, T,
     sizes = []
     frequency_integral = engine._frequency_integral
 
-    def counted(kernel, model, zeta, a, nodes=engine._PANEL_NODES):
+    def counted(kernel, model, zeta, a, window=engine._Window()):
         sizes.append(np.size(zeta))
-        return frequency_integral(kernel, model, zeta, a, nodes)
+        return frequency_integral(kernel, model, zeta, a, window)
 
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     res = force(LENS, Environment(a=A, T=T), MODELS["drude"],
@@ -364,10 +363,10 @@ def test_oracle_evaluates_only_the_terms_it_sums(monkeypatch):
     calls = []
     frequency_integral = engine._frequency_integral
 
-    def counted(kernel, model, zeta, a, nodes=engine._PANEL_NODES):
-        if nodes == engine._FINE_NODES:  # an oracle term
+    def counted(kernel, model, zeta, a, window=engine._Window()):
+        if window.nodes == engine._FINE_NODES:  # an oracle term
             calls.append(zeta)
-        return frequency_integral(kernel, model, zeta, a, nodes)
+        return frequency_integral(kernel, model, zeta, a, window)
 
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     res = direct_pfa_force_oracle(LENS, Environment(a=1e-6, T=300.0),

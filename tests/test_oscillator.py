@@ -622,8 +622,10 @@ def test_remainder_window_follows_decay_rate(beta):
     def shift_kernel(v, r_tm2, r_te2):
         return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
 
-    fast = engine._matsubara_sum(term, E300, quad, rate=1.0 - beta)
-    wide = engine._matsubara_sum(term, E300, quad, rate=(1.0 - beta) / 2.0)
+    fast = engine._matsubara_sum(term, E300, quad,
+                                 window=engine._Window(1.0 - beta))
+    wide = engine._matsubara_sum(term, E300, quad,
+                                 window=engine._Window((1.0 - beta) / 2.0))
     zeta1 = 4.0 * math.pi * E300.a * CONSTANTS.kB * E300.T / (
         CONSTANTS.hbar * CONSTANTS.c)
     for rate, got in ((1.0 - beta, fast), ((1.0 - beta) / 2.0, wide)):
@@ -635,7 +637,7 @@ def test_remainder_window_follows_decay_rate(beta):
         # at the force's rate the window is 80 wide, 0.8 e-foldings of
         # these terms: its end cut is 1.5e-3 of the sum, and the sum raises
         with pytest.raises(ConvergenceError):
-            engine._matsubara_sum(term, E300, quad, rate=1.0)
+            engine._matsubara_sum(term, E300, quad, window=engine._Window(1.0))
 
 
 def test_force_remainder_unchanged_at_unit_rate(monkeypatch):
@@ -650,7 +652,7 @@ def test_force_remainder_unchanged_at_unit_rate(monkeypatch):
     monkeypatch.setattr(engine, "_em_remainder",
                         lambda *args: remainders.append(args)
                         or em_remainder(*args))
-    got = engine._matsubara_sum(term, env, quad, rate=1.0)
+    got = engine._matsubara_sum(term, env, quad, window=engine._Window(1.0))
     assert len(remainders) == 1  # the remainder ran
     assert got == engine._matsubara_sum(term, env, quad)
 

@@ -7,11 +7,13 @@ Euler-Maclaurin remainder integrates zeta on their Gauss-Kronrod extension
 rule's error alone.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from casimir_lens import engine
-from casimir_lens.engine import _PANEL_NODES, force, gradient
+from casimir_lens import engine, oscillator
+from casimir_lens.engine import _PANEL_NODES, QuadratureSpec, force, gradient
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
 from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
@@ -43,10 +45,10 @@ def test_v_rule_against_twice_its_order(monkeypatch, model, T):
     frequency_integral = engine._frequency_integral
     calls = []
 
-    def v_integral(kernel, model, zeta, a, nodes=_PANEL_NODES):
+    def v_integral(kernel, model, zeta, a, window=engine._Window()):
         calls.append(np.size(zeta))
-        return frequency_integral(kernel, model, zeta, a,
-                                  tuple(2 * n for n in nodes))
+        return frequency_integral(kernel, model, zeta, a, window._replace(
+            nodes=tuple(2 * n for n in window.nodes)))
 
     monkeypatch.setattr(engine, "_frequency_integral", v_integral)
     ref = _results(model, env)
@@ -64,6 +66,36 @@ def test_cold_shift_remainder_rule_against_twice_its_order(monkeypatch):
     env = Environment(a=A, T=3.0)
     osc = OscillatorParams(omega0=1e4, C=1.0, Az=0.99 * env.a)
     got = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
+    windows = _double_the_remainder_rule(monkeypatch)
+    ref = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
+    assert windows
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.99, 0.999])
+def test_cold_shift_remainder_change_within_its_tail_estimate(monkeypatch,
+                                                              beta):
+    # the shift's sum at 3 K on the shift's window, against the same sum
+    # with the remainder's Kronrod rule at twice the order.  At Az/a =
+    # 0.999 the window is 80 000 wide: the change is 7.9e-10 of the sum,
+    # its tail estimate 1.0e-5
+    env = Environment(a=A, T=3.0)
+    window = engine._Window(1.0 - beta)
+    kernel = partial(oscillator._nonlinear_kernel, beta=beta)
+    term = partial(engine._frequency_integral, kernel, gold_drude(), a=A,
+                   window=window)
+    got, _, tail = engine._matsubara_sum(term, env, QuadratureSpec(),
+                                         window=window)
+    windows = _double_the_remainder_rule(monkeypatch)
+    ref, _, _ = engine._matsubara_sum(term, env, QuadratureSpec(),
+                                      window=window)
+    assert windows
+    assert abs(got - ref) <= tail
+
+
+def _double_the_remainder_rule(monkeypatch):
+    """Patch _grid_from so that the remainder's Kronrod windows take twice
+    the order; returns the list of window starts, filled as they are built."""
     grid_from = engine._grid_from
     windows = []
 
@@ -77,6 +109,4 @@ def test_cold_shift_remainder_rule_against_twice_its_order(monkeypatch):
         return grid_from(zeta, span, nodes, rule)
 
     monkeypatch.setattr(engine, "_grid_from", remainder_doubled)
-    ref = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
-    assert windows
-    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    return windows

@@ -122,7 +122,7 @@ def test_zero_temperature_shift_window_follows_decay_rate():
         return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
 
     shift = frequency_shift_nonlinear(LENS, env, model, osc, quad)
-    total = _zeta_integral(kernel, model, env.a, 1.0 - beta)[0]
+    total = _zeta_integral(kernel, model, env.a, engine._Window(1.0 - beta))[0]
     v, wv, rows = engine._zeta_rows(
         kernel, model, env.a, 4.0 * _PANEL_EDGES[-1] / (1.0 - beta),
         _FINE_NODES, tuple(2 * n for n in _S_NODES))
