@@ -18,7 +18,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .config import (_READS, ConfigError, RunConfig, describe_config,
+from .config import (ConfigError, RunConfig, describe_config,
                      load_config, substitute, visited_range)
 from .electrostatics import asymmetric_electric_force
 from .engine import force, gradient
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tolerance is not None:
-            if "quadrature" not in _READS[cfg.command]:
+            if cfg.quadrature is None:
                 raise ConfigError("--tolerance is not read by command "
                                   f"'{cfg.command}'")
             cfg = dataclasses.replace(

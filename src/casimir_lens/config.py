@@ -107,13 +107,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one command execution needs, fully validated."""
+    """One command's validated inputs; a section it does not read is None."""
 
     command: str
     geometry: LensGeometry | None
     environment: Environment | None
-    material: PermittivityModel
-    quadrature: QuadratureSpec
+    material: PermittivityModel | None
+    quadrature: QuadratureSpec | None
     oscillator: OscillatorParams | None = None
     bias: BiasState | None = None
     sweep: SweepSpec | None = None
@@ -333,7 +333,7 @@ def _check_consistency(cfg: RunConfig) -> None:
                 substitute(cfg, x)
             except ValueError as exc:
                 raise ConfigError(f"[sweep] {exc}") from None
-    if cmd != "efield" and isinstance(cfg.material, Tabulated):
+    if isinstance(cfg.material, Tabulated):
         _check_tabulated_zero_t(cfg)
 
 
@@ -386,8 +386,9 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     if run is None:
         raise ConfigError("missing required section [run]")
     command = _get(run, "command", COMMANDS, required=True)
+    reads = _READS[command]
     for sect in (geometry, env, material, quad, osc, efield):
-        if sect is not None and sect.name not in _READS[command]:
+        if sect is not None and sect.name not in reads:
             raise ConfigError(f"[{sect.name}] is not read by command "
                               f"'{command}'")
     spec, ratios = (None, ()) if sweep is None else _parse_sweep(sweep, command)
@@ -398,8 +399,9 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         geometry=_parse_geometry(geometry),
         environment=None if env is None else _build(
             Environment, env, T=_get(env, "T", default=300.0)),
-        material=_parse_material(material),
-        quadrature=_build(QuadratureSpec, quad),
+        material=_parse_material(material) if "material" in reads else None,
+        quadrature=(_build(QuadratureSpec, quad)
+                    if "quadrature" in reads else None),
         oscillator=_parse_oscillator(osc),
         bias=None if efield is None else _build(BiasState, efield),
         sweep=spec,
@@ -429,14 +431,13 @@ def describe_config(cfg: RunConfig) -> list[str]:
     """Flat `section.key = value` lines of the resolved config.
 
     Used for the '#'-prefixed header block of CSV output so a result file
-    records exactly what produced it, and no section its rows do not read.
+    records exactly what produced it: every section the RunConfig holds.
     """
-    reads = _READS[cfg.command]
     lines = [f"run.command = {cfg.command}"]
     if cfg.geometry is not None:
         lines.append(f"geometry.variant = {_name_of(LENS_VARIANTS, cfg.geometry)}")
         lines += _describe("geometry", cfg.geometry)
-    if "material" in reads:
+    if cfg.material is not None:
         lines.append(f"material.model = {_name_of(MATERIAL_MODELS, cfg.material)}")
         lines += _describe("material", cfg.material)
     for section, part in (("environment", cfg.environment),
@@ -446,7 +447,7 @@ def describe_config(cfg: RunConfig) -> list[str]:
             lines += _describe(section, part)
     if cfg.ratios:
         lines.append("sweep.ratios = " + ", ".join(f"{r:.17g}" for r in cfg.ratios))
-    if "quadrature" in reads:
+    if cfg.quadrature is not None:
         lines += _describe("quadrature", cfg.quadrature)
     return lines
 

@@ -209,14 +209,15 @@ _ZETA_MIN = 7.552115867947006e-07
 # kernels:  integrand(v) given squared reflection coefficients; TM and TE
 # share the v grid, so one polylog call takes both, stacked
 
-def _force_kernel(v, r_tm2, r_te2):
-    li = polylog_exp_grid(0.5, v, np.stack((r_tm2, r_te2)))
-    return v ** 1.5 * (li[0] + li[1])
+def _polylog_kernel(v, r_tm2, r_te2, s: float):
+    """v^{2-s} [Li_s(r_TM^2 e^-v) + Li_s(r_TE^2 e^-v)]: the force at s = 1/2,
+    the gradient at s = -1/2."""
+    li = polylog_exp_grid(s, v, np.stack((r_tm2, r_te2)))
+    return v ** (2.0 - s) * (li[0] + li[1])
 
 
-def _gradient_kernel(v, r_tm2, r_te2):
-    li = polylog_exp_grid(-0.5, v, np.stack((r_tm2, r_te2)))
-    return v ** 2.5 * (li[0] + li[1])
+_force_kernel = partial(_polylog_kernel, s=0.5)
+_gradient_kernel = partial(_polylog_kernel, s=-0.5)
 
 
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]

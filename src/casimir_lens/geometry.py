@@ -163,11 +163,9 @@ def symmetric_lens(A: float, B: float, L: float, *, d: float | None = None,
                    h: float | None = None) -> EllipticLens:
     """Build a symmetric lens from either its width or its thickness.
 
-    Exactly one of d, h may be given; the other is derived from the cylinder
+    A given d or h is kept; a missing one is derived from the cylinder
     surface.  With neither given, d defaults to 0.9 A.
     """
-    if d is not None and h is not None:
-        return EllipticLens(A=A, B=B, h=h, d=d, L=L)
     if d is None:
         d = 0.9 * A if h is None else width_for_thickness(A, B, h)
     if h is None:

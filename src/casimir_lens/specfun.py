@@ -44,10 +44,7 @@ def bessel_i1_scaled(x):
     evaluations.
     """
     from scipy.special import i1e
-    out = i1e(x)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return i1e(x)
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,31 @@ _TABLES = {"columns.dat": "1e13 5000.0 1\n", "one_row.dat": "1e13 5000.0\n",
            "infinite.dat": "1e13 inf\n1e18 1.5\n"}
 
 
+# a minimal config of each command, and the RunConfig sections it reads
+_MINIMAL = {
+    "force": ("[run]\ncommand = force\n\n" + _LENS + _ENV,
+              {"geometry", "environment", "material", "quadrature"}),
+    "gradient": ("[run]\ncommand = gradient\n\n" + _LENS + _ENV,
+                 {"geometry", "environment", "material", "quadrature"}),
+    "efield": (_EFIELD_RUN + "\n[efield]\nV = 0.5\n",
+               {"geometry", "environment", "bias"}),
+    "freq-shift": (_SHIFT_RUN + _OSC + "C = 1.0\n",
+                   {"geometry", "environment", "material", "quadrature",
+                    "oscillator"}),
+    "ratio-sweep": (_RATIO_RUN + "ratios = 1.5\n", set()),
+}
+
+
+@pytest.mark.parametrize("command", list(_MINIMAL))
+def test_run_config_holds_only_the_sections_its_command_reads(command):
+    text, reads = _MINIMAL[command]
+    cfg = parse_config(text, origin="inline")
+    assert cfg.command == command
+    for section in ("geometry", "environment", "material", "quadrature",
+                    "oscillator", "bias"):
+        assert (getattr(cfg, section) is None) == (section not in reads), section
+
+
 @pytest.mark.parametrize("section, message", [
     ("[environment]\nT = 300\n", "[environment] is missing required key 'a'"),
     (_EFIELD_RUN + "\n[efield]\nV = x\n", "[efield] V = 'x' is not a number"),

@@ -58,6 +58,16 @@ def test_elliptic_reduces_to_effective_circular():
     assert f_cir == pytest.approx(f_ell, rel=1e-14)
 
 
+@pytest.mark.parametrize("formula", [exact_circular_electric_force,
+                                     expanded_electric_force])
+@pytest.mark.parametrize("radius, length", [(0.0, L), (-R, L), (R, 0.0),
+                                            (R, -L)])
+def test_circular_forms_require_positive_radius_and_length(formula, radius,
+                                                           length):
+    with pytest.raises(ValueError, match="R and L must be positive"):
+        formula(radius, length, ENVELOPE, BIAS)
+
+
 def test_asymmetric_dispatch_symmetric():
     # criterion 9's equivalences hold bit for bit: the symmetric formula,
     # equal halves and phi = 0 all reduce to the same A / sqrt(B) factor

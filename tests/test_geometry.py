@@ -5,7 +5,8 @@ import math
 import pytest
 
 from casimir_lens.geometry import (EllipticLens, Environment, RotatedLens,
-                                   TwoHalvesLens, symmetric_lens,
+                                   TwoHalvesLens, rotation_factor,
+                                   shape_factor, symmetric_lens,
                                    thickness_for_width, validate_geometry,
                                    width_for_thickness)
 
@@ -27,6 +28,24 @@ def test_width_thickness_roundtrip():
 def test_symmetric_lens_from_thickness():
     lens = symmetric_lens(100e-6, 50e-6, 1e-3, h=10e-6)
     assert thickness_for_width(lens.A, lens.B, lens.d) == pytest.approx(10e-6)
+
+
+def test_symmetric_lens_keeps_both_given_dimensions():
+    # d and h are kept even where they do not lie on one cylinder surface
+    lens = symmetric_lens(100e-6, 50e-6, 1e-3, d=50e-6, h=1e-6)
+    assert lens == EllipticLens(A=100e-6, B=50e-6, h=1e-6, d=50e-6, L=1e-3)
+    assert thickness_for_width(100e-6, 50e-6, 50e-6) != lens.h
+
+
+@pytest.mark.parametrize("A, B", [(0.0, 1e-4), (1e-4, -1e-4), (math.nan, 1e-4)])
+def test_rotation_factor_requires_positive_semiaxes(A, B):
+    with pytest.raises(ValueError, match="semiaxes must be positive"):
+        rotation_factor(A, B, 0.3)
+
+
+def test_shape_factor_rejects_an_object_that_is_not_a_lens():
+    with pytest.raises(TypeError, match="unknown lens geometry"):
+        shape_factor(Environment(a=1e-7, T=300.0))
 
 
 def test_semiaxis_ordering_enforced():

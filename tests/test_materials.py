@@ -42,6 +42,11 @@ def test_epsilon_requires_positive_frequency():
         epsilon_at_imaginary(gold_drude(), 0.0)
 
 
+def test_epsilon_rejects_an_unknown_model():
+    with pytest.raises(TypeError, match="unknown permittivity model"):
+        epsilon_at_imaginary(object(), 1e15)
+
+
 def test_model_parameter_validation():
     with pytest.raises(ValueError):
         Plasma(omega_p=-1.0)
