@@ -9,7 +9,8 @@ from casimir_lens.constants import CONSTANTS
 from casimir_lens.electrostatics import BiasState, pfa_electric_force
 from casimir_lens.engine import (_FINE_NODES, _PANEL_EDGES, _PANEL_NODES,
                                  DEFAULT_QUADRATURE, QuadratureSpec,
-                                 _em_remainder, _grid_from, casimir_force,
+                                 _em_remainder, _grid_from, _panels,
+                                 casimir_force,
                                  casimir_gradient, direct_pfa_force_oracle,
                                  force, gradient, ideal_metal_force_t0,
                                  ideal_metal_gradient_t0, rotated_direct_oracle,
@@ -234,11 +235,14 @@ def test_in_block_tail_estimate_brackets_truncation(quantity, model, a):
     assert abs(res.value - ref.value) <= res.est_abs_error
 
 
-@pytest.mark.parametrize("span", [80.0, 160.0])
+@pytest.mark.parametrize("span", [80.0, 160.0, 80.0 / (1.0 - 0.3)])
 @pytest.mark.parametrize("nodes", [_PANEL_NODES, _FINE_NODES])
 def test_cached_panels_match_fresh_grid(span, nodes):
-    # _grid_from reuses panels 2-5 shifted by zeta; rebuild every panel
-    # from its edges and compare.
+    # _grid_from reuses panels 2-5 of the unit rule, scaled to span and
+    # shifted by zeta; rebuild every panel from its edges and compare.
+    # A panel's width is taken from the edges before zeta is added: at
+    # zeta = 1e3 and a non-dyadic span, (zeta + hi) - (zeta + lo) is
+    # 4.7e-15 off the exact width
     edges = [e * span / _PANEL_EDGES[-1] for e in _PANEL_EDGES]
     for zeta in (0.0, 0.3, 17.0, 1e3):
         vs, ws = [], []
@@ -251,8 +255,9 @@ def test_cached_panels_match_fresh_grid(span, nodes):
                 vs.append(t * t)
                 ws.append(w * (t1 - t0) * t)
             else:
-                vs.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-                ws.append(0.5 * (hi - lo) * w)
+                half = 0.5 * (edges[i + 1] - edges[i])
+                vs.append(half * x + 0.5 * (hi + lo))
+                ws.append(half * w)
         ref_v, ref_w = np.concatenate(vs), np.concatenate(ws)
         v, w = _grid_from(zeta, span, nodes)
         assert w.sum() == pytest.approx(span, rel=1e-14)
@@ -263,6 +268,29 @@ def test_cached_panels_match_fresh_grid(span, nodes):
             v[:] = -1.0
             w[:] = -1.0
             v, w = _grid_from(zeta, span, nodes)
+
+
+@pytest.mark.parametrize("T", [0.0, 3.0])
+def test_panel_cache_does_not_grow_with_az(monkeypatch, T):
+    # a shift's window spans 80 / (1 - Az/a): the T = 0 integral's v-rules
+    # and, at 3 K, the remainder's Kronrod rule are scaled from one cached
+    # unit rule per order, so new Az/a values build no new rule
+    e = env(200e-9, T)
+    remainders = []
+    monkeypatch.setattr("casimir_lens.engine._em_remainder",
+                        lambda *args: remainders.append(args)
+                        or _em_remainder(*args))
+
+    def shift(beta):
+        osc = OscillatorParams(omega0=1e4, C=1.0, Az=beta * e.a)
+        return frequency_shift_nonlinear(LENS, e, IdealMetal(), osc)
+
+    shift(0.5)
+    size = _panels.cache_info().currsize
+    for beta in np.linspace(0.11, 0.97, 20):
+        shift(beta)
+    assert _panels.cache_info().currsize == size
+    assert len(remainders) == (21 if T else 0)
 
 
 def test_two_halves_equal_halves_is_symmetric():

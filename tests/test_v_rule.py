@@ -5,8 +5,8 @@ with everything else held fixed.
 Every explicit Matsubara term integrates v on _PANEL_NODES (76 nodes); the
 Euler-Maclaurin remainder integrates zeta on their Gauss-Kronrod extension
 (157 nodes).  Doubling one rule while keeping the other measures that
-rule's error alone.  The T = 0 integral takes v on _PANEL_NODES and
-s = zeta / v on _S_NODES, and both are doubled together.
+rule's error alone.  The T = 0 integral takes v on its window's nodes
+(_PANEL_NODES) and s = zeta / v on _S_NODES, and both are doubled together.
 """
 
 from functools import partial
@@ -75,14 +75,18 @@ _NEAR_CONTACT = pytest.mark.xfail(strict=True, reason=(
     pytest.param(0.999, marks=_NEAR_CONTACT)])
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
 def test_zero_t_rules_against_twice_their_order(monkeypatch, model, key):
-    # the T = 0 integral with its v-rule and its s-rule both at twice the
-    # order; nothing else reads them at T = 0.  The largest change seen is
-    # 2.7e-15 on the force and gradient and 1.7e-14 on the shift at Az/a =
-    # 0.5 and 0.9
+    # the T = 0 integral with its v-rule (the window's nodes) and its
+    # s-rule both at twice the order; nothing else reads them at T = 0.
+    # The largest change seen is 2.7e-15 on the force and gradient and
+    # 1.7e-14 on the shift at Az/a = 0.5 and 0.9
     env = Environment(a=A, T=0.0)
     got = _value(model, env, key)
-    zeta_rows = engine._zeta_rows
+    zeta_integral, zeta_rows = engine._zeta_integral, engine._zeta_rows
     rules = []
+
+    def doubled_window(kernel, model, a, window=engine._Window()):
+        return zeta_integral(kernel, model, a, window._replace(
+            nodes=tuple(2 * n for n in window.nodes)))
 
     def recorded(kernel, model, a, span, v_nodes, s_nodes):
         rules.append((v_nodes, s_nodes))
@@ -90,8 +94,8 @@ def test_zero_t_rules_against_twice_their_order(monkeypatch, model, key):
 
     doubled = tuple(tuple(2 * n for n in nodes)
                     for nodes in (_PANEL_NODES, engine._S_NODES))
+    monkeypatch.setattr(engine, "_zeta_integral", doubled_window)
     monkeypatch.setattr(engine, "_zeta_rows", recorded)
-    monkeypatch.setattr(engine, "_PANEL_NODES", doubled[0])
     monkeypatch.setattr(engine, "_S_NODES", doubled[1])
     ref = _value(model, env, key)
     assert doubled in rules

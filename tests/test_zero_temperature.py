@@ -132,6 +132,21 @@ def test_zero_temperature_shift_window_follows_decay_rate():
     assert shift < 4.0 * -74.27
 
 
+@pytest.mark.parametrize("a", [150e-9, 1e-6])
+@pytest.mark.parametrize("model", [gold_drude(), gold_plasma(), IdealMetal()],
+                         ids=["drude", "plasma", "ideal"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_zeta_integral_takes_its_v_rule_from_the_window(kind, model, a):
+    # the window's nodes, not a module constant, are the v-rule: on the
+    # oracles' 152 nodes the integral has 152 + 76 v-rows, and the force
+    # and gradient move by <= 3.3e-15 from the 76-node rule
+    kernel = KINDS[kind][1]
+    ref, rows, _ = _zeta_integral(kernel, model, a)
+    total, fine_rows, _ = _zeta_integral(kernel, model, a,
+                                         engine._Window(nodes=_FINE_NODES))
+    assert (rows, fine_rows) == (76 + 38, 152 + 76)
+    assert total == pytest.approx(ref, rel=5e-14, abs=0.0)
+
 
 _ROW_KERNELS = {
     "force": _force_kernel, "gradient": _gradient_kernel,
