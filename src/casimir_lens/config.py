@@ -65,8 +65,8 @@ _SWEPT = {
     "a": ("environment", "a", None),
     "T": ("environment", "T", None),
     "phi": ("geometry", "phi", "a phi sweep requires variant = rotated"),
-    "Az": ("oscillator", "Az", "an Az sweep requires an [oscillator] section"),
-    "V": ("bias", "V", "a V sweep requires an [efield] section"),
+    "Az": ("oscillator", "Az", "an Az sweep requires command = freq-shift"),
+    "V": ("bias", "V", "a V sweep requires command = efield"),
 }
 SWEEP_VARIABLES = tuple(_SWEPT)
 # config name of each lens variant and material model, in both directions

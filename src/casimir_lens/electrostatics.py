@@ -22,6 +22,10 @@ class BiasState:
     V: float
     V0: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.V) or not math.isfinite(self.V0):
+            raise ValueError("bias V and V0 must be finite")
+
 
 def pfa_electric_force(geom: EllipticLens, env: Environment, bias: BiasState) -> float:
     """Leading-order electrostatic force on the symmetric lens, in N.

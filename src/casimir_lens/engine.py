@@ -147,15 +147,15 @@ def _panels(edges: tuple, nodes: tuple, rule=_leggauss):
     """Nodes and weights of rule over the panels [edges[i], edges[i+1]].
 
     nodes gives each panel's order (_leggauss; _kronrod's weights have a
-    first axis of two).  The first panel is mapped through x = t^2, so
-    that the half-integer powers the kernels develop near its lower edge
-    are integrated exactly.  The arrays are read-only: one copy per set
-    of fixed edges (never a span's), nodes and rule serves every caller.
+    first axis of two).  A panel that starts at 0 is mapped through x =
+    t^2, so that the half-integer powers the kernels develop near 0 are
+    integrated exactly.  The arrays are read-only: one copy per set of
+    fixed edges (never a span's), nodes and rule serves every caller.
     """
     xs, ws = [], []
-    for i, (lo, hi, n) in enumerate(zip(edges, edges[1:], nodes)):
+    for lo, hi, n in zip(edges, edges[1:], nodes):
         x, w = rule(n)
-        if i == 0:
+        if lo == 0.0:
             t0, t1 = math.sqrt(lo), math.sqrt(hi)
             t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
             xs.append(t * t)
@@ -176,16 +176,16 @@ def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
     The panels are _PANEL_EDGES scaled to span, the first mapped through
     v = w^2 so that the half-integer powers the polylog kernels develop at
     small v are integrated exactly.  Only that first panel is built per
-    call; panels 2-5 are _panels' over _PANEL_EDGES times span / 80,
-    moved rigidly to zeta.  nodes and rule are _panels'.  zeta is a float,
-    giving 1-D nodes, or (for _leggauss) a 1-D array, giving one row per
-    zeta; a row holds the same floats a lone zeta would.  The arrays
-    returned are new on every call.
+    call; panels 2-5 are _panels(_PANEL_EDGES[1:], nodes[1:], rule), whole,
+    times span / 80 and moved rigidly to zeta.  zeta is a float, giving
+    1-D nodes, or (for _leggauss) a 1-D array, giving one row per zeta; a
+    row holds the same floats a lone zeta would.  The arrays returned are
+    new on every call.
     """
     scale = span / _PANEL_EDGES[-1]
     x, w = rule(nodes[0])
-    v_out, w_out = _panels(_PANEL_EDGES, nodes, rule)
-    v_out, w_out = scale * v_out[x.size:], scale * w_out[..., x.size:]
+    v_out, w_out = _panels(_PANEL_EDGES[1:], nodes[1:], rule)
+    v_out, w_out = scale * v_out, scale * w_out
     z = np.asarray(zeta, dtype=float)[..., None]
     t0 = np.sqrt(z)
     t1 = np.sqrt(z + _PANEL_EDGES[1] * scale)
@@ -207,13 +207,13 @@ _ZETA_MIN = 7.552115867947006e-07
 
 
 # ---------------------------------------------------------------------------
-# kernels:  integrand(v) given squared reflection coefficients; TM and TE
-# share the v grid, so one polylog call takes both, stacked
+# kernels:  integrand(v) given reflection_sq_grid's stack r2 of r_TM^2 and
+# r_TE^2, which share the v grid, so one polylog call takes both
 
-def _polylog_kernel(v, r_tm2, r_te2, s: float):
+def _polylog_kernel(v, r2, s: float):
     """v^{2-s} [Li_s(r_TM^2 e^-v) + Li_s(r_TE^2 e^-v)]: the force at s = 1/2,
     the gradient at s = -1/2."""
-    li = polylog_exp_grid(s, v, np.stack((r_tm2, r_te2)))
+    li = polylog_exp_grid(s, v, r2)
     return v ** (2.0 - s) * (li[0] + li[1])
 
 
@@ -221,7 +221,7 @@ _force_kernel = partial(_polylog_kernel, s=0.5)
 _gradient_kernel = partial(_polylog_kernel, s=-0.5)
 
 
-Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]  # kernel(v, r2)
 Term = Callable[[np.ndarray], np.ndarray]
 
 
@@ -236,8 +236,8 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
     """
     zeta = np.asarray(zeta, dtype=float)
     v, w = _grid_from(zeta, nodes=window.nodes)
-    r_tm2, r_te2 = reflection_sq_grid(model, zeta[..., None], v, a)
-    return np.sum(w * kernel(v, r_tm2, r_te2), axis=-1)
+    r2 = reflection_sq_grid(model, zeta[..., None], v, a)
+    return np.sum(w * kernel(v, r2), axis=-1)
 
 
 _STOP_STREAK = 3
@@ -379,11 +379,10 @@ def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
     zeta_lo = _ZETA_MIN if isinstance(model, Tabulated) else 0.0
     col = v[:, None]
     s0 = zeta_lo / col
-    r_tm2, r_te2 = reflection_sq_grid(model, col * (s0 + (1.0 - s0) * s),
-                                      col, a)
+    r2 = reflection_sq_grid(model, col * (s0 + (1.0 - s0) * s), col, a)
     w = (1.0 - s0) * ws
     w[:, 0] += s0[:, 0]
-    return v, wv, v * np.sum(w * kernel(col, r_tm2, r_te2), axis=-1)
+    return v, wv, v * np.sum(w * kernel(col, r2), axis=-1)
 
 
 def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
@@ -606,11 +605,11 @@ def _order_sum(r2: np.ndarray, exponent: np.ndarray,
                decay: np.ndarray) -> np.ndarray:
     """sum_{n>=1} rho^n = rho/(1 - rho), rho = r2 e^{exponent}, per node.
 
-    r2 holds one reflection coefficient squared per v node, exponent (<= 0)
-    each node's -v - sigma^2 on a last, sigma axis and decay its exp, which
-    the polarizations share.  The denominator is -expm1(ln r2 + exponent),
-    with ln r2 taken once per v node, so 1 - rho keeps its digits as rho ->
-    1 (on the oracle grids the naive 1 - rho is up to 9e-11 relative off
+    r2 holds reflection_sq_grid's (TM, TE) stack (or one row of it),
+    exponent (<= 0) each v node's -v - sigma^2 on a last, sigma axis and
+    decay its exp.  The denominator is -expm1(ln r2 + exponent), with ln
+    r2 taken once per v node, so 1 - rho keeps its digits as rho -> 1 (on
+    the oracle grids the naive 1 - rho is up to 9e-11 relative off
     40-digit mpmath, this form 2e-14).  A node with r2 = 0 gives exactly 0.
     """
     with np.errstate(divide="ignore"):
@@ -618,7 +617,7 @@ def _order_sum(r2: np.ndarray, exponent: np.ndarray,
     return r2[..., None] * decay / -np.expm1(ln_r2 + exponent)
 
 
-def _oracle_kernel(v, r_tm2, r_te2, a: float, chord: float, u2_max: float):
+def _oracle_kernel(v, r2, a: float, chord: float, u2_max: float):
     """The oracles' integrand: v^2 times the width integral, per v node.
 
     The width integral at fixed v is
@@ -627,10 +626,10 @@ def _oracle_kernel(v, r_tm2, r_te2, a: float, chord: float, u2_max: float):
             sum_n [ (r_TM^2 e^{-v(a+u^2)/a})^n + (TE term) ],
 
     taken in sigma = u sqrt(v/a) on a fixed Gauss grid on a last axis, so
-    the e^{-sigma^2} weight is resolved at every v.  Each polarization's
-    order series is summed on the (v, sigma) grid in closed form
-    (_order_sum); one that does not reflect (TE for Drude at zeta = 0) adds
-    exactly 0.0.  Each v node goes through the operations it would alone.
+    the e^{-sigma^2} weight is resolved at every v.  Both polarizations'
+    order series are summed on the (v, sigma) grid in one _order_sum call
+    (closed form); one that does not reflect (TE for Drude at zeta = 0)
+    adds exactly 0.0.  Each v node goes through the operations it would alone.
     """
     x, w = _leggauss(_SIGMA_NODES)
     col = v[..., None]
@@ -640,10 +639,9 @@ def _oracle_kernel(v, r_tm2, r_te2, a: float, chord: float, u2_max: float):
     geo = 2.0 * (chord - u2) / np.sqrt(2.0 * chord - u2)
     exponent = -col - sig * sig
     decay = np.exp(exponent)
-    series = (_order_sum(r_tm2, exponent, decay)
-              + _order_sum(r_te2, exponent, decay))
+    tm, te = _order_sum(r2, exponent, decay)
     return v * v * (np.sqrt(a / v)
-                    * np.sum(w * 0.5 * smax * geo * series, axis=-1))
+                    * np.sum(w * 0.5 * smax * geo * (tm + te), axis=-1))
 
 
 def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,

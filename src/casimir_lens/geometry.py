@@ -19,6 +19,8 @@ def _require_positive(**lengths: float) -> None:
     for name, value in lengths.items():
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,8 @@ class Environment:
             raise ValueError("separation a must be positive")
         if not self.T >= 0.0:
             raise ValueError("temperature T cannot be negative")
+        if not math.isfinite(self.a) or not math.isfinite(self.T):
+            raise ValueError("separation a and temperature T must be finite")
 
 
 # Ratio of curvature (or thickness) to separation above which the proximity

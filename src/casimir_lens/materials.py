@@ -34,6 +34,8 @@ class Plasma:
     def __post_init__(self) -> None:
         if not self.omega_p > 0.0:
             raise ValueError("omega_p must be positive")
+        if not math.isfinite(self.omega_p):
+            raise ValueError("omega_p must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ class Drude:
     def __post_init__(self) -> None:
         if not self.omega_p > 0.0 or not self.gamma > 0.0:
             raise ValueError("omega_p and gamma must be positive")
+        if not math.isfinite(self.omega_p) or not math.isfinite(self.gamma):
+            raise ValueError("omega_p and gamma must be finite")
 
 
 @dataclass(frozen=True)
@@ -188,15 +192,15 @@ def _epsilon(model: PermittivityModel, xi):
 
 def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
                        a: float):
-    """(r_TM^2, r_TE^2) over an array of v values at zeta >= 0.
+    """r_TM^2 and r_TE^2 over v at zeta >= 0, stacked: the kernels' r2.
 
-    zeta = 2 a xi / c is the dimensionless frequency and v >= zeta the
-    integration variable.  zeta is a float, or an array broadcasting
-    against v that gives each row of v its own frequency (a column, shape
-    (m, 1), for m rows), or each node its own.  For zeta > 0 both
-    coefficients follow from eps(i xi).  A zeta of zero takes the model's
-    zero-frequency branch, so one call holds zero frequency alone or
-    positive frequencies only:
+    Shape (2,) + zeta and v broadcast (an ideal metal's: (2,) + v's).  zeta
+    = 2 a xi / c is the dimensionless frequency and v >= zeta the
+    integration variable; zeta is a float, or an array broadcasting
+    against v giving each row of v its own frequency (a column, (m, 1), for
+    m rows) or each node its own.  For zeta > 0 both coefficients follow
+    from eps(i xi).  A zeta of zero takes the model's zero-frequency
+    branch, so one call holds zero frequency alone or positive ones only:
 
     * IdealMetal: (1, -1) at any v.
     * Drude: (1, 0) -- dissipation removes the zero-frequency TE mode.
@@ -230,4 +234,5 @@ def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
         root = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
         r_tm = (eps * v - root) / (eps * v + root)
         r_te = (v - root) / (v + root)
-    return r_tm * r_tm, r_te * r_te
+    r2 = np.stack((r_tm, r_te))
+    return np.multiply(r2, r2, out=r2)

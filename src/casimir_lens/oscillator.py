@@ -57,6 +57,8 @@ class OscillatorParams:
             raise ValueError("coupling C must be positive")
         if not self.Az > 0.0:
             raise ValueError("drive amplitude Az must be positive")
+        if not all(map(math.isfinite, (self.omega0, self.C, self.Az))):
+            raise ValueError("omega0, C and Az must be finite")
 
     @classmethod
     def torsional(cls, omega0: float, b: float, I: float, Az: float) -> "OscillatorParams":
@@ -160,19 +162,18 @@ def _closed_series(q: np.ndarray, lam2: np.ndarray,
     return np.add.reduceat(term, start) / np.sqrt(2.0 * math.pi * q)
 
 
-def _nonlinear_kernel(v: np.ndarray, r_tm2: np.ndarray, r_te2: np.ndarray,
-                      beta: float) -> np.ndarray:
+def _nonlinear_kernel(v: np.ndarray, r2: np.ndarray, beta: float) -> np.ndarray:
     """v^{3/2} sum_n n^{-1/2} (r_TM^{2n} + r_TE^{2n}) e^{-nv} I_1(beta n v).
 
     v holds a v-grid, a stack of them (a row per frequency) or a column
-    (one v per row, T = 0).  With q = beta v, a polarization's lam = v -
-    ln r^2 - q (inf if r^2 = 0).  Every lam < 1 goes to one _theta_series
-    call.  A node with a lam >= 1 sums ceil(_NL_DECAY / min lam) powers of
-    both polarizations in _closed_series, on runs of <= _NL_ELEMENTS powers.
+    (one v per row, T = 0), r2 reflection_sq_grid's stack on it.  With q =
+    beta v, a polarization's lam = v - ln r^2 - q (inf if r^2 = 0).  Every
+    lam < 1 goes to one _theta_series call, and a node with a lam >= 1 sums
+    ceil(_NL_DECAY / min lam) powers in _closed_series, <= _NL_ELEMENTS a run.
     """
     q = beta * v
     with np.errstate(divide="ignore"):
-        lam = v - np.log(np.stack((r_tm2, r_te2))) - q
+        lam = v - np.log(r2) - q
     theta = lam < 1.0
     out = np.zeros_like(lam)
     out[theta] = _theta_series(np.broadcast_to(q, lam.shape)[theta],

@@ -347,8 +347,8 @@ def test_substitute_changes_only_the_swept_field(variable):
 
 @pytest.mark.parametrize("variable, cut, message", [
     ("phi", "variant = rotated\n", "a phi sweep requires variant = rotated"),
-    ("Az", "", "an Az sweep requires an [oscillator] section"),
-    ("V", "", "a V sweep requires an [efield] section"),
+    ("Az", "", "an Az sweep requires command = freq-shift"),
+    ("V", "", "a V sweep requires command = efield"),
 ])
 def test_sweep_requires_its_owner(variable, cut, message):
     # a force run, which reads neither [oscillator] nor [efield]

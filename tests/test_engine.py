@@ -9,7 +9,8 @@ from casimir_lens.constants import CONSTANTS
 from casimir_lens.electrostatics import BiasState, pfa_electric_force
 from casimir_lens.engine import (_FINE_NODES, _PANEL_EDGES, _PANEL_NODES,
                                  DEFAULT_QUADRATURE, QuadratureSpec,
-                                 _em_remainder, _grid_from, _panels,
+                                 _em_remainder, _grid_from, _kronrod,
+                                 _leggauss, _panels,
                                  casimir_force,
                                  casimir_gradient, direct_pfa_force_oracle,
                                  force, gradient, ideal_metal_force_t0,
@@ -268,6 +269,31 @@ def test_cached_panels_match_fresh_grid(span, nodes):
             v[:] = -1.0
             w[:] = -1.0
             v, w = _grid_from(zeta, span, nodes)
+
+
+@pytest.mark.parametrize("rule", [_leggauss, _kronrod], ids=["gauss", "kronrod"])
+@pytest.mark.parametrize("nodes", [_PANEL_NODES, _FINE_NODES, (12, 8, 8, 6, 4)],
+                         ids=["production", "fine", "half"])
+def test_cached_v_rule_holds_no_first_panel(nodes, rule, monkeypatch):
+    # _grid_from builds the t^2 panel per call and asks the cache for
+    # panels 2-5 alone: sum(nodes[1:]) nodes (2 n + 1 a panel for Kronrod),
+    # none on the first panel, and _grid_from's panels 2-5 are exactly its
+    # floats times span / 80, moved to zeta
+    asked = []
+    monkeypatch.setattr("casimir_lens.engine._panels",
+                        lambda *args: asked.append(args) or _panels(*args))
+    count = (lambda n: n) if rule is _leggauss else (lambda n: 2 * n + 1)
+    x, w = _panels(_PANEL_EDGES[1:], nodes[1:], rule)
+    assert x.size == sum(map(count, nodes[1:])) and x.min() > _PANEL_EDGES[1]
+    head = count(nodes[0])
+    for span in (80.0, 160.0, 8000.0):
+        scale = span / _PANEL_EDGES[-1]
+        for zeta in (0.0, 0.003, 1.7):
+            v, wv = _grid_from(zeta, span, nodes, rule)
+            assert v.size == head + x.size
+            assert np.array_equal(v[head:], zeta + scale * x)
+            assert np.array_equal(wv[..., head:], scale * w)
+    assert set(asked) == {(_PANEL_EDGES[1:], nodes[1:], rule)}
 
 
 @pytest.mark.parametrize("T", [0.0, 3.0])

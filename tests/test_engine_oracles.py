@@ -180,8 +180,8 @@ _ZETA1 = (4.0 * math.pi * _A_TERM * CONSTANTS.kB * 300.0
 def test_vectorized_oracle_term_is_bit_identical_to_per_v_loop(model, zeta):
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
 
-    def kernel(v, r_tm2, r_te2):
-        return _oracle_kernel(v, r_tm2, r_te2, _A_TERM, lens.B, lens.h)
+    def kernel(v, r2):
+        return _oracle_kernel(v, r2, _A_TERM, lens.B, lens.h)
 
     with np.errstate(divide="raise", invalid="raise"):  # r^2 = 0 rows
         assert _frequency_integral(kernel, model, zeta, _A_TERM,
@@ -199,7 +199,8 @@ def test_vectorized_oracle_term_is_bit_identical_to_per_v_loop(model, zeta):
 def test_order_sum_matches_mpmath_per_node(model, zeta):
     # the grids _oracle_kernel hands the order sum, every fourth v row and
     # sigma column (the smallest v and sigma, where rho -> 1, included),
-    # against 40-digit mpmath from the same float r^2, v and sigma
+    # against 40-digit mpmath from the same float r^2, v and sigma; the
+    # (TM, TE) stack in one call gives each polarization's floats
     mp = pytest.importorskip("mpmath")
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
     x, _ = _leggauss(_SIGMA_NODES)
@@ -209,9 +210,12 @@ def test_order_sum_matches_mpmath_per_node(model, zeta):
     sig = (0.5 * smax * (x + 1.0))[:, ::4]
     exponent = -v[:, None] - sig * sig
     decay = np.exp(exponent)
+    stack = reflection_sq_grid(model, zeta, v, _A_TERM)
+    both = _order_sum(stack, exponent, decay)
     with mp.workdps(40):
-        for r2 in reflection_sq_grid(model, zeta, v, _A_TERM):
+        for r2, row in zip(stack, both):
             got = _order_sum(r2, exponent, decay)
+            assert np.array_equal(row, got)
             for i, j in np.ndindex(*got.shape):
                 rho = mp.mpf(float(r2[i])) * mp.exp(
                     -mp.mpf(float(v[i])) - mp.mpf(float(sig[i, j])) ** 2)

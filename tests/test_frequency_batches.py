@@ -36,8 +36,8 @@ MODELS = {
 }
 
 
-def _shift_kernel(v, r_tm2, r_te2):
-    return oscillator._nonlinear_kernel(v, r_tm2, r_te2, 0.5)
+def _shift_kernel(v, r2):
+    return oscillator._nonlinear_kernel(v, r2, 0.5)
 
 
 KERNELS = {"force": _force_kernel, "gradient": _gradient_kernel,
@@ -51,8 +51,8 @@ def _zeta1(T, a=A):
 def _lone_term(kernel, model, zeta, a=A):
     """One frequency on its own 1-D grid, summed as the engine sums a row."""
     v, w = _grid_from(zeta)
-    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, a)
-    return float(np.sum(w * kernel(v, r_tm2, r_te2)))
+    r2 = reflection_sq_grid(model, zeta, v, a)
+    return float(np.sum(w * kernel(v, r2)))
 
 
 @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
@@ -83,11 +83,10 @@ def test_chunked_zero_temperature_rows_equal_one_call(model, kernel):
     for vi in v.tolist():
         s0 = zeta_lo / vi
         vv = np.full(s.size, vi)
-        r_tm2, r_te2 = reflection_sq_grid(model, vi * (s0 + (1.0 - s0) * s),
-                                          vv, A)
+        r2 = reflection_sq_grid(model, vi * (s0 + (1.0 - s0) * s), vv, A)
         w = (1.0 - s0) * ws
         w[0] += s0
-        lone.append(vi * float(np.sum(w * kernel(vv, r_tm2, r_te2))))
+        lone.append(vi * float(np.sum(w * kernel(vv, r2))))
     assert rows.tolist() == lone
 
 

@@ -4,11 +4,14 @@ import math
 
 import pytest
 
+from casimir_lens.electrostatics import BiasState
 from casimir_lens.geometry import (EllipticLens, Environment, RotatedLens,
                                    TwoHalvesLens, rotation_factor,
                                    shape_factor, symmetric_lens,
                                    thickness_for_width, validate_geometry,
                                    width_for_thickness)
+from casimir_lens.materials import Drude, Plasma
+from casimir_lens.oscillator import OscillatorParams
 
 
 def test_symmetric_lens_defaults():
@@ -79,6 +82,31 @@ def test_environment_validation():
     with pytest.raises(ValueError, match="temperature T cannot be negative"):
         Environment(a=1e-7, T=math.nan)
     Environment(a=1e-7, T=0.0)  # zero temperature is allowed
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: symmetric_lens(100e-6, 50e-6, math.inf), "L must be finite, got inf"),
+    (lambda: EllipticLens(A=math.inf, B=50e-6, h=1e-6, d=10e-6, L=1e-3),
+     "A must be finite"),
+    (lambda: thickness_for_width(math.inf, 50e-6, 10e-6), "A must be finite"),
+    (lambda: Environment(a=math.inf, T=300.0), "a and temperature T must be finite"),
+    (lambda: Environment(a=1e-7, T=math.inf), "a and temperature T must be finite"),
+    (lambda: OscillatorParams(omega0=math.inf, C=10.0, Az=1e-8), "must be finite"),
+    (lambda: OscillatorParams(omega0=4400.0, C=math.inf, Az=1e-8), "must be finite"),
+    (lambda: OscillatorParams(omega0=4400.0, C=10.0, Az=math.inf), "must be finite"),
+    (lambda: Plasma(omega_p=math.inf), "omega_p must be finite"),
+    (lambda: Drude(omega_p=math.inf, gamma=5e13), "omega_p and gamma must be finite"),
+    (lambda: Drude(omega_p=1e16, gamma=math.inf), "omega_p and gamma must be finite"),
+    (lambda: BiasState(V=math.inf), "V and V0 must be finite"),
+    (lambda: BiasState(V=0.1, V0=-math.inf), "V and V0 must be finite"),
+    (lambda: BiasState(V=math.nan), "V and V0 must be finite"),
+], ids=["lens-L", "lens-A", "thickness-A", "env-a", "env-T", "osc-omega0",
+        "osc-C", "osc-Az", "plasma", "drude-omega_p", "drude-gamma", "bias-V",
+        "bias-V0", "bias-nan"])
+def test_constructors_reject_infinite_inputs(build, message):
+    # after the sign and NaN checks, whose messages stay as they were
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_validity_report_flags_large_separation():

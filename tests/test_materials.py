@@ -127,6 +127,49 @@ def test_reflection_grid_matches_scalar():
         assert te2[i] == pytest.approx(r_te ** 2, rel=1e-14)
 
 
+_ZETAS = {  # (zeta, v) at a = 200 nm: each zeta's v >= zeta
+    "zero": (0.0, np.linspace(1e-3, 30.0, 7)),
+    "float": (0.8, np.linspace(0.801, 30.0, 7)),
+    "column": (np.array([[0.3], [0.8], [2.5]]),
+               np.array([0.3, 0.8, 2.5])[:, None] + np.linspace(1e-3, 30.0, 5)),
+    "per-node": (np.array([[0.3, 1.1], [2.5, 7.0]]),
+                 np.array([[0.4, 1.1], [9.0, 30.0]])),
+}
+_TABLE_XI = np.geomspace(1.0e11, 1.0e18, 9)
+
+
+@pytest.mark.parametrize("zeta", _ZETAS)
+@pytest.mark.parametrize("model", [
+    IdealMetal(), gold_drude(), gold_plasma(),
+    Tabulated(_TABLE_XI, 1.0 + 1.0e32 / (_TABLE_XI * (_TABLE_XI + 5.0e13)))],
+    ids=["ideal", "drude", "plasma", "tabulated"])
+def test_reflection_stack_is_each_polarizations_square(model, zeta):
+    # one array, r_TM^2 over r_TE^2 on a first axis of two, each node the
+    # square of its coefficient taken in floats, bit for bit
+    a = 200e-9
+    zeta, v = _ZETAS[zeta]
+    got = reflection_sq_grid(model, zeta, v, a)
+    assert got.shape == (2,) + np.broadcast(zeta, v).shape
+    for i in np.ndindex(*got.shape[1:]):
+        z, vi = float(np.broadcast_to(zeta, v.shape)[i]), float(v[i])
+        if isinstance(model, IdealMetal):
+            r_tm, r_te = 1.0, -1.0
+        elif z == 0.0:
+            r_tm, r_te = 1.0, 0.0
+            if isinstance(model, Plasma):
+                root = float(np.hypot(vi, 2.0 * a * model.omega_p / CONSTANTS.c))
+                r_te = (vi - root) / (vi + root)
+            elif isinstance(model, Tabulated):
+                eps0 = float(model.eps_grid[0])
+                r_tm = (eps0 - 1.0) / (eps0 + 1.0)
+        else:
+            eps = epsilon_at_imaginary(model, CONSTANTS.c * z / (2.0 * a))
+            root = math.sqrt(vi * vi + (eps - 1.0) * z * z)
+            r_tm = (eps * vi - root) / (eps * vi + root)
+            r_te = (vi - root) / (vi + root)
+        assert (got[0][i], got[1][i]) == (r_tm * r_tm, r_te * r_te), i
+
+
 def test_reflection_requires_v_at_least_zeta():
     # the checks cover every element of a grid, and a and v themselves;
     # zero frequency never shares a call with positive ones, in a column

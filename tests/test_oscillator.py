@@ -295,8 +295,8 @@ def test_bessel_series_matches_mpmath_per_node():
             v, _ = _grid_from(zeta)
             r_tm2, _ = reflection_sq_grid(gold_drude(), zeta, v, E300.a)
             for beta in (0.5, 0.9, 0.99):
-                got = oscillator._nonlinear_kernel(v, r_tm2, np.zeros_like(v),
-                                                   beta)
+                got = oscillator._nonlinear_kernel(
+                    v, np.stack((r_tm2, np.zeros_like(v))), beta)
                 for i in (0, 1, 2, 5, 10, 20, 47):
                     mu = v[i] - math.log(r_tm2[i])
                     ref = _bessel_series_mpmath(mu, beta * v[i], wood, rule)
@@ -384,7 +384,7 @@ def test_closed_form_route(monkeypatch):
     monkeypatch.setattr(oscillator, "_closed_series", closed)
     monkeypatch.setattr(oscillator, "_theta_series", theta)
     v, r2, q, _ = _routed_kernel(_ROUTED_NODES)
-    oscillator._nonlinear_kernel(v, r2, np.zeros_like(v), 0.99)
+    oscillator._nonlinear_kernel(v, np.stack((r2, np.zeros_like(v))), 0.99)
     for qi, (_, lam, path) in zip(q.tolist(), _ROUTED_NODES):
         assert seen[path].count(qi) == 1, (qi, lam, path)
     assert len(seen["closed"]) + len(seen["theta"]) == len(_ROUTED_NODES)
@@ -416,7 +416,7 @@ def test_closed_form_matches_mpmath_per_node():
     v = q / beta
     r2 = np.exp(v * (1.0 - beta) - np.stack((lam_tm, lam_te)))
     assert np.all(r2 <= 1.0)
-    got = oscillator._nonlinear_kernel(v, r2[0], r2[1], beta)
+    got = oscillator._nonlinear_kernel(v, r2, beta)
     q = beta * v
     with np.errstate(divide="ignore"):
         lam = v - np.log(r2) - q
@@ -455,12 +455,12 @@ def _kernel_nodes(draw):
 @given(nodes=_kernel_nodes())
 def test_nonlinear_kernel_node_independent_of_the_call(nodes):
     # each node is the same float whatever else the call holds
-    v, (r_tm2, r_te2), beta, order, subset = nodes
-    whole = oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    v, r2, beta, order, subset = nodes
+    whole = oscillator._nonlinear_kernel(v, r2, beta)
     for pick in (order, subset):
         assert np.array_equal(
-            oscillator._nonlinear_kernel(v[pick], r_tm2[pick], r_te2[pick],
-                                         beta), whole[pick])
+            oscillator._nonlinear_kernel(v[pick], r2[:, pick], beta),
+            whole[pick])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -469,9 +469,10 @@ def test_nonlinear_kernel_polarizations_add(nodes):
     # one call on both polarizations, which share each power's Bessel
     # factor, against one call per polarization
     v, (r_tm2, r_te2), beta, _, _ = nodes
-    both = oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
-    split = (oscillator._nonlinear_kernel(v, r_tm2, np.zeros_like(v), beta)
-             + oscillator._nonlinear_kernel(v, np.zeros_like(v), r_te2, beta))
+    both = oscillator._nonlinear_kernel(v, np.stack((r_tm2, r_te2)), beta)
+    zero = np.zeros_like(v)
+    split = (oscillator._nonlinear_kernel(v, np.stack((r_tm2, zero)), beta)
+             + oscillator._nonlinear_kernel(v, np.stack((zero, r_te2)), beta))
     np.testing.assert_allclose(both, split, rtol=2e-15, atol=0.0)
 
 
@@ -500,9 +501,8 @@ def test_nonlinear_kernel_monotone_in_beta(nodes):
     # I_1 rises with its argument, so the kernel rises with beta at fixed
     # (v, r_TM^2, r_TE^2); a jump between the closed form and the theta
     # rule at lam = 1 would break that for the nodes crossing it
-    v, (r_tm2, r_te2) = nodes
-    values = [oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
-              for beta in _BETAS]
+    v, r2 = nodes
+    values = [oscillator._nonlinear_kernel(v, r2, beta) for beta in _BETAS]
     for below, above in zip(values, values[1:]):
         assert np.all(above >= below)
 
@@ -528,9 +528,9 @@ def test_nonlinear_kernel_monotone_across_the_route_boundary(nodes):
     # breaks the rise that the beta pairs above are too far apart to see
     v, r2, beta_star = nodes
     for node in zip(v, r2, beta_star):
-        vv, r_tm2 = np.array(node[:1]), np.array(node[1:2])
+        vv, r2 = np.array(node[:1]), np.array([[node[1]], [0.0]])
         below, above = (oscillator._nonlinear_kernel(
-            vv, r_tm2, np.zeros(1), node[2] + step) for step in (-1e-6, 1e-6))
+            vv, r2, node[2] + step) for step in (-1e-6, 1e-6))
         assert above >= below, node
 
 
@@ -619,8 +619,8 @@ def test_remainder_window_follows_decay_rate(beta):
     def term(zeta):
         return engine._frequency_integral(shift_kernel, model, zeta, E300.a)
 
-    def shift_kernel(v, r_tm2, r_te2):
-        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    def shift_kernel(v, r2):
+        return oscillator._nonlinear_kernel(v, r2, beta)
 
     fast = engine._matsubara_sum(term, E300, quad,
                                  window=engine._Window(1.0 - beta))
@@ -671,10 +671,10 @@ def test_nonlinear_kernel_first_block_sized_to_slowest_node(monkeypatch):
     monkeypatch.setattr(oscillator, "bessel_i1_scaled", counted_i1e)
     zeta, beta, model = 20.0, 0.5, gold_drude()
     v, _ = _grid_from(zeta)
-    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, E300.a)
-    oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    stack = reflection_sq_grid(model, zeta, v, E300.a)
+    oscillator._nonlinear_kernel(v, stack, beta)
     limit = full_blocks = 0
-    for r2 in (r_tm2, r_te2):
+    for r2 in stack:
         mask = r2 > 0.0
         lam = v[mask] * (1.0 - beta) - np.log(r2[mask])
         limit += int(mask.sum()) * math.ceil(oscillator._NL_DECAY / lam.min())
@@ -690,11 +690,11 @@ def test_nonlinear_kernel_bessel_work_is_each_nodes_own_head(monkeypatch):
     _, elements, _ = _count_work(monkeypatch)
     zeta, beta, model = 20.0, 0.5, gold_drude()
     v, _ = _grid_from(zeta)
-    r_tm2, r_te2 = reflection_sq_grid(model, zeta, v, E300.a)
+    r_tm2, r_te2 = r2 = reflection_sq_grid(model, zeta, v, E300.a)
     assert np.all(r_tm2 > 0.0) and np.all(r_te2 > 0.0)
-    oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    oscillator._nonlinear_kernel(v, r2, beta)
     q = beta * v
-    lam = v - np.log(np.stack((r_tm2, r_te2))) - q
+    lam = v - np.log(r2) - q
     lam_min = np.where(lam < 1.0, np.inf, lam).min(axis=0)
     heads = 0
     for qi, li in zip(q[lam_min < np.inf], lam_min[lam_min < np.inf]):

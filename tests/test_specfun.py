@@ -181,11 +181,11 @@ def test_stacked_kernel_equals_two_calls(kernel, s, power):
     a = 200e-9
     for zeta in (0.0, 0.33 * np.arange(1, 20)):
         v, _ = _grid_from(zeta)
-        r_tm2, r_te2 = reflection_sq_grid(gold_drude(), np.asarray(zeta)[...,
-                                          None], v, a)
+        r_tm2, r_te2 = r2 = reflection_sq_grid(
+            gold_drude(), np.asarray(zeta)[..., None], v, a)
         two = v ** power * (polylog_exp_grid(s, v, r_tm2)
                             + polylog_exp_grid(s, v, r_te2))
-        assert np.array_equal(kernel(v, r_tm2, r_te2), two)
+        assert np.array_equal(kernel(v, r2), two)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])

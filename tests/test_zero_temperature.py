@@ -118,8 +118,8 @@ def test_zero_temperature_shift_window_follows_decay_rate():
     osc = OscillatorParams(omega0=1e4, C=1.0, Az=beta * env.a)
     model = gold_drude()
 
-    def kernel(v, r_tm2, r_te2):
-        return oscillator._nonlinear_kernel(v, r_tm2, r_te2, beta)
+    def kernel(v, r2):
+        return oscillator._nonlinear_kernel(v, r2, beta)
 
     shift = frequency_shift_nonlinear(LENS, env, model, osc, quad)
     total = _zeta_integral(kernel, model, env.a, engine._Window(1.0 - beta))[0]
@@ -150,8 +150,7 @@ def test_zeta_integral_takes_its_v_rule_from_the_window(kind, model, a):
 
 _ROW_KERNELS = {
     "force": _force_kernel, "gradient": _gradient_kernel,
-    "shift": lambda v, r_tm2, r_te2: oscillator._nonlinear_kernel(
-        v, r_tm2, r_te2, 0.5)}
+    "shift": lambda v, r2: oscillator._nonlinear_kernel(v, r2, 0.5)}
 
 
 @pytest.mark.parametrize("kind", _ROW_KERNELS)
@@ -169,13 +168,14 @@ def test_zeta_rows_take_v_as_a_column(model, kind, monkeypatch):
         shapes.append(("reflection", v.shape))
         return reflection(model, zeta, v, a)
 
-    def column(v, r_tm2, r_te2):
+    def column(v, r2):
         shapes.append(("kernel", v.shape))
-        return kernel(v, r_tm2, r_te2)
+        return kernel(v, r2)
 
-    def every_node(v, r_tm2, r_te2):
+    def every_node(v, r2):
         shape = (v.shape[0], sum(_S_NODES) * v.shape[0] // 76)
-        return kernel(*(np.broadcast_to(x, shape) for x in (v, r_tm2, r_te2)))
+        return kernel(np.broadcast_to(v, shape),
+                      np.broadcast_to(r2, (2,) + shape))
 
     monkeypatch.setattr(engine, "reflection_sq_grid", recorded)
     _zeta_integral(column, model, 200e-9)
