@@ -51,6 +51,8 @@ def exact_circular_electric_force(R: float, L: float, env: Environment,
     """
     if not R > 0.0 or not L > 0.0:
         raise ValueError("R and L must be positive")
+    if not (math.isfinite(R) and math.isfinite(L)):
+        raise ValueError("R and L must be finite")
     hc = R + env.a
     delta = math.sqrt(hc * hc - R * R)
     log_ratio = math.log((hc - delta) / (hc + delta))
@@ -69,6 +71,8 @@ def expanded_electric_force(R: float, L: float, env: Environment,
     """
     if not R > 0.0 or not L > 0.0:
         raise ValueError("R and L must be positive")
+    if not (math.isfinite(R) and math.isfinite(L)):
+        raise ValueError("R and L must be finite")
     a = env.a
     x = a / R
     dv = bias.V - bias.V0

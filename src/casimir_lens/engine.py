@@ -32,7 +32,7 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        TwoHalvesLens, expect_variant, rotation_factor,
                        shape_factor, thickness_for_width)
 from .materials import PermittivityModel, Tabulated, reflection_sq_grid
-from .specfun import SQRT_PI, ConvergenceError, polylog_exp_grid
+from .specfun import ConvergenceError, polylog_exp_grid
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ _MAX_RATIO = 0.97  # the largest ratio the geometric tail estimate takes
 
 
 def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
-                   chunk: int = _STACK, window: _Window = _Window()):
+                   window: _Window = _Window()):
     """Primed Matsubara sum of term(zeta_l) over zeta_l = l * zeta_1.
 
     The only frequency sum in the package: force, gradient, the nonlinear
@@ -270,16 +270,16 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     rel_tol.  After each stack the stop is projected once, at the last term
     ratio r: n = ln(need / |f_l|) / ln r terms ahead (0 once |f_l| <= need,
     none at r >= 1); before the first, ln(10 / rel_tol) / (rate zeta_1).
-    The next stack ends _STOP_STREAK past that stop, after at most chunk
-    terms (_STACK; 1 for the oracles; the remainder's calls too), or at
-    l = _HANDOFF or _EM_BLOCK.  A sum still running after the block is
-    completed by _em_remainder, and one whose stop lies more than one
-    remainder pass (_EM_PASS evaluations) past l = _HANDOFF hands off
-    there.  That point does not depend on chunk, so chunk = 1 and batched
-    sums stay bit-identical.  The remainder's end corrections need a term
-    that is C^2 in zeta; a table's spline is.  No sum evaluates more than
-    1 + _EM_BLOCK + _EM_PASS = 414 terms; a remainder that falls short
-    raises ConvergenceError with the partial sum.
+    The next stack ends _STOP_STREAK past that stop, after at most _STACK
+    terms (as does every remainder call), or at l = _HANDOFF or _EM_BLOCK.
+    A sum still running after the block is completed by _em_remainder, and
+    one whose stop lies more than one remainder pass (_EM_PASS
+    evaluations) past l = _HANDOFF hands off there.  That point does not
+    depend on _STACK, so lone-frequency and stacked sums stay bit-identical.
+    The remainder's end corrections need a term that is C^2 in zeta; a
+    table's spline is.  No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS
+    = 414 terms; a remainder that falls short raises ConvergenceError with
+    the partial sum.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-window.rate * zeta1)  # the terms' asymptotic ratio
@@ -293,7 +293,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
         first = len(values) + 1
         end = _HANDOFF if first <= _HANDOFF else _EM_BLOCK
         last = min(end, math.ceil(
-            first - 1 + min(chunk, ahead + _STOP_STREAK)))
+            first - 1 + min(_STACK, ahead + _STOP_STREAK)))
         for value in term(np.arange(first, last + 1) * zeta1).tolist():
             total += value
             values.append(value)
@@ -315,11 +315,11 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
             ahead = math.log(need / abs(value)) / math.log(ratio)
         if last == _HANDOFF and ahead > _EM_PASS:
             break
-    return _em_remainder(term, zeta1, values, total, quad, chunk, window)
+    return _em_remainder(term, zeta1, values, total, quad, window)
 
 
 def _em_remainder(term: Term, h: float, values: list, total: float,
-                  quad: QuadratureSpec, chunk: int, window: _Window):
+                  quad: QuadratureSpec, window: _Window):
     """Add sum_{l > L} f(l h) to a sum whose explicit part ends at zeta_b = L h.
 
     values holds the explicit terms f(h) ... f(L h), and total their
@@ -333,7 +333,7 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
     window.span] (_Window), on the Kronrod extension of _PANEL_NODES (157
-    nodes), chunk frequencies a call of term, and as its check the embedded
+    nodes), _STACK frequencies a call of term, and as its check the embedded
     76-node Gauss rule, at no evaluation.  The tail estimate is measured:
     the last correction applied, the check's change, and the cut at the
     window's end (its last term times its width).  A cut above rel_tol/10 of
@@ -347,7 +347,7 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     last_correction = d3 / 720.0
     total += -0.5 * values[-1] - d1 / 12.0 + last_correction
     z, w = _grid_from(len(values) * h, window.span, _PANEL_NODES, _kronrod)
-    f = np.concatenate([term(z[i:i + chunk]) for i in range(0, z.size, chunk)])
+    f = np.concatenate([term(z[i:i + _STACK]) for i in range(0, z.size, _STACK)])
     fine, coarse = (w @ f / h).tolist()
     total += fine
     cut = abs(float(f[-1])) * window.span / h
@@ -446,7 +446,7 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     zero_t = env.T == 0.0
     kT = (CONSTANTS.hbar * CONSTANTS.c / (4.0 * math.pi * a) if zero_t
           else CONSTANTS.kB * env.T)
-    pref = -(kT * geom.L / (4.0 * SQRT_PI * a * a)
+    pref = -(kT * geom.L / (4.0 * math.sqrt(math.pi) * a * a)
              * shape_factor(geom) / math.sqrt(2.0 * a))
     if derivative:
         pref = -pref / a
@@ -629,8 +629,12 @@ def _oracle_kernel(v, r2, a: float, chord: float, u2_max: float):
     the e^{-sigma^2} weight is resolved at every v.  Both polarizations'
     order series are summed on the (v, sigma) grid in one _order_sum call
     (closed form); one that does not reflect (TE for Drude at zeta = 0)
-    adds exactly 0.0.  Each v node goes through the operations it would alone.
+    adds exactly 0.0.  Each v node goes through the operations it would
+    alone, and a stack of frequencies row by row: one row's grid at a time.
     """
+    if v.ndim > 1:
+        return np.stack([_oracle_kernel(row, r2[:, i], a, chord, u2_max)
+                         for i, row in enumerate(v)])
     x, w = _leggauss(_SIGMA_NODES)
     col = v[..., None]
     smax = np.minimum(np.sqrt(u2_max * col / a), _SIGMA_CUT)
@@ -649,17 +653,16 @@ def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
     """Matsubara sum of the v-integral of _oracle_kernel on _FINE_NODES.
 
     The term is _lifshitz's partial of _frequency_integral, on the oracles'
-    kernel and v-rule, summed with chunk = 1: one frequency per call, the
-    remainder's too, so no term is evaluated past the stop.  Returns (sum,
-    terms_used, tail_estimate), the tail estimate the Matsubara loop's
-    alone: the order series is summed exactly.
+    kernel and v-rule, summed in stacks as every other term is.  Returns
+    (sum, terms_used, tail_estimate), the tail estimate the Matsubara
+    loop's alone: the order series is summed exactly.
     """
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
     kernel = partial(_oracle_kernel, a=env.a, chord=chord, u2_max=u2_max)
     window = _Window(nodes=_FINE_NODES)
     term = partial(_frequency_integral, kernel, model, a=env.a, window=window)
-    return _matsubara_sum(term, env, quad, chunk=1, window=window)
+    return _matsubara_sum(term, env, quad, window=window)
 
 
 def direct_pfa_force_oracle(geom: EllipticLens, env: Environment,
@@ -695,13 +698,3 @@ def rotated_direct_oracle(geom: RotatedLens, env: Environment,
     pref = -(CONSTANTS.kB * env.T * geom.L * geom.A * geom.B
              / (4.0 * math.pi * env.a ** 3 * H * H))
     return _scaled(pref, *_oracle_sum(env, model, H, geom.h, quad))
-
-
-__all__ = [
-    "QuadratureSpec", "DEFAULT_QUADRATURE", "ForceResult",
-    "force", "gradient", "casimir_force", "casimir_gradient",
-    "zero_temperature_force", "zero_temperature_gradient",
-    "ideal_metal_force_t0", "ideal_metal_gradient_t0", "two_halves_force",
-    "two_halves_gradient", "rotated_force", "rotated_gradient",
-    "direct_pfa_force_oracle", "rotated_direct_oracle",
-]

@@ -120,6 +120,8 @@ def rotation_factor(A: float, B: float, phi: float) -> RotationFactor:
     """
     if not A > 0.0 or not B > 0.0:
         raise ValueError("semiaxes must be positive")
+    if not (math.isfinite(A) and math.isfinite(B)):
+        raise ValueError("semiaxes must be finite")
     s, c = math.sin(phi), math.cos(phi)
     H = math.sqrt(A * A * s * s + B * B * c * c)
     return RotationFactor(G=(B / H) ** 1.5, H=H)

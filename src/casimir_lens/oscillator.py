@@ -15,7 +15,7 @@ Bessel kernel linearizes and the shift reduces to -C dF/da.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -263,13 +263,10 @@ def frequency_shift_direct_oracle(geom: EllipticLens, env: Environment,
     """
     expect_variant(geom, EllipticLens, "frequency_shift_direct_oracle")
     _check_amplitude(env, osc)
-    cache: dict[float, float] = {}
 
+    @lru_cache(maxsize=None)
     def force_at(sep: float) -> float:
-        if sep not in cache:
-            e = Environment(a=sep, T=env.T)
-            cache[sep] = casimir_force(geom, e, model, quad).value
-        return cache[sep]
+        return casimir_force(geom, Environment(a=sep, T=env.T), model, quad).value
 
     prev = None
     for m in (16, 32, 64, 128, 256, 512, 1024, 2048):

@@ -17,8 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-SQRT_PI = math.sqrt(math.pi)
-
 
 class ConvergenceError(RuntimeError):
     """Raised when a sum stops short of its tolerance.

@@ -44,9 +44,10 @@ def test_oracle_converges_toward_formula_as_gap_shrinks():
 
 @pytest.mark.parametrize("a, T", [(200e-9, 20.0), (1e-6, 5.0)])
 def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
-    # a cold oracle hands off to the Euler-Maclaurin remainder at l = 57:
-    # every one of its 215 terms is one frequency on the oracles' v-rule,
-    # and it stays within the PFA error scale 0.3 a/B of the formula
+    # a cold oracle hands off to the Euler-Maclaurin remainder at l = 57
+    # in the stacks of a cold force sum: l = 0 alone, one stack to l = 57
+    # and the remainder's pass of 157 in two calls, all on the oracles'
+    # v-rule; it stays within the PFA error scale 0.3 a/B of the formula
     calls = []
     frequency_integral = engine._frequency_integral
 
@@ -59,9 +60,33 @@ def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     f = casimir_force(lens, e, gold_drude()).value
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     oracle = direct_pfa_force_oracle(lens, e, gold_drude())
-    assert calls == [(1, _FINE_NODES)] * 215
+    assert calls == [(n, _FINE_NODES) for n in (1, 57, 79, 78)]
     assert oracle.terms_used == 215
     assert abs(oracle.value - f) <= 0.3 * a / lens.B * abs(f)
+
+
+@pytest.mark.parametrize("T", [300.0, 20.0])
+def test_stacked_oracle_sum_equals_the_lone_frequency_sum(monkeypatch, T):
+    # the oracle kernel takes a stack row by row: in stacks (300 K, and
+    # 20 K through the remainder) the sum, its term count and its tail are
+    # those of the sum taken one frequency per call
+    lens = symmetric_lens(100e-6, 100e-6, 1e-3)
+    env, model = Environment(a=200e-9, T=T), gold_drude()
+    sizes = []
+    frequency_integral = engine._frequency_integral
+
+    def counted(kernel, model, zeta, a, window=engine._Window()):
+        sizes.append(np.size(zeta))
+        return frequency_integral(kernel, model, zeta, a, window)
+
+    monkeypatch.setattr(engine, "_frequency_integral", counted)
+    got = engine._oracle_sum(env, model, lens.B, lens.h, DEFAULT_QUADRATURE)
+    assert max(sizes) > 1
+    sizes.clear()
+    monkeypatch.setattr(engine, "_STACK", 1)
+    ref = engine._oracle_sum(env, model, lens.B, lens.h, DEFAULT_QUADRATURE)
+    assert set(sizes) == {1}
+    assert got == ref
 
 
 def test_oracle_requires_finite_temperature():

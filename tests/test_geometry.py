@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from casimir_lens.electrostatics import BiasState
+from casimir_lens.electrostatics import (BiasState,
+                                         exact_circular_electric_force,
+                                         expanded_electric_force)
 from casimir_lens.geometry import (EllipticLens, Environment, RotatedLens,
                                    TwoHalvesLens, rotation_factor,
                                    shape_factor, symmetric_lens,
@@ -84,6 +86,9 @@ def test_environment_validation():
     Environment(a=1e-7, T=0.0)  # zero temperature is allowed
 
 
+_ENV, _BIAS = Environment(a=1e-7, T=300.0), BiasState(V=0.5)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: symmetric_lens(100e-6, 50e-6, math.inf), "L must be finite, got inf"),
     (lambda: EllipticLens(A=math.inf, B=50e-6, h=1e-6, d=10e-6, L=1e-3),
@@ -100,9 +105,20 @@ def test_environment_validation():
     (lambda: BiasState(V=math.inf), "V and V0 must be finite"),
     (lambda: BiasState(V=0.1, V0=-math.inf), "V and V0 must be finite"),
     (lambda: BiasState(V=math.nan), "V and V0 must be finite"),
+    (lambda: rotation_factor(math.inf, 1e-4, 0.3), "semiaxes must be finite"),
+    (lambda: rotation_factor(1e-4, math.inf, 0.3), "semiaxes must be finite"),
+    (lambda: exact_circular_electric_force(math.inf, 1e-3, _ENV, _BIAS),
+     "R and L must be finite"),
+    (lambda: exact_circular_electric_force(1e-4, math.inf, _ENV, _BIAS),
+     "R and L must be finite"),
+    (lambda: expanded_electric_force(math.inf, 1e-3, _ENV, _BIAS),
+     "R and L must be finite"),
+    (lambda: expanded_electric_force(1e-4, math.inf, _ENV, _BIAS),
+     "R and L must be finite"),
 ], ids=["lens-L", "lens-A", "thickness-A", "env-a", "env-T", "osc-omega0",
         "osc-C", "osc-Az", "plasma", "drude-omega_p", "drude-gamma", "bias-V",
-        "bias-V0", "bias-nan"])
+        "bias-V0", "bias-nan", "rotation-A", "rotation-B", "exact-R",
+        "exact-L", "expanded-R", "expanded-L"])
 def test_constructors_reject_infinite_inputs(build, message):
     # after the sign and NaN checks, whose messages stay as they were
     with pytest.raises(ValueError, match=message):
