@@ -43,20 +43,14 @@ class QuadratureSpec:
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
     remainder: a cold force, or any slower sum, costs 215 evaluations in
-    4 calls (1 + 57 explicit, one Kronrod remainder pass of 157), and no
-    sum more than 414 (_matsubara_sum), for every permittivity model.
-    The v-integral is not a knob: one 76-node rule (_PANEL_NODES), its
-    error not yet in est_abs_error.  Against the rule of twice its order,
-    forces and gradients moved by <= 1.1e-15 at 30 - 300 K and
-    2.8e-14 at 3 K, shifts by <= 1.5e-14.  At T > 0 it spans [zeta_l,
-    zeta_l + 80] (_PANEL_EDGES); the force and gradient integrands carry
-    e^-v, so that cuts them at ~1e-35.  The shift's integrand decays only
-    like e^{-(1 - Az/a) v}, so the window truncates it as Az -> a: at
-    300 K, 200 nm, C = 10 and Az/a = 0.99 the shift is -743.4 against
-    the converged -3091.858, 4.2 times too small (186 times at 0.999).
-    The other windows follow the kernel (_Window).  Doubled, the T = 0
-    integral's (v, s) panels move force and gradient by ~3e-15, the Drude
-    shift by 8.7e-13 at Az/a = 0.99 and 6.6e-9 at 0.999 (error measured).
+    3 calls (l = 0 - 57, then a Kronrod remainder pass of 157 in two), and
+    no sum more than 414 (_matsubara_sum), for every permittivity model.
+    The v-integral is not a knob: one 76-node rule (_PANEL_NODES) on the
+    kernel's window (_Window).  At T > 0 its error is not yet in
+    est_abs_error, and its window [zeta_l, zeta_l + 80] truncates the shift
+    as Az -> a; at T = 0 the error is estimated from the rules' own
+    Legendre coefficients (_zeta_integral).  README, "Numerical methods",
+    gives the rules' measured errors.
     """
 
     rel_tol: float = 1e-8
@@ -169,6 +163,31 @@ def _panels(edges: tuple, nodes: tuple, rule=_leggauss):
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _legendre_tail(nodes: tuple):
+    """(2k + 1) P_k(x_i), k = n-1 ... n-4, on each panel's n Gauss nodes, in
+    columns (k, panel): w f times it gives each panel's last four Legendre
+    coefficients of f, in units of its integral."""
+    basis = np.zeros((sum(nodes), 4, len(nodes)))
+    for j, (i, n) in enumerate(zip(np.cumsum((0,) + nodes), nodes)):
+        k = np.arange(n - 1, n - 5, -1)
+        vander = np.polynomial.legendre.legvander(_leggauss(n)[0], n - 1)
+        basis[i:i + n, :, j] = (2 * k + 1) * vander[:, k]
+    return basis.reshape(sum(nodes), -1)
+
+
+def _gauss_error(wf, nodes: tuple):
+    """Error of Gauss panels of orders nodes, from w f on the last axis: per
+    panel, last = |c_{n-1}| + |c_{n-2}| times min(1, last / (|c_{n-3}| +
+    |c_{n-4}|))^((n + 1) / 4) (P. Gonnet, ACM TOMS 37(3), 26 (2010)); at
+    (n + 1) / 2 the T = 0 ideal-metal shift at Az/a = 0.999 fell below it."""
+    c = np.abs(wf @ _legendre_tail(nodes)).reshape(*wf.shape[:-1], 4, -1)
+    last, before = c[..., 0, :] + c[..., 1, :], c[..., 2, :] + c[..., 3, :]
+    ratio = np.divide(last, before, out=np.ones_like(last),
+                      where=before > last)
+    return np.sum(last * ratio ** ((np.asarray(nodes) + 1.0) / 4), axis=-1)
+
+
 def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
                rule=_leggauss):
     """Nodes and weights covering [zeta, zeta + span].
@@ -236,7 +255,12 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
     """
     zeta = np.asarray(zeta, dtype=float)
     v, w = _grid_from(zeta, nodes=window.nodes)
-    r2 = reflection_sq_grid(model, zeta[..., None], v, a)
+    col = zeta[..., None]
+    if zeta.size > 1 and zeta[0] == 0.0:  # l = 0 heads a sum's first stack
+        r2 = np.concatenate([reflection_sq_grid(model, col[rows], v[rows], a)
+                             for rows in (slice(1), slice(1, None))], axis=1)
+    else:
+        r2 = reflection_sq_grid(model, col, v, a)
     return np.sum(w * kernel(v, r2), axis=-1)
 
 
@@ -257,8 +281,8 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     shift and the oracles differ only in the per-frequency callable, which
     takes an array of frequencies and returns one term per frequency.
     Returns (sum, terms_used, tail_estimate), terms_used counting the terms
-    summed.  The l = 0 term is evaluated alone, the terms l >= 1 one stack
-    per call; each term of a stack is added in ascending l, so results are
+    summed.  The terms are evaluated one stack per call, l = 0 the first row
+    of the first; each term of a stack is added in ascending l, so results are
     bit-reproducible and a term evaluated past the stop never enters the
     sum.  The sum stops after _STOP_STREAK consecutive terms each contribute
     less than need = rel_tol/10 of it, and its tail is estimated as a
@@ -284,8 +308,8 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
     decay = math.exp(-window.rate * zeta1)  # the terms' asymptotic ratio
     stops = decay <= _MAX_RATIO  # else the sum cannot stop in the block
-    total = 0.5 * float(term(np.zeros(1))[0])
     values = []  # the terms l >= 1 summed so far
+    head = 1  # the first stack opens with l = 0
     streak = 0
     prev = math.inf
     ahead = math.log(10.0 / quad.rel_tol) / (window.rate * zeta1)
@@ -293,8 +317,13 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
         first = len(values) + 1
         end = _HANDOFF if first <= _HANDOFF else _EM_BLOCK
         last = min(end, math.ceil(
-            first - 1 + min(_STACK, ahead + _STOP_STREAK)))
-        for value in term(np.arange(first, last + 1) * zeta1).tolist():
+            first - 1 + min(_STACK - head, ahead + _STOP_STREAK)))
+        stack = term(np.arange(first - head, last + 1) * zeta1).tolist()
+        if head:
+            total, head = 0.5 * stack.pop(0), 0
+            if not stack:  # l = 0 alone (_STACK = 1)
+                continue
+        for value in stack:
             total += value
             values.append(value)
             need = quad.rel_tol / 10.0 * abs(total)
@@ -361,7 +390,8 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
 
 def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
                span: float, v_nodes: tuple, s_nodes: tuple):
-    """v nodes, weights and row integrals int_0^v dzeta of the kernel.
+    """v nodes, weights, row integrals int_0^v dzeta of the kernel and
+    their s-rule errors (_gauss_error).
 
     zeta = v s maps each row's triangle zeta <= v onto s in [0, 1], so the
     row integral is v int_0^1 ds kernel.  The v-rule is a Matsubara
@@ -382,7 +412,8 @@ def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
     r2 = reflection_sq_grid(model, col * (s0 + (1.0 - s0) * s), col, a)
     w = (1.0 - s0) * ws
     w[:, 0] += s0[:, 0]
-    return v, wv, v * np.sum(w * kernel(col, r2), axis=-1)
+    wk = w * kernel(col, r2)
+    return v, wv, v * np.sum(wk, axis=-1), v * _gauss_error(wk, s_nodes)
 
 
 def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
@@ -394,22 +425,20 @@ def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
         int_0^V dv v int_0^1 ds kernel(v, r^2(v s, v)),
 
     with V = window.span.  v takes the panels _PANEL_EDGES at window.nodes,
-    s the panels _S_EDGES at _S_NODES, and each rule is one call of
+    s the panels _S_EDGES at _S_NODES, and the rule is one call of
     reflection_sq_grid and of the kernel (_zeta_rows).  The error is
-    measured: the change when both rules are taken at half the order, plus
-    the cut at the window's end (the last row times the window's width).
-    Returns (integral, rows, error), rows counting the v-rows of both
-    rules, one s-integral each.
+    measured from those node values alone: the v-rule's _gauss_error on the
+    row integrals, the s-rules' on each row, a rounding floor (sum |w g|
+    times the unit roundoff) and the cut at the window's end (the last row
+    times the window's width).  Returns (integral, rows, error), rows
+    counting the v-rows, one s-integral each.
     """
-    span = window.span
-    v, wv, g = _zeta_rows(kernel, model, a, span, window.nodes, _S_NODES)
-    vc, wc, gc = _zeta_rows(kernel, model, a, span,
-                            tuple(n // 2 for n in window.nodes),
-                            tuple(n // 2 for n in _S_NODES))
-    total = float(np.sum(wv * g))
-    coarse = float(np.sum(wc * gc))
-    cut = abs(float(g[-1])) * span
-    return total, v.size + vc.size, abs(total - coarse) + cut
+    v, wv, g, g_err = _zeta_rows(kernel, model, a, window.span,
+                                 window.nodes, _S_NODES)
+    wg = wv * g
+    err = (_gauss_error(wg, window.nodes) + np.sum(wv * g_err) + abs(g[-1])
+           * window.span + np.sum(np.abs(wg)) * np.finfo(float).eps)
+    return float(np.sum(wg)), v.size, float(err)
 
 
 # ---------------------------------------------------------------------------

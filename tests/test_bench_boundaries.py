@@ -102,8 +102,8 @@ def test_each_bench_table_computes_each_value_once(name, monkeypatch):
 
 
 # per seed-0 table: (frequencies, calls) of engine._frequency_integral
-_TABLE_TERMS = {"force-sweep": (976, 85), "cryo-sweep": (860, 16),
-                "freq-shift": (532, 16), "oracle-check": (2419, 91)}
+_TABLE_TERMS = {"force-sweep": (976, 53), "cryo-sweep": (860, 12),
+                "freq-shift": (532, 11), "oracle-check": (2419, 56)}
 
 
 @pytest.mark.parametrize("name", _TABLE_TERMS)
@@ -185,8 +185,8 @@ def test_traced_evaluations_record_work_and_required_layers():
                 work[name].setdefault(span.name, []).append(span.work)
     # the 300 K row carries its T = 0 companion
     assert work["force_300K"]["engine.finite_t"] == [63]
-    assert work["force_300K"]["engine.zero_t"] == [114]
-    assert work["force_T0"]["engine.zero_t"] == [114]
+    assert work["force_300K"]["engine.zero_t"] == [76]
+    assert work["force_T0"]["engine.zero_t"] == [76]
     assert "engine.finite_t" not in work["force_T0"]
     # perfbench reads engine.oracle's work from _oracle_sum's terms_used
     oracle = results["oracles"][0]

@@ -45,8 +45,8 @@ def test_oracle_converges_toward_formula_as_gap_shrinks():
 @pytest.mark.parametrize("a, T", [(200e-9, 20.0), (1e-6, 5.0)])
 def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     # a cold oracle hands off to the Euler-Maclaurin remainder at l = 57
-    # in the stacks of a cold force sum: l = 0 alone, one stack to l = 57
-    # and the remainder's pass of 157 in two calls, all on the oracles'
+    # in the stacks of a cold force sum: one stack of l = 0 - 57 and the
+    # remainder's pass of 157 in two calls, all on the oracles'
     # v-rule; it stays within the PFA error scale 0.3 a/B of the formula
     calls = []
     frequency_integral = engine._frequency_integral
@@ -60,7 +60,7 @@ def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     f = casimir_force(lens, e, gold_drude()).value
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     oracle = direct_pfa_force_oracle(lens, e, gold_drude())
-    assert calls == [(n, _FINE_NODES) for n in (1, 57, 79, 78)]
+    assert calls == [(n, _FINE_NODES) for n in (58, 79, 78)]
     assert oracle.terms_used == 215
     assert abs(oracle.value - f) <= 0.3 * a / lens.B * abs(f)
 

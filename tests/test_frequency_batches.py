@@ -75,8 +75,9 @@ def test_chunked_zero_temperature_rows_equal_one_call(model, kernel):
     # the T = 0 integral evaluates each rule's whole (v, s) grid in one
     # call; every v-row, taken alone on its own 1-D s-rule, gives the same
     # float as that call
-    v, _, rows = engine._zeta_rows(kernel, model, A, engine._PANEL_EDGES[-1],
-                                   engine._PANEL_NODES, engine._S_NODES)
+    v, _, rows, _ = engine._zeta_rows(kernel, model, A,
+                                      engine._PANEL_EDGES[-1],
+                                      engine._PANEL_NODES, engine._S_NODES)
     s, ws = engine._panels(engine._S_EDGES, engine._S_NODES)
     zeta_lo = engine._ZETA_MIN if isinstance(model, Tabulated) else 0.0
     lone = []
@@ -155,10 +156,9 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder(monkeypatch):
     assert sum(calls) == ref[1]
     # _STACK bounds every call of term, the remainder's too
     assert set(calls) == {1}
-    # l = 0 alone, one stack of 57 to the hand-off at l = 57 (the
-    # projected stop lies far past it), and the remainder's pass of 157 in
-    # two calls
-    assert sizes == [1, 57, 79, 78]
+    # one stack of l = 0 - 57 to the hand-off at l = 57 (the projected
+    # stop lies far past it), and the remainder's pass of 157 in two calls
+    assert sizes == [58, 79, 78]
 
 
 def _converged_sum(kernel, model, T, a=A):
@@ -258,7 +258,7 @@ def test_slow_sum_at_a_loose_rel_tol_hands_off_at_l_57(monkeypatch, T,
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     res = force(LENS, Environment(a=A, T=T), MODELS["drude"],
                 QuadratureSpec(rel_tol))
-    assert sizes == [1, engine._HANDOFF, _STACK, engine._EM_PASS - _STACK]
+    assert sizes == [1 + engine._HANDOFF, _STACK, engine._EM_PASS - _STACK]
     assert sum(sizes) == res.terms_used == 215
 
 
@@ -395,23 +395,24 @@ def _count_calls(monkeypatch, name):
 def test_force_call_counts(monkeypatch, T):
     # counts, not times: a term evaluated one frequency per call would make
     # one polylog call per term instead of one per chunk, and TM and TE
-    # taken apart would make two per reflection call; at T = 0 each rule's
+    # taken apart would make two per reflection call; at T = 0 the rule's
     # (v, s) grid is one call, where a v-row (one s-integral) evaluated
-    # alone would make one per row, 114 in all
+    # alone would make one per row, 76 in all
     polylog = _count_calls(monkeypatch, "polylog_exp_grid")
     reflection = _count_calls(monkeypatch, "reflection_sq_grid")
     res = force(LENS, Environment(a=A, T=T), gold_drude())
     if T == 0.0:
-        # 76 rows of 96 s-nodes in one call, and the half-order check's 38
-        # rows of 48 in another
-        assert res.terms_used == 76 + 38
-        calls = 1 + 1
+        # 76 rows of 96 s-nodes in one call; the error comes from them
+        assert res.terms_used == 76
+        calls = reflections = 1
     else:
-        # l = 0 alone, one stack to the hand-off point l = 57, and one
-        # stack to _STOP_STREAK past the stop projected at l = 57
+        # one stack of l = 0 - 57 to the hand-off point l = 57, and one
+        # stack to _STOP_STREAK past the stop projected at l = 57; the
+        # zero frequency takes its own reflection call
         assert res.terms_used == 63
-        calls = 1 + 1 + 1
+        calls = 1 + 1
+        reflections = calls + 1
         evaluated = sum(np.shape(args[1])[0] for args in reflection)
         assert evaluated <= res.terms_used + engine._STOP_STREAK
-    assert len(reflection) == calls
+    assert len(reflection) == reflections
     assert len(polylog) == calls

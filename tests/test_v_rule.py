@@ -6,7 +6,9 @@ Every explicit Matsubara term integrates v on _PANEL_NODES (76 nodes); the
 Euler-Maclaurin remainder integrates zeta on their Gauss-Kronrod extension
 (157 nodes).  Doubling one rule while keeping the other measures that
 rule's error alone.  The T = 0 integral takes v on its window's nodes
-(_PANEL_NODES) and s = zeta / v on _S_NODES, and both are doubled together.
+(_PANEL_NODES) and s = zeta / v on _S_NODES, and both are doubled together;
+its error estimate, taken from the rules' own node values, must lie above
+that change.
 """
 
 from functools import partial
@@ -17,7 +19,8 @@ import pytest
 from casimir_lens import engine, oscillator
 from casimir_lens.engine import _PANEL_NODES, QuadratureSpec, force, gradient
 from casimir_lens.geometry import Environment, symmetric_lens
-from casimir_lens.materials import IdealMetal, gold_drude, gold_plasma
+from casimir_lens.materials import (IdealMetal, Tabulated, gold_drude,
+                                    gold_plasma)
 from casimir_lens.oscillator import OscillatorParams, frequency_shift_nonlinear
 
 LENS = symmetric_lens(100e-6, 100e-6, 1e-3)
@@ -155,3 +158,61 @@ def _double_the_remainder_rule(monkeypatch):
 
     monkeypatch.setattr(engine, "_grid_from", remainder_doubled)
     return windows
+
+
+_XI = np.geomspace(1.0e7, 1.0e18, 12)
+_T0_MODELS = dict(MODELS, tabulated=Tabulated(
+    _XI, 1.0 + 1.0e32 / (_XI * (_XI + 5.0e13))))
+# The half-order estimate this one replaced, |I - I_half| + cut, relative
+# to I, at 150 nm, 1 um and 5 um: the metals' estimates must stay below it
+_HALF_ORDER = {
+    ("drude", "force"): (1.81e-9, 4.28e-9, 5.95e-9),
+    ("drude", "gradient"): (1.26e-8, 2.16e-8, 2.64e-8),
+    ("plasma", "force"): (2.92e-9, 5.92e-9, 7.28e-9),
+    ("plasma", "gradient"): (1.35e-8, 2.33e-8, 2.79e-8),
+    ("ideal", "force"): (7.70e-9, 7.70e-9, 7.70e-9),
+    ("ideal", "gradient"): (2.93e-8, 2.93e-8, 2.93e-8),
+}
+
+
+def _zero_t_pair(monkeypatch, kernel, model, a, window):
+    """(integral, estimate) on the T = 0 rules, and the integral with both
+    rules at twice the order."""
+    total, rows, est = engine._zeta_integral(kernel, model, a, window)
+    monkeypatch.setattr(engine, "_S_NODES",
+                        tuple(2 * n for n in engine._S_NODES))
+    fine = window._replace(nodes=tuple(2 * n for n in window.nodes))
+    ref, fine_rows, _ = engine._zeta_integral(kernel, model, a, fine)
+    monkeypatch.undo()
+    assert (rows, fine_rows) == (sum(window.nodes), sum(fine.nodes))
+    return total, est, ref
+
+
+def test_zero_t_estimate_bounds_the_doubled_rules_change(monkeypatch):
+    # the T = 0 estimate comes from each panel's trailing Legendre
+    # coefficients, with no second kernel call.  Forces and gradients of
+    # the metals read 6.8e-10 - 5.9e-9 of the integral, >= 2e5 times the
+    # change; the table's is 1e2 - 1e4 times it.  The half-order pass this
+    # replaced read 1.8e-9 - 2.9e-8 for the metals
+    kernels = {"force": engine._force_kernel,
+               "gradient": engine._gradient_kernel}
+    for name, model in _T0_MODELS.items():
+        for kind, kernel in kernels.items():
+            for i, a in enumerate((150e-9, 1e-6, 5e-6)):
+                total, est, ref = _zero_t_pair(monkeypatch, kernel, model, a,
+                                               engine._Window())
+                case = (name, kind, a)
+                assert abs(total - ref) <= est, case
+                if name != "tabulated":
+                    assert est / abs(total) < _HALF_ORDER[name, kind][i], case
+    # the shift at 200 nm on its own window: covered by >= 70 times (ideal
+    # metal, Az/a = 0.999; at p = (n + 1) / 2 that case fell to 0.56).  The
+    # Drude and plasma estimates at Az/a >= 0.99 read 1.4e-5 of the
+    # integral, above the half-order pass's 2.1e-7; no caller reads the
+    # shift's estimate until its result carries one (ROADMAP item 4)
+    for name, model in MODELS.items():
+        for beta in (0.5, 0.9, 0.99, 0.999):
+            kernel = partial(oscillator._nonlinear_kernel, beta=beta)
+            total, est, ref = _zero_t_pair(monkeypatch, kernel, model, A,
+                                           engine._Window(1.0 - beta))
+            assert abs(total - ref) <= est, (name, beta)

@@ -123,7 +123,7 @@ def test_zero_temperature_shift_window_follows_decay_rate():
 
     shift = frequency_shift_nonlinear(LENS, env, model, osc, quad)
     total = _zeta_integral(kernel, model, env.a, engine._Window(1.0 - beta))[0]
-    v, wv, rows = engine._zeta_rows(
+    v, wv, rows, _ = engine._zeta_rows(
         kernel, model, env.a, 4.0 * _PANEL_EDGES[-1] / (1.0 - beta),
         _FINE_NODES, tuple(2 * n for n in _S_NODES))
     wide = shift / total * float(np.sum(wv * rows))
@@ -138,13 +138,13 @@ def test_zero_temperature_shift_window_follows_decay_rate():
 @pytest.mark.parametrize("kind", KINDS)
 def test_zeta_integral_takes_its_v_rule_from_the_window(kind, model, a):
     # the window's nodes, not a module constant, are the v-rule: on the
-    # oracles' 152 nodes the integral has 152 + 76 v-rows, and the force
+    # oracles' 152 nodes the integral has 152 v-rows, and the force
     # and gradient move by <= 3.3e-15 from the 76-node rule
     kernel = KINDS[kind][1]
     ref, rows, _ = _zeta_integral(kernel, model, a)
     total, fine_rows, _ = _zeta_integral(kernel, model, a,
                                          engine._Window(nodes=_FINE_NODES))
-    assert (rows, fine_rows) == (76 + 38, 152 + 76)
+    assert (rows, fine_rows) == (76, 152)
     assert total == pytest.approx(ref, rel=5e-14, abs=0.0)
 
 
@@ -179,8 +179,7 @@ def test_zeta_rows_take_v_as_a_column(model, kind, monkeypatch):
 
     monkeypatch.setattr(engine, "reflection_sq_grid", recorded)
     _zeta_integral(column, model, 200e-9)
-    assert shapes == [("reflection", (76, 1)), ("kernel", (76, 1)),
-                      ("reflection", (38, 1)), ("kernel", (38, 1))]
+    assert shapes == [("reflection", (76, 1)), ("kernel", (76, 1))]
     for v_nodes, s_nodes in ((engine._PANEL_NODES, _S_NODES),
                              (tuple(n // 2 for n in engine._PANEL_NODES),
                               tuple(n // 2 for n in _S_NODES))):
