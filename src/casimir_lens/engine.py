@@ -45,12 +45,12 @@ class QuadratureSpec:
     remainder: a cold force, or any slower sum, costs 215 evaluations in
     3 calls (l = 0 - 57, then a Kronrod remainder pass of 157 in two), and
     no sum more than 414 (_matsubara_sum), for every permittivity model.
-    The v-integral is not a knob: one 76-node rule (_PANEL_NODES) on the
-    kernel's window (_Window).  At T > 0 its error is not yet in
-    est_abs_error, and its window [zeta_l, zeta_l + 80] truncates the shift
-    as Az -> a; at T = 0 the error is estimated from the rules' own
-    Legendre coefficients (_zeta_integral).  README, "Numerical methods",
-    gives the rules' measured errors.
+    The v-integral is not a knob: the kernel's window (_Window) owns its
+    rule, 76 nodes at order 1 (152 for the oracles).  At T > 0 its error is
+    not yet in est_abs_error, and its window [zeta_l, zeta_l + 80]
+    truncates the shift as Az -> a; at T = 0 the error is estimated from
+    the rules' own Legendre coefficients (_zeta_integral).  README,
+    "Numerical methods", gives the rules' measured errors.
     """
 
     rel_tol: float = 1e-8
@@ -77,10 +77,7 @@ class ForceResult:
 # quadrature grids
 
 _PANEL_EDGES = (0.0, 2.0, 8.0, 20.0, 45.0, 80.0)
-_PANEL_NODES = (24, 16, 16, 12, 8)  # the one v-rule, 76 nodes
-# The oracles' v-rule: on _PANEL_NODES the PFA oracle drifts by
-# 1.7 - 3.3e-12, past its estimate at rel_tol = 1e-13.
-_FINE_NODES = tuple(2 * n for n in _PANEL_NODES)
+_PANEL_NODES = (24, 16, 16, 12, 8)  # the v-rule at order 1, 76 nodes
 
 
 class _Window(NamedTuple):
@@ -89,16 +86,21 @@ class _Window(NamedTuple):
     The kernel falls like e^{-rate v} (rate 1 for the force, the gradient
     and the oracles, 1 - Az/a for the shift), its Matsubara terms like
     e^{-rate zeta_l} times a power of l.  span (80 e-foldings at every rate)
-    is the remainder's zeta-window and the T = 0 integral's v-window, nodes
-    the v-rule of that integral and of the terms, on [zeta_l, zeta_l + 80].
+    is the remainder's zeta-window and the T = 0 integral's v-window; nodes,
+    order x _PANEL_NODES, the v-rule of that integral and of the terms, on
+    [zeta_l, zeta_l + 80], and order x _S_NODES the integral's s-rule.
     """
 
     rate: float = 1.0
-    nodes: tuple = _PANEL_NODES
+    order: int = 1
 
     @property
     def span(self) -> float:
         return _PANEL_EDGES[-1] / self.rate
+
+    @property
+    def nodes(self) -> tuple:
+        return tuple(self.order * n for n in _PANEL_NODES)
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +221,7 @@ def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
 _S_EDGES = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
 _S_NODES = (16, 16, 20, 20, 24)
 # The lowest zeta the T = 0 integral evaluates a table at, and a config's
-# table must reach: the first node of _grid_from(0.0, nodes=_FINE_NODES),
+# table must reach: the first node from zeta = 0 of _Window(order=2)'s rule,
 # 2 ((1 + x_0) / 2)^2 with x_0 the first of 48 Gauss-Legendre nodes, written
 # out so that importing the package computes no quadrature rule.
 _ZETA_MIN = 7.552115867947006e-07
@@ -361,14 +363,14 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     h f' and h^3 f''' come from the backward differences of the last seven
     terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
-    window.span] (_Window), on the Kronrod extension of _PANEL_NODES (157
-    nodes), _STACK frequencies a call of term, and as its check the embedded
-    76-node Gauss rule, at no evaluation.  The tail estimate is measured:
-    the last correction applied, the check's change, and the cut at the
-    window's end (its last term times its width).  A cut above rel_tol/10 of
-    the sum (or a NaN) raises ConvergenceError with the sum so far; the
-    ideal-metal force at 200 nm and 1 K needs a rel_tol below ~3e-30 for
-    that.  Returns (sum, terms_used, tail_estimate).
+    window.span] (_Window), on the Kronrod extension of _PANEL_NODES at
+    every order (157 nodes), _STACK frequencies a call of term, and as its
+    check the embedded 76-node Gauss rule, at no evaluation.  The tail
+    estimate is measured: the last correction applied, the check's change,
+    and the cut at the window's end (its last term times its width).  A cut
+    above rel_tol/10 of the sum (or a NaN) raises ConvergenceError with the
+    sum so far; the ideal-metal force at 200 nm and 1 K needs a rel_tol
+    below ~3e-30 for that.  Returns (sum, terms_used, tail_estimate).
     """
     nabla = [float(np.diff(values[-7:], k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
@@ -389,22 +391,23 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
 
 
 def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
-               span: float, v_nodes: tuple, s_nodes: tuple):
+               window: _Window):
     """v nodes, weights, row integrals int_0^v dzeta of the kernel and
     their s-rule errors (_gauss_error).
 
     zeta = v s maps each row's triangle zeta <= v onto s in [0, 1], so the
-    row integral is v int_0^1 ds kernel.  The v-rule is a Matsubara
-    term's window at zeta = 0, _grid_from(0.0, span, v_nodes), the s-rule
-    _panels over _S_EDGES, and the whole (v, s) grid, a row per v node,
-    goes through one call of reflection_sq_grid and one of the kernel;
-    each row is then summed on its own.  Both take v as a column (n, 1),
-    so e^-v, its powers and an ideal metal's kernel are computed once per
-    row.  A tabulated model is not evaluated below _ZETA_MIN: each row's
-    s-rule is mapped onto [s0, 1], s0 = _ZETA_MIN / v, and the sliver
+    row integral is v int_0^1 ds kernel.  The v-rule is a Matsubara term's
+    at zeta = 0, _grid_from(0.0, window.span, window.nodes), the s-rule
+    _panels over _S_EDGES at window.order x _S_NODES, and the whole (v, s)
+    grid, a row per v node, goes through one call of reflection_sq_grid and
+    one of the kernel; each row is then summed on its own.  Both take v as
+    a column (n, 1), so e^-v, its powers and an ideal metal's kernel are
+    computed once per row.  A table is not evaluated below _ZETA_MIN: each
+    row's s-rule is mapped onto [s0, 1], s0 = _ZETA_MIN / v, and the sliver
     [0, s0] is added to the weight of the row's first node.
     """
-    v, wv = _grid_from(0.0, span, v_nodes)
+    v, wv = _grid_from(0.0, window.span, window.nodes)
+    s_nodes = tuple(window.order * n for n in _S_NODES)
     s, ws = _panels(_S_EDGES, s_nodes)
     zeta_lo = _ZETA_MIN if isinstance(model, Tabulated) else 0.0
     col = v[:, None]
@@ -425,7 +428,7 @@ def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
         int_0^V dv v int_0^1 ds kernel(v, r^2(v s, v)),
 
     with V = window.span.  v takes the panels _PANEL_EDGES at window.nodes,
-    s the panels _S_EDGES at _S_NODES, and the rule is one call of
+    s the panels _S_EDGES at the window's order, and the rule is one call of
     reflection_sq_grid and of the kernel (_zeta_rows).  The error is
     measured from those node values alone: the v-rule's _gauss_error on the
     row integrals, the s-rules' on each row, a rounding floor (sum |w g|
@@ -433,8 +436,7 @@ def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
     times the window's width).  Returns (integral, rows, error), rows
     counting the v-rows, one s-integral each.
     """
-    v, wv, g, g_err = _zeta_rows(kernel, model, a, window.span,
-                                 window.nodes, _S_NODES)
+    v, wv, g, g_err = _zeta_rows(kernel, model, a, window)
     wg = wv * g
     err = (_gauss_error(wg, window.nodes) + np.sum(wv * g_err) + abs(g[-1])
            * window.span + np.sum(np.abs(wg)) * np.finfo(float).eps)
@@ -679,17 +681,18 @@ def _oracle_kernel(v, r2, a: float, chord: float, u2_max: float):
 
 def _oracle_sum(env: Environment, model: PermittivityModel, chord: float,
                 u2_max: float, quad: QuadratureSpec):
-    """Matsubara sum of the v-integral of _oracle_kernel on _FINE_NODES.
+    """Matsubara sum of the v-integral of _oracle_kernel at order 2.
 
     The term is _lifshitz's partial of _frequency_integral, on the oracles'
-    kernel and v-rule, summed in stacks as every other term is.  Returns
-    (sum, terms_used, tail_estimate), the tail estimate the Matsubara
-    loop's alone: the order series is summed exactly.
+    kernel and v-rule (at order 1 the PFA oracle drifts by 1.7 - 3.3e-12,
+    past its estimate at rel_tol = 1e-13), summed in stacks as every other
+    term is.  Returns (sum, terms_used, tail_estimate), the tail estimate
+    the Matsubara loop's alone: the order series is summed exactly.
     """
     if env.T == 0.0:
         raise ValueError("the oracle is defined for T > 0")
     kernel = partial(_oracle_kernel, a=env.a, chord=chord, u2_max=u2_max)
-    window = _Window(nodes=_FINE_NODES)
+    window = _Window(order=2)
     term = partial(_frequency_integral, kernel, model, a=env.a, window=window)
     return _matsubara_sum(term, env, quad, window=window)
 

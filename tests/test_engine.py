@@ -7,8 +7,8 @@ import pytest
 
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.electrostatics import BiasState, pfa_electric_force
-from casimir_lens.engine import (_FINE_NODES, _PANEL_EDGES, _PANEL_NODES,
-                                 DEFAULT_QUADRATURE, QuadratureSpec,
+from casimir_lens.engine import (_PANEL_EDGES, _PANEL_NODES,
+                                 DEFAULT_QUADRATURE, QuadratureSpec, _Window,
                                  _em_remainder, _grid_from, _kronrod,
                                  _leggauss, _panels,
                                  casimir_force,
@@ -237,7 +237,7 @@ def test_in_block_tail_estimate_brackets_truncation(quantity, model, a):
 
 
 @pytest.mark.parametrize("span", [80.0, 160.0, 80.0 / (1.0 - 0.3)])
-@pytest.mark.parametrize("nodes", [_PANEL_NODES, _FINE_NODES])
+@pytest.mark.parametrize("nodes", [_PANEL_NODES, _Window(order=2).nodes])
 def test_cached_panels_match_fresh_grid(span, nodes):
     # _grid_from reuses panels 2-5 of the unit rule, scaled to span and
     # shifted by zeta; rebuild every panel from its edges and compare.
@@ -272,7 +272,8 @@ def test_cached_panels_match_fresh_grid(span, nodes):
 
 
 @pytest.mark.parametrize("rule", [_leggauss, _kronrod], ids=["gauss", "kronrod"])
-@pytest.mark.parametrize("nodes", [_PANEL_NODES, _FINE_NODES, (12, 8, 8, 6, 4)],
+@pytest.mark.parametrize("nodes", [_PANEL_NODES,
+                                   _Window(order=2).nodes, (12, 8, 8, 6, 4)],
                          ids=["production", "fine", "half"])
 def test_cached_v_rule_holds_no_first_panel(nodes, rule, monkeypatch):
     # _grid_from builds the t^2 panel per call and asks the cache for

@@ -7,7 +7,7 @@ import pytest
 
 from casimir_lens import engine
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_FINE_NODES, _SIGMA_CUT, _SIGMA_NODES,
+from casimir_lens.engine import (_SIGMA_CUT, _SIGMA_NODES,
                                  DEFAULT_QUADRATURE,
                                  QuadratureSpec, _Window, _frequency_integral,
                                  _grid_from, _leggauss, _oracle_kernel,
@@ -60,7 +60,7 @@ def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     f = casimir_force(lens, e, gold_drude()).value
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     oracle = direct_pfa_force_oracle(lens, e, gold_drude())
-    assert calls == [(n, _FINE_NODES) for n in (58, 79, 78)]
+    assert calls == [(n, _Window(order=2).nodes) for n in (58, 79, 78)]
     assert oracle.terms_used == 215
     assert abs(oracle.value - f) <= 0.3 * a / lens.B * abs(f)
 
@@ -185,7 +185,7 @@ def _width_integral_ref(v, r_tm2, r_te2, a, chord, u2_max):
 def _oracle_term_ref(model, zeta, a, chord, u2_max):
     # the oracles keep the v-rule of twice the production order; each v
     # node's integrand is evaluated alone, then summed as the v-integral is
-    v_nodes, w = _grid_from(zeta, nodes=_FINE_NODES)
+    v_nodes, w = _grid_from(zeta, nodes=_Window(order=2).nodes)
     r_tm2, r_te2 = reflection_sq_grid(model, zeta, v_nodes, a)
     rows = np.array([v * v * _width_integral_ref(
         v, tm2, te2, a, chord, u2_max) for v, tm2, te2 in zip(
@@ -210,7 +210,7 @@ def test_vectorized_oracle_term_is_bit_identical_to_per_v_loop(model, zeta):
 
     with np.errstate(divide="raise", invalid="raise"):  # r^2 = 0 rows
         assert _frequency_integral(kernel, model, zeta, _A_TERM,
-                                   _Window(nodes=_FINE_NODES)) == \
+                                   _Window(order=2)) == \
             _oracle_term_ref(model, zeta, _A_TERM, lens.B, lens.h)
     if zeta == 0.0 and model == gold_drude():
         v, _ = _grid_from(0.0)
@@ -229,7 +229,7 @@ def test_order_sum_matches_mpmath_per_node(model, zeta):
     mp = pytest.importorskip("mpmath")
     lens = symmetric_lens(100e-6, 100e-6, 1e-3)
     x, _ = _leggauss(_SIGMA_NODES)
-    v, _ = _grid_from(zeta, nodes=_FINE_NODES)
+    v, _ = _grid_from(zeta, nodes=_Window(order=2).nodes)
     v = v[::4]
     smax = np.minimum(np.sqrt(lens.h * v / _A_TERM), _SIGMA_CUT)[:, None]
     sig = (0.5 * smax * (x + 1.0))[:, ::4]

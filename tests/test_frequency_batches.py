@@ -75,9 +75,7 @@ def test_chunked_zero_temperature_rows_equal_one_call(model, kernel):
     # the T = 0 integral evaluates each rule's whole (v, s) grid in one
     # call; every v-row, taken alone on its own 1-D s-rule, gives the same
     # float as that call
-    v, _, rows, _ = engine._zeta_rows(kernel, model, A,
-                                      engine._PANEL_EDGES[-1],
-                                      engine._PANEL_NODES, engine._S_NODES)
+    v, _, rows, _ = engine._zeta_rows(kernel, model, A, engine._Window())
     s, ws = engine._panels(engine._S_EDGES, engine._S_NODES)
     zeta_lo = engine._ZETA_MIN if isinstance(model, Tabulated) else 0.0
     lone = []
@@ -367,7 +365,7 @@ def test_oracle_evaluates_at_most_the_streak_past_its_stop(monkeypatch):
     frequency_integral = engine._frequency_integral
 
     def counted(kernel, model, zeta, a, window=engine._Window()):
-        if window.nodes == engine._FINE_NODES:  # an oracle term
+        if window.order == 2:  # an oracle term
             evaluated.extend(np.ravel(zeta).tolist())
         return frequency_integral(kernel, model, zeta, a, window)
 

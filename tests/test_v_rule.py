@@ -2,13 +2,15 @@
 T = 0 integral's two rules, each against the same rule at twice the order
 with everything else held fixed.
 
-Every explicit Matsubara term integrates v on _PANEL_NODES (76 nodes); the
-Euler-Maclaurin remainder integrates zeta on their Gauss-Kronrod extension
-(157 nodes).  Doubling one rule while keeping the other measures that
-rule's error alone.  The T = 0 integral takes v on its window's nodes
-(_PANEL_NODES) and s = zeta / v on _S_NODES, and both are doubled together;
-its error estimate, taken from the rules' own node values, must lie above
-that change.
+Every explicit Matsubara term integrates v on its window's nodes (76 at
+order 1); the Euler-Maclaurin remainder integrates zeta on the Gauss-Kronrod
+extension of _PANEL_NODES (157 nodes) at every order.  Doubling one rule
+while keeping the other measures that rule's error alone: the terms' rule
+through the window, window._replace(order=2 * window.order), the
+remainder's through _grid_from.  The T = 0 integral takes v on its window's
+nodes and s = zeta / v on order x _S_NODES, so the window's order doubles
+both together; its error estimate, taken from the rules' own node values,
+must lie above that change.
 """
 
 from functools import partial
@@ -56,8 +58,8 @@ def test_v_rule_against_twice_its_order(monkeypatch, model, T):
 
     def v_integral(kernel, model, zeta, a, window=engine._Window()):
         calls.append(np.size(zeta))
-        return frequency_integral(kernel, model, zeta, a, window._replace(
-            nodes=tuple(2 * n for n in window.nodes)))
+        return frequency_integral(kernel, model, zeta, a,
+                                  window._replace(order=2 * window.order))
 
     monkeypatch.setattr(engine, "_frequency_integral", v_integral)
     ref = _results(model, env)
@@ -78,30 +80,28 @@ _NEAR_CONTACT = pytest.mark.xfail(strict=True, reason=(
     pytest.param(0.999, marks=_NEAR_CONTACT)])
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
 def test_zero_t_rules_against_twice_their_order(monkeypatch, model, key):
-    # the T = 0 integral with its v-rule (the window's nodes) and its
-    # s-rule both at twice the order; nothing else reads them at T = 0.
+    # the T = 0 integral on its window at twice the order, which doubles its
+    # v-rule and its s-rule; nothing else reads them at T = 0.
     # The largest change seen is 2.7e-15 on the force and gradient and
     # 1.7e-14 on the shift at Az/a = 0.5 and 0.9
     env = Environment(a=A, T=0.0)
-    got = _value(model, env, key)
     zeta_integral, zeta_rows = engine._zeta_integral, engine._zeta_rows
-    rules = []
+    rules = []  # (v-rule, s-rule) of each run
 
     def doubled_window(kernel, model, a, window=engine._Window()):
-        return zeta_integral(kernel, model, a, window._replace(
-            nodes=tuple(2 * n for n in window.nodes)))
+        return zeta_integral(kernel, model, a,
+                             window._replace(order=2 * window.order))
 
-    def recorded(kernel, model, a, span, v_nodes, s_nodes):
-        rules.append((v_nodes, s_nodes))
-        return zeta_rows(kernel, model, a, span, v_nodes, s_nodes)
+    def recorded(kernel, model, a, window):
+        rules.append((window.nodes,
+                      tuple(window.order * n for n in engine._S_NODES)))
+        return zeta_rows(kernel, model, a, window)
 
-    doubled = tuple(tuple(2 * n for n in nodes)
-                    for nodes in (_PANEL_NODES, engine._S_NODES))
-    monkeypatch.setattr(engine, "_zeta_integral", doubled_window)
     monkeypatch.setattr(engine, "_zeta_rows", recorded)
-    monkeypatch.setattr(engine, "_S_NODES", doubled[1])
+    got = _value(model, env, key)
+    monkeypatch.setattr(engine, "_zeta_integral", doubled_window)
     ref = _value(model, env, key)
-    assert doubled in rules
+    assert rules[1] == tuple(tuple(2 * n for n in rule) for rule in rules[0])
     assert got == pytest.approx(ref, rel=5e-14, abs=0.0)
 
 
@@ -175,20 +175,17 @@ _HALF_ORDER = {
 }
 
 
-def _zero_t_pair(monkeypatch, kernel, model, a, window):
+def _zero_t_pair(kernel, model, a, window):
     """(integral, estimate) on the T = 0 rules, and the integral with both
     rules at twice the order."""
     total, rows, est = engine._zeta_integral(kernel, model, a, window)
-    monkeypatch.setattr(engine, "_S_NODES",
-                        tuple(2 * n for n in engine._S_NODES))
-    fine = window._replace(nodes=tuple(2 * n for n in window.nodes))
+    fine = window._replace(order=2 * window.order)
     ref, fine_rows, _ = engine._zeta_integral(kernel, model, a, fine)
-    monkeypatch.undo()
     assert (rows, fine_rows) == (sum(window.nodes), sum(fine.nodes))
     return total, est, ref
 
 
-def test_zero_t_estimate_bounds_the_doubled_rules_change(monkeypatch):
+def test_zero_t_estimate_bounds_the_doubled_rules_change():
     # the T = 0 estimate comes from each panel's trailing Legendre
     # coefficients, with no second kernel call.  Forces and gradients of
     # the metals read 6.8e-10 - 5.9e-9 of the integral, >= 2e5 times the
@@ -199,8 +196,7 @@ def test_zero_t_estimate_bounds_the_doubled_rules_change(monkeypatch):
     for name, model in _T0_MODELS.items():
         for kind, kernel in kernels.items():
             for i, a in enumerate((150e-9, 1e-6, 5e-6)):
-                total, est, ref = _zero_t_pair(monkeypatch, kernel, model, a,
-                                               engine._Window())
+                total, est, ref = _zero_t_pair(kernel, model, a, engine._Window())
                 case = (name, kind, a)
                 assert abs(total - ref) <= est, case
                 if name != "tabulated":
@@ -213,6 +209,6 @@ def test_zero_t_estimate_bounds_the_doubled_rules_change(monkeypatch):
     for name, model in MODELS.items():
         for beta in (0.5, 0.9, 0.99, 0.999):
             kernel = partial(oscillator._nonlinear_kernel, beta=beta)
-            total, est, ref = _zero_t_pair(monkeypatch, kernel, model, A,
+            total, est, ref = _zero_t_pair(kernel, model, A,
                                            engine._Window(1.0 - beta))
             assert abs(total - ref) <= est, (name, beta)

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from casimir_lens import engine, oscillator
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_STACK, _FINE_NODES, _PANEL_EDGES,
-                                 _S_NODES, _ZETA_MIN,
+from casimir_lens.engine import (_STACK, _S_NODES, _ZETA_MIN,
                                  QuadratureSpec, _force_kernel,
                                  _frequency_integral, _gradient_kernel,
-                                 _grid_from, _zeta_integral, force, gradient)
+                                 _grid_from, _Window, _zeta_integral, force,
+                                 gradient)
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import (IdealMetal, Tabulated,
                                     epsilon_at_imaginary, gold_drude,
@@ -92,9 +92,10 @@ def test_error_estimate_brackets_fine_reference(a, model, kind):
 
 def test_zeta_min_is_the_first_node_from_zero():
     # the lowest zeta a table must reach, as the config check has always
-    # computed it: the first node of the rule of twice the v-rule's order
+    # computed it: the first node from zeta = 0 of _Window(order=2)'s rule
     assert _ZETA_MIN == pytest.approx(
-        float(_grid_from(0.0, nodes=_FINE_NODES)[0][0]), rel=1e-15, abs=0.0)
+        float(_grid_from(0.0, nodes=_Window(order=2).nodes)[0][0]),
+        rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -106,13 +107,13 @@ def test_tabulated_table_from_the_checked_frequency(kind):
     table = Tabulated(xi, epsilon_at_imaginary(gold_drude(), xi))
     quantity, kernel = KINDS[kind]
     res, ref = _reference(quantity, kernel, table, a,
-                          _grid_from(0.0, nodes=_FINE_NODES))
+                          _grid_from(0.0, nodes=_Window(order=2).nodes))
     assert res.value == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_zero_temperature_shift_window_follows_decay_rate():
     # at Az/a = 0.99 the shift's kernel falls like e^{-0.01 v}: the window
-    # is 80 / 0.01 wide; one 4x wider at twice the order agrees
+    # is 80 / 0.01 wide; one 4x wider at order 2 agrees
     beta, quad = 0.99, QuadratureSpec(rel_tol=1e-13)
     env = Environment(a=200e-9, T=0.0)
     osc = OscillatorParams(omega0=1e4, C=1.0, Az=beta * env.a)
@@ -122,10 +123,9 @@ def test_zero_temperature_shift_window_follows_decay_rate():
         return oscillator._nonlinear_kernel(v, r2, beta)
 
     shift = frequency_shift_nonlinear(LENS, env, model, osc, quad)
-    total = _zeta_integral(kernel, model, env.a, engine._Window(1.0 - beta))[0]
-    v, wv, rows, _ = engine._zeta_rows(
-        kernel, model, env.a, 4.0 * _PANEL_EDGES[-1] / (1.0 - beta),
-        _FINE_NODES, tuple(2 * n for n in _S_NODES))
+    total = _zeta_integral(kernel, model, env.a, _Window(1.0 - beta))[0]
+    v, wv, rows, _ = engine._zeta_rows(kernel, model, env.a,
+                                       _Window((1.0 - beta) / 4.0, order=2))
     wide = shift / total * float(np.sum(wv * rows))
     assert shift == pytest.approx(wide, rel=1e-9, abs=0.0)
     # the window of 80 truncated it to a quarter
@@ -137,13 +137,12 @@ def test_zero_temperature_shift_window_follows_decay_rate():
                          ids=["drude", "plasma", "ideal"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_zeta_integral_takes_its_v_rule_from_the_window(kind, model, a):
-    # the window's nodes, not a module constant, are the v-rule: on the
-    # oracles' 152 nodes the integral has 152 v-rows, and the force
-    # and gradient move by <= 3.3e-15 from the 76-node rule
+    # the window's order, not a module constant, sets the rules: at the
+    # oracles' order 2 the integral has 152 v-rows, and the force and
+    # gradient move by <= 3.3e-15 from order 1
     kernel = KINDS[kind][1]
     ref, rows, _ = _zeta_integral(kernel, model, a)
-    total, fine_rows, _ = _zeta_integral(kernel, model, a,
-                                         engine._Window(nodes=_FINE_NODES))
+    total, fine_rows, _ = _zeta_integral(kernel, model, a, _Window(order=2))
     assert (rows, fine_rows) == (76, 152)
     assert total == pytest.approx(ref, rel=5e-14, abs=0.0)
 
@@ -180,9 +179,7 @@ def test_zeta_rows_take_v_as_a_column(model, kind, monkeypatch):
     monkeypatch.setattr(engine, "reflection_sq_grid", recorded)
     _zeta_integral(column, model, 200e-9)
     assert shapes == [("reflection", (76, 1)), ("kernel", (76, 1))]
-    for v_nodes, s_nodes in ((engine._PANEL_NODES, _S_NODES),
-                             (tuple(n // 2 for n in engine._PANEL_NODES),
-                              tuple(n // 2 for n in _S_NODES))):
-        rows = [engine._zeta_rows(k, model, 200e-9, _PANEL_EDGES[-1], v_nodes,
-                                  s_nodes)[2] for k in (column, every_node)]
+    for order in (1, 2):
+        rows = [engine._zeta_rows(k, model, 200e-9, _Window(order=order))[2]
+                for k in (column, every_node)]
         assert np.array_equal(rows[0], rows[1])
