@@ -363,14 +363,14 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     h f' and h^3 f''' come from the backward differences of the last seven
     terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
-    window.span] (_Window), on the Kronrod extension of _PANEL_NODES at
-    every order (157 nodes), _STACK frequencies a call of term, and as its
-    check the embedded 76-node Gauss rule, at no evaluation.  The tail
-    estimate is measured: the last correction applied, the check's change,
-    and the cut at the window's end (its last term times its width).  A cut
-    above rel_tol/10 of the sum (or a NaN) raises ConvergenceError with the
-    sum so far; the ideal-metal force at 200 nm and 1 K needs a rel_tol
-    below ~3e-30 for that.  Returns (sum, terms_used, tail_estimate).
+    window.span] (_Window), on the Kronrod extension of _PANEL_NODES (157
+    nodes), _STACK frequencies a call of term, and as its check the embedded
+    76-node Gauss rule, at no evaluation.  The tail estimate is measured:
+    the last correction applied, the check's change, and the cut at the
+    window's end (its last term times its width).  A cut above rel_tol/10 of
+    the sum (or a NaN) raises ConvergenceError with the sum so far; the
+    ideal-metal force at 200 nm and 1 K needs a rel_tol below ~3e-30 for
+    that.  Returns (sum, terms_used, tail_estimate).
     """
     nabla = [float(np.diff(values[-7:], k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))

@@ -170,31 +170,30 @@ def read(path=RECORD) -> dict:
 
 def _hex(token):
     """token as a float if it is a float.hex, else None."""
-    if isinstance(token, str) and "0x" in token:
+    if isinstance(token, str) and token.lstrip("-").startswith("0x"):
         return float.fromhex(token)
     return None
 
 
+def _within(old, new, ulps: int) -> bool:
+    """Whether two entries differ only in floats, by at most ulps units in
+    the last place."""
+    if old is None or new is None or len(old) != len(new):
+        return False
+    for x, y in zip(old, new):
+        fx, fy = _hex(x), _hex(y)
+        if x != y and (fx is None or fy is None or abs(fx - fy)
+                       > ulps * math.ulp(max(abs(fx), abs(fy)))):
+            return False
+    return True
+
+
 def differences(stored: dict, fresh: dict, ulps: int = 0) -> list:
-    """(key, stored, fresh) of each entry that differs: floats by more than
-    ulps units in the last place, anything else at all."""
-    out = []
-    for key in sorted(stored.keys() | fresh.keys()):
-        old, new = stored.get(key), fresh.get(key)
-        if old == new:
-            continue
-        if old is None or new is None or len(old) != len(new):
-            out.append((key, old, new))
-            continue
-        for x, y in zip(old, new):
-            fx, fy = _hex(x), _hex(y)
-            if x == y:
-                continue
-            if (fx is None or fy is None or not math.isfinite(fx + fy)
-                    or abs(fx - fy) > ulps * math.ulp(max(abs(fx), abs(fy)))):
-                out.append((key, old, new))
-                break
-    return out
+    """(key, stored, fresh) of each entry that differs beyond ulps."""
+    return [(key, stored.get(key), fresh.get(key))
+            for key in sorted(stored.keys() | fresh.keys())
+            if stored.get(key) != fresh.get(key)
+            and not _within(stored.get(key), fresh.get(key), ulps)]
 
 
 if __name__ == "__main__":
