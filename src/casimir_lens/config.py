@@ -39,7 +39,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .electrostatics import BiasState
-from .engine import _ZETA_MIN, QuadratureSpec
+from .engine import _EM_BLOCK, _ZETA_MIN, QuadratureSpec, _Window
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        TwoHalvesLens, symmetric_lens, thickness_for_width)
 from .materials import (Drude, GOLD_GAMMA_EV, GOLD_PLASMA_EV, IdealMetal,
@@ -334,19 +334,27 @@ def _check_consistency(cfg: RunConfig) -> None:
             except ValueError as exc:
                 raise ConfigError(f"[sweep] {exc}") from None
     if isinstance(cfg.material, Tabulated):
-        _check_tabulated_zero_t(cfg)
+        _check_tabulated_range(cfg)
 
 
-def _check_tabulated_zero_t(cfg: RunConfig) -> None:
-    """A tabulated run evaluating T = 0 must reach zeta = _ZETA_MIN.
+def _check_tabulated_range(cfg: RunConfig) -> None:
+    """A tabulated run must reach every frequency it evaluates.
 
-    The T = 0 integral runs from zeta = 0, where xi = c zeta / 2a is far
-    below any measured permittivity table; it evaluates a tabulated model
-    only from zeta = _ZETA_MIN (~7.55e-7, fixed) up, so the table must
-    reach that frequency.  force and gradient rows evaluate T = 0 at every
-    temperature (the T = 0 companion of each row); the other commands only
-    where T = 0.  The lowest frequency comes with the largest separation.
+    Its sums reach at most one window (_Window(rate).span, rate 1 - Az/a
+    for the shift) past l = _EM_BLOCK, xi = c span / 2a + _EM_BLOCK xi_1:
+    highest at the smallest a and the largest Az and T.  The T = 0 integral
+    evaluates a table from zeta = _ZETA_MIN (~7.55e-7, fixed) up, at xi =
+    c zeta / 2a: lowest at the largest a.  force and gradient rows evaluate
+    T = 0 at every temperature (the T = 0 companion of each row); the other
+    commands only where T = 0.
     """
+    a, hi = visited_range(cfg, "a")[0], cfg.material.xi_grid[-1]
+    az = visited_range(cfg, "Az")[1] if cfg.command == "freq-shift" else 0.0
+    top = CONSTANTS.c * _Window(1.0 - az / a).span / (2.0 * a) + _EM_BLOCK * (
+        2.0 * math.pi * CONSTANTS.kB * visited_range(cfg, "T")[1] / CONSTANTS.hbar)
+    if top > hi:
+        raise ConfigError(f"[material] model = tabulated cannot run this {cfg.command}: xi "
+                          f"reaches {top:.3g} rad/s, above the table's top {hi:.3g} rad/s")
     if visited_range(cfg, "T")[0] > 0.0:
         if cfg.command not in ("force", "gradient"):
             return

@@ -20,7 +20,9 @@ exact geometric closed form; they retain the finite width and thickness of
 the lens and are used to bound the error of the leading-order expressions.
 """
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -33,6 +35,15 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        shape_factor, thickness_for_width)
 from .materials import PermittivityModel, Tabulated, reflection_sq_grid
 from .specfun import ConvergenceError, polylog_exp_grid
+
+# A T = 0 rule (~690 KiB of numpy temporaries) and a 79-frequency term stack
+# (~566 KiB) pass glibc's default 128 KiB trim threshold: its heap would shrink
+# and regrow on every call, unless raised (as importing scipy.special did).
+_libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+if hasattr(_libc, "mallopt"):  # glibc's, set once; skipped where absent
+    _libc.mallopt.argtypes, _libc.mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+    _libc.mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD: blocks below 2 MiB on the heap
+    _libc.mallopt(-1, 4 << 20)  # M_TRIM_THRESHOLD: keep up to 4 MiB free on it
 
 
 @dataclass(frozen=True)

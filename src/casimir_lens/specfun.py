@@ -4,12 +4,11 @@ The Lifshitz kernels reduce to polylogarithms Li_{+-1/2}; the oscillator's
 shift brings in the Bessel function I_1, whose series it sums with
 Hankel's expansion or integrates over Li_{-1/2}.  polylog_exp_grid
 evaluates Li_s(e^-mu) from Wood's series in powers of mu near the
-singularity (mu < 1) and from one economized polynomial of degree 18 in
-e^-mu away from it, both by Horner's rule.  Tests hold it to mpmath at
-~1e-15.
-bessel_i1_scaled is scipy's i1e.  scipy.special is imported on the first
-evaluation, not with the package, so importing casimir_lens and parsing a
-config leaves it out.
+singularity (mu < 1), its zeta values written in as literals, and from one
+economized polynomial of degree 18 in e^-mu away from it, both by Horner's
+rule.  Tests hold it to mpmath at ~1e-15.
+bessel_i1_scaled is scipy's i1e, imported on its first call: only the shift
+loads scipy.special.
 """
 
 import math
@@ -51,6 +50,16 @@ def bessel_i1_scaled(x):
 _WOOD_TERMS = 24     # powers of mu kept in Wood's series (mu < 1)
 _ECON_DEGREE = 18     # degree of the economized polynomial (mu >= 1)
 _ECON_TAYLOR = 64     # Taylor terms it is economized from: e^{-64} ~ 2e-28
+# zeta(3/2 - j), j < 26, correctly rounded from 40-digit mpmath (Wood's series)
+_ZETA_HALF = (2.612375348685488, -1.4603545088095868, -0.20788622497735457,
+    -0.025485201889833036, 0.008516928777850331, 0.004441011335479432,
+    -0.0030916692472158338, -0.0026714580198992244, 0.0027467679395368687,
+    0.00326903957260022, -0.00441603287300489, -0.006672172296466641,
+    0.011146122473942813, 0.02039697871594279, -0.04057496748119458,
+    -0.08717525590621725, 0.2011740493842269, 0.4962712199120576,
+    -1.303229250705114, -3.629759299774574, 10.687327069021993,
+    33.168325785694606, -108.21747505877606, -370.3018783754786,
+    1326.0458117490157, 4959.598315043044)
 
 
 @lru_cache(maxsize=None)
@@ -68,10 +77,12 @@ def _polylog_coefficients(s: float):
     if float(s).is_integer() and s >= 1.0:
         raise ValueError(f"polylog_exp_grid needs s not a positive integer, "
                          f"got s = {s!r} (the series has a log term there)")
+    if s not in (1.5, 0.5, -0.5):
+        raise ValueError(f"polylog_exp_grid takes s = 3/2 or +-1/2, got {s!r}")
     from numpy.polynomial import Chebyshev, Polynomial
-    from scipy.special import zeta
+    zeta = np.array(_ZETA_HALF[round(1.5 - s):][:_WOOD_TERMS])
     k = np.arange(_WOOD_TERMS, dtype=float)
-    wood = zeta(s - k) * (-1.0) ** k / np.cumprod(np.maximum(k, 1.0))
+    wood = zeta * (-1.0) ** k / np.cumprod(np.maximum(k, 1.0))
     taylor = np.arange(1, _ECON_TAYLOR + 1, dtype=float) ** (-s)
     kept = _ECON_DEGREE + 1
     high = Polynomial(np.r_[np.zeros(kept), taylor[kept:]]).convert(
@@ -102,22 +113,22 @@ def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
 
     - mu < 1: Wood's series (D. C. Wood, The computation of polylogarithms,
       Kent TR 15-92, 1992), Li_s(e^-mu) = Gamma(1-s) mu^{s-1}
-      + sum_k zeta(s-k) (-mu)^k / k!, cut after 24 terms; it converges
-      like (mu / 2 pi)^k, so the cut is below 1e-19 at mu = 1.
+      + sum_k zeta(s-k) (-mu)^k / k!, cut after 24 terms, the zeta(s-k)
+      literals (_ZETA_HALF); it converges like (mu / 2 pi)^k, so the cut is
+      below 1e-19 at mu = 1.
     - mu >= 1: x p(x) with x = r2 e^-v <= 1/e, p the degree-18 economized
       polynomial of _polylog_coefficients.  Every node takes that pass
       (Wood's series then replaces the mu < 1 ones).
 
     Both passes are elementwise, so no value depends on the other nodes in
-    the call.
-
-    Both agree with 40-digit mpmath values to ~1e-15 relative for
-    s = +-1/2; the mu >= 1 branch to 3.3e-16.
+    the call.  Both agree with 40-digit mpmath values to ~1e-15 relative
+    for s = +-1/2; the mu >= 1 branch to 3.3e-16.
 
     Raises
     ------
     ValueError
-        If s is a positive integer, where Wood's series has a log term.
+        If s is a positive integer, where Wood's series has a log term;
+        for any other order but 3/2 and +-1/2, which have no literals.
     """
     gamma, wood, econ = _polylog_coefficients(s)
     v, r2 = np.asarray(v, dtype=float), np.asarray(r2, dtype=float)

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from casimir_lens import engine, oscillator
+from casimir_lens import engine, materials, oscillator
 from casimir_lens.cli import main, run_command, thermal_correction
 from casimir_lens.config import (ConfigError, load_config, parse_config,
                                  visited_range)
@@ -246,16 +247,85 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
                                        "'temperature' is not read by this run\n")
 
 
-def test_exit_3_on_runtime_domain_error(tmp_path, capsys):
+def test_exit_2_on_a_table_below_the_runs_frequencies(tmp_path, capsys):
     table = tmp_path / "narrow.dat"
     table.write_text("1.0e8 5000.0\n2.0e13 2500.0\n")
     cfg = BASE.replace("model = ideal",
                        f"model = tabulated\npath = {table}")
-    # the table reaches the T = 0 companion's first node (5.66e8 rad/s), so
-    # the config parses; the first Matsubara frequency at 300 K is 2.47e14
-    # rad/s, beyond the tabulated range, so the run itself fails
-    assert main(["--config", write(tmp_path, cfg)]) == 3
-    assert "domain error" in capsys.readouterr().err
+    # the table reaches the T = 0 companion's first node (5.66e8 rad/s), but
+    # not the first Matsubara frequency at 300 K (2.47e14 rad/s): the config
+    # is refused before the run, which would fail at its first term
+    assert main(["--config", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [material] model = tabulated cannot "
+                          "run this force: xi reaches 1.23e+17 rad/s")
+
+
+_SHIFT_AT = """\
+[run]
+command = freq-shift
+
+[geometry]
+A = 100e-6
+B = 100e-6
+L = 1e-3
+
+[material]
+model = tabulated
+path = {table}
+
+[environment]
+a = 200e-9
+T = {T}
+
+[oscillator]
+omega0 = 4400.0
+C = 10.0
+Az = {az}
+"""
+
+
+def _drude_table(path, top):
+    """A 50-knot Drude-like table from 1e2 rad/s to top."""
+    xi = np.geomspace(1.0e2, top, 50)
+    path.write_text("".join(f"{x:.17g} {1.0 + 1.0e32 / (x * (x + 5.0e13)):.17g}\n"
+                            for x in xi))
+
+
+def test_tabulated_shift_near_contact_refused_at_parse(tmp_path, capsys):
+    # at Az/a = 0.99 the shift's window reaches xi ~ 6e18 rad/s, beyond a
+    # table ending at 1e18; at 0.9 the same table still runs
+    table = tmp_path / "gold.dat"
+    _drude_table(table, 1.0e18)
+    near = _SHIFT_AT.format(table=table, T=300, az=198e-9)
+    assert main(["--config", write(tmp_path, near)]) == 2
+    assert "above the table's top 1e+18 rad/s" in capsys.readouterr().err
+    far = _SHIFT_AT.format(table=table, T=300, az=180e-9)
+    assert main(["--config", write(tmp_path, far), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    BASE.replace("a = 200e-9", "a = 150e-9"),
+    _SHIFT_AT.format(table="{table}", T=300, az=180e-9),
+    _SHIFT_AT.format(table="{table}", T=0, az=198e-9),
+    _SHIFT_AT.format(table="{table}", T=3, az=100e-9),
+], ids=["force 300 K", "shift 300 K 0.9", "shift 0 K 0.99", "shift 3 K 0.5"])
+def test_a_table_the_run_outgrows_is_refused_at_parse(tmp_path, monkeypatch,
+                                                      text):
+    # run on a wide table, recording the highest frequency evaluated; a
+    # table ending just below it must not parse
+    table = tmp_path / "gold.dat"
+    text = text.replace("model = ideal", "model = tabulated\npath = {table}")
+    text = text.format(table=table)
+    _drude_table(table, 1.0e20)
+    cfg = parse_config(text)
+    seen, epsilon = [], materials._epsilon
+    monkeypatch.setattr(materials, "_epsilon", lambda model, xi: (
+        seen.append(float(np.max(xi))), epsilon(model, xi))[1])
+    assert run_command(cfg)[2] is None
+    _drude_table(table, max(seen) * (1.0 - 1e-9))
+    with pytest.raises(ConfigError, match="above the table's top"):
+        parse_config(text)
 
 
 @pytest.mark.parametrize("a, sweep, message", [

@@ -274,7 +274,7 @@ quadrature.rel_tol = 1e-08"""),
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_provenance_echo_is_pinned(name, tmp_path):
     table = tmp_path / "gold.dat"
-    table.write_text("1.0e2 5000.0\n2.0e13 2500.0\n")  # reaches _ZETA_MIN
+    table.write_text("1.0e2 5000.0\n1.0e18 1.5\n")  # reaches every node
     text, echo = GOLDEN[name]
     cfg = parse_config(text.format(table=table), origin="inline")
     assert describe_config(cfg) == echo.splitlines()

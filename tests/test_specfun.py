@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import casimir_lens
 from casimir_lens.engine import _force_kernel, _gradient_kernel, _grid_from
 from casimir_lens.materials import gold_drude, reflection_sq_grid
-from casimir_lens.specfun import (ConvergenceError, bessel_i1_scaled,
-                                  polylog_exp_grid)
+from casimir_lens.specfun import (_ZETA_HALF, ConvergenceError,
+                                  bessel_i1_scaled, polylog_exp_grid)
 
 # Reference values computed with mpmath at 30 decimal digits.
 LI_HALF_AT_HALF = 0.8061267230428523
@@ -214,15 +214,16 @@ def test_polylog_mpmath_spot_checks(s):
         assert li(s, z) == pytest.approx(ref, rel=5e-13)
 
 
-def test_import_and_parse_leave_scipy_unloaded():
-    # scipy.special is imported on the first evaluation, so importing the
-    # package and parsing a config must not load any of scipy
+def test_import_parse_force_and_gradient_leave_scipy_unloaded():
+    # only the shift's Bessel function loads scipy.special, so importing the
+    # package, parsing a config and evaluating forces and gradients at 300 K
+    # and at T = 0 must not load any of scipy
     src = os.path.dirname(os.path.dirname(casimir_lens.__file__))
     child = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 import casimir_lens, casimir_lens.cli
-casimir_lens.parse_config('''\\
+cfg = casimir_lens.parse_config('''\\
 [run]
 command = force
 
@@ -238,8 +239,66 @@ model = drude
 a = 200e-9
 T = 300
 ''')
+for fn in (casimir_lens.force, casimir_lens.gradient):
+    for T in (300.0, 0.0):
+        fn(cfg.geometry, casimir_lens.Environment(a=200e-9, T=T), cfg.material)
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
     out = subprocess.run([sys.executable, "-c", child, src], check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_zeta_literals_are_correctly_rounded():
+    # each of Wood's zeta(3/2 - j) is the double nearest its 40-digit value
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = [float(mpmath.zeta(mpmath.mpf(3) / 2 - j)) for j in range(26)]
+    assert list(_ZETA_HALF) == ref
+
+
+@pytest.mark.parametrize("s", [0.3, 2.5, -1.5])
+def test_polylog_exp_grid_rejects_orders_without_literals(s):
+    with pytest.raises(ValueError, match="3/2 or"):
+        polylog_exp_grid(s, np.array([0.5, 2.0]), 1.0)
+
+
+_FAULTS_CHILD = """\
+import ctypes, resource, sys
+libc = ctypes.CDLL(None)
+libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+libc.mallopt(-1, 128 << 10)  # M_TRIM_THRESHOLD, glibc's default
+libc.mallopt(-3, 128 << 10)  # M_MMAP_THRESHOLD, glibc's default
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from casimir_lens import Environment, force, gold_drude, gradient, symmetric_lens
+lens, model = symmetric_lens(100e-6, 100e-6, 1e-3), gold_drude()
+
+def sweep():
+    for a in np.geomspace(150e-9, 5e-6, 8):
+        for T in (300.0, 0.0):
+            for fn in (force, gradient):
+                fn(lens, Environment(a=float(a), T=T), model)
+
+sweep()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    sweep()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc's heap thresholds are set on Linux only")
+def test_force_sweep_keeps_its_heap():
+    # a warm sweep of forces and gradients maps no new pages: at glibc's
+    # default thresholds the heap is trimmed after each T = 0 rule and term
+    # stack and faulted back in on the next (400-2300 faults a sweep).  The
+    # child sets those defaults before the import, so the count does not
+    # hang on whether start-up happened to free a block above 128 KiB, which
+    # raises glibc's dynamic thresholds; importing the package must set its
+    # own.
+    src = os.path.dirname(os.path.dirname(casimir_lens.__file__))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, src], check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert float(out.stdout) < 100
