@@ -54,8 +54,8 @@ class QuadratureSpec:
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
     remainder: a cold force, or any slower sum, costs 215 evaluations in
-    3 calls (l = 0 - 57, then a Kronrod remainder pass of 157 in two), and
-    no sum more than 414 (_matsubara_sum), for every permittivity model.
+    3 calls (l = 0 - 57, then a remainder pass of 157 in two, _em_remainder),
+    and no sum more than 414 (_matsubara_sum), for every permittivity model.
     The v-integral is not a knob: the kernel's window (_Window) owns its
     rule, 76 nodes at order 1 (152 for the oracles).  At T > 0 its error is
     not yet in est_abs_error, and its window [zeta_l, zeta_l + 80]
@@ -120,48 +120,34 @@ def _leggauss(n: int):
 
 
 @lru_cache(maxsize=None)
-def _kronrod(n: int):
-    """Nodes and (Kronrod, embedded Gauss) weights of the (2n + 1)-node
-    rule extending _leggauss(n), exact to degree 3n + 1: Laurie's algorithm
-    (Math. Comp. 66, 1133 (1997); Gautschi's r_kronrod, 1-based arrays) on
-    the Legendre recurrence, whose alpha_k = 0 drop out, and an eigensolve."""
-    k = np.arange((3 * n + 1) // 2 + 1)
-    b = np.zeros(2 * n + 2)
-    b[k + 1] = np.where(k > 0, k * k / (4.0 * k * k - 1.0), 2.0)
-    s, t = np.zeros(n // 2 + 3), np.zeros(n // 2 + 3)
-    t[2] = b[n + 2]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        s[k + 2] = np.cumsum(b[k + n + 2] * s[k + 1] - b[m - k + 1] * s[k + 2])
-        s, t = t, s
-    s[2:n // 2 + 3] = s[1:n // 2 + 2]
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        j = n - 1 - m + k
-        s[j + 2] = np.cumsum(b[m - k + 1] * s[j + 3] - b[k + n + 2] * s[j + 2])
-        if m % 2:
-            b[(m + 1) // 2 + n + 2] = s[j[-1] + 2] / s[j[-1] + 3]
-        s, t = t, s
-    # the Jacobi-Kronrod matrix has a zero diagonal; eigh reads its lower half
-    x, vec = np.linalg.eigh(np.diag(np.sqrt(b[2:]), -1))
-    w = np.stack((2.0 * vec[0] ** 2, np.zeros(x.size)))
-    x[1::2], w[1, 1::2] = _leggauss(n)
-    return x, w
+def _clenshaw_curtis(n: int):
+    """Nodes -cos(pi k / m), k = 0 ... m = 2n, on [-1, 1], Clenshaw-Curtis
+    weights w on them, exact to degree m (J. Waldvogel, BIT 46, 195 (2006)),
+    and rows j taking w f to the error on T_j of the nested rule on every
+    other node, which reads T_j as T_{m-j}: nonzero for even j in (n, m]."""
+    m, k = 2 * n, np.arange(2 * n + 1)
+    half = np.where(k % m, 1.0, 0.5)
+    jk = np.outer(k, k) % (2 * m)  # cos(pi j k / m), its argument reduced
+    modes = 2.0 / m * np.outer(half, half) * np.cos(np.pi * jk / m)  # f -> c_j
+    moment = np.where(k % 2, 0.0, 2.0 / (1.0 - k * k + k % 2))  # int T_j
+    w = moment @ modes
+    miss = moment - moment[np.minimum(k, m - k)]
+    return -np.cos(np.pi * k / m), w, miss[:, None] * modes / w
 
 
 @lru_cache(maxsize=None)
 def _panels(edges: tuple, nodes: tuple, rule=_leggauss):
     """Nodes and weights of rule over the panels [edges[i], edges[i+1]].
 
-    nodes gives each panel's order (_leggauss; _kronrod's weights have a
-    first axis of two).  A panel that starts at 0 is mapped through x =
-    t^2, so that the half-integer powers the kernels develop near 0 are
-    integrated exactly.  The arrays are read-only: one copy per set of
-    fixed edges (never a span's), nodes and rule serves every caller.
+    nodes gives each panel's order (_clenshaw_curtis takes 2n + 1 nodes,
+    the panel's edges among them).  A panel that starts at 0 is mapped
+    through x = t^2, so that the half-integer powers the kernels develop
+    near 0 are integrated exactly.  The arrays are read-only: one copy per
+    set of fixed edges (never a span's), nodes and rule serves every caller.
     """
     xs, ws = [], []
     for lo, hi, n in zip(edges, edges[1:], nodes):
-        x, w = rule(n)
+        x, w, *_ = rule(n)
         if lo == 0.0:
             t0, t1 = math.sqrt(lo), math.sqrt(hi)
             t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
@@ -215,7 +201,7 @@ def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
     new on every call.
     """
     scale = span / _PANEL_EDGES[-1]
-    x, w = rule(nodes[0])
+    x, w, *_ = rule(nodes[0])
     v_out, w_out = _panels(_PANEL_EDGES[1:], nodes[1:], rule)
     v_out, w_out = scale * v_out, scale * w_out
     z = np.asarray(zeta, dtype=float)[..., None]
@@ -279,8 +265,9 @@ def _frequency_integral(kernel: Kernel, model: PermittivityModel, zeta,
 
 _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
-# evaluations of one remainder window: the Kronrod extension of _PANEL_NODES
-_EM_PASS = sum(2 * n + 1 for n in _PANEL_NODES)
+# the remainder's n a panel (2n + 1 nodes): most on the first, where the terms vary
+_EM_NODES = (32, 16, 14, 12, 2)
+_EM_PASS = sum(2 * n + 1 for n in _EM_NODES)  # evaluations of one window
 _STACK = (_EM_PASS + 1) // 2  # frequencies per term call: half a pass
 _HANDOFF = 57  # the one l before the block's end at which a sum may hand off
 _MAX_RATIO = 0.97  # the largest ratio the geometric tail estimate takes
@@ -374,31 +361,34 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     h f' and h^3 f''' come from the backward differences of the last seven
     terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
-    window.span] (_Window), on the Kronrod extension of _PANEL_NODES (157
-    nodes), _STACK frequencies a call of term, and as its check the embedded
-    76-node Gauss rule, at no evaluation.  The tail estimate is measured:
-    the last correction applied, the check's change, and the cut at the
-    window's end (its last term times its width).  A cut above rel_tol/10 of
-    the sum (or a NaN) raises ConvergenceError with the sum so far; the
-    ideal-metal force at 200 nm and 1 K needs a rel_tol below ~3e-30 for
-    that.  Returns (sum, terms_used, tail_estimate).
+    window.span] (_Window), on 2n + 1 Clenshaw-Curtis nodes for n in
+    _EM_NODES (157), _STACK frequencies a call of term.  Its check is the
+    nested rules' error (81 nodes) summed in absolute value by panel and
+    Chebyshev mode: a table's knot spreads it over modes of both signs.
+    The tail estimate: the last correction applied, the check, and the cut
+    at the window's end (its last term times its width).  A cut above
+    rel_tol/10 of the sum (or a NaN) raises ConvergenceError with the sum
+    so far; the ideal-metal force at 200 nm and 1 K needs a rel_tol below
+    ~3e-30 for that.  Returns (sum, terms_used, tail_estimate).
     """
     nabla = [float(np.diff(values[-7:], k)[-1]) for k in range(1, 7)]
     d1 = sum(d / k for k, d in enumerate(nabla, start=1))
     d3 = nabla[2] + 1.5 * nabla[3] + 1.75 * nabla[4] + 1.875 * nabla[5]
     last_correction = d3 / 720.0
     total += -0.5 * values[-1] - d1 / 12.0 + last_correction
-    z, w = _grid_from(len(values) * h, window.span, _PANEL_NODES, _kronrod)
+    z, w = _grid_from(len(values) * h, window.span, _EM_NODES, _clenshaw_curtis)
     f = np.concatenate([term(z[i:i + _STACK]) for i in range(0, z.size, _STACK)])
-    fine, coarse = (w @ f / h).tolist()
-    total += fine
+    total += float(w @ f) / h
+    panels = np.split(w * f / h, np.cumsum([2 * n + 1 for n in _EM_NODES])[:-1])
+    check = sum(np.abs(_clenshaw_curtis(n)[2] @ part).sum()
+                for n, part in zip(_EM_NODES, panels))
     cut = abs(float(f[-1])) * window.span / h
     if not cut <= quad.rel_tol / 10.0 * abs(total):
         raise ConvergenceError(
             f"Euler-Maclaurin remainder cut at {cut / abs(total):.3g} of the "
             f"sum, above rel_tol/10 (rel_tol = {quad.rel_tol:g})", partial=total)
     return (total, len(values) + 1 + _EM_PASS,
-            abs(last_correction) + abs(fine - coarse) + cut)
+            abs(last_correction) + float(check) + cut)
 
 
 def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,

@@ -20,7 +20,8 @@ numbers rewrites it, from the repository root:
 
 The header names the machine, Python and numpy that wrote it.  On the same
 platform the comparison is exact; elsewhere floats may differ by 4 ulp,
-because the Kronrod rules come from LAPACK's eigh.
+because the Gauss rules (numpy's leggauss) come from LAPACK's eigensolver;
+the remainder's Clenshaw-Curtis rule is a closed form.
 """
 
 import importlib

@@ -7,10 +7,10 @@ import pytest
 
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.electrostatics import BiasState, pfa_electric_force
-from casimir_lens.engine import (_PANEL_EDGES, _PANEL_NODES,
+from casimir_lens.engine import (_EM_NODES, _PANEL_EDGES, _PANEL_NODES,
                                  DEFAULT_QUADRATURE, QuadratureSpec, _Window,
-                                 _em_remainder, _grid_from, _kronrod,
-                                 _leggauss, _panels,
+                                 _clenshaw_curtis, _em_remainder,
+                                 _grid_from, _leggauss, _panels,
                                  casimir_force,
                                  casimir_gradient, direct_pfa_force_oracle,
                                  force, gradient, ideal_metal_force_t0,
@@ -271,21 +271,25 @@ def test_cached_panels_match_fresh_grid(span, nodes):
             v, w = _grid_from(zeta, span, nodes)
 
 
-@pytest.mark.parametrize("rule", [_leggauss, _kronrod], ids=["gauss", "kronrod"])
-@pytest.mark.parametrize("nodes", [_PANEL_NODES,
-                                   _Window(order=2).nodes, (12, 8, 8, 6, 4)],
-                         ids=["production", "fine", "half"])
+@pytest.mark.parametrize("rule", [_leggauss, _clenshaw_curtis],
+                         ids=["gauss", "nested"])
+@pytest.mark.parametrize("nodes", [_PANEL_NODES, _Window(order=2).nodes,
+                                   (12, 8, 8, 6, 4), _EM_NODES],
+                         ids=["production", "fine", "half", "remainder"])
 def test_cached_v_rule_holds_no_first_panel(nodes, rule, monkeypatch):
     # _grid_from builds the t^2 panel per call and asks the cache for
-    # panels 2-5 alone: sum(nodes[1:]) nodes (2 n + 1 a panel for Kronrod),
-    # none on the first panel, and _grid_from's panels 2-5 are exactly its
-    # floats times span / 80, moved to zeta
+    # panels 2-5 alone: sum(nodes[1:]) nodes (2 n + 1 a panel for the
+    # nested rule, whose panels start on their edges), none inside the first
+    # panel, and _grid_from's panels 2-5 are exactly its floats times
+    # span / 80, moved to zeta
     asked = []
     monkeypatch.setattr("casimir_lens.engine._panels",
                         lambda *args: asked.append(args) or _panels(*args))
     count = (lambda n: n) if rule is _leggauss else (lambda n: 2 * n + 1)
     x, w = _panels(_PANEL_EDGES[1:], nodes[1:], rule)
-    assert x.size == sum(map(count, nodes[1:])) and x.min() > _PANEL_EDGES[1]
+    assert x.size == sum(map(count, nodes[1:]))
+    edge = x.min() - _PANEL_EDGES[1]
+    assert edge > 0.0 if rule is _leggauss else edge == 0.0
     head = count(nodes[0])
     for span in (80.0, 160.0, 8000.0):
         scale = span / _PANEL_EDGES[-1]
@@ -300,7 +304,7 @@ def test_cached_v_rule_holds_no_first_panel(nodes, rule, monkeypatch):
 @pytest.mark.parametrize("T", [0.0, 3.0])
 def test_panel_cache_does_not_grow_with_az(monkeypatch, T):
     # a shift's window spans 80 / (1 - Az/a): the T = 0 integral's v-rules
-    # and, at 3 K, the remainder's Kronrod rule are scaled from one cached
+    # and, at 3 K, the remainder's nested rule are scaled from one cached
     # unit rule per order, so new Az/a values build no new rule
     e = env(200e-9, T)
     remainders = []

@@ -176,12 +176,16 @@ def _converged_sum(kernel, model, T, a=A):
     return math.fsum(values)
 
 
+@pytest.mark.parametrize("a, T", [(A, 1.0), (A, 3.0), (1e-6, 3.0)])
 @pytest.mark.parametrize("model", ["drude", "plasma", "tabulated"])
-def test_cold_sum_within_its_estimate_of_the_converged_sum(model,
+def test_cold_sum_within_its_estimate_of_the_converged_sum(model, a, T,
                                                            monkeypatch):
     # 1 K, 200 nm: zeta_1 ~ 1.1e-3.  Every model's sum hands off to the
     # remainder at l = 57, the table's too (its spline is C^2 in zeta); the
-    # Drude term, whose TE part is zero at zeta = 0, still rises there
+    # Drude term, whose TE part is zero at zeta = 0, still rises there.  On
+    # the table a 152-node Gauss remainder checked by its own Legendre tail
+    # misses its 200 nm, 3 K error 13-fold, and at 1 K its estimate exceeds
+    # rel_tol: the spline's knots inside the panels stall the coefficients
     model = MODELS[model]
     sums = []
 
@@ -191,9 +195,9 @@ def test_cold_sum_within_its_estimate_of_the_converged_sum(model,
 
     matsubara_sum = engine._matsubara_sum
     monkeypatch.setattr(engine, "_matsubara_sum", recorded)
-    res = force(LENS, Environment(a=A, T=1.0), model)
+    res = force(LENS, Environment(a=a, T=T), model)
     total = sums[0][0]
-    ref = _converged_sum(_force_kernel, model, 1.0)
+    ref = _converged_sum(_force_kernel, model, T, a)
     rel_est = res.est_abs_error / abs(res.value)
     assert abs(total - ref) <= rel_est * abs(total)
     assert res.terms_used == 1 + engine._HANDOFF + engine._EM_PASS
@@ -277,6 +281,30 @@ def test_cold_tabulated_sum_within_rel_tol_of_the_converged_sum(nodes, a, T):
     ref = _converged_sum(_force_kernel, model, T, a)
     assert terms == 1 + engine._HANDOFF + engine._EM_PASS
     assert abs(total - ref) <= quad.rel_tol * abs(ref)
+
+
+@pytest.mark.parametrize("a, T, kernel", [
+    (150e-9, 3.0, _gradient_kernel), (153e-9, 3.0, _force_kernel),
+    (369e-9, 1.0, _force_kernel)],
+    ids=["150nm-3K-gradient", "153nm-3K-force", "369nm-1K-force"])
+def test_cold_sum_with_a_knot_in_the_remainders_first_panel(a, T, kernel):
+    # the record's 6-knot table: its knot at xi = 6.3e14 (zeta = 0.63 at
+    # 150 nm, 3 K) lies inside the remainder's first panel [0.14, 2.14],
+    # where f''' jumps.  The coarse rule's error there spreads over
+    # Chebyshev modes of both signs: on 49 nodes |fine - coarse| fell to
+    # 1/1.37 of the 150 nm gradient's error, and on the first panel's 65
+    # nodes to 1/7 of the 153 nm force's; the Kronrod rule's estimate was
+    # 1/12.7 of the 369 nm, 1 K force's error.  Summed mode by mode in
+    # absolute value, the check holds all three
+    xi = np.geomspace(1.0e2, 1.0e18, 6)
+    model = Tabulated(xi, 1.0 + 1.0e32 / (xi * (xi + 5.0e13)))
+
+    def term(zeta):
+        return _frequency_integral(kernel, model, zeta, a)
+
+    total, _, tail = _matsubara_sum(term, Environment(a=a, T=T),
+                                    QuadratureSpec())
+    assert abs(total - _converged_sum(kernel, model, T, a)) <= tail
 
 
 @pytest.mark.parametrize("T", [1.0, 3.0])

@@ -4,8 +4,8 @@ For an ideal metal (r^2 = 1) a Matsubara term has a closed form: the
 force's is f(zeta) = 2 sum_n Gamma(5/2, n zeta) / n^3, the gradient's the
 same with Gamma(7/2, .).  The references below are built from mpmath alone,
 so they check the l = 0 term, the explicit block, the hand-off, the Gregory
-corrections and the Kronrod remainder without sharing the package's v-rule,
-polylog or Matsubara loop.
+corrections and the Clenshaw-Curtis remainder without sharing the package's
+v-rule, polylog or Matsubara loop.
 
 With p = 3/2 for the force and 5/2 for the gradient, the primed sum S of
 f(l zeta_1) gives F(T) / F(0) = zeta_1 S / I, I = int_0^inf f = 2 Gamma(p + 2)

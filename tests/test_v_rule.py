@@ -3,14 +3,15 @@ T = 0 integral's two rules, each against the same rule at twice the order
 with everything else held fixed.
 
 Every explicit Matsubara term integrates v on its window's nodes (76 at
-order 1); the Euler-Maclaurin remainder integrates zeta on the Gauss-Kronrod
-extension of _PANEL_NODES (157 nodes) at every order.  Doubling one rule
-while keeping the other measures that rule's error alone: the terms' rule
-through the window, window._replace(order=2 * window.order), the
-remainder's through _grid_from.  The T = 0 integral takes v on its window's
-nodes and s = zeta / v on order x _S_NODES, so the window's order doubles
-both together; its error estimate, taken from the rules' own node values,
-must lie above that change.
+order 1); the Euler-Maclaurin remainder integrates zeta on the same panels
+at 2n + 1 Clenshaw-Curtis nodes each for n in _EM_NODES (157 nodes) at
+every order.  Doubling one rule while keeping the other measures that
+rule's error alone: the terms' rule through the window,
+window._replace(order=2 * window.order), the remainder's through
+_EM_NODES.  The T = 0 integral takes v on its
+window's nodes and s = zeta / v on order x _S_NODES, so the window's order
+doubles both together; its error estimate, taken from the rules' own node
+values, must lie above that change.
 """
 
 from functools import partial
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from casimir_lens import engine, oscillator
-from casimir_lens.engine import _PANEL_NODES, QuadratureSpec, force, gradient
+from casimir_lens.engine import QuadratureSpec, force, gradient
 from casimir_lens.geometry import Environment, symmetric_lens
 from casimir_lens.materials import (IdealMetal, Tabulated, gold_drude,
                                     gold_plasma)
@@ -107,10 +108,9 @@ def test_zero_t_rules_against_twice_their_order(monkeypatch, model, key):
 
 def test_cold_shift_remainder_rule_against_twice_its_order(monkeypatch):
     # at 3 K the shift leaves the explicit block at l = 57, and the
-    # remainder's window is 80 / (1 - Az/a) = 8000 wide.  Its Kronrod rule
-    # taken at twice the order (313 nodes, extending 152) leaves the shift
-    # unchanged to the last bit; with Gauss windows at 76 + 38 it was
-    # 1.1e-9 off
+    # remainder's window is 80 / (1 - Az/a) = 8000 wide.  Its nested
+    # Clenshaw-Curtis rule taken at twice the order (309 nodes) moves the
+    # shift by 1.5e-16; with Gauss windows at 76 + 38 it was 1.1e-9 off
     env = Environment(a=A, T=3.0)
     osc = OscillatorParams(omega0=1e4, C=1.0, Az=0.99 * env.a)
     got = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
@@ -120,13 +120,27 @@ def test_cold_shift_remainder_rule_against_twice_its_order(monkeypatch):
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_near_contact_cold_shift_against_twice_its_order(monkeypatch):
+    # at Az/a = 0.999 the remainder's window is 80 000 wide and its first
+    # panel 2000, where the terms vary on a scale of ~1: its 65 nodes hold
+    # the shift to 1.3e-10 of the rule at twice the order (49 nodes there
+    # gave 8.3e-9, the 157-node Kronrod rule 7.9e-10)
+    env = Environment(a=A, T=3.0)
+    osc = OscillatorParams(omega0=1e4, C=1.0, Az=0.999 * env.a)
+    got = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
+    windows = _double_the_remainder_rule(monkeypatch)
+    ref = frequency_shift_nonlinear(LENS, env, gold_drude(), osc)
+    assert windows
+    assert got == pytest.approx(ref, rel=5e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("beta", [0.99, 0.999])
 def test_cold_shift_remainder_change_within_its_tail_estimate(monkeypatch,
                                                               beta):
     # the shift's sum at 3 K on the shift's window, against the same sum
-    # with the remainder's Kronrod rule at twice the order.  At Az/a =
-    # 0.999 the window is 80 000 wide: the change is 7.9e-10 of the sum,
-    # its tail estimate 1.0e-5
+    # with the remainder's rule at twice the order.  At Az/a = 0.999 the
+    # window is 80 000 wide: the change is 1.3e-10 of the sum, its tail
+    # estimate 1.1e-5
     env = Environment(a=A, T=3.0)
     window = engine._Window(1.0 - beta)
     kernel = partial(oscillator._nonlinear_kernel, beta=beta)
@@ -142,21 +156,18 @@ def test_cold_shift_remainder_change_within_its_tail_estimate(monkeypatch,
 
 
 def _double_the_remainder_rule(monkeypatch):
-    """Patch _grid_from so that the remainder's Kronrod windows take twice
-    the order; returns the list of window starts, filled as they are built."""
-    grid_from = engine._grid_from
+    """Give the remainder's Clenshaw-Curtis window twice its orders on each
+    panel; returns the list of window starts, filled as they are built."""
+    em_remainder = engine._em_remainder
     windows = []
 
-    def remainder_doubled(zeta, span=engine._PANEL_EDGES[-1],
-                          nodes=_PANEL_NODES, rule=engine._leggauss):
-        # the remainder builds its window on the Kronrod rule; the terms'
-        # v-grids are Gauss rules and are left alone
-        if rule is engine._kronrod:
-            windows.append(zeta)
-            nodes = tuple(2 * n for n in nodes)
-        return grid_from(zeta, span, nodes, rule)
+    def recorded(term, h, values, *args):
+        windows.append(len(values) * h)
+        return em_remainder(term, h, values, *args)
 
-    monkeypatch.setattr(engine, "_grid_from", remainder_doubled)
+    monkeypatch.setattr(engine, "_EM_NODES",
+                        tuple(2 * n for n in engine._EM_NODES))
+    monkeypatch.setattr(engine, "_em_remainder", recorded)
     return windows
 
 
