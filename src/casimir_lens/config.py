@@ -346,28 +346,35 @@ def _check_tabulated_range(cfg: RunConfig) -> None:
     evaluates a table from zeta = _ZETA_MIN (~7.55e-7, fixed) up, at xi =
     c zeta / 2a: lowest at the largest a.  force and gradient rows evaluate
     T = 0 at every temperature (the T = 0 companion of each row); the other
-    commands only where T = 0.
+    commands only where T = 0.  A sum at T > 0 evaluates the table from
+    its first Matsubara frequency xi_1 = 2 pi kB T / hbar up (l = 0 reads
+    the zeta = 0 limit): lowest at the lowest T > 0 the run visits.
     """
-    a, hi = visited_range(cfg, "a")[0], cfg.material.xi_grid[-1]
+    a, (lo, hi) = visited_range(cfg, "a")[0], cfg.material.xi_grid[[0, -1]]
     az = visited_range(cfg, "Az")[1] if cfg.command == "freq-shift" else 0.0
     top = CONSTANTS.c * _Window(1.0 - az / a).span / (2.0 * a) + _EM_BLOCK * (
         2.0 * math.pi * CONSTANTS.kB * visited_range(cfg, "T")[1] / CONSTANTS.hbar)
     if top > hi:
         raise ConfigError(f"[material] model = tabulated cannot run this {cfg.command}: xi "
                           f"reaches {top:.3g} rad/s, above the table's top {hi:.3g} rad/s")
-    if visited_range(cfg, "T")[0] > 0.0:
-        if cfg.command not in ("force", "gradient"):
-            return
-        what = f"the T = 0 companion that every {cfg.command} row carries"
-    else:
-        what = "T = 0"
+    temps = (cfg.sweep.points() if cfg.sweep is not None and cfg.sweep.variable == "T"
+             else np.array(visited_range(cfg, "T")))
+    warm = temps[temps > 0.0]  # ascending, as the sweep's start < stop
+    cold = warm.size < temps.size  # the run visits T = 0
+    what = ("T = 0" if cold
+            else f"the T = 0 companion that every {cfg.command} row carries")
     xi0 = CONSTANTS.c * _ZETA_MIN / (2.0 * visited_range(cfg, "a")[1])
-    if xi0 < cfg.material.xi_grid[0]:
+    if xi0 < lo and (cold or cfg.command in ("force", "gradient")):
         raise ConfigError(
             f"[material] model = tabulated cannot run {what}: the first "
             f"zeta-node of the zero-temperature integral is xi = {xi0:.3g} "
-            f"rad/s, below the lowest tabulated frequency "
-            f"{cfg.material.xi_grid[0]:.3g} rad/s")
+            f"rad/s, below the lowest tabulated frequency {lo:.3g} rad/s")
+    xi1 = 2.0 * math.pi * CONSTANTS.kB * warm[0] / CONSTANTS.hbar if warm.size else lo
+    if xi1 < lo:
+        raise ConfigError(
+            f"[material] model = tabulated cannot run T = {warm[0]:g} K: its first "
+            f"Matsubara frequency is xi_1 = {xi1:.3g} rad/s, below the lowest "
+            f"tabulated frequency {lo:.3g} rad/s")
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
 from .materials import PermittivityModel, Tabulated, reflection_sq_grid
 from .specfun import ConvergenceError, polylog_exp_grid
 
-# A T = 0 rule (~690 KiB of numpy temporaries) and a 79-frequency term stack
-# (~566 KiB) pass glibc's default 128 KiB trim threshold: its heap would shrink
+# A T = 0 rule (~690 KiB of numpy temporaries) and a 76-frequency term stack
+# (~544 KiB) pass glibc's default 128 KiB trim threshold: its heap would shrink
 # and regrow on every call, unless raised (as importing scipy.special did).
 _libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
 if hasattr(_libc, "mallopt"):  # glibc's, set once; skipped where absent
@@ -53,9 +53,9 @@ class QuadratureSpec:
     rel_tol drives the Matsubara stop rule (three consecutive terms below
     rel_tol/10 of the running sum), the projected stop that sends a long
     sum to the Euler-Maclaurin remainder early, and the end of that
-    remainder: a cold force, or any slower sum, costs 215 evaluations in
-    3 calls (l = 0 - 57, then a remainder pass of 157 in two, _em_remainder),
-    and no sum more than 414 (_matsubara_sum), for every permittivity model.
+    remainder: a cold force, or any slower sum, costs 210 evaluations in
+    3 calls (l = 0 - 57, then a remainder pass of 152 in two, _em_remainder),
+    and no sum more than 409 (_matsubara_sum), for every permittivity model.
     The v-integral is not a knob: the kernel's window (_Window) owns its
     rule, 76 nodes at order 1 (152 for the oracles).  At T > 0 its error is
     not yet in est_abs_error, and its window [zeta_l, zeta_l + 80]
@@ -267,8 +267,8 @@ _STOP_STREAK = 3
 _EM_BLOCK = 256  # explicit terms before the Euler-Maclaurin remainder
 # the remainder's n a panel (2n + 1 nodes): most on the first, where the terms vary
 _EM_NODES = (32, 16, 14, 12, 2)
-_EM_PASS = sum(2 * n + 1 for n in _EM_NODES)  # evaluations of one window
-_STACK = (_EM_PASS + 1) // 2  # frequencies per term call: half a pass
+_EM_PASS = 2 * sum(_EM_NODES)  # one window's evaluations: its distinct nodes but zeta_b
+_STACK = _EM_PASS // 2  # frequencies per term call: half a pass
 _HANDOFF = 57  # the one l before the block's end at which a sum may hand off
 _MAX_RATIO = 0.97  # the largest ratio the geometric tail estimate takes
 
@@ -302,7 +302,7 @@ def _matsubara_sum(term: Term, env: Environment, quad: QuadratureSpec,
     depend on _STACK, so lone-frequency and stacked sums stay bit-identical.
     The remainder's end corrections need a term that is C^2 in zeta; a
     table's spline is.  No sum evaluates more than 1 + _EM_BLOCK + _EM_PASS
-    = 414 terms; a remainder that falls short raises ConvergenceError with
+    = 409 terms; a remainder that falls short raises ConvergenceError with
     the partial sum.
     """
     zeta1 = 4.0 * math.pi * env.a * CONSTANTS.kB * env.T / (CONSTANTS.hbar * CONSTANTS.c)
@@ -361,9 +361,11 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     h f' and h^3 f''' come from the backward differences of the last seven
     terms f(zeta_b - 6h) ... f(zeta_b) (Gregory's form), so they cost no
     evaluations.  The integral runs over one window, [zeta_b, zeta_b +
-    window.span] (_Window), on 2n + 1 Clenshaw-Curtis nodes for n in
-    _EM_NODES (157), _STACK frequencies a call of term.  Its check is the
-    nested rules' error (81 nodes) summed in absolute value by panel and
+    window.span] (_Window), on 2n + 1 Clenshaw-Curtis nodes a panel for n
+    in _EM_NODES, one composite rule: a panel's first node is zeta_b (term
+    values[-1]) or the last of the panel before, so a pass evaluates
+    _EM_PASS frequencies, _STACK a call of term.  Its check, the nested
+    rules' error (81 nodes), is summed in absolute value by panel and
     Chebyshev mode: a table's knot spreads it over modes of both signs.
     The tail estimate: the last correction applied, the check, and the cut
     at the window's end (its last term times its width).  A cut above
@@ -377,9 +379,13 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
     last_correction = d3 / 720.0
     total += -0.5 * values[-1] - d1 / 12.0 + last_correction
     z, w = _grid_from(len(values) * h, window.span, _EM_NODES, _clenshaw_curtis)
-    f = np.concatenate([term(z[i:i + _STACK]) for i in range(0, z.size, _STACK)])
+    starts = np.cumsum([0] + [2 * n + 1 for n in _EM_NODES[:-1]])  # panels' first
+    new, f = np.delete(np.arange(z.size), starts), np.empty(z.size)
+    f[new] = np.concatenate([term(z[new[i:i + _STACK]])
+                             for i in range(0, new.size, _STACK)])
+    f[starts] = [values[-1], *f[starts[1:] - 1]]  # f(zeta_b), each edge's once
     total += float(w @ f) / h
-    panels = np.split(w * f / h, np.cumsum([2 * n + 1 for n in _EM_NODES])[:-1])
+    panels = np.split(w * f / h, starts[1:])
     check = sum(np.abs(_clenshaw_curtis(n)[2] @ part).sum()
                 for n, part in zip(_EM_NODES, panels))
     cut = abs(float(f[-1])) * window.span / h

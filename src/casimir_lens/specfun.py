@@ -50,8 +50,8 @@ def bessel_i1_scaled(x):
 _WOOD_TERMS = 24     # powers of mu kept in Wood's series (mu < 1)
 _ECON_DEGREE = 18     # degree of the economized polynomial (mu >= 1)
 _ECON_TAYLOR = 64     # Taylor terms it is economized from: e^{-64} ~ 2e-28
-# zeta(3/2 - j), j < 26, correctly rounded from 40-digit mpmath (Wood's series)
-_ZETA_HALF = (2.612375348685488, -1.4603545088095868, -0.20788622497735457,
+# zeta(1/2 - j), j < 25, correctly rounded from 40-digit mpmath (Wood's series)
+_ZETA_HALF = (-1.4603545088095868, -0.20788622497735457,
     -0.025485201889833036, 0.008516928777850331, 0.004441011335479432,
     -0.0030916692472158338, -0.0026714580198992244, 0.0027467679395368687,
     0.00326903957260022, -0.00441603287300489, -0.006672172296466641,
@@ -74,13 +74,10 @@ def _polylog_coefficients(s: float):
     s = -1/2).  Only the powers past that degree pass through the
     Chebyshev basis, so the others keep n^{-s} plus a small correction.
     """
-    if float(s).is_integer() and s >= 1.0:
-        raise ValueError(f"polylog_exp_grid needs s not a positive integer, "
-                         f"got s = {s!r} (the series has a log term there)")
-    if s not in (1.5, 0.5, -0.5):
-        raise ValueError(f"polylog_exp_grid takes s = 3/2 or +-1/2, got {s!r}")
+    if s not in (0.5, -0.5):
+        raise ValueError(f"polylog_exp_grid takes s = +-1/2, got {s!r}")
     from numpy.polynomial import Chebyshev, Polynomial
-    zeta = np.array(_ZETA_HALF[round(1.5 - s):][:_WOOD_TERMS])
+    zeta = np.array(_ZETA_HALF[round(0.5 - s):][:_WOOD_TERMS])
     k = np.arange(_WOOD_TERMS, dtype=float)
     wood = zeta * (-1.0) ** k / np.cumprod(np.maximum(k, 1.0))
     taylor = np.arange(1, _ECON_TAYLOR + 1, dtype=float) ** (-s)
@@ -127,8 +124,7 @@ def polylog_exp_grid(s: float, v: np.ndarray, r2) -> np.ndarray:
     Raises
     ------
     ValueError
-        If s is a positive integer, where Wood's series has a log term;
-        for any other order but 3/2 and +-1/2, which have no literals.
+        For any order but +-1/2, which alone have zeta literals.
     """
     gamma, wood, econ = _polylog_coefficients(s)
     v, r2 = np.asarray(v, dtype=float), np.asarray(r2, dtype=float)

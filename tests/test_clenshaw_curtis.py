@@ -116,12 +116,16 @@ def test_weights_against_30_digits(n):
 
 @pytest.mark.parametrize("span", [80.0, 8000.0])
 def test_remainder_window(span):
-    # the remainder's window: 157 nodes, 2n + 1 on each panel of
-    # _PANEL_EDGES scaled to span, its weights summing to span
+    # the remainder's window: 157 positions, 2n + 1 on each panel of
+    # _PANEL_EDGES scaled to span, its weights summing to span; each
+    # interior edge is a node of two panels (to an ulp), so 153 nodes are
+    # distinct, zeta itself among them, and a pass evaluates the 152 others
     edges = np.array(engine._PANEL_EDGES) * span / engine._PANEL_EDGES[-1]
     for zeta in (0.0, 0.064, 17.0):
         v, w = _grid_from(zeta, span, _EM_NODES, _clenshaw_curtis)
-        assert v.size == engine._EM_PASS == 157
+        assert v.size == 157
+        assert np.unique(np.round(v / span, 12)).size == 153
+        assert engine._EM_PASS == 152
         assert v[0] == pytest.approx(zeta)
         assert v[-1] == pytest.approx(zeta + span)
         assert w.sum() == pytest.approx(span, rel=1e-14)

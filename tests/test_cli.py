@@ -285,9 +285,9 @@ Az = {az}
 """
 
 
-def _drude_table(path, top):
-    """A 50-knot Drude-like table from 1e2 rad/s to top."""
-    xi = np.geomspace(1.0e2, top, 50)
+def _drude_table(path, top, bottom=1.0e2):
+    """A 50-knot Drude-like table from bottom (1e2 rad/s) to top."""
+    xi = np.geomspace(bottom, top, 50)
     path.write_text("".join(f"{x:.17g} {1.0 + 1.0e32 / (x * (x + 5.0e13)):.17g}\n"
                             for x in xi))
 
@@ -326,6 +326,30 @@ def test_a_table_the_run_outgrows_is_refused_at_parse(tmp_path, monkeypatch,
     _drude_table(table, max(seen) * (1.0 - 1e-9))
     with pytest.raises(ConfigError, match="above the table's top"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text, T, xi1", [
+    (_SHIFT_AT.format(table="{table}", T=3, az=100e-9), "3", 2.46779e12),
+    (BASE.replace("T = 300", "T = 1e-6"), "1e-06", 822597.0),
+    # the sweep's lowest T > 0, 0.5 mK, not its start
+    (BASE + "\n[sweep]\nvariable = T\nstart = 0\nstop = 1e-3\ncount = 3\n",
+     "0.0005", 4.112986e8),
+], ids=["shift 3 K", "force 1 uK", "force sweep from 0 K"])
+def test_a_table_starting_above_xi_1_is_refused_at_parse(tmp_path, capsys, T,
+                                                        text, xi1):
+    # xi_1 = 2 pi kB T / hbar is the lowest frequency a sum at T > 0
+    # evaluates the table at: a table starting above it must not parse
+    # (it would exit 3 at the first term), one starting just below it must
+    table = tmp_path / "gold.dat"
+    text = text.replace("model = ideal", "model = tabulated\npath = {table}")
+    text = text.format(table=table)
+    _drude_table(table, 1.0e20, bottom=xi1 * 1.01)
+    assert main(["--config", write(tmp_path, text), "--quiet"]) == 2
+    assert (f"cannot run T = {T} K: its first Matsubara frequency is xi_1 = "
+            f"{xi1:.3g} rad/s, below the lowest tabulated frequency"
+            in capsys.readouterr().err)
+    _drude_table(table, 1.0e20, bottom=xi1 * 0.99)
+    parse_config(text)
 
 
 @pytest.mark.parametrize("a, sweep, message", [

@@ -46,7 +46,7 @@ def test_oracle_converges_toward_formula_as_gap_shrinks():
 def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     # a cold oracle hands off to the Euler-Maclaurin remainder at l = 57
     # in the stacks of a cold force sum: one stack of l = 0 - 57 and the
-    # remainder's pass of 157 in two calls, all on the oracles'
+    # remainder's pass of 152 in two calls, all on the oracles'
     # v-rule; it stays within the PFA error scale 0.3 a/B of the formula
     calls = []
     frequency_integral = engine._frequency_integral
@@ -60,8 +60,8 @@ def test_cold_oracle_through_the_remainder(monkeypatch, a, T):
     f = casimir_force(lens, e, gold_drude()).value
     monkeypatch.setattr(engine, "_frequency_integral", counted)
     oracle = direct_pfa_force_oracle(lens, e, gold_drude())
-    assert calls == [(n, _Window(order=2).nodes) for n in (58, 79, 78)]
-    assert oracle.terms_used == 215
+    assert calls == [(n, _Window(order=2).nodes) for n in (58, 76, 76)]
+    assert oracle.terms_used == 210
     assert abs(oracle.value - f) <= 0.3 * a / lens.B * abs(f)
 
 

@@ -143,9 +143,10 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder(monkeypatch):
 
     def batched(zeta):
         sizes.append(zeta.size)
+        evaluated.extend(zeta.tolist())
         return _frequency_integral(_force_kernel, model, zeta, A)
 
-    sizes = []
+    sizes, evaluated = [], []
     got = _matsubara_sum(batched, env, quad)
     monkeypatch.setattr(engine, "_STACK", 1)
     ref = _matsubara_sum(lone, env, quad)
@@ -155,8 +156,13 @@ def test_low_temperature_sum_equals_lone_terms_in_the_remainder(monkeypatch):
     # _STACK bounds every call of term, the remainder's too
     assert set(calls) == {1}
     # one stack of l = 0 - 57 to the hand-off at l = 57 (the projected
-    # stop lies far past it), and the remainder's pass of 157 in two calls
-    assert sizes == [58, 79, 78]
+    # stop lies far past it), and the remainder's pass of 152 in two calls
+    assert sizes == [58, 76, 76]
+    # each frequency once: the remainder's panels share their edges, and
+    # its first node zeta_b is the block's last term
+    zeta = np.sort(evaluated)
+    assert len(zeta) == got[1]
+    assert np.sum(np.diff(zeta) <= 1e-12 * zeta[1:]) == 0
 
 
 def _converged_sum(kernel, model, T, a=A):
@@ -261,7 +267,7 @@ def test_slow_sum_at_a_loose_rel_tol_hands_off_at_l_57(monkeypatch, T,
     res = force(LENS, Environment(a=A, T=T), MODELS["drude"],
                 QuadratureSpec(rel_tol))
     assert sizes == [1 + engine._HANDOFF, _STACK, engine._EM_PASS - _STACK]
-    assert sum(sizes) == res.terms_used == 215
+    assert sum(sizes) == res.terms_used == 210
 
 
 @pytest.mark.parametrize("T", [1.0, 12.0])
@@ -362,7 +368,7 @@ _BOUND = 1 + engine._EM_BLOCK + engine._EM_PASS  # l = 0, the block, one pass
 def test_every_sum_evaluates_at_most_the_block_and_one_pass(monkeypatch,
                                                             model, a, T):
     # no setting caps a sum: its structure does.  A cold sum leaves the
-    # block at l = 57 for one remainder pass, 215 evaluations
+    # block at l = 57 for one remainder pass, 210 evaluations
     counts = _sum_evaluations(monkeypatch)
     model, e = MODELS[model], Environment(a=a, T=T)
     force(LENS, e, model)
@@ -370,9 +376,9 @@ def test_every_sum_evaluates_at_most_the_block_and_one_pass(monkeypatch,
     frequency_shift_nonlinear(LENS, e, model, OscillatorParams(
         omega0=4400.0, C=10.0, Az=0.5 * a))
     assert len(counts) == 3
-    assert max(counts) <= _BOUND == 414
+    assert max(counts) <= _BOUND == 409
     if T < 300.0:
-        assert counts[0] == 1 + engine._HANDOFF + engine._EM_PASS == 215
+        assert counts[0] == 1 + engine._HANDOFF + engine._EM_PASS == 210
 
 
 def test_slow_shift_hands_off_at_l_57(monkeypatch):
@@ -383,7 +389,7 @@ def test_slow_shift_hands_off_at_l_57(monkeypatch):
     frequency_shift_nonlinear(LENS, Environment(a=A, T=300.0), gold_drude(),
                               OscillatorParams(omega0=4400.0, C=10.0,
                                                Az=0.9 * A))
-    assert counts == [1 + engine._HANDOFF + engine._EM_PASS] == [215]
+    assert counts == [1 + engine._HANDOFF + engine._EM_PASS] == [210]
 
 
 def test_oracle_evaluates_at_most_the_streak_past_its_stop(monkeypatch):

@@ -584,16 +584,16 @@ def test_shift_work_counts(monkeypatch):
 
 def test_cold_shift_work_counts(monkeypatch):
     # counts, not time.  At 3 K the shift's Matsubara sum leaves the
-    # explicit block at l = 57 for one remainder pass, 215 rows.  At
-    # Az/a = 0.5 that takes 79 230 Bessel elements (TM and TE share each
+    # explicit block at l = 57 for one remainder pass, 210 rows.  At
+    # Az/a = 0.5 that takes 87 647 Bessel elements (TM and TE share each
     # power's i1e factor, and each node sums only its own powers) and
-    # 143 936 theta-rule polylog nodes on the 76-node v-rule.  The theta
+    # 153 504 theta-rule polylog nodes on the 76-node v-rule.  The theta
     # bound is a quarter of the 853 216 nodes that the whole block of 256
     # took on 152 nodes
     rows, elements, nodes = _count_work(monkeypatch)
     cold = Environment(a=E300.a, T=3.0)
     frequency_shift_nonlinear(LENS, cold, gold_drude(), osc(0.5 * cold.a))
-    assert sum(rows) == 215
+    assert sum(rows) == 210
     assert 0 < sum(elements) <= 100_000
     assert 0 < sum(nodes) <= 853_216 // 4
 
@@ -631,7 +631,7 @@ def test_remainder_window_follows_decay_rate(beta):
     for rate, got in ((1.0 - beta, fast), ((1.0 - beta) / 2.0, wide)):
         # a sum that cannot stop in the block hands off at l = 57
         if math.exp(-rate * zeta1) > engine._MAX_RATIO:
-            assert got[1] == 1 + engine._HANDOFF + engine._EM_PASS == 215
+            assert got[1] == 1 + engine._HANDOFF + engine._EM_PASS == 210
     assert abs(fast[0] - wide[0]) <= fast[2] + wide[2]
     if beta == 0.99:
         # at the force's rate the window is 80 wide, 0.8 e-foldings of
