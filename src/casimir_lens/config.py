@@ -39,7 +39,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .electrostatics import BiasState
-from .engine import _EM_BLOCK, _ZETA_MIN, QuadratureSpec, _Window
+from .engine import QuadratureSpec, xi_reach
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        TwoHalvesLens, symmetric_lens, thickness_for_width)
 from .materials import (Drude, GOLD_GAMMA_EV, GOLD_PLASMA_EV, IdealMetal,
@@ -340,20 +340,16 @@ def _check_consistency(cfg: RunConfig) -> None:
 def _check_tabulated_range(cfg: RunConfig) -> None:
     """A tabulated run must reach every frequency it evaluates.
 
-    Its sums reach at most one window (_Window(rate).span, rate 1 - Az/a
-    for the shift) past l = _EM_BLOCK, xi = c span / 2a + _EM_BLOCK xi_1:
-    highest at the smallest a and the largest Az and T.  The T = 0 integral
-    evaluates a table from zeta = _ZETA_MIN (~7.55e-7, fixed) up, at xi =
-    c zeta / 2a: lowest at the largest a.  force and gradient rows evaluate
-    T = 0 at every temperature (the T = 0 companion of each row); the other
-    commands only where T = 0.  A sum at T > 0 evaluates the table from
-    its first Matsubara frequency xi_1 = 2 pi kB T / hbar up (l = 0 reads
+    engine.xi_reach gives the highest xi its sums reach (at the smallest a,
+    largest Az and largest T) and the T = 0 integral's lowest (at the
+    largest a).  force and gradient rows evaluate T = 0 at every T, as each
+    row's T = 0 companion; the other commands only where T = 0.  A sum at
+    T > 0 evaluates the table from xi_1 = 2 pi kB T / hbar up (l = 0 reads
     the zeta = 0 limit): lowest at the lowest T > 0 the run visits.
     """
     a, (lo, hi) = visited_range(cfg, "a")[0], cfg.material.xi_grid[[0, -1]]
     az = visited_range(cfg, "Az")[1] if cfg.command == "freq-shift" else 0.0
-    top = CONSTANTS.c * _Window(1.0 - az / a).span / (2.0 * a) + _EM_BLOCK * (
-        2.0 * math.pi * CONSTANTS.kB * visited_range(cfg, "T")[1] / CONSTANTS.hbar)
+    top = xi_reach(a, visited_range(cfg, "T")[1], 1.0 - az / a)[1]
     if top > hi:
         raise ConfigError(f"[material] model = tabulated cannot run this {cfg.command}: xi "
                           f"reaches {top:.3g} rad/s, above the table's top {hi:.3g} rad/s")
@@ -363,7 +359,7 @@ def _check_tabulated_range(cfg: RunConfig) -> None:
     cold = warm.size < temps.size  # the run visits T = 0
     what = ("T = 0" if cold
             else f"the T = 0 companion that every {cfg.command} row carries")
-    xi0 = CONSTANTS.c * _ZETA_MIN / (2.0 * visited_range(cfg, "a")[1])
+    xi0 = xi_reach(visited_range(cfg, "a")[1], 0.0)[0]
     if xi0 < lo and (cold or cfg.command in ("force", "gradient")):
         raise ConfigError(
             f"[material] model = tabulated cannot run {what}: the first "

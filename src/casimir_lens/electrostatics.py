@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS
-from .geometry import (EllipticLens, Environment, LensGeometry,
-                       expect_variant, shape_factor)
+from .geometry import EllipticLens, Environment, LensGeometry, for_variant, shape_factor
 
 
 @dataclass(frozen=True)
@@ -25,17 +24,6 @@ class BiasState:
     def __post_init__(self) -> None:
         if not math.isfinite(self.V) or not math.isfinite(self.V0):
             raise ValueError("bias V and V0 must be finite")
-
-
-def pfa_electric_force(geom: EllipticLens, env: Environment, bias: BiasState) -> float:
-    """Leading-order electrostatic force on the symmetric lens, in N.
-
-    F = -pi eps0 L / (2 a) * A / sqrt(2 a B) * (V - V0)^2, negative
-    (attractive) for any bias away from V0.
-    """
-    expect_variant(geom, EllipticLens, "pfa_electric_force",
-                   "asymmetric_electric_force")
-    return asymmetric_electric_force(geom, env, bias)
 
 
 def exact_circular_electric_force(R: float, L: float, env: Environment,
@@ -83,11 +71,17 @@ def expanded_electric_force(R: float, L: float, env: Environment,
 
 def asymmetric_electric_force(geom: LensGeometry, env: Environment,
                               bias: BiasState) -> float:
-    """PFA electrostatic force for any lens variant.
+    """Leading-order (PFA) electrostatic force for any lens variant, in N.
 
-    The two-halves lens averages the A / sqrt(B) factors of its halves; the
-    rotated lens is scaled by the same G factor as the Casimir force.
+    F = -pi eps0 L / (2 a) * A / sqrt(2 a B) * (V - V0)^2 for the symmetric
+    lens, negative (attractive) for any bias away from V0.  The two-halves
+    lens averages the A / sqrt(B) factors of its halves; the rotated lens is
+    scaled by the same G factor as the Casimir force.
     """
     dv = bias.V - bias.V0
     return (-math.pi * CONSTANTS.eps0 * geom.L / (2.0 * env.a)
             * shape_factor(geom) / math.sqrt(2.0 * env.a) * dv * dv)
+
+
+pfa_electric_force = for_variant(asymmetric_electric_force, EllipticLens,
+                                 "pfa_electric_force")

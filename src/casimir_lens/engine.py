@@ -31,8 +31,8 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
-                       TwoHalvesLens, expect_variant, rotation_factor,
-                       shape_factor, thickness_for_width)
+                       TwoHalvesLens, expect_variant, for_variant,
+                       rotation_factor, shape_factor, thickness_for_width)
 from .materials import PermittivityModel, Tabulated, reflection_sq_grid
 from .specfun import ConvergenceError, polylog_exp_grid
 
@@ -496,31 +496,28 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
     return _finite_t(term, pref, env, quad, window)
 
 
+def xi_reach(a: float, T: float, rate: float = 1.0) -> tuple[float, float]:
+    """Lowest and highest xi (rad/s) at which a run at a and T evaluates a model.
+
+    The lowest is the T = 0 integral's first node, zeta = _ZETA_MIN; the
+    highest lies one window (rate 1 - Az/a for the shift) past l = _EM_BLOCK.
+    """
+    return (CONSTANTS.c * _ZETA_MIN / (2.0 * a),
+            CONSTANTS.c * _Window(rate).span / (2.0 * a)
+            + _EM_BLOCK * (2.0 * math.pi * CONSTANTS.kB * T / CONSTANTS.hbar))
+
+
 def force(geom: LensGeometry, env: Environment, model: PermittivityModel,
           quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Casimir force on any lens variant, negative for attraction.
 
     The variants share the frequency sum; only the A/sqrt(B) factor
     differs (averaged over the halves, or scaled by G for the rotated
-    lens).  T = 0 routes to the zero-temperature integral.
-    """
-    return _lifshitz(_force_kernel, geom, env, model, quad)
-
-
-def gradient(geom: LensGeometry, env: Environment, model: PermittivityModel,
-             quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Separation derivative dF/da for any lens variant, positive for attraction."""
-    return _lifshitz(_gradient_kernel, geom, env, model, quad,
-                     derivative=True)
-
-
-def casimir_force(geom: EllipticLens, env: Environment, model: PermittivityModel,
-                  quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Casimir force on a symmetric lens, negative for attraction.
+    lens).
 
     Parameters
     ----------
-    geom : EllipticLens
+    geom : EllipticLens, TwoHalvesLens or RotatedLens
     env : Environment
         Separation and temperature; T = 0 routes to the zero-temperature
         integral automatically.
@@ -532,16 +529,22 @@ def casimir_force(geom: EllipticLens, env: Environment, model: PermittivityModel
     ForceResult
         Force in N with error estimate and the number of frequency terms.
     """
-    expect_variant(geom, EllipticLens, "casimir_force", "force")
-    return force(geom, env, model, quad)
+    return _lifshitz(_force_kernel, geom, env, model, quad)
 
 
-def casimir_gradient(geom: EllipticLens, env: Environment,
-                     model: PermittivityModel,
-                     quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Separation derivative dF/da of the lens force, positive for attraction."""
-    expect_variant(geom, EllipticLens, "casimir_gradient", "gradient")
-    return gradient(geom, env, model, quad)
+def gradient(geom: LensGeometry, env: Environment, model: PermittivityModel,
+             quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
+    """Separation derivative dF/da for any lens variant, positive for attraction."""
+    return _lifshitz(_gradient_kernel, geom, env, model, quad,
+                     derivative=True)
+
+
+casimir_force = for_variant(force, EllipticLens, "casimir_force")
+casimir_gradient = for_variant(gradient, EllipticLens, "casimir_gradient")
+two_halves_force = for_variant(force, TwoHalvesLens, "two_halves_force")
+two_halves_gradient = for_variant(gradient, TwoHalvesLens, "two_halves_gradient")
+rotated_force = for_variant(force, RotatedLens, "rotated_force")
+rotated_gradient = for_variant(gradient, RotatedLens, "rotated_gradient")
 
 
 def zero_temperature_force(geom: LensGeometry, env: Environment,
@@ -583,41 +586,6 @@ def ideal_metal_gradient_t0(geom: EllipticLens, env: Environment) -> float:
     a = env.a
     return (7.0 * math.pi ** 3 * geom.L * CONSTANTS.hbar * CONSTANTS.c
             / (768.0 * a ** 4) * geom.A / math.sqrt(2.0 * a * geom.B))
-
-
-def two_halves_force(geom: TwoHalvesLens, env: Environment,
-                     model: PermittivityModel,
-                     quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Force on a lens glued from two halves.
-
-    Equals half the sum of the two symmetric-lens forces; the frequency sum
-    is shared, only the geometry factor changes.
-    """
-    expect_variant(geom, TwoHalvesLens, "two_halves_force", "force")
-    return force(geom, env, model, quad)
-
-
-def two_halves_gradient(geom: TwoHalvesLens, env: Environment,
-                        model: PermittivityModel,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Gradient dF/da for the two-halves lens."""
-    expect_variant(geom, TwoHalvesLens, "two_halves_gradient", "gradient")
-    return gradient(geom, env, model, quad)
-
-
-def rotated_force(geom: RotatedLens, env: Environment, model: PermittivityModel,
-                  quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Force on a lens cut at angle phi: the symmetric result scaled by G."""
-    expect_variant(geom, RotatedLens, "rotated_force", "force")
-    return force(geom, env, model, quad)
-
-
-def rotated_gradient(geom: RotatedLens, env: Environment,
-                     model: PermittivityModel,
-                     quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
-    """Gradient dF/da for the rotated lens."""
-    expect_variant(geom, RotatedLens, "rotated_gradient", "gradient")
-    return gradient(geom, env, model, quad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ B), a lens glued from two halves with different semiaxes, and a lens cut
 from the cylinder at an angle phi and re-seated so its base is parallel to
 the plate.  A variant enters every leading-order formula only through
 shape_factor, and expect_variant is the check of the entry points written
-for one variant.
+for one variant.  The names that only restrict a general function to one
+variant (casimir_force, rotated_gradient, pfa_electric_force, ...) are built
+by for_variant: "^casimir_force =" finds one, "def casimir_force" does not.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field, fields
-from typing import Union
+from typing import Callable, Union
 
 
 def _require_positive(**lengths: float) -> None:
@@ -145,6 +148,26 @@ def expect_variant(geom: LensGeometry, cls: type, name: str,
         hint = f"; use {general} for any lens variant" if general else ""
         raise TypeError(f"{name} expects a {cls.__name__}, got "
                         f"{type(geom).__name__}{hint}")
+
+
+def for_variant(general: Callable, cls: type, name: str) -> Callable:
+    """general as the entry point name, for a cls only.
+
+    Any other variant raises expect_variant's TypeError, naming general.
+    Signature and docstring are general's, geom annotated cls.
+    """
+    def typed(geom, *args, **kwargs):
+        expect_variant(geom, cls, name, general.__name__)
+        return general(geom, *args, **kwargs)
+
+    sig = inspect.signature(general)
+    first, *rest = sig.parameters.values()
+    typed.__signature__ = sig.replace(parameters=[first.replace(annotation=cls), *rest])
+    typed.__name__ = typed.__qualname__ = name
+    typed.__module__ = general.__module__
+    typed.__doc__ = (f"{general.__name__} restricted to {cls.__name__}; any other "
+                     f"variant raises TypeError.\n\n{inspect.getdoc(general)}")
+    return typed
 
 
 def thickness_for_width(A: float, B: float, d: float) -> float:

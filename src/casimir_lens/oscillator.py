@@ -21,7 +21,8 @@ import numpy as np
 
 from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _leggauss,
                      _lifshitz, casimir_force, gradient)
-from .geometry import EllipticLens, Environment, LensGeometry, expect_variant
+from .geometry import (EllipticLens, Environment, LensGeometry, expect_variant,
+                       for_variant)
 from .materials import PermittivityModel
 from .specfun import (ConvergenceError, _horner, bessel_i1_scaled,
                       polylog_exp_grid)
@@ -194,28 +195,17 @@ def _nonlinear_kernel(v: np.ndarray, r2: np.ndarray, beta: float) -> np.ndarray:
     return v ** 1.5 * out
 
 
-def frequency_shift_nonlinear(geom: EllipticLens, env: Environment,
-                              model: PermittivityModel, osc: OscillatorParams,
-                              quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Shift of omega^2 with the full force nonlinearity retained, rad^2/s^2.
-
-    Negative for the attractive force (the resonance softens).  Requires
-    0 < Az < a; T = 0 uses the continuous-frequency integral.
-    """
-    expect_variant(geom, EllipticLens, "frequency_shift_nonlinear",
-                   "frequency_shift_for_variant")
-    return frequency_shift_for_variant(geom, env, model, osc, quad)
-
-
 def frequency_shift_for_variant(geom: LensGeometry, env: Environment,
                                 model: PermittivityModel, osc: OscillatorParams,
                                 quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Nonlinear frequency shift for any lens variant.
+    """Shift of omega^2 with the full force nonlinearity retained, rad^2/s^2.
 
-    2 C / A_z times the force's Lifshitz sum over the Bessel kernel.  The
-    two-halves lens averages the A/sqrt(B) factors; the rotated lens is
-    scaled by G.  Geometry enters the kernel only through that prefactor, so
-    the variants share the frequency sum.
+    Negative for the attractive force (the resonance softens).  Requires
+    0 < Az < a; T = 0 uses the continuous-frequency integral.  For any lens
+    variant it is 2 C / A_z times the force's Lifshitz sum over the Bessel
+    kernel.  The two-halves lens averages the A/sqrt(B) factors; the rotated
+    lens is scaled by G.  Geometry enters the kernel only through that
+    prefactor, so the variants share the frequency sum.
     """
     _check_amplitude(env, osc)
     beta = osc.Az / env.a
@@ -223,6 +213,9 @@ def frequency_shift_for_variant(geom: LensGeometry, env: Environment,
     return 2.0 * osc.C / osc.Az * _lifshitz(kernel, geom, env, model, quad,
                                             rate=1.0 - beta).value
 
+
+frequency_shift_nonlinear = for_variant(frequency_shift_for_variant, EllipticLens,
+                                        "frequency_shift_nonlinear")
 
 # perfbench/layers.py traces the shift under this name
 _shift_nonlinear_any = frequency_shift_for_variant

@@ -395,22 +395,47 @@ def test_force_and_gradient_equal_typed_names():
 
 
 def test_variant_type_checks():
-    # each entry point written for one variant refuses the others before
-    # it evaluates anything
+    # each entry point written for one variant refuses the others before it
+    # evaluates anything, with the full message pinned: the eight names
+    # geometry.for_variant builds, then the ones with bodies of their own
     rot = RotatedLens(A=1e-4, B=1e-4, phi=0.1, h=1e-6, d=1e-5, L=1e-3)
+    two = TwoHalvesLens(A1=1e-4, B1=1e-4, A2=1e-4, B2=1e-4, h=1e-6, d=1e-5,
+                        L=1e-3)
     osc = OscillatorParams(omega0=1e4, C=1.0, Az=20e-9)
-    calls = [
-        lambda: casimir_force(rot, env(200e-9), IdealMetal()),
-        lambda: two_halves_force(LENS, env(200e-9), IdealMetal()),
-        lambda: rotated_force(LENS, env(200e-9), IdealMetal()),
-        lambda: ideal_metal_force_t0(rot, env(200e-9, 0.0)),
-        lambda: ideal_metal_gradient_t0(rot, env(200e-9, 0.0)),
-        lambda: frequency_shift_direct_oracle(rot, env(200e-9), IdealMetal(),
-                                              osc),
-        lambda: pfa_electric_force(rot, env(200e-9), BiasState(V=0.5)),
-        lambda: direct_pfa_force_oracle(rot, env(1e-6), IdealMetal()),
-        lambda: rotated_direct_oracle(LENS, env(1e-6), IdealMetal()),
+    e, im = env(200e-9), IdealMetal()
+    cases = [
+        (lambda: casimir_force(rot, e, im), "casimir_force expects a "
+         "EllipticLens, got RotatedLens; use force for any lens variant"),
+        (lambda: casimir_gradient(two, e, im), "casimir_gradient expects a "
+         "EllipticLens, got TwoHalvesLens; use gradient for any lens variant"),
+        (lambda: two_halves_force(LENS, e, im), "two_halves_force expects a "
+         "TwoHalvesLens, got EllipticLens; use force for any lens variant"),
+        (lambda: two_halves_gradient(rot, e, im), "two_halves_gradient expects "
+         "a TwoHalvesLens, got RotatedLens; use gradient for any lens variant"),
+        (lambda: rotated_force(LENS, e, im), "rotated_force expects a "
+         "RotatedLens, got EllipticLens; use force for any lens variant"),
+        (lambda: rotated_gradient(two, e, im), "rotated_gradient expects a "
+         "RotatedLens, got TwoHalvesLens; use gradient for any lens variant"),
+        (lambda: frequency_shift_nonlinear(rot, e, im, osc),
+         "frequency_shift_nonlinear expects a EllipticLens, got RotatedLens; "
+         "use frequency_shift_for_variant for any lens variant"),
+        (lambda: pfa_electric_force(two, e, BiasState(V=0.5)),
+         "pfa_electric_force expects a EllipticLens, got TwoHalvesLens; "
+         "use asymmetric_electric_force for any lens variant"),
+        (lambda: ideal_metal_force_t0(rot, env(200e-9, 0.0)),
+         "ideal_metal_force_t0 expects a EllipticLens, got RotatedLens; "
+         "use force with IdealMetal() at T = 0 for any lens variant"),
+        (lambda: ideal_metal_gradient_t0(rot, env(200e-9, 0.0)),
+         "ideal_metal_gradient_t0 expects a EllipticLens, got RotatedLens; "
+         "use gradient with IdealMetal() at T = 0 for any lens variant"),
+        (lambda: frequency_shift_direct_oracle(rot, e, im, osc),
+         "frequency_shift_direct_oracle expects a EllipticLens, got RotatedLens"),
+        (lambda: direct_pfa_force_oracle(rot, env(1e-6), im),
+         "direct_pfa_force_oracle expects a EllipticLens, got RotatedLens"),
+        (lambda: rotated_direct_oracle(LENS, env(1e-6), im),
+         "rotated_direct_oracle expects a RotatedLens, got EllipticLens"),
     ]
-    for call in calls:
-        with pytest.raises(TypeError, match="expects a"):
+    for call, message in cases:
+        with pytest.raises(TypeError) as info:
             call()
+        assert str(info.value) == message

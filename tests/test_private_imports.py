@@ -12,9 +12,6 @@ import casimir_lens
 PACKAGE = pathlib.Path(casimir_lens.__file__).parent
 # (importer, owner, name)
 ALLOWED = {
-    ("config", "engine", "_EM_BLOCK"),
-    ("config", "engine", "_Window"),
-    ("config", "engine", "_ZETA_MIN"),
     ("oscillator", "engine", "_leggauss"),
     ("oscillator", "engine", "_lifshitz"),
     ("oscillator", "specfun", "_horner"),
