@@ -24,7 +24,7 @@ from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _leggauss,
 from .geometry import (EllipticLens, Environment, LensGeometry, expect_variant,
                        for_variant)
 from .materials import PermittivityModel
-from .specfun import (ConvergenceError, _horner, bessel_i1_scaled,
+from .specfun import (_HANKEL, ConvergenceError, _horner, bessel_i1_scaled,
                       polylog_exp_grid)
 
 _THETA_TOL = 1e-9  # relative stability target of the direct shift oracle
@@ -91,10 +91,6 @@ _NL_DECAY = 41.5  # e^{-41.5} ~ 1e-18: where a lam >= 1 node's powers stop
 _NL_ELEMENTS = 2 ** 14  # powers per closed-form call (128 kB arrays)
 _THETA_NODES = 52  # Gauss-Legendre order of the theta rule
 _THETA_CHUNK = 128  # theta-rule nodes per polylog call (52 kB arrays)
-# Hankel's expansion (DLMF 10.40.1), within 5.3e-16 from x = 32 on:
-# sqrt(2 pi x) e^{-x} I_1(x) ~ sum_{k<13} c_k x^{-k}, _horner(_HANKEL, 1/x)
-_HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4) / (8 * k)
-                              for k in range(1, 13)])
 
 
 def _theta_series(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -139,21 +135,21 @@ def _closed_series(q: np.ndarray, lam2: np.ndarray,
 
     lam2 holds each node's (lam_TM, lam_TE), >= 1 or inf; node k sums
     n = 1 ... count[k], its powers laid flat after the earlier nodes'.
-    A power takes sqrt(2 pi x) i1e(x) below x = n q = 32 and Hankel's
-    expansion above, one factor for TM and TE.  Each node sums its own
-    segment, so its value does not depend on the other nodes.
+    A power's factor sqrt(2 pi x) e^-x I_1(x), x = n q, is shared by TM
+    and TE: bessel_i1_scaled gives it below x = 32, Hankel's expansion
+    above.  Each node sums its own segment, so its value does not depend
+    on the other nodes.
     """
     start = np.cumsum(count) - count
     n = np.arange(1.0, start[-1] + count[-1] + 1.0) - np.repeat(start, count)
-    term = _horner(_HANKEL, 1.0 / n * np.repeat(1.0 / q, count))
-    x = np.repeat(q, count) * n
-    head = x < 32.0
-    x = x[head]
+    term = np.repeat(q, count) * n
+    head = term < 32.0
+    x = term[head]
     i1 = bessel_i1_scaled(x) if x.size else x  # no call without a head
-    x *= 2.0 * math.pi
-    i1 *= np.sqrt(x, out=x)
+    i1 *= np.sqrt(2.0 * math.pi * x)
+    term[~head] = _horner(_HANKEL, 1.0 / term[~head])
     term[head] = i1
-    del x, i1  # freed for the decay's two rows: 4 arrays of powers at most
+    del x, i1, head  # freed for the decay's two rows
     power = np.repeat(-lam2, count, axis=1)
     power *= n
     decay = np.exp(power, out=power)[0]

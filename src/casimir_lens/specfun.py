@@ -6,9 +6,8 @@ Hankel's expansion or integrates over Li_{-1/2}.  polylog_exp_grid
 evaluates Li_s(e^-mu) from Wood's series in powers of mu near the
 singularity (mu < 1), its zeta values written in as literals, and from one
 economized polynomial of degree 18 in e^-mu away from it, both by Horner's
-rule.  Tests hold it to mpmath at ~1e-15.
-bessel_i1_scaled is scipy's i1e, imported on its first call: only the shift
-loads scipy.special.
+rule, as is bessel_i1_scaled: e^-x I_1(x) from 256 pieces of its power
+series below x = 32, Hankel's expansion above.  Tests hold both to mpmath.
 """
 
 import math
@@ -33,15 +32,50 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # modified Bessel function I_1
 
+# Hankel's expansion (DLMF 10.40.1), within 5.3e-16 from x = 32 on:
+# sqrt(2 pi x) e^{-x} I_1(x) ~ sum_{k<13} c_k x^{-k}, _horner(_HANKEL, 1/x)
+_HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4) / (8 * k)
+                              for k in range(1, 13)])
+
+
+@lru_cache(maxsize=None)
+def _bessel_coefficients():
+    """rows[j][k]: coefficient of u^j, u = x - (k + 1/2) / 8, in the piece
+    of g(x) = e^-x I_1(x) / x on [k, k + 1) / 8, k < 256, that interpolates
+    g at 9 Chebyshev points, where the power series e^-x sum_k (x/2)^{2k} /
+    (2 k! (k+1)!) (DLMF 10.25.2) is summed in long double."""
+    t = np.cos(np.pi * (np.arange(9) + 0.5) / 9)
+    x = (np.arange(256.0)[:, None] + 0.5 + 0.5 * t.astype(np.longdouble)) / 8
+    term, g = np.full_like(x, 0.5), np.full_like(x, 0.5)
+    for k in range(1, 64):
+        term *= x * x / (4 * k * (k + 1))
+        g += term
+    g *= np.exp(-x)  # the pieces share a width, so one solve gives them all
+    rows = np.linalg.solve(np.vander(t / 16, increasing=True), g.astype(float).T)
+    rows.flags.writeable = False
+    return rows
+
+
 def bessel_i1_scaled(x):
     """Scaled modified Bessel function e^-|x| I_1(x), overflow-safe.
 
-    Accepts a scalar or ndarray; odd in x.  A thin wrapper over
-    scipy.special.i1e that keeps one named entry for the package's Bessel
-    evaluations.
-    """
-    from scipy.special import i1e
-    return i1e(x)
+    Accepts a scalar (returns a float) or array; odd in x, inf -> 0.  Below
+    |x| = 32, |x| g(|x|) on its piece (tiny x keep their relative accuracy);
+    above, Hankel's expansion."""
+    a = np.abs(np.atleast_1d(x), dtype=float)
+    far = ~(a < 32.0)  # nan too
+    near = np.where(far, 0.0, a)
+    k = (near * 8.0).astype(np.intp)
+    u = near - (k + 0.5) / 8.0
+    out = np.zeros_like(u)
+    for row in _bessel_coefficients()[::-1]:  # gathered a row at a time
+        out *= u
+        out += row[k]
+    out *= near
+    if far.any():
+        b = a[far]
+        out[far] = _horner(_HANKEL, 1.0 / b) / (np.sqrt(b) * math.sqrt(2 * math.pi))
+    return np.copysign(out, x) if np.ndim(x) else math.copysign(out[0], x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ ALLOWED = {
     ("oscillator", "engine", "_leggauss"),
     ("oscillator", "engine", "_lifshitz"),
     ("oscillator", "specfun", "_horner"),
+    ("oscillator", "specfun", "_HANKEL"),  # one copy of Hankel's coefficients
 }
 
 

@@ -88,6 +88,27 @@ def test_bessel_i1_oddness():
                                                    rel=1e-15)
 
 
+def test_bessel_i1_scaled_against_mpmath():
+    # the pieces below x = 32 and Hankel's expansion above against 30-digit
+    # values: a grid over [0, 40], every piece edge k/8 and one ulp either
+    # side of it, both sides of the x = 32 seam, log-spaced points to 1e8
+    mpmath = pytest.importorskip("mpmath")
+    edge = np.arange(1, 257) / 8.0
+    x = np.concatenate([np.linspace(0.0, 40.0, 2001), edge,
+                        np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+                        32.0 + 1e-13 * np.arange(-4, 5),
+                        np.geomspace(1e-10, 1e8, 61)])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besseli(1, xi) * mpmath.exp(-xi))
+                        for xi in map(mpmath.mpf, x)])
+    got = bessel_i1_scaled(x)
+    np.testing.assert_allclose(got, ref, rtol=3e-15, atol=0)
+    assert np.array_equal(bessel_i1_scaled(-x), -got)  # exactly odd
+    assert type(bessel_i1_scaled(1.0)) is float
+    limits = bessel_i1_scaled(np.array([np.inf, -np.inf, np.nan]))
+    assert limits[0] == 0.0 and limits[1] == 0.0 and np.isnan(limits[2])
+
+
 @pytest.mark.parametrize("s", [0.5, -0.5])
 @pytest.mark.parametrize("r2", [1.0, 0.63, 1e-6])
 def test_polylog_exp_grid_against_mpmath(s, r2):
@@ -208,10 +229,10 @@ def test_polylog_mpmath_spot_checks(s):
         assert li(s, z) == pytest.approx(ref, rel=5e-13)
 
 
-def test_import_parse_force_and_gradient_leave_scipy_unloaded():
-    # only the shift's Bessel function loads scipy.special, so importing the
-    # package, parsing a config and evaluating forces and gradients at 300 K
-    # and at T = 0 must not load any of scipy
+def test_import_parse_forces_gradients_and_shifts_leave_scipy_unloaded():
+    # the package imports no part of scipy: importing it, parsing a config
+    # and evaluating forces, gradients and nonlinear shifts at 300 K and at
+    # T = 0 must leave every scipy module unloaded
     src = os.path.dirname(os.path.dirname(casimir_lens.__file__))
     child = """\
 import sys
@@ -233,9 +254,12 @@ model = drude
 a = 200e-9
 T = 300
 ''')
-for fn in (casimir_lens.force, casimir_lens.gradient):
-    for T in (300.0, 0.0):
-        fn(cfg.geometry, casimir_lens.Environment(a=200e-9, T=T), cfg.material)
+osc = casimir_lens.OscillatorParams(omega0=1e4, C=1e3, Az=100e-9)
+for T in (300.0, 0.0):
+    env = casimir_lens.Environment(a=200e-9, T=T)
+    for fn in (casimir_lens.force, casimir_lens.gradient):
+        fn(cfg.geometry, env, cfg.material)
+    casimir_lens.frequency_shift_nonlinear(cfg.geometry, env, cfg.material, osc)
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
     out = subprocess.run([sys.executable, "-c", child, src], check=True,
