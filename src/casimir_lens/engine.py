@@ -33,10 +33,10 @@ from .constants import CONSTANTS
 from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        TwoHalvesLens, expect_variant, for_variant,
                        rotation_factor, shape_factor, thickness_for_width)
-from .materials import PermittivityModel, Tabulated, reflection_sq_grid
+from .materials import PermittivityModel, Tabulated, reflection_scale, reflection_sq_grid
 from .specfun import ConvergenceError, polylog_exp_grid
 
-# A T = 0 rule (~690 KiB of numpy temporaries) and a 76-frequency term stack
+# A T = 0 rule (~270 KiB of numpy temporaries) and a 76-frequency term stack
 # (~544 KiB) pass glibc's default 128 KiB trim threshold: its heap would shrink
 # and regrow on every call, unless raised (as importing scipy.special did).
 _libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
@@ -59,9 +59,9 @@ class QuadratureSpec:
     The v-integral is not a knob: the kernel's window (_Window) owns its
     rule, 76 nodes at order 1 (152 for the oracles).  At T > 0 its error is
     not yet in est_abs_error, and its window [zeta_l, zeta_l + 80]
-    truncates the shift as Az -> a; at T = 0 the error is estimated from
-    the rules' own Legendre coefficients (_zeta_integral).  README,
-    "Numerical methods", gives the rules' measured errors.
+    truncates the shift as Az -> a; at T = 0 (76 x 32 nodes, a table 76 x
+    96) the error is estimated from the rules' own Legendre coefficients
+    (_zeta_integral).  README, "Numerical methods", gives their errors.
     """
 
     rel_tol: float = 1e-8
@@ -99,7 +99,7 @@ class _Window(NamedTuple):
     e^{-rate zeta_l} times a power of l.  span (80 e-foldings at every rate)
     is the remainder's zeta-window and the T = 0 integral's v-window; nodes,
     order x _PANEL_NODES, the v-rule of that integral and of the terms, on
-    [zeta_l, zeta_l + 80], and order x _S_NODES the integral's s-rule.
+    [zeta_l, zeta_l + 80]; order also scales the integral's s-rule (_s_rule).
     """
 
     rate: float = 1.0
@@ -213,10 +213,11 @@ def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
             np.concatenate((w * (t1 - t0) * t, w_out), axis=-1))
 
 
-# The T = 0 integral's inner variable s = zeta / v runs over these panels,
-# with s = t^2 on the first.
+# The T = 0 integral's inner variable s = zeta / v runs, for a table, over
+# these panels, with s = t^2 on the first, else over one mapped panel (_s_rule)
 _S_EDGES = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
 _S_NODES = (16, 16, 20, 20, 24)
+_S_MAPPED = 32
 # The lowest zeta the T = 0 integral evaluates a table at, and a config's
 # table must reach: the first node from zeta = 0 of _Window(order=2)'s rule,
 # 2 ((1 + x_0) / 2)^2 with x_0 the first of 48 Gauss-Legendre nodes, written
@@ -397,32 +398,38 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
             abs(last_correction) + float(check) + cut)
 
 
+def _s_rule(model: PermittivityModel, a: float, col, order: int):
+    """s = zeta / v on [0, 1], a row per v of the column col: nodes, weights
+    and Gauss panel orders.  A table: _S_EDGES on [_ZETA_MIN / v, 1], the
+    sliver below in the first weight.  An analytic model: order x _S_MAPPED
+    nodes in u, s = s_lo (e^{L u} - 1), L = ln(1 + 1/s_lo), from the row's
+    lowest feature s_lo (reflection_scale, >= the unit roundoff) to 1."""
+    if isinstance(model, Tabulated):
+        nodes = tuple(order * n for n in _S_NODES)
+        s, ws = _panels(_S_EDGES, nodes)
+        s0 = _ZETA_MIN / col
+        w = (1.0 - s0) * ws
+        w[:, 0] += s0[:, 0]
+        return s0 + (1.0 - s0) * s, w, nodes
+    x, wx = _leggauss(order * _S_MAPPED)
+    lo = np.maximum(reflection_scale(model, a, col), np.finfo(float).eps)
+    span = np.log1p(1.0 / lo)
+    s = lo * np.expm1(0.5 * span * (x + 1.0))
+    return s, 0.5 * span * wx * (s + lo), (x.size,)
+
+
 def _zeta_rows(kernel: Kernel, model: PermittivityModel, a: float,
                window: _Window):
-    """v nodes, weights, row integrals int_0^v dzeta of the kernel and
-    their s-rule errors (_gauss_error).
-
-    zeta = v s maps each row's triangle zeta <= v onto s in [0, 1], so the
-    row integral is v int_0^1 ds kernel.  The v-rule is a Matsubara term's
-    at zeta = 0, _grid_from(0.0, window.span, window.nodes), the s-rule
-    _panels over _S_EDGES at window.order x _S_NODES, and the whole (v, s)
-    grid, a row per v node, goes through one call of reflection_sq_grid and
-    one of the kernel; each row is then summed on its own.  Both take v as
-    a column (n, 1), so e^-v, its powers and an ideal metal's kernel are
-    computed once per row.  A table is not evaluated below _ZETA_MIN: each
-    row's s-rule is mapped onto [s0, 1], s0 = _ZETA_MIN / v, and the sliver
-    [0, s0] is added to the weight of the row's first node.
-    """
+    """v nodes and weights (a Matsubara term's v-rule at zeta = 0), the row
+    integrals int_0^v dzeta = v int_0^1 ds of the kernel on _s_rule's rule,
+    and their s-rule errors (_gauss_error).  The whole (v, s) grid goes
+    through one call of reflection_sq_grid and of the kernel, which take v
+    as a column (n, 1), so e^-v, its powers and an ideal metal's kernel are
+    computed once per row; each row is then summed on its own."""
     v, wv = _grid_from(0.0, window.span, window.nodes)
-    s_nodes = tuple(window.order * n for n in _S_NODES)
-    s, ws = _panels(_S_EDGES, s_nodes)
-    zeta_lo = _ZETA_MIN if isinstance(model, Tabulated) else 0.0
     col = v[:, None]
-    s0 = zeta_lo / col
-    r2 = reflection_sq_grid(model, col * (s0 + (1.0 - s0) * s), col, a)
-    w = (1.0 - s0) * ws
-    w[:, 0] += s0[:, 0]
-    wk = w * kernel(col, r2)
+    s, w, s_nodes = _s_rule(model, a, col, window.order)
+    wk = w * kernel(col, reflection_sq_grid(model, col * s, col, a))
     return v, wv, v * np.sum(wk, axis=-1), v * _gauss_error(wk, s_nodes)
 
 
@@ -434,8 +441,8 @@ def _zeta_integral(kernel: Kernel, model: PermittivityModel, a: float,
 
         int_0^V dv v int_0^1 ds kernel(v, r^2(v s, v)),
 
-    with V = window.span.  v takes the panels _PANEL_EDGES at window.nodes,
-    s the panels _S_EDGES at the window's order, and the rule is one call of
+    with V = window.span: v on the panels _PANEL_EDGES at window.nodes, s on
+    the model's rule at the window's order (_s_rule), in one call of
     reflection_sq_grid and of the kernel (_zeta_rows).  The error is
     measured from those node values alone: the v-rule's _gauss_error on the
     row integrals, the s-rules' on each row, a rounding floor (sum |w g|

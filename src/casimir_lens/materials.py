@@ -187,6 +187,19 @@ def _epsilon(model: PermittivityModel, xi):
     raise TypeError(f"unknown permittivity model {model!r}")
 
 
+def reflection_scale(model: PermittivityModel, a: float, v):
+    """The lowest s = zeta / v (<= 1) on which an analytic model's r^2 varies
+    in row v: Drude's relaxation scale zeta_g / v and TE cut-off zeta_g v /
+    zeta_p^2, plasma's zeta_p / v (zeta_{g,p} = 2 a (gamma, omega_p) / c)."""
+    if isinstance(model, IdealMetal):  # r^2 = 1
+        return 1.0
+    zeta_p = 2.0 * a * model.omega_p / CONSTANTS.c
+    if isinstance(model, Plasma):
+        return np.minimum(zeta_p / v, 1.0)
+    zeta_g = 2.0 * a * model.gamma / CONSTANTS.c
+    return np.minimum(np.minimum(zeta_g / v, zeta_g / zeta_p * (v / zeta_p)), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the one formula, vectorized over v
 

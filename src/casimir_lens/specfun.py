@@ -56,22 +56,30 @@ def _bessel_coefficients():
     return rows
 
 
+def _bessel_head(x):
+    """x g(x) for 0 <= x < 32, g gathered on its piece, by Horner's rule."""
+    k = (x * 8.0).astype(np.intp)
+    u = x - (k + 0.5) / 8.0
+    out = np.zeros_like(u)
+    for row in _bessel_coefficients()[::-1]:  # gathered a row at a time
+        out *= u
+        out += row[k]
+    out *= x
+    return out
+
+
 def bessel_i1_scaled(x):
     """Scaled modified Bessel function e^-|x| I_1(x), overflow-safe.
 
     Accepts a scalar (returns a float) or array; odd in x, inf -> 0.  Below
     |x| = 32, |x| g(|x|) on its piece (tiny x keep their relative accuracy);
     above, Hankel's expansion."""
-    a = np.abs(np.atleast_1d(x), dtype=float)
+    a = np.atleast_1d(np.asarray(x, dtype=float))
+    if a.size and 0.0 <= a.min() and a.max() < 32.0:  # no |x|, mask or sign
+        return _bessel_head(a) if np.ndim(x) else float(_bessel_head(a)[0])
+    a = np.abs(a)
     far = ~(a < 32.0)  # nan too
-    near = np.where(far, 0.0, a)
-    k = (near * 8.0).astype(np.intp)
-    u = near - (k + 0.5) / 8.0
-    out = np.zeros_like(u)
-    for row in _bessel_coefficients()[::-1]:  # gathered a row at a time
-        out *= u
-        out += row[k]
-    out *= near
+    out = _bessel_head(np.where(far, 0.0, a))
     if far.any():
         b = a[far]
         out[far] = _horner(_HANKEL, 1.0 / b) / (np.sqrt(b) * math.sqrt(2 * math.pi))

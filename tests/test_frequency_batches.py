@@ -76,15 +76,11 @@ def test_chunked_zero_temperature_rows_equal_one_call(model, kernel):
     # call; every v-row, taken alone on its own 1-D s-rule, gives the same
     # float as that call
     v, _, rows, _ = engine._zeta_rows(kernel, model, A, engine._Window())
-    s, ws = engine._panels(engine._S_EDGES, engine._S_NODES)
-    zeta_lo = engine._ZETA_MIN if isinstance(model, Tabulated) else 0.0
     lone = []
     for vi in v.tolist():
-        s0 = zeta_lo / vi
+        s, w = (x.ravel() for x in engine._s_rule(model, A, np.array([[vi]]), 1)[:2])
         vv = np.full(s.size, vi)
-        r2 = reflection_sq_grid(model, vi * (s0 + (1.0 - s0) * s), vv, A)
-        w = (1.0 - s0) * ws
-        w[0] += s0
+        r2 = reflection_sq_grid(model, vi * s, vv, A)
         lone.append(vi * float(np.sum(w * kernel(vv, r2))))
     assert rows.tolist() == lone
 

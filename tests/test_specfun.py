@@ -109,6 +109,18 @@ def test_bessel_i1_scaled_against_mpmath():
     assert limits[0] == 0.0 and limits[1] == 0.0 and np.isnan(limits[2])
 
 
+def test_bessel_i1_scaled_head_is_the_general_path_bit_for_bit():
+    # an x all in [0, 32), as the shift's series passes, skips the |x|,
+    # mask and sign passes; a negative x takes them, and by oddness gives
+    # the same floats, the sign of -0.0 included
+    edge = np.arange(1, 256) / 8.0
+    x = np.concatenate([np.linspace(0.0, 32.0, 4001, endpoint=False), edge,
+                        np.nextafter(edge, 0.0), [np.nextafter(32.0, 0.0),
+                                                  -0.0, 5e-324]])
+    assert bessel_i1_scaled(x).tobytes() == (-bessel_i1_scaled(-x)).tobytes()
+    assert math.copysign(1.0, bessel_i1_scaled(-0.0)) == -1.0
+
+
 @pytest.mark.parametrize("s", [0.5, -0.5])
 @pytest.mark.parametrize("r2", [1.0, 0.63, 1e-6])
 def test_polylog_exp_grid_against_mpmath(s, r2):

@@ -8,10 +8,10 @@ at 2n + 1 Clenshaw-Curtis nodes each for n in _EM_NODES (157 nodes) at
 every order.  Doubling one rule while keeping the other measures that
 rule's error alone: the terms' rule through the window,
 window._replace(order=2 * window.order), the remainder's through
-_EM_NODES.  The T = 0 integral takes v on its
-window's nodes and s = zeta / v on order x _S_NODES, so the window's order
-doubles both together; its error estimate, taken from the rules' own node
-values, must lie above that change.
+_EM_NODES.  The T = 0 integral takes v on its window's nodes and s = zeta
+/ v on the model's s-rule (engine._s_rule) at the window's order, so the
+window's order doubles both together; its error estimate, taken from the
+rules' own node values, must lie above that change.
 """
 
 from functools import partial
@@ -95,7 +95,7 @@ def test_zero_t_rules_against_twice_their_order(monkeypatch, model, key):
 
     def recorded(kernel, model, a, window):
         rules.append((window.nodes,
-                      tuple(window.order * n for n in engine._S_NODES)))
+                      engine._s_rule(model, a, np.ones((1, 1)), window.order)[2]))
         return zeta_rows(kernel, model, a, window)
 
     monkeypatch.setattr(engine, "_zeta_rows", recorded)

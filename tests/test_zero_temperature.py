@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from casimir_lens import engine, oscillator
 from casimir_lens.constants import CONSTANTS
-from casimir_lens.engine import (_STACK, _S_NODES, _ZETA_MIN,
+from casimir_lens.engine import (_STACK, _ZETA_MIN,
                                  QuadratureSpec, _force_kernel,
                                  _frequency_integral, _gradient_kernel,
                                  _grid_from, _Window, _zeta_integral, force,
@@ -35,10 +35,11 @@ _FINE_EDGES = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 14.0,
                22.0, 32.0, 45.0, 60.0, 80.0)
 
 
-def _fine_zeta_rule():
+def _gauss_panels(edges, nodes):
+    """Gauss-Legendre panels on edges, nodes[i] on the i-th, x = t^2 on the first."""
     zs, ws = [], []
-    for i, (lo, hi) in enumerate(zip(_FINE_EDGES, _FINE_EDGES[1:])):
-        x, w = np.polynomial.legendre.leggauss(32)
+    for i, (lo, hi, n) in enumerate(zip(edges, edges[1:], nodes)):
+        x, w = np.polynomial.legendre.leggauss(n)
         if i == 0:
             t1 = math.sqrt(hi)
             t = 0.5 * t1 * (x + 1.0)
@@ -48,6 +49,10 @@ def _fine_zeta_rule():
             zs.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
             ws.append(0.5 * (hi - lo) * w)
     return np.concatenate(zs), np.concatenate(ws)
+
+
+def _fine_zeta_rule():
+    return _gauss_panels(_FINE_EDGES, (32,) * 15)
 
 
 def _zeta_outer(kernel, model, a, rule):
@@ -172,7 +177,8 @@ def test_zeta_rows_take_v_as_a_column(model, kind, monkeypatch):
         return kernel(v, r2)
 
     def every_node(v, r2):
-        shape = (v.shape[0], sum(_S_NODES) * v.shape[0] // 76)
+        s_nodes = engine._s_rule(model, 200e-9, v, v.shape[0] // 76)[2]
+        shape = (v.shape[0], sum(s_nodes))
         return kernel(np.broadcast_to(v, shape),
                       np.broadcast_to(r2, (2,) + shape))
 
@@ -183,3 +189,50 @@ def test_zeta_rows_take_v_as_a_column(model, kind, monkeypatch):
         rows = [engine._zeta_rows(k, model, 200e-9, _Window(order=order))[2]
                 for k in (column, every_node)]
         assert np.array_equal(rows[0], rows[1])
+
+
+# The graded s-rule the analytic models used to take, here the independent
+# reference: Gauss-Legendre panels on these edges, s = t^2 on the first, at
+# order 3 (48, 48, 60, 60 and 72 nodes), on the v-rule at order 3
+_GRADED_EDGES = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
+_GRADED_NODES = (48, 48, 60, 60, 72)
+
+
+def _graded_integral(kernel, model, a):
+    """int_0^80 dv v int_0^1 ds kernel on the graded rules at order 3."""
+    v, wv = _grid_from(0.0, nodes=_Window(order=3).nodes)
+    s, ws = _gauss_panels(_GRADED_EDGES, _GRADED_NODES)
+    col = v[:, None]
+    r2 = engine.reflection_sq_grid(model, col * s, col, a)
+    return float(np.sum(wv * v * np.sum(ws * kernel(col, r2), axis=-1)))
+
+
+@pytest.mark.parametrize("a", [150e-9, 1e-6, 5e-6, 20e-6])
+@pytest.mark.parametrize("model", [gold_drude(), gold_plasma(), IdealMetal()],
+                         ids=["drude", "plasma", "ideal"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_mapped_s_rule_against_the_graded_rule_at_order_3(kind, model, a):
+    # an analytic model's one mapped 32-node s-panel per row, at order 1,
+    # holds forces and gradients within 5.2e-15 of the graded rule at
+    # order 3 (the graded rule at order 1: 3.7e-15)
+    quantity, kernel = KINDS[kind]
+    res = quantity(LENS, Environment(a=a, T=0.0), model)
+    ref = res.value / _zeta_integral(kernel, model, a)[0] * _graded_integral(kernel, model, a)
+    assert res.value == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [gold_drude(), gold_plasma(), IdealMetal()],
+                         ids=["drude", "plasma", "ideal"])
+def test_analytic_zero_t_sends_76_by_32_nodes_to_the_reflections(model, monkeypatch):
+    # at order 1 an analytic model's T = 0 force evaluates 76 v-rows of 32
+    # s-nodes each, in one call of reflection_sq_grid
+    sizes = []
+    reflection = engine.reflection_sq_grid
+
+    def recorded(model, zeta, v, a):
+        sizes.append(np.broadcast(zeta, v).size)
+        return reflection(model, zeta, v, a)
+
+    monkeypatch.setattr(engine, "reflection_sq_grid", recorded)
+    force(LENS, Environment(a=1e-6, T=0.0), model)
+    assert sizes == [76 * 32]
