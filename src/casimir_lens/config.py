@@ -90,6 +90,8 @@ class SweepSpec:
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
                               f"got {self.variable!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep start and stop must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep requires start < stop")
         if self.count < 2:

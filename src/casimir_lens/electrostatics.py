@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS
-from .geometry import EllipticLens, Environment, LensGeometry, for_variant, shape_factor
+from .geometry import (EllipticLens, Environment, LensGeometry, for_variant,
+                       require_positive, shape_factor)
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,7 @@ def exact_circular_electric_force(R: float, L: float, env: Environment,
     with hc = R + a the axis height and Delta = sqrt(hc^2 - R^2).  Returned
     negative (attractive), consistent with the PFA expressions.
     """
-    if not R > 0.0 or not L > 0.0:
-        raise ValueError("R and L must be positive")
-    if not (math.isfinite(R) and math.isfinite(L)):
-        raise ValueError("R and L must be finite")
+    require_positive(R=R, L=L)
     hc = R + env.a
     delta = math.sqrt(hc * hc - R * R)
     log_ratio = math.log((hc - delta) / (hc + delta))
@@ -57,10 +55,7 @@ def expanded_electric_force(R: float, L: float, env: Environment,
 
     The leading factor coincides with pfa_electric_force at A = B = R.
     """
-    if not R > 0.0 or not L > 0.0:
-        raise ValueError("R and L must be positive")
-    if not (math.isfinite(R) and math.isfinite(L)):
-        raise ValueError("R and L must be finite")
+    require_positive(R=R, L=L)
     a = env.a
     x = a / R
     dv = bias.V - bias.V0

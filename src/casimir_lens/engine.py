@@ -140,23 +140,17 @@ def _panels(edges: tuple, nodes: tuple, rule=_leggauss):
     """Nodes and weights of rule over the panels [edges[i], edges[i+1]].
 
     nodes gives each panel's order (_clenshaw_curtis takes 2n + 1 nodes,
-    the panel's edges among them).  A panel that starts at 0 is mapped
-    through x = t^2, so that the half-integer powers the kernels develop
-    near 0 are integrated exactly.  The arrays are read-only: one copy per
-    set of fixed edges (never a span's), nodes and rule serves every caller.
+    the panel's edges among them), each panel mapped affinely; a first
+    panel from 0 with its t^2 map is _grid_from's.  The arrays are
+    read-only: one copy per set of fixed edges (never a span's), nodes and
+    rule serves every caller.
     """
     xs, ws = [], []
     for lo, hi, n in zip(edges, edges[1:], nodes):
         x, w, *_ = rule(n)
-        if lo == 0.0:
-            t0, t1 = math.sqrt(lo), math.sqrt(hi)
-            t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
-            xs.append(t * t)
-            ws.append(w * (t1 - t0) * t)
-        else:
-            half = 0.5 * (hi - lo)
-            xs.append(half * x + 0.5 * (hi + lo))
-            ws.append(w * half)
+        half = 0.5 * (hi - lo)
+        xs.append(half * x + 0.5 * (hi + lo))
+        ws.append(w * half)
     x, w = np.concatenate(xs), np.concatenate(ws, axis=-1)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -188,25 +182,26 @@ def _gauss_error(wf, nodes: tuple):
 
 
 def _grid_from(zeta, span: float = _PANEL_EDGES[-1], nodes=_PANEL_NODES,
-               rule=_leggauss):
+               rule=_leggauss, edges: tuple = _PANEL_EDGES):
     """Nodes and weights covering [zeta, zeta + span].
 
-    The panels are _PANEL_EDGES scaled to span, the first mapped through
-    v = w^2 so that the half-integer powers the polylog kernels develop at
-    small v are integrated exactly.  Only that first panel is built per
-    call; panels 2-5 are _panels(_PANEL_EDGES[1:], nodes[1:], rule), whole,
-    times span / 80 and moved rigidly to zeta.  zeta is a float, giving
+    The panels are edges (the v-rule's _PANEL_EDGES, or a table's s-rule's
+    _S_EDGES) scaled to span, the first mapped through v = w^2 so that the
+    half-integer powers the kernels develop at small v are integrated
+    exactly: the package's one t^2 map.  Only that first panel is built per
+    call; the others are _panels(edges[1:], nodes[1:], rule), whole, times
+    span / edges[-1] and moved rigidly to zeta.  zeta is a float, giving
     1-D nodes, or (for _leggauss) a 1-D array, giving one row per zeta; a
     row holds the same floats a lone zeta would.  The arrays returned are
     new on every call.
     """
-    scale = span / _PANEL_EDGES[-1]
+    scale = span / edges[-1]
     x, w, *_ = rule(nodes[0])
-    v_out, w_out = _panels(_PANEL_EDGES[1:], nodes[1:], rule)
+    v_out, w_out = _panels(edges[1:], nodes[1:], rule)
     v_out, w_out = scale * v_out, scale * w_out
     z = np.asarray(zeta, dtype=float)[..., None]
     t0 = np.sqrt(z)
-    t1 = np.sqrt(z + _PANEL_EDGES[1] * scale)
+    t1 = np.sqrt(z + edges[1] * scale)
     t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
     w_out = np.broadcast_to(w_out, z.shape[:-1] + w_out.shape)
     return (np.concatenate((t * t, z + v_out), axis=-1),
@@ -400,13 +395,13 @@ def _em_remainder(term: Term, h: float, values: list, total: float,
 
 def _s_rule(model: PermittivityModel, a: float, col, order: int):
     """s = zeta / v on [0, 1], a row per v of the column col: nodes, weights
-    and Gauss panel orders.  A table: _S_EDGES on [_ZETA_MIN / v, 1], the
-    sliver below in the first weight.  An analytic model: order x _S_MAPPED
-    nodes in u, s = s_lo (e^{L u} - 1), L = ln(1 + 1/s_lo), from the row's
-    lowest feature s_lo (reflection_scale, >= the unit roundoff) to 1."""
+    and Gauss panel orders.  A table: _grid_from's rule on _S_EDGES, moved
+    to [_ZETA_MIN / v, 1], the sliver below in the first weight.  Analytic:
+    order x _S_MAPPED nodes in u, s = s_lo (e^{L u} - 1), L = ln(1 + 1/s_lo),
+    from the row's lowest feature s_lo (reflection_scale, >= eps) to 1."""
     if isinstance(model, Tabulated):
         nodes = tuple(order * n for n in _S_NODES)
-        s, ws = _panels(_S_EDGES, nodes)
+        s, ws = _grid_from(0.0, 1.0, nodes, edges=_S_EDGES)
         s0 = _ZETA_MIN / col
         w = (1.0 - s0) * ws
         w[:, 0] += s0[:, 0]

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 
-def _require_positive(**lengths: float) -> None:
-    for name, value in lengths.items():
+def require_positive(**values: float) -> None:
+    """The one scalar input check: ValueError "<name> must be positive, got
+    <value>" (NaN too), then "... must be finite, ...", in order of values."""
+    for name, value in values.items():
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
         if not math.isfinite(value):
@@ -47,7 +49,7 @@ class EllipticLens:
     L: float
 
     def __post_init__(self) -> None:
-        _require_positive(A=self.A, B=self.B, h=self.h, d=self.d, L=self.L)
+        require_positive(A=self.A, B=self.B, h=self.h, d=self.d, L=self.L)
         if self.A < self.B:
             raise ValueError("semiaxes must satisfy A >= B; rotate the lens instead")
         if self.d > self.A:
@@ -71,8 +73,8 @@ class TwoHalvesLens:
     L: float
 
     def __post_init__(self) -> None:
-        _require_positive(A1=self.A1, B1=self.B1, A2=self.A2, B2=self.B2,
-                          h=self.h, d=self.d, L=self.L)
+        require_positive(A1=self.A1, B1=self.B1, A2=self.A2, B2=self.B2,
+                         h=self.h, d=self.d, L=self.L)
         if self.A1 < self.B1 or self.A2 < self.B2:
             raise ValueError("each half must satisfy A >= B")
         if self.d > min(self.A1, self.A2):
@@ -94,7 +96,7 @@ class RotatedLens:
     L: float
 
     def __post_init__(self) -> None:
-        _require_positive(A=self.A, B=self.B, h=self.h, d=self.d, L=self.L)
+        require_positive(A=self.A, B=self.B, h=self.h, d=self.d, L=self.L)
         if self.A < self.B:
             raise ValueError("semiaxes must satisfy A >= B")
         if not 0.0 <= self.phi <= math.pi / 2.0:
@@ -121,10 +123,7 @@ def rotation_factor(A: float, B: float, phi: float) -> RotationFactor:
     Any positive (A, B) pair is accepted so the phi -> phi + pi/2 axis-swap
     identity can be exercised directly.
     """
-    if not A > 0.0 or not B > 0.0:
-        raise ValueError("semiaxes must be positive")
-    if not (math.isfinite(A) and math.isfinite(B)):
-        raise ValueError("semiaxes must be finite")
+    require_positive(A=A, B=B)
     s, c = math.sin(phi), math.cos(phi)
     H = math.sqrt(A * A * s * s + B * B * c * c)
     return RotationFactor(G=(B / H) ** 1.5, H=H)
@@ -172,7 +171,7 @@ def for_variant(general: Callable, cls: type, name: str) -> Callable:
 
 def thickness_for_width(A: float, B: float, d: float) -> float:
     """Thickness of the cap cut from the cylinder at half-width d."""
-    _require_positive(A=A, B=B, d=d)
+    require_positive(A=A, B=B, d=d)
     if d > A:
         raise ValueError("half-width d cannot exceed the semiaxis A")
     return B * (1.0 - math.sqrt(1.0 - (d / A) ** 2))
@@ -180,7 +179,7 @@ def thickness_for_width(A: float, B: float, d: float) -> float:
 
 def width_for_thickness(A: float, B: float, h: float) -> float:
     """Half-width of the cap cut from the cylinder at thickness h <= B."""
-    _require_positive(A=A, B=B, h=h)
+    require_positive(A=A, B=B, h=h)
     if h > B:
         raise ValueError("a cap thinner than the semiaxis is required (h <= B)")
     return (A / B) * math.sqrt(h * (2.0 * B - h))
@@ -208,12 +207,11 @@ class Environment:
     T: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ValueError("separation a must be positive")
+        require_positive(a=self.a)
         if not self.T >= 0.0:
             raise ValueError("temperature T cannot be negative")
-        if not math.isfinite(self.a) or not math.isfinite(self.T):
-            raise ValueError("separation a and temperature T must be finite")
+        if not math.isfinite(self.T):
+            raise ValueError(f"T must be finite, got {self.T!r}")
 
 
 # Ratio of curvature (or thickness) to separation above which the proximity

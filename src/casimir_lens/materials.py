@@ -14,6 +14,7 @@ from typing import Union
 import numpy as np
 
 from .constants import CONSTANTS, ev_to_rad_per_s
+from .geometry import require_positive
 
 # Gold parameters commonly used with the Drude / plasma models.
 GOLD_PLASMA_EV = 9.0
@@ -32,10 +33,7 @@ class Plasma:
     omega_p: float  # rad / s
 
     def __post_init__(self) -> None:
-        if not self.omega_p > 0.0:
-            raise ValueError("omega_p must be positive")
-        if not math.isfinite(self.omega_p):
-            raise ValueError("omega_p must be finite")
+        require_positive(omega_p=self.omega_p)
 
 
 @dataclass(frozen=True)
@@ -46,10 +44,7 @@ class Drude:
     gamma: float  # rad / s
 
     def __post_init__(self) -> None:
-        if not self.omega_p > 0.0 or not self.gamma > 0.0:
-            raise ValueError("omega_p and gamma must be positive")
-        if not math.isfinite(self.omega_p) or not math.isfinite(self.gamma):
-            raise ValueError("omega_p and gamma must be finite")
+        require_positive(omega_p=self.omega_p, gamma=self.gamma)
 
 
 @dataclass(frozen=True)

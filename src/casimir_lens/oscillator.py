@@ -22,7 +22,7 @@ import numpy as np
 from .engine import (DEFAULT_QUADRATURE, QuadratureSpec, _leggauss,
                      _lifshitz, casimir_force, gradient)
 from .geometry import (EllipticLens, Environment, LensGeometry, expect_variant,
-                       for_variant)
+                       for_variant, require_positive)
 from .materials import PermittivityModel
 from .specfun import (_HANKEL, ConvergenceError, _horner, bessel_i1_scaled,
                       polylog_exp_grid)
@@ -52,20 +52,12 @@ class OscillatorParams:
     Az: float
 
     def __post_init__(self) -> None:
-        if not self.omega0 > 0.0:
-            raise ValueError("omega0 must be positive")
-        if not self.C > 0.0:
-            raise ValueError("coupling C must be positive")
-        if not self.Az > 0.0:
-            raise ValueError("drive amplitude Az must be positive")
-        if not all(map(math.isfinite, (self.omega0, self.C, self.Az))):
-            raise ValueError("omega0, C and Az must be finite")
+        require_positive(omega0=self.omega0, C=self.C, Az=self.Az)
 
     @classmethod
     def torsional(cls, omega0: float, b: float, I: float, Az: float) -> "OscillatorParams":
         """Build from lever arm b and moment of inertia I (C = b^2 / I)."""
-        if not b > 0.0 or not I > 0.0:
-            raise ValueError("b and I must be positive")
+        require_positive(b=b, I=I)
         return cls(omega0=omega0, C=b * b / I, Az=Az)
 
 

@@ -1,6 +1,7 @@
 """Run configuration: the echoed provenance, sweeps and parse errors."""
 
 import dataclasses
+import math
 import pathlib
 import re
 
@@ -487,7 +488,7 @@ def test_run_config_holds_only_the_sections_its_command_reads(command):
     (_SHIFT_RUN + _OSC + "b = 1e-3\n",
      "[oscillator] requires either C or both b and I"),
     (_SHIFT_RUN + _OSC + "b = 0\nI = 1e-12\n",
-     "[oscillator] b and I must be positive"),
+     "[oscillator] b must be positive, got 0.0"),
     (_SHIFT_RUN + _OSC + "C = 10\nb = 1e-3\n",
      "[oscillator] give either C or the pair b, I, not both"),
     # sections a command requires
@@ -554,6 +555,17 @@ def test_sweep_spec_rejects_unknown_spacing():
     with pytest.raises(ConfigError, match="sweep spacing must be 'linear' "
                                           "or 'log'"):
         SweepSpec("a", 1e-7, 2e-7, 3, spacing="cubic")
+
+
+@pytest.mark.parametrize("spec", [("T", -math.inf, 300.0, 3),
+                                  ("a", 1e-7, math.inf, 3, "log"),
+                                  ("a", math.nan, 2e-7, 3)])
+def test_sweep_spec_rejects_non_finite_ends(spec):
+    # parse_config rejects such a number before it gets here; built
+    # directly, -inf gave the points [nan, nan, 300]
+    with pytest.raises(ConfigError) as exc:
+        SweepSpec(*spec)
+    assert str(exc.value) == "sweep start and stop must be finite"
 
 
 def test_keys_are_case_insensitive():

@@ -60,12 +60,16 @@ def test_elliptic_reduces_to_effective_circular():
 
 @pytest.mark.parametrize("formula", [exact_circular_electric_force,
                                      expanded_electric_force])
-@pytest.mark.parametrize("radius, length", [(0.0, L), (-R, L), (R, 0.0),
-                                            (R, -L)])
+@pytest.mark.parametrize("radius, length, message", [
+    (0.0, L, "R must be positive, got 0.0"),
+    (-R, L, "R must be positive, got -0.0001"),
+    (R, 0.0, "L must be positive, got 0.0"),
+    (R, -L, "L must be positive, got -0.001")])
 def test_circular_forms_require_positive_radius_and_length(formula, radius,
-                                                           length):
-    with pytest.raises(ValueError, match="R and L must be positive"):
+                                                           length, message):
+    with pytest.raises(ValueError) as exc:
         formula(radius, length, ENVELOPE, BIAS)
+    assert str(exc.value) == message
 
 
 def test_asymmetric_dispatch_symmetric():

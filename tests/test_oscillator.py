@@ -44,9 +44,11 @@ def test_torsional_effective_coefficient():
     p = OscillatorParams.torsional(omega0=5.0, b=2.0, I=8.0, Az=1e-9)
     assert p.C == pytest.approx(0.5)  # b^2 / I
     assert p.omega0 == 5.0
-    for b, inertia in ((0.0, 8.0), (2.0, -1.0)):
-        with pytest.raises(ValueError, match="b and I must be positive"):
+    for b, inertia, message in ((0.0, 8.0, "b must be positive, got 0.0"),
+                                (2.0, -1.0, "I must be positive, got -1.0")):
+        with pytest.raises(ValueError) as exc:
             OscillatorParams.torsional(omega0=5.0, b=b, I=inertia, Az=1e-9)
+        assert str(exc.value) == message
 
 
 def test_amplitude_must_stay_below_gap():
@@ -562,14 +564,15 @@ def _count_work(monkeypatch):
 
 def test_shift_work_counts(monkeypatch):
     # counts, not time.  At Az/a = 0.99 the Matsubara remainder takes one
-    # 80 / (1 - Az/a) window (1169 rows with windows 80 wide and doubling),
-    # and the closed form leaves i1e to the heads; at T = 0 the slow
-    # nodes take the theta rule, which calls no i1e (407 k elements when
-    # they summed explicit blocks) and evaluates _THETA_NODES polylog
-    # nodes per Bessel-series node (153 k at 52).  A node's TM and TE
-    # share its i1e factors and sum only its own powers: 6 574 and
-    # 53 929 elements, against 10 895 and 90 870 when each polarization
-    # took its own factors, padded to power-of-2 blocks
+    # 80 / (1 - Az/a) window (210 rows in all; 1169 with windows 80 wide
+    # and doubling), and the closed form leaves i1e to the heads; at T = 0
+    # the slow nodes take the theta rule, which calls no i1e (407 k
+    # elements when they summed explicit blocks) and evaluates _THETA_NODES
+    # polylog nodes per Bessel-series node (38 376 at 52, Az/a = 0.5).  A
+    # node's TM and TE share its i1e factors and sum only its own powers:
+    # 6 493 elements (300 K, Az/a = 0.99) and 15 119 (T = 0, Az/a = 0.5),
+    # against 10 895 and 90 870 when each polarization took its own
+    # factors, padded to power-of-2 blocks
     rows, elements, nodes = _count_work(monkeypatch)
     frequency_shift_nonlinear(LENS, E300, gold_drude(), osc(0.99 * E300.a))
     assert 0 < sum(rows) <= 500

@@ -214,9 +214,10 @@ def test_zero_t_estimate_bounds_the_doubled_rules_change():
                     assert est / abs(total) < _HALF_ORDER[name, kind][i], case
     # the shift at 200 nm on its own window: covered by >= 70 times (ideal
     # metal, Az/a = 0.999; at p = (n + 1) / 2 that case fell to 0.56).  The
-    # Drude and plasma estimates at Az/a >= 0.99 read 1.4e-5 of the
-    # integral, above the half-order pass's 2.1e-7; no caller reads the
-    # shift's estimate until its result carries one (ROADMAP item 4)
+    # Drude and plasma estimates at Az/a >= 0.99 read 1.5e-5 - 3.7e-4 of
+    # the integral (Drude: 2.5e-5 at 0.99, 3.7e-4 at 0.999), above the
+    # half-order pass's 2.1e-7; no caller reads the shift's estimate until
+    # its result carries one (ROADMAP item 4)
     for name, model in MODELS.items():
         for beta in (0.5, 0.9, 0.99, 0.999):
             kernel = partial(oscillator._nonlinear_kernel, beta=beta)
