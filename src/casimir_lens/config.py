@@ -20,9 +20,10 @@ volts, rad/s); floats accept scientific notation, so `a = 200e-9` is
     a = 200e-9
     T = 300
 
-Optional sections: [sweep] (variable, start, stop, count, spacing, and
-ratios under ratio-sweep), [oscillator] (omega0, Az, C or b + I), [efield]
-(V, V0), [output] (path, format), [quadrature] (rel_tol).  The run must
+Other sections: [sweep] (variable, start, stop, count, spacing, and ratios
+under ratio-sweep), [oscillator] (omega0, Az, C or b + I), [efield] (V, V0),
+[output] (path, format), [quadrature] (rel_tol).  A command requires every
+section its rows read but [material] and [quadrature].  The run must
 read every section and key: an unknown one ([DEFAULT] included), a
 misspelt key, one for another variant or model (phi under a symmetric
 lens, gamma_ev under model = plasma), or one the command's rows do not
@@ -44,7 +45,7 @@ from .geometry import (EllipticLens, Environment, LensGeometry, RotatedLens,
                        TwoHalvesLens, symmetric_lens, thickness_for_width)
 from .materials import (Drude, GOLD_GAMMA_EV, GOLD_PLASMA_EV, IdealMetal,
                         PermittivityModel, Plasma, Tabulated)
-from .constants import CONSTANTS, ev_to_rad_per_s
+from .constants import ev_to_rad_per_s
 from .oscillator import OscillatorParams
 
 
@@ -74,6 +75,8 @@ LENS_VARIANTS = {"symmetric": EllipticLens, "two-halves": TwoHalvesLens,
                  "rotated": RotatedLens}
 MATERIAL_MODELS = {"ideal": IdealMetal, "drude": Drude, "plasma": Plasma,
                    "tabulated": Tabulated}
+# the key that names each section's kind, echoed before its fields
+_KINDS = {"geometry": ("variant", LENS_VARIANTS), "material": ("model", MATERIAL_MODELS)}
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,14 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One command's validated inputs; a section it does not read is None."""
+    """One command's validated inputs; each section field defaults to None,
+    which a section the command does not read keeps."""
 
     command: str
-    geometry: LensGeometry | None
-    environment: Environment | None
-    material: PermittivityModel | None
-    quadrature: QuadratureSpec | None
+    geometry: LensGeometry | None = None
+    environment: Environment | None = None
+    material: PermittivityModel | None = None
+    quadrature: QuadratureSpec | None = None
     oscillator: OscillatorParams | None = None
     bias: BiasState | None = None
     sweep: SweepSpec | None = None
@@ -195,17 +199,13 @@ def _get(sect: _Section | None, key: str, kind=float, default=None, required=Fal
 def _build(cls, sect: _Section | None, **given):
     """cls from sect: every field not given is read as its annotated type.
 
-    A field without a dataclass default is a required key; the
-    constructor's ValueError is reported against the section.
+    A field without a dataclass default is a required key.
     """
     for f in fields(cls):
         if f.name not in given:
             given[f.name] = _get(sect, f.name, f.type, f.default,
                                  required=f.default is MISSING)
-    try:
-        return cls(**given)
-    except ValueError as exc:
-        raise ConfigError(f"[{sect.name}] {exc}") from None
+    return cls(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +222,14 @@ def _parse_geometry(sect: _Section | None) -> LensGeometry | None:
     # the variant's own keys: its semiaxes, and phi for the rotated lens
     own = {f.name: _get(sect, f.name, required=True) for f in fields(cls)
            if f.name not in ("h", "d", "L")}
-    try:
-        if cls is EllipticLens:  # derives d from h when only h is given
-            return symmetric_lens(L=L, d=d, h=h, **own)
-        halves = [(own[k], own["B" + k[1:]]) for k in own if k.startswith("A")]
-        if d is None:
-            d = 0.9 * min(A for A, _ in halves)
-        if h is None:
-            h = max(thickness_for_width(A, B, d) for A, B in halves)
-        return cls(h=h, d=d, L=L, **own)
-    except ValueError as exc:
-        raise ConfigError(f"[geometry] {exc}") from None
+    if cls is EllipticLens:  # derives d from h when only h is given
+        return symmetric_lens(L=L, d=d, h=h, **own)
+    halves = [(own[k], own["B" + k[1:]]) for k in own if k.startswith("A")]
+    if d is None:
+        d = 0.9 * min(A for A, _ in halves)
+    if h is None:
+        h = max(thickness_for_width(A, B, d) for A, B in halves)
+    return cls(h=h, d=d, L=L, **own)
 
 
 _GOLD_EV = {"omega_p": GOLD_PLASMA_EV, "gamma": GOLD_GAMMA_EV}
@@ -251,8 +248,6 @@ def _parse_material(sect: _Section | None) -> PermittivityModel:
         return Tabulated.from_file(path)
     except OSError as exc:
         raise ConfigError(f"[material] cannot read {path!r}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"[material] {exc}") from None
 
 
 def _parse_oscillator(sect: _Section | None) -> OscillatorParams | None:
@@ -267,10 +262,7 @@ def _parse_oscillator(sect: _Section | None) -> OscillatorParams | None:
         return _build(OscillatorParams, sect, C=C, **given)
     if b is None or inertia is None:
         raise ConfigError("[oscillator] requires either C or both b and I")
-    try:
-        return OscillatorParams.torsional(b=b, I=inertia, **given)
-    except ValueError as exc:
-        raise ConfigError(f"[oscillator] {exc}") from None
+    return OscillatorParams.torsional(b=b, I=inertia, **given)
 
 
 def _parse_sweep(sect: _Section,
@@ -294,6 +286,19 @@ def _parse_sweep(sect: _Section,
     return spec, ratios
 
 
+# each section a command may read: the RunConfig field it fills and its parser,
+# given None for a section left out; a None result means a required one is missing
+_SECTIONS = {
+    "geometry": ("geometry", _parse_geometry),
+    "environment": ("environment", lambda sect: None if sect is None else _build(
+        Environment, sect, T=_get(sect, "T", default=300.0))),
+    "material": ("material", _parse_material),
+    "quadrature": ("quadrature", lambda sect: _build(QuadratureSpec, sect)),
+    "oscillator": ("oscillator", _parse_oscillator),
+    "efield": ("bias", lambda sect: None if sect is None else _build(BiasState, sect)),
+}
+
+
 # ---------------------------------------------------------------------------
 # cross-section validation
 
@@ -308,14 +313,6 @@ def _check_consistency(cfg: RunConfig) -> None:
         if not (cfg.sweep.start >= 0.0 and cfg.sweep.stop <= math.pi / 2.0 + 1e-12):
             raise ConfigError("ratio-sweep phi range must lie in [0, pi/2]")
         return
-    if cfg.geometry is None:
-        raise ConfigError(f"command '{cmd}' requires a [geometry] section")
-    if cfg.environment is None:
-        raise ConfigError(f"command '{cmd}' requires an [environment] section")
-    if cmd == "freq-shift" and cfg.oscillator is None:
-        raise ConfigError("freq-shift requires an [oscillator] section")
-    if cmd == "efield" and cfg.bias is None:
-        raise ConfigError("efield requires an [efield] section")
     if cfg.sweep is not None:
         owner, name, missing = _SWEPT[cfg.sweep.variable]
         if not hasattr(getattr(cfg, owner), name):
@@ -343,11 +340,10 @@ def _check_tabulated_range(cfg: RunConfig) -> None:
     """A tabulated run must reach every frequency it evaluates.
 
     engine.xi_reach gives the highest xi its sums reach (at the smallest a,
-    largest Az and largest T) and the T = 0 integral's lowest (at the
-    largest a).  force and gradient rows evaluate T = 0 at every T, as each
-    row's T = 0 companion; the other commands only where T = 0.  A sum at
-    T > 0 evaluates the table from xi_1 = 2 pi kB T / hbar up (l = 0 reads
-    the zeta = 0 limit): lowest at the lowest T > 0 the run visits.
+    largest Az and largest T) and the lowest: the T = 0 integral's (at the
+    largest a), and a T > 0 sum's xi_1, lowest at the lowest T > 0 the run
+    visits.  force and gradient rows evaluate T = 0 at every T, as each
+    row's T = 0 companion; the other commands only where T = 0.
     """
     a, (lo, hi) = visited_range(cfg, "a")[0], cfg.material.xi_grid[[0, -1]]
     az = visited_range(cfg, "Az")[1] if cfg.command == "freq-shift" else 0.0
@@ -367,7 +363,7 @@ def _check_tabulated_range(cfg: RunConfig) -> None:
             f"[material] model = tabulated cannot run {what}: the first "
             f"zeta-node of the zero-temperature integral is xi = {xi0:.3g} "
             f"rad/s, below the lowest tabulated frequency {lo:.3g} rad/s")
-    xi1 = 2.0 * math.pi * CONSTANTS.kB * warm[0] / CONSTANTS.hbar if warm.size else lo
+    xi1 = xi_reach(a, warm[0])[0] if warm.size else lo
     if xi1 < lo:
         raise ConfigError(
             f"[material] model = tabulated cannot run T = {warm[0]:g} K: its first "
@@ -392,38 +388,33 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from None
     found = {name: _Section(name, cp[name]) for name in cp.sections()}
-    run, sweep, out, geometry, env, material, quad, osc, efield = read = [
-        found.pop(name, None) for name in (
-            "run", "sweep", "output", "geometry", "environment", "material",
-            "quadrature", "oscillator", "efield")]
-    if run is None:
+    read = {name: found.pop(name, None)
+            for name in ("run", "sweep", "output", *_SECTIONS)}
+    if read["run"] is None:
         raise ConfigError("missing required section [run]")
-    command = _get(run, "command", COMMANDS, required=True)
+    command = _get(read["run"], "command", COMMANDS, required=True)
     reads = _READS[command]
-    for sect in (geometry, env, material, quad, osc, efield):
-        if sect is not None and sect.name not in reads:
-            raise ConfigError(f"[{sect.name}] is not read by command "
-                              f"'{command}'")
-    spec, ratios = (None, ()) if sweep is None else _parse_sweep(sweep, command)
-    cfg = RunConfig(
-        command=command,
-        output_format=_get(out, "format", ("csv", "json"), default="csv"),
-        output_path=_get(out, "path", str),
-        geometry=_parse_geometry(geometry),
-        environment=None if env is None else _build(
-            Environment, env, T=_get(env, "T", default=300.0)),
-        material=_parse_material(material) if "material" in reads else None,
-        quadrature=(_build(QuadratureSpec, quad)
-                    if "quadrature" in reads else None),
-        oscillator=_parse_oscillator(osc),
-        bias=None if efield is None else _build(BiasState, efield),
-        sweep=spec,
-        ratios=ratios,
-    )
+    for name in _SECTIONS:
+        if read[name] is not None and name not in reads:
+            raise ConfigError(f"[{name}] is not read by command '{command}'")
+    spec, ratios = ((None, ()) if read["sweep"] is None
+                    else _parse_sweep(read["sweep"], command))
+    parts = dict(output_format=_get(read["output"], "format", ("csv", "json"), "csv"),
+                 output_path=_get(read["output"], "path", str))
+    for name in reads:
+        field, parse = _SECTIONS[name]
+        try:
+            parts[field] = parse(read[name])
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {exc}") from None
+        if parts[field] is None:
+            raise ConfigError(f"command '{command}' requires "
+                              f"{'an' if name[0] in 'aeiou' else 'a'} [{name}] section")
+    cfg = RunConfig(command, sweep=spec, ratios=ratios, **parts)
     _check_consistency(cfg)
     if found:
         raise ConfigError(f"unknown section [{next(iter(found))}]")
-    for sect in read:
+    for sect in read.values():
         if sect is not None and sect.unread:
             raise ConfigError(f"[{sect.name}] key '{next(iter(sect.unread))}' "
                               "is not read by this run")
@@ -447,21 +438,20 @@ def describe_config(cfg: RunConfig) -> list[str]:
     records exactly what produced it: every section the RunConfig holds.
     """
     lines = [f"run.command = {cfg.command}"]
-    if cfg.geometry is not None:
-        lines.append(f"geometry.variant = {_name_of(LENS_VARIANTS, cfg.geometry)}")
-        lines += _describe("geometry", cfg.geometry)
-    if cfg.material is not None:
-        lines.append(f"material.model = {_name_of(MATERIAL_MODELS, cfg.material)}")
-        lines += _describe("material", cfg.material)
-    for section, part in (("environment", cfg.environment),
-                          ("oscillator", cfg.oscillator),
-                          ("efield", cfg.bias), ("sweep", cfg.sweep)):
-        if part is not None:
-            lines += _describe(section, part)
-    if cfg.ratios:
+    for section, part in (("geometry", cfg.geometry), ("material", cfg.material),
+                          ("environment", cfg.environment),
+                          ("oscillator", cfg.oscillator), ("efield", cfg.bias),
+                          ("sweep", cfg.sweep), ("quadrature", cfg.quadrature)):
+        if part is None:
+            continue
+        if section in _KINDS:
+            key, table = _KINDS[section]
+            lines.append(f"{section}.{key} = "
+                         + next(name for name, cls in table.items()
+                                if isinstance(part, cls)))
+        lines += _describe(section, part)
+    if cfg.ratios:  # only under ratio-sweep, whose sweep is the last section
         lines.append("sweep.ratios = " + ", ".join(f"{r:.17g}" for r in cfg.ratios))
-    if cfg.quadrature is not None:
-        lines += _describe("quadrature", cfg.quadrature)
     return lines
 
 
@@ -470,7 +460,3 @@ def _describe(section: str, obj) -> list[str]:
     return [f"{section}.{f.name} = "
             + format(getattr(obj, f.name), ".17g" if f.type is float else "")
             for f in fields(obj) if f.type is not np.ndarray]
-
-
-def _name_of(table: dict, obj) -> str:
-    return next(name for name, cls in table.items() if isinstance(obj, cls))

@@ -501,12 +501,14 @@ def _lifshitz(kernel: Kernel, geom: LensGeometry, env: Environment,
 def xi_reach(a: float, T: float, rate: float = 1.0) -> tuple[float, float]:
     """Lowest and highest xi (rad/s) at which a run at a and T evaluates a model.
 
-    The lowest is the T = 0 integral's first node, zeta = _ZETA_MIN; the
-    highest lies one window (rate 1 - Az/a for the shift) past l = _EM_BLOCK.
+    The lowest is xi_1 = 2 pi kB T / hbar at T > 0 (the l = 0 term takes the
+    zero-frequency branch) and the T = 0 integral's first node, zeta =
+    _ZETA_MIN, at T = 0; the highest lies one window (rate 1 - Az/a for the
+    shift) past l = _EM_BLOCK.
     """
-    return (CONSTANTS.c * _ZETA_MIN / (2.0 * a),
-            CONSTANTS.c * _Window(rate).span / (2.0 * a)
-            + _EM_BLOCK * (2.0 * math.pi * CONSTANTS.kB * T / CONSTANTS.hbar))
+    xi1 = 2.0 * math.pi * CONSTANTS.kB * T / CONSTANTS.hbar
+    return (xi1 if T > 0.0 else CONSTANTS.c * _ZETA_MIN / (2.0 * a),
+            CONSTANTS.c * _Window(rate).span / (2.0 * a) + _EM_BLOCK * xi1)
 
 
 def force(geom: LensGeometry, env: Environment, model: PermittivityModel,

@@ -215,16 +215,15 @@ def reflection_sq_grid(model: PermittivityModel, zeta, v: np.ndarray,
     * Plasma: r_TM = 1 and a finite r_TE set by 2 a omega_p / c.
     * Tabulated: dielectric-like, eps clamped to its lowest-frequency value.
 
-    Raises ValueError unless v > 0, 0 <= zeta <= v and a > 0, or where
-    zeta mixes zero and positive frequencies.
+    Raises ValueError unless v > 0, 0 <= zeta <= v and a is positive and
+    finite, or where zeta mixes zero and positive frequencies.
     """
     zeta = np.asarray(zeta, dtype=float)
     if not (v > 0.0).all():
         raise ValueError("v must be positive")
     if not ((zeta >= 0.0).all() and (v >= zeta).all()):
         raise ValueError("require 0 <= zeta <= v")
-    if not a > 0.0:
-        raise ValueError("separation a must be positive")
+    require_positive(a=a)
     if isinstance(model, IdealMetal):
         r_tm, r_te = np.ones_like(v), -np.ones_like(v)
     elif not zeta.any():

@@ -506,7 +506,12 @@ def test_run_config_holds_only_the_sections_its_command_reads(command):
     ("\n[material]\nmodel = drude\n",
      "command 'force' requires an [environment] section"),
     ("# no [efield]\n[run]\ncommand = efield\n\n" + _LENS + _ENV,
-     "efield requires an [efield] section"),
+     "command 'efield' requires an [efield] section"),
+    (_SHIFT_RUN, "command 'freq-shift' requires an [oscillator] section"),
+    ("# gradient, no [geometry]\n[run]\ncommand = gradient\n" + _ENV,
+     "command 'gradient' requires a [geometry] section"),
+    ("# efield, no [geometry]\n[run]\ncommand = efield\n" + _ENV
+     + "\n[efield]\nV = 0.5\n", "command 'efield' requires a [geometry] section"),
     ("# no [run]\n" + _LENS + _ENV, "missing required section [run]"),
     (_ENV + "\n[run]\ncommand = force\n",
      "inline: While reading from 'inline' [line 12]: section 'run' already "

@@ -8,6 +8,7 @@ import pytest
 from casimir_lens.constants import CONSTANTS
 from casimir_lens.electrostatics import BiasState, pfa_electric_force
 from casimir_lens.engine import (_EM_NODES, _PANEL_EDGES, _PANEL_NODES,
+                                 _ZETA_MIN,
                                  DEFAULT_QUADRATURE, QuadratureSpec, _Window,
                                  _clenshaw_curtis, _em_remainder,
                                  _grid_from, _leggauss, _panels,
@@ -17,7 +18,8 @@ from casimir_lens.engine import (_EM_NODES, _PANEL_EDGES, _PANEL_NODES,
                                  ideal_metal_gradient_t0, rotated_direct_oracle,
                                  rotated_force, rotated_gradient,
                                  rotation_factor, two_halves_force,
-                                 two_halves_gradient, zero_temperature_force,
+                                 two_halves_gradient, xi_reach,
+                                 zero_temperature_force,
                                  zero_temperature_gradient)
 from casimir_lens.geometry import (Environment, RotatedLens, TwoHalvesLens,
                                    symmetric_lens)
@@ -322,6 +324,22 @@ def test_panel_cache_does_not_grow_with_az(monkeypatch, T):
         shift(beta)
     assert _panels.cache_info().currsize == size
     assert len(remainders) == (21 if T else 0)
+
+
+def test_xi_reach_ends_at_zero_and_positive_temperature():
+    c, span = CONSTANTS.c, _Window().span
+    # T = 0: the integral's first zeta-node (5.7e8 rad/s at 200 nm) and one
+    # window, c span / 2a
+    assert xi_reach(200e-9, 0.0) == (c * _ZETA_MIN / 400e-9, c * span / 400e-9)
+    assert xi_reach(200e-9, 0.0)[0] == pytest.approx(5.66e8, rel=1e-3)
+    # T > 0: xi_1 = 2 pi kB T / hbar at any a (2.47e12 rad/s at 3 K), and
+    # the top 256 xi_1 further (1.4e17 rad/s at 150 nm and 300 K)
+    xi1 = 2.0 * math.pi * CONSTANTS.kB * 3.0 / CONSTANTS.hbar
+    assert xi_reach(200e-9, 3.0)[0] == xi_reach(1e-6, 3.0)[0] == xi1
+    assert xi1 == pytest.approx(2.47e12, rel=1e-3)
+    assert xi_reach(200e-9, 3.0)[1] == pytest.approx(c * span / 400e-9 + 256 * xi1,
+                                                     rel=1e-15)
+    assert xi_reach(150e-9, 300.0)[1] == pytest.approx(1.43e17, rel=1e-3)
 
 
 def test_two_halves_equal_halves_is_symmetric():

@@ -186,6 +186,20 @@ def test_reflection_requires_v_at_least_zeta():
             reflection_sq_grid(gold_drude(), zeta, np.array(v), a)
 
 
+@pytest.mark.parametrize("a, message", [
+    (math.inf, "a must be finite, got inf"),
+    (0.0, "a must be positive, got 0.0"),
+    (-1e-7, "a must be positive, got -1e-07"),
+    (math.nan, "a must be positive, got nan")])
+@pytest.mark.parametrize("model", [gold_drude(), gold_plasma()],
+                         ids=["drude", "plasma"])
+def test_reflection_requires_positive_finite_separation(model, a, message):
+    # a = inf used to pass and give all-NaN coefficients
+    with pytest.raises(ValueError) as exc:
+        reflection_sq_grid(model, 0.5, np.array([1.0]), a)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # tabulated model
 
